@@ -2,186 +2,55 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
 
 	"datacutter/internal/elastic"
+	"datacutter/internal/exec"
 )
 
 // Elasticity on the real engine. Copy-set membership changes happen at
-// work-cycle boundaries (rescale): transparent copies rebuild per-UOW state
-// in Init, so spawning and retiring instances between units of work needs
-// no state hand-off. Mid-cycle, the autoscale controller (elasticLoop) only
-// mutates what is safe while buffers are in flight: WRR weights and DD
-// windows through the StreamWriter mutation API, plus opportunistic work
-// stealing between co-hosted copy sets (readStealing).
+// work-cycle boundaries (exec.Runtime.Place). Mid-cycle, the autoscale
+// controller (elasticLoop) only mutates what is safe while buffers are in
+// flight: WRR weights and DD windows through the StreamWriter mutation API,
+// plus opportunistic work stealing between copy sets (stealQueue). Both
+// read the runtime's live state through Runtime.Sample and the Clock seam.
 
-// snapshotEntries captures the current placement as engine-neutral entries,
-// in graph filter order then placement host order — the deterministic base
-// the scale schedule mutates.
-func (r *Runner) snapshotEntries() []elastic.Entry {
-	var out []elastic.Entry
-	for _, name := range r.g.Filters() {
-		for _, e := range r.pl.Of(name) {
-			out = append(out, elastic.Entry{Filter: name, Host: e.Host, Copies: e.Copies})
-		}
-	}
-	return out
-}
-
-// validateSchedule rejects scale steps naming filters absent from the
-// graph; a typo would otherwise silently grow a copy set nobody consumes.
-func (r *Runner) validateSchedule() error {
-	known := make(map[string]bool)
-	for _, name := range r.g.Filters() {
-		known[name] = true
-	}
-	for _, s := range r.opts.ScaleSchedule {
-		if !known[s.Filter] {
-			return fmt.Errorf("core: scale schedule names unknown filter %q", s.Filter)
-		}
-		if s.BeforeUOW < 1 {
-			return fmt.Errorf("core: scale step for %q has BeforeUOW %d (the initial plan is the zero boundary; steps need >= 1)", s.Filter, s.BeforeUOW)
-		}
-	}
-	return nil
-}
-
-// pendingScale is one controller-proposed copy-count change waiting for the
-// next work-cycle boundary.
-type pendingScale struct {
-	step   elastic.ScaleStep
-	reason string
-}
-
-// queuePending records controller decisions for the next boundary. Multiple
-// decisions for one (filter, host) keep the latest.
-func (r *Runner) queuePending(decisions []elastic.Decision) {
-	if len(decisions) == 0 {
-		return
-	}
-	r.pendMu.Lock()
-	defer r.pendMu.Unlock()
-	for _, d := range decisions {
-		r.pending = append(r.pending, pendingScale{
-			step:   elastic.ScaleStep{Filter: d.Filter, Host: d.Host, Copies: d.Copies},
-			reason: d.Reason,
-		})
-	}
-}
-
-// drainPending returns the queued controller steps stamped for boundary
-// uow, plus per-(filter,host) reasons for the trace events.
+// drainPending returns the copy-count changes the controller proposed during
+// the previous cycle as steps stamped for boundary uow, plus their reasons
+// for the trace events. Several decisions for one set keep the latest.
 func (r *Runner) drainPending(uow int) ([]elastic.ScaleStep, map[scaleKey]string) {
 	r.pendMu.Lock()
-	defer r.pendMu.Unlock()
-	if len(r.pending) == 0 {
-		return nil, nil
-	}
-	steps := make([]elastic.ScaleStep, len(r.pending))
-	reasons := make(map[scaleKey]string, len(r.pending))
-	for i, p := range r.pending {
-		p.step.BeforeUOW = uow
-		steps[i] = p.step
-		reasons[scaleKey{p.step.Filter, p.step.Host}] = p.reason
-	}
+	pending := r.pending
 	r.pending = nil
+	r.pendMu.Unlock()
+	steps := make([]elastic.ScaleStep, len(pending))
+	reasons := make(map[scaleKey]string, len(pending))
+	for i, d := range pending {
+		steps[i] = elastic.ScaleStep{BeforeUOW: uow, Filter: d.Filter, Host: d.Host, Copies: d.Copies}
+		reasons[scaleKey{d.Filter, d.Host}] = d.Reason
+	}
 	return steps, reasons
 }
 
 type scaleKey struct{ filter, host string }
-
-// rescale applies a new effective placement between units of work: for each
-// filter, surviving (filter, host) slots keep their existing instances (the
-// work-cycle model persists instances across UOWs), grown slots spawn fresh
-// instances from the factory, and shrunk slots retire instances from the
-// end. Global copy indices and totals are reassigned in placement order;
-// filters untouched by the change keep their instances and indices exactly.
-// Per-copy stats slices grow and never shrink, so retired copies keep their
-// accumulated time.
-func (r *Runner) rescale(entries []elastic.Entry, uow int, reasons map[scaleKey]string) {
-	newPl := NewPlacement()
-	for _, e := range entries {
-		newPl.Place(e.Filter, e.Host, e.Copies)
-	}
-	for _, name := range r.g.Filters() {
-		oldByHost := make(map[string][]*copyInst)
-		oldCount := make(map[string]int)
-		for _, ci := range r.copies[name] {
-			oldByHost[ci.host] = append(oldByHost[ci.host], ci)
-			oldCount[ci.host]++
-		}
-		total := newPl.TotalCopies(name)
-		var next []*copyInst
-		idx := 0
-		for _, e := range newPl.Of(name) {
-			pool := oldByHost[e.Host]
-			for c := 0; c < e.Copies; c++ {
-				var ci *copyInst
-				if len(pool) > 0 {
-					ci, pool = pool[0], pool[1:]
-				} else {
-					filt := r.g.Factory(name)()
-					attachObserver(filt, r.opts.Obs)
-					ci = &copyInst{filter: filt, name: name, host: e.Host}
-				}
-				ci.globalIdx = idx
-				ci.total = total
-				next = append(next, ci)
-				idx++
-			}
-			oldByHost[e.Host] = pool
-			if old := oldCount[e.Host]; old != e.Copies {
-				elastic.RecordScale(r.opts.Obs, name, e.Host, old, e.Copies, uow, r.scaleReason(reasons, name, e.Host))
-			}
-			delete(oldCount, e.Host)
-		}
-		// Hosts whose entry was retired entirely.
-		for host, old := range oldCount {
-			elastic.RecordScale(r.opts.Obs, name, host, old, 0, uow, r.scaleReason(reasons, name, host))
-		}
-		r.copies[name] = next
-		fs := r.stats.Filters[name]
-		fs.Copies = total
-		for len(fs.BusySeconds) < total {
-			fs.BusySeconds = append(fs.BusySeconds, 0)
-			fs.WallSeconds = append(fs.WallSeconds, 0)
-			fs.ReadBlockedSeconds = append(fs.ReadBlockedSeconds, 0)
-			fs.WriteBlockedSeconds = append(fs.WriteBlockedSeconds, 0)
-		}
-	}
-	r.pl = newPl
-}
-
-func (r *Runner) scaleReason(reasons map[scaleKey]string, filter, host string) string {
-	if s, ok := reasons[scaleKey{filter, host}]; ok && s != "" {
-		return s
-	}
-	return "scale schedule"
-}
 
 // elasticLoop is the per-UOW autoscale controller: every Interval it (a)
 // reweights WRR streams from observed per-target throughput, and (b) turns
 // queue-depth / DD-window / p95-service signals into copy-count decisions
 // queued for the next work-cycle boundary. It owns no engine state — all
 // mutation goes through the StreamWriter API or the pending queue.
-func (r *Runner) elasticLoop(streams map[string]*streamRT, uow int, stop chan struct{}) {
+func (r *Runner) elasticLoop(uow int, stop chan struct{}) {
 	cfg := r.opts.Elastic.WithDefaults()
-	qcap := r.opts.queueCap()
+	qcap := r.rt.QueueCap()
 	total := 0
-	for _, cs := range r.copies {
-		total += len(cs)
+	for _, e := range r.cur {
+		total += e.Copies
 	}
 	ticker := time.NewTicker(cfg.Interval)
 	defer ticker.Stop()
-
-	// Stream names in sorted order for deterministic sampling.
-	names := make([]string, 0, len(streams))
-	for name := range streams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 
 	prevCounts := make(map[string][]int64)
 	prevWeights := make(map[string]map[string]int)
@@ -196,17 +65,19 @@ func (r *Runner) elasticLoop(streams map[string]*streamRT, uow int, stop chan st
 
 		bySet := make(map[scaleKey]*elastic.Signals)
 		var order []scaleKey
-		for _, name := range names {
-			st := streams[name]
-			pol := r.opts.policyFor(name)
+		// Streams in name order for deterministic sampling.
+		loads := r.rt.Sample()
+		sort.Slice(loads, func(i, j int) bool { return loads[i].Spec.Name < loads[j].Spec.Name })
+		for _, st := range loads {
+			name := st.Spec.Name
 
 			// (a) WRR reweight from observed throughput since last tick.
-			if pol.Name() == "WRR" && len(st.hosts) > 1 {
-				cur := make([]int64, len(st.hosts))
-				tp := make(map[string]float64, len(st.hosts))
+			if st.Policy.Name() == "WRR" && len(st.Hosts) > 1 {
+				cur := make([]int64, len(st.Hosts))
+				tp := make(map[string]float64, len(st.Hosts))
 				prev := prevCounts[name]
-				for i, h := range st.hosts {
-					cur[i] = st.counts.Get(i)
+				for i, h := range st.Hosts {
+					cur[i] = st.Counts.Get(i)
 					d := cur[i]
 					if i < len(prev) {
 						d -= prev[i]
@@ -215,8 +86,8 @@ func (r *Runner) elasticLoop(streams map[string]*streamRT, uow int, stop chan st
 				}
 				prevCounts[name] = cur
 				weights := elastic.ReweightByThroughput(tp, cfg.MaxCopies)
-				if !sameWeights(weights, prevWeights[name]) && anyPositive(tp) {
-					for _, sw := range st.writers {
+				if !maps.Equal(weights, prevWeights[name]) && anyPositive(tp) {
+					for _, sw := range st.Writers {
 						for h, w := range weights {
 							sw.Reweight(h, w)
 						}
@@ -231,17 +102,17 @@ func (r *Runner) elasticLoop(streams map[string]*streamRT, uow int, stop chan st
 			windows := windowFractions(st, qcap)
 			p95 := 0.0
 			if reg := r.opts.Obs.Registry(); reg != nil {
-				p95 = reg.Histogram("core.filter." + st.spec.To + ".service_seconds").Quantile(0.95)
+				p95 = reg.Histogram("core.filter." + st.Spec.To + ".service_seconds").Quantile(0.95)
 			}
-			for i, h := range st.hosts {
-				key := scaleKey{st.spec.To, h}
+			for i, h := range st.Hosts {
+				key := scaleKey{st.Spec.To, h}
 				sig := bySet[key]
 				if sig == nil {
-					sig = &elastic.Signals{Filter: st.spec.To, Host: h, Copies: st.copies[i], QueueCap: qcap}
+					sig = &elastic.Signals{Filter: st.Spec.To, Host: h, Copies: st.Copies[i], QueueCap: qcap}
 					bySet[key] = sig
 					order = append(order, key)
 				}
-				if q := len(st.chans[i]); q > sig.QueueLen {
+				if q := st.QueueLen[i]; q > sig.QueueLen {
 					sig.QueueLen = q
 				}
 				if windows[i] > sig.WindowFrac {
@@ -279,25 +150,27 @@ func (r *Runner) elasticLoop(streams map[string]*streamRT, uow int, stop chan st
 			total += d.Copies - bySet[key].Copies
 			pendCopies[key] = d.Copies
 		}
-		r.queuePending(decisions)
+		r.pendMu.Lock()
+		r.pending = append(r.pending, decisions...)
+		r.pendMu.Unlock()
 	}
 }
 
 // windowFractions samples DD ack-window occupancy per target across the
 // stream's producer writers: the max unacked fraction of the effective
 // window (queue capacity plus copy count — the in-flight bound per target).
-func windowFractions(st *streamRT, qcap int) []float64 {
-	out := make([]float64, len(st.hosts))
-	for _, sw := range st.writers {
+func windowFractions(st exec.StreamLoad, qcap int) []float64 {
+	out := make([]float64, len(st.Hosts))
+	for _, sw := range st.Writers {
 		if !sw.WantsAcks() {
 			return out
 		}
 		una := sw.Unacked()
-		for i := range st.hosts {
+		for i := range st.Hosts {
 			if i >= len(una) {
 				break
 			}
-			bound := qcap + st.copies[i]
+			bound := qcap + st.Copies[i]
 			if bound <= 0 {
 				continue
 			}
@@ -307,18 +180,6 @@ func windowFractions(st *streamRT, qcap int) []float64 {
 		}
 	}
 	return out
-}
-
-func sameWeights(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 func anyPositive(tp map[string]float64) bool {
@@ -343,15 +204,45 @@ func weightNote(w map[string]int) string {
 	return strings.Join(parts, " ")
 }
 
-// readStealing is Read with work stealing: the copy drains its own queue
-// first, then opportunistically steals from sibling copy sets' queues on
-// the same stream. Deliveries carry their producer-side ack path and target
-// index, so a stolen buffer acknowledges the correct window. All of a
-// stream's queues close together at end-of-work, and closed channels still
-// hand out their buffered remainder, so the final drain loop strands
-// nothing.
-func (c *runCtx) readStealing(stream string, own chan delivery, sibs []chan delivery) (Buffer, bool) {
-	t0 := time.Now()
+// stealClock is the wall clock with work-stealing queues (Options.
+// StealWork): every queue it makes knows the other copy sets' queues on its
+// stream, so a consumer whose own queue is empty can drain a sibling's.
+type stealClock struct {
+	exec.Clock
+	// sets collects each stream's queues as the runtime builds a unit of
+	// work (single-threaded); reset starts the next unit's.
+	sets map[string]*[]*exec.WallQueue
+}
+
+func (s *stealClock) reset() { s.sets = make(map[string]*[]*exec.WallQueue) }
+
+func (s *stealClock) NewQueue(stream, _ string, capacity int) exec.Queue {
+	sibs := s.sets[stream]
+	if sibs == nil {
+		sibs = new([]*exec.WallQueue)
+		s.sets[stream] = sibs
+	}
+	q := &stealQueue{WallQueue: exec.NewWallQueue(capacity), sibs: sibs}
+	*sibs = append(*sibs, q.WallQueue)
+	return q
+}
+
+// stealQueue is a copy set's queue whose Get steals: the copy drains its own
+// queue first, then opportunistically takes from sibling copy sets' queues
+// on the same stream. Deliveries carry their producer window's address, so
+// a stolen buffer acknowledges the correct window. All of a stream's queues
+// close together at end-of-work, and closed channels still hand out their
+// buffered remainder, so the final drain loop strands nothing.
+type stealQueue struct {
+	*exec.WallQueue
+	sibs *[]*exec.WallQueue // every copy set's queue on the stream, own included
+}
+
+func (q *stealQueue) Get(th exec.Thread, onBlock func()) (exec.Delivery, bool, bool) {
+	if len(*q.sibs) < 2 {
+		return q.WallQueue.Get(th, onBlock)
+	}
+	own := q.C
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -363,53 +254,29 @@ func (c *runCtx) readStealing(stream string, own chan delivery, sibs []chan deli
 		select {
 		case d, ok := <-own:
 			if ok {
-				return c.finishRead(stream, t0, d, true)
+				return d, true, false
 			}
 			// Own queue closed: drain every sibling to exhaustion. A
 			// sibling that is open-but-empty is mid-close (the close loop
 			// walks all queues); yield and rescan.
 			for {
-				allClosed := true
-				for _, sch := range sibs {
-					if sch == own {
-						continue
-					}
-					select {
-					case d, ok := <-sch:
-						if ok {
-							return c.finishRead(stream, t0, d, true)
-						}
-					default:
-						allClosed = false
-					}
-				}
-				if allClosed {
-					return c.finishRead(stream, t0, delivery{}, false)
+				if d, ok, done := q.steal(); ok || done {
+					return d, ok, false
 				}
 				select {
-				case <-c.done:
-					return c.finishRead(stream, t0, delivery{}, false)
+				case <-q.Stop:
+					return exec.Delivery{}, false, false
 				default:
 					time.Sleep(50 * time.Microsecond)
 				}
 			}
-		case <-c.done:
-			c.readBlocked += time.Since(t0).Seconds()
-			return Buffer{}, false
+		case <-q.Stop:
+			return exec.Delivery{}, false, false
 		default:
 		}
 		// Own queue empty: steal one buffer from a sibling, if any.
-		for _, sch := range sibs {
-			if sch == own {
-				continue
-			}
-			select {
-			case d, ok := <-sch:
-				if ok {
-					return c.finishRead(stream, t0, d, true)
-				}
-			default:
-			}
+		if d, ok, _ := q.steal(); ok {
+			return d, true, false
 		}
 		// Nothing anywhere: wait briefly on the own queue, then rescan the
 		// siblings — stealing is opportunistic, not a barrier.
@@ -424,17 +291,32 @@ func (c *runCtx) readStealing(stream string, own chan delivery, sibs []chan deli
 				<-timer.C
 			}
 			if ok {
-				return c.finishRead(stream, t0, d, true)
+				return d, true, false
 			}
 			// Closed: fall through via the next loop iteration's own-case.
-			continue
-		case <-c.done:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			c.readBlocked += time.Since(t0).Seconds()
-			return Buffer{}, false
+		case <-q.Stop:
+			return exec.Delivery{}, false, false
 		case <-timer.C:
 		}
 	}
+}
+
+// steal takes one buffer from any sibling queue without blocking; done
+// reports that every sibling is closed and drained.
+func (q *stealQueue) steal() (d exec.Delivery, ok, done bool) {
+	done = true
+	for _, sib := range *q.sibs {
+		if sib == q.WallQueue {
+			continue
+		}
+		select {
+		case d, ok = <-sib.C:
+			if ok {
+				return d, true, false
+			}
+		default:
+			done = false
+		}
+	}
+	return exec.Delivery{}, false, done
 }

@@ -69,11 +69,11 @@ func TestScaleScheduleRescalesBetweenUOWs(t *testing.T) {
 		t.Fatalf("scale events up=%d down=%d, want 1/1", ups, downs)
 	}
 	// The runner's placement reflects the final effective plan.
-	if n := r.pl.TotalCopies("D"); n != 2 {
+	if n := copiesOf(r.cur, "D"); n != 2 {
 		t.Fatalf("final D copies = %d, want 2", n)
 	}
-	if len(r.copies["D"]) != 2 {
-		t.Fatalf("final D instances = %d, want 2", len(r.copies["D"]))
+	if n := len(r.Instances("D")); n != 2 {
+		t.Fatalf("final D instances = %d, want 2", n)
 	}
 }
 
@@ -97,21 +97,22 @@ func TestRescalePreservesUntouchedInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcBefore := r.copies["S"][0]
-	dBefore := append([]*copyInst(nil), r.copies["D"]...)
+	srcBefore := r.Instances("S")[0]
+	dBefore := r.Instances("D")
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.copies["S"][0] != srcBefore {
+	if r.Instances("S")[0] != srcBefore {
 		t.Fatal("untouched filter's instance was replaced")
 	}
-	for i, ci := range dBefore {
-		if r.copies["D"][i] != ci {
+	dAfter := r.Instances("D")
+	for i, f := range dBefore {
+		if dAfter[i] != f {
 			t.Fatalf("surviving D instance %d was replaced", i)
 		}
 	}
-	if r.copies["D"][2].globalIdx != 2 || r.copies["D"][2].total != 3 {
-		t.Fatalf("spawned instance indexing: idx=%d total=%d", r.copies["D"][2].globalIdx, r.copies["D"][2].total)
+	if len(dAfter) != 3 {
+		t.Fatalf("D instances after scale-up = %d, want 3", len(dAfter))
 	}
 	if len(*got) != 20 {
 		t.Fatalf("collected %d, want 20", len(*got))
@@ -263,8 +264,8 @@ func TestElasticControllerQueuesScaleUp(t *testing.T) {
 	// The slow W queue (cap 4) saturates; the controller must have scaled
 	// something up by the end, and never past the budget.
 	total := 0
-	for _, cs := range r.copies {
-		total += len(cs)
+	for _, e := range r.cur {
+		total += e.Copies
 	}
 	if added := o.Registry().Counter(elastic.MetricCopiesAdded).Value(); added < 1 {
 		t.Fatalf("controller never scaled up (copies_added = %d)", added)
@@ -272,4 +273,14 @@ func TestElasticControllerQueuesScaleUp(t *testing.T) {
 	if total > 5 {
 		t.Fatalf("total copies %d exceed budget 5", total)
 	}
+}
+
+func copiesOf(entries []elastic.Entry, filter string) int {
+	n := 0
+	for _, e := range entries {
+		if e.Filter == filter {
+			n += e.Copies
+		}
+	}
+	return n
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datacutter/internal/elastic"
@@ -34,10 +32,8 @@ type Options struct {
 	Obs *obs.Observer
 	// ScaleSchedule seeds deterministic copy-set membership changes at
 	// work-cycle boundaries: before unit of work BeforeUOW, the (Filter,
-	// Host) entry's copy count becomes Copies (see elastic.ScaleStep).
-	// Copies are spawned and retired between units of work — the paper's
-	// work-cycle model rebuilds per-UOW state in Init, so membership can
-	// change at the boundary without any state hand-off.
+	// Host) entry's copy count becomes Copies (see elastic.ScaleStep and
+	// exec.Runtime.Place).
 	ScaleSchedule []elastic.ScaleStep
 	// Elastic enables the live autoscale controller: it samples copy-set
 	// queue depth, DD ack-window occupancy, and p95 filter service time
@@ -58,64 +54,28 @@ type Options struct {
 // Validate rejects option values that would otherwise be silently coerced
 // to defaults. Zero means "use the default"; negative values are always a
 // caller bug.
-func (o *Options) Validate() error {
-	if o.QueueCap < 0 {
-		return fmt.Errorf("core: Options.QueueCap must be >= 0 (0 selects the default of 8), got %d", o.QueueCap)
-	}
-	if o.BufferBytes < 0 {
-		return fmt.Errorf("core: Options.BufferBytes must be >= 0 (0 selects the default of 256 KiB), got %d", o.BufferBytes)
-	}
-	return nil
-}
+func (o *Options) Validate() error { return exec.CheckOptions("core", o.QueueCap, o.BufferBytes) }
 
-// policies bundles the default + per-stream overrides into the shared
-// resolution logic (override > default > RR) used by all three engines.
-func (o *Options) policies() exec.PolicyConfig {
-	return exec.PolicyConfig{Default: o.Policy, PerStream: o.StreamPolicy}
-}
-
-func (o *Options) policyFor(stream string) Policy {
-	return o.policies().For(stream)
-}
-
-func (o *Options) queueCap() int {
-	if o.QueueCap > 0 {
-		return o.QueueCap
-	}
-	return 8
-}
-
-func (o *Options) bufferBytes() int {
-	if o.BufferBytes > 0 {
-		return o.BufferBytes
-	}
-	return 256 << 10
-}
-
-// Runner executes a Graph under a Placement on the real engine: every
-// transparent copy is a goroutine, every copy set shares one queue
+// Runner executes a Graph under a Placement on the real engine: the copy
+// runtime (internal/exec) on the wall clock with every copy set local, so
+// every transparent copy is a goroutine, every copy set shares one queue
 // (demand-based balance within a host), and writer policies distribute
-// buffers across copy sets.
+// buffers across copy sets. What the Runner adds is the live autoscale
+// controller and work stealing (elastic.go).
 type Runner struct {
 	g    *Graph
-	pl   *Placement
 	opts Options
-
-	copies map[string][]*copyInst
-	stats  *Stats
+	rt   *exec.Runtime
+	// cur is the effective placement; the scale schedule and the autoscale
+	// controller mutate it between units of work.
+	cur   []elastic.Entry
+	stats *Stats
+	steal *stealClock // nil unless Options.StealWork
 
 	// pending holds copy-count changes the autoscale controller proposed
 	// mid-cycle, applied at the next work-cycle boundary (see elastic.go).
 	pendMu  sync.Mutex
-	pending []pendingScale
-}
-
-type copyInst struct {
-	filter    Filter
-	name      string
-	host      string
-	globalIdx int
-	total     int
+	pending []elastic.Decision
 }
 
 // NewRunner validates the graph and placement and instantiates one filter
@@ -131,43 +91,28 @@ func NewRunner(g *Graph, pl *Placement, opts Options) (*Runner, error) {
 	if err := pl.Validate(g); err != nil {
 		return nil, err
 	}
-	r := &Runner{g: g, pl: pl, opts: opts, copies: make(map[string][]*copyInst), stats: newStats(g)}
-	for _, name := range g.Filters() {
-		total := pl.TotalCopies(name)
-		idx := 0
-		for _, e := range pl.Of(name) {
-			for c := 0; c < e.Copies; c++ {
-				filt := g.Factory(name)()
-				attachObserver(filt, opts.Obs)
-				r.copies[name] = append(r.copies[name], &copyInst{
-					filter:    filt,
-					name:      name,
-					host:      e.Host,
-					globalIdx: idx,
-					total:     total,
-				})
-				idx++
-			}
-		}
-		fs := r.stats.Filters[name]
-		fs.Copies = total
-		fs.BusySeconds = make([]float64, total)
-		fs.WallSeconds = make([]float64, total)
-		fs.ReadBlockedSeconds = make([]float64, total)
-		fs.WriteBlockedSeconds = make([]float64, total)
+	r := &Runner{g: g, opts: opts, cur: pl.Entries(g), stats: NewStats(g)}
+	clock := exec.Wall()
+	if opts.StealWork {
+		r.steal = &stealClock{Clock: clock}
+		clock = r.steal
+	}
+	r.rt = exec.New(exec.Config{
+		Engine: "core", Clock: clock,
+		Filters: g.Filters(), Streams: g.Streams(),
+		New:      func(name string) (Filter, error) { return g.Factory(name)(), nil },
+		Policies: exec.PolicyConfig{Default: opts.Policy, PerStream: opts.StreamPolicy},
+		QueueCap: opts.QueueCap, Obs: opts.Obs,
+	})
+	if err := r.rt.Place(r.cur); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
 // Instances returns the filter instances for a filter name in global copy
 // order, so callers can retrieve results a sink filter accumulated.
-func (r *Runner) Instances(name string) []Filter {
-	out := make([]Filter, len(r.copies[name]))
-	for i, c := range r.copies[name] {
-		out[i] = c.filter
-	}
-	return out
-}
+func (r *Runner) Instances(name string) []Filter { return r.rt.Instances(name) }
 
 // Stats returns the accumulated statistics. Valid after Run.
 func (r *Runner) Stats() *Stats { return r.stats }
@@ -176,26 +121,29 @@ func (r *Runner) Stats() *Stats { return r.stats }
 // stats. The first filter error aborts the run. Between units of work the
 // effective placement is re-derived from the scale schedule and any
 // copy-count changes the live autoscale controller proposed during the
-// previous cycle, and the copy sets are rescaled in place (see rescale).
+// previous cycle, and the runtime spawns and retires copies to match.
 func (r *Runner) Run() (*Stats, error) {
 	uows := r.opts.UOWs
 	if len(uows) == 0 {
 		uows = []any{nil}
 	}
-	if err := r.validateSchedule(); err != nil {
+	if err := elastic.ValidateSchedule("core", r.opts.ScaleSchedule, r.g.Filters(), nil); err != nil {
 		return r.stats, err
 	}
 	// The real engine's time domain is wall seconds since the run started.
 	r.opts.Obs.SetClock(obs.NewWallClock())
-	cur := r.snapshotEntries()
 	start := time.Now()
 	for i, work := range uows {
 		due := elastic.StepsAt(r.opts.ScaleSchedule, i)
 		pending, reasons := r.drainPending(i)
-		due = append(due, pending...)
-		if len(due) > 0 {
-			cur = elastic.Apply(cur, due)
-			r.rescale(cur, i, reasons)
+		if due = append(due, pending...); len(due) > 0 {
+			next := elastic.Apply(r.cur, due)
+			if err := r.rt.Place(next); err != nil {
+				return r.stats, err
+			}
+			elastic.RecordScaleDiff(r.opts.Obs, r.cur, next, i,
+				func(filter, host string) string { return reasons[scaleKey{filter, host}] })
+			r.cur = next
 		}
 		t0 := time.Now()
 		if err := r.runUOW(i, work); err != nil {
@@ -207,540 +155,31 @@ func (r *Runner) Run() (*Stats, error) {
 	return r.stats, nil
 }
 
-// delivery is one buffer in flight, carrying the DD ack path back to the
-// producing copy's sliding window (nil for zero-overhead policies).
-type delivery struct {
-	buf       Buffer
-	acks      exec.AckChan
-	targetIdx int
-	// ackEvery is the producer policy's ack coalescing factor (>= 1 when
-	// acks is non-nil).
-	ackEvery int
-}
-
-// streamMetrics are the per-stream live counters, resolved once at setup
-// so hot-path updates never touch the registry lock. Nil when disabled.
-type streamMetrics struct {
-	buffers *obs.Counter
-	bytes   *obs.Counter
-	acks    *obs.Counter
-}
-
-// streamRT is the per-UOW runtime state of one logical stream.
-type streamRT struct {
-	spec      StreamSpec
-	hosts     []string // consumer copy-set hosts, placement order
-	copies    []int    // consumer copies per host
-	chans     []chan delivery
-	counts    *exec.Counts    // per-target deliveries, shared by producer copies
-	producers *exec.Countdown // end-of-work: last producer closes the queues
-	bufBytes  int
-	metrics   *streamMetrics // nil unless Options.Obs is set
-
-	// writers collects every producer copy's StreamWriter on this stream.
-	// Appended during (single-threaded) context build, read by the
-	// autoscale controller during Process for mid-cycle reweights and
-	// window sampling; the two phases never overlap.
-	writers []*exec.StreamWriter
-
-	// DeclareBuffer bounds gathered during Init.
-	mu       sync.Mutex
-	declMin  int
-	declMax  int // 0 = unbounded
-	declared bool
-}
-
-func (s *streamRT) declare(min, max int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if min > s.declMin {
-		s.declMin = min
-	}
-	if max > 0 && (s.declMax == 0 || max < s.declMax) {
-		s.declMax = max
-	}
-	s.declared = true
-}
-
-func (s *streamRT) resolve(def int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := def
-	if s.declMin > 0 && b < s.declMin {
-		b = s.declMin
-	}
-	if s.declMax > 0 && b > s.declMax {
-		b = s.declMax
-	}
-	s.bufBytes = b
-}
-
+// runUOW drives the runtime's three phases back to back, with the autoscale
+// controller sampling load for the duration of Process.
 func (r *Runner) runUOW(uow int, work any) error {
-	qcap := r.opts.queueCap()
-
-	// Build per-stream runtime state.
-	streams := make(map[string]*streamRT)
-	for _, sp := range r.g.Streams() {
-		st := &streamRT{spec: sp, producers: exec.NewCountdown(r.pl.TotalCopies(sp.From))}
-		for _, e := range r.pl.Of(sp.To) {
-			st.hosts = append(st.hosts, e.Host)
-			st.copies = append(st.copies, e.Copies)
-			st.chans = append(st.chans, make(chan delivery, qcap))
-		}
-		st.counts = exec.NewCounts(len(st.hosts))
-		if reg := r.opts.Obs.Registry(); reg != nil {
-			st.metrics = &streamMetrics{
-				buffers: reg.Counter("core.stream." + sp.Name + ".buffers"),
-				bytes:   reg.Counter("core.stream." + sp.Name + ".bytes"),
-				acks:    reg.Counter("core.stream." + sp.Name + ".acks"),
-			}
-		}
-		streams[sp.Name] = st
+	if r.steal != nil {
+		r.steal.reset()
 	}
-
-	ab := &abort{done: make(chan struct{})}
-	done := ab.done
-	fail := ab.fail
-
-	// Build per-copy contexts.
-	var ctxs []*runCtx
-	for _, name := range r.g.Filters() {
-		for _, ci := range r.copies[name] {
-			c := &runCtx{
-				r:        r,
-				ci:       ci,
-				uow:      uow,
-				work:     work,
-				done:     done,
-				inputs:   make(map[string]chan delivery),
-				inputRT:  make(map[string]*streamRT),
-				writers:  make(map[string]*exec.StreamWriter),
-				outputRT: make(map[string]*streamRT),
-				o:        r.opts.Obs,
-			}
-			if reg := r.opts.Obs.Registry(); reg != nil {
-				c.readStallH = reg.Histogram("core.read_stall_seconds")
-				c.writeStallH = reg.Histogram("core.write_stall_seconds")
-			}
-			for _, sp := range r.g.Inputs(name) {
-				st := streams[sp.Name]
-				for i, h := range st.hosts {
-					if h == ci.host {
-						c.inputs[sp.Name] = st.chans[i]
-						break
-					}
-				}
-				if c.inputs[sp.Name] == nil {
-					return fmt.Errorf("core: stream %s: consumer copy of %q on host %q has no queue (placement mismatch)", sp.Name, name, ci.host)
-				}
-				c.inputRT[sp.Name] = st
-			}
-			for _, sp := range r.g.Outputs(name) {
-				st := streams[sp.Name]
-				infos := make([]TargetInfo, len(st.hosts))
-				for i, h := range st.hosts {
-					infos[i] = TargetInfo{Host: h, Copies: st.copies[i], Local: h == ci.host}
-				}
-				port := &chanPort{c: c, st: st, stream: sp.Name}
-				sw := exec.NewStreamWriter(sp.Name, r.opts.policyFor(sp.Name), infos, port, st.counts,
-					exec.Meta{Obs: r.opts.Obs, Filter: ci.name, Copy: ci.globalIdx, Host: ci.host, UOW: uow})
-				if sw.WantsAcks() {
-					// Sized (exec.AckCap) so a consumer's ack send can never
-					// block: at most (queue capacity + copies) buffers per
-					// target can be un-acked from this producer at once.
-					port.acks = exec.NewAckChan(exec.AckCap(infos, qcap))
-					sw.BindAckSource(port.acks)
-				}
-				c.writers[sp.Name] = sw
-				c.outputRT[sp.Name] = st
-				st.writers = append(st.writers, sw)
-			}
-			if r.opts.StealWork {
-				c.inputAll = make(map[string][]chan delivery, len(c.inputs))
-				for _, sp := range r.g.Inputs(name) {
-					c.inputAll[sp.Name] = streams[sp.Name].chans
-				}
-			}
-			if r.opts.Elastic != nil {
-				if reg := r.opts.Obs.Registry(); reg != nil {
-					c.svcH = reg.Histogram("core.filter." + name + ".service_seconds")
-				}
-			}
-			ctxs = append(ctxs, c)
-		}
-	}
-
-	// Phase 1: Init (concurrent), gathering buffer declarations.
-	if err := r.runPhase(ctxs, ab, func(c *runCtx) error { return c.ci.filter.Init(c) }); err != nil {
+	decls, err := r.rt.Init(uow, work, r.stats)
+	if err != nil {
 		return err
 	}
-	for _, st := range streams {
-		st.resolve(r.opts.bufferBytes())
-	}
-
-	// Autoscale controller: samples load during Process, reweights WRR
-	// mid-cycle, and queues copy-count changes for the next boundary.
-	var ctlWG sync.WaitGroup
-	stopCtl := make(chan struct{})
+	var ctl sync.WaitGroup
+	stop := make(chan struct{})
 	if r.opts.Elastic != nil {
-		ctlWG.Add(1)
+		ctl.Add(1)
 		go func() {
-			defer ctlWG.Done()
-			r.elasticLoop(streams, uow, stopCtl)
+			defer ctl.Done()
+			r.elasticLoop(uow, stop)
 		}()
 	}
-
-	// Phase 2: Process, with end-of-work propagation: when the last
-	// producer copy of a stream finishes, its copy-set queues close.
-	var wg sync.WaitGroup
-	for _, c := range ctxs {
-		wg.Add(1)
-		go func(c *runCtx) {
-			defer wg.Done()
-			c.o.Emit(obs.Event{Kind: obs.KindProcessStart, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, UOW: c.uow})
-			t0 := time.Now()
-			err := safeCall(func() error { return c.ci.filter.Process(c) })
-			wall := time.Since(t0).Seconds()
-			c.o.Emit(obs.Event{Kind: obs.KindProcessEnd, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, UOW: c.uow})
-			fs := r.stats.Filters[c.ci.name]
-			fs.WallSeconds[c.ci.globalIdx] += wall
-			fs.BusySeconds[c.ci.globalIdx] += wall - c.readBlocked - c.writeBlocked
-			fs.ReadBlockedSeconds[c.ci.globalIdx] += c.readBlocked
-			fs.WriteBlockedSeconds[c.ci.globalIdx] += c.writeBlocked
-			// End-of-work: this copy will write no more buffers.
-			for _, sp := range r.g.Outputs(c.ci.name) {
-				st := streams[sp.Name]
-				if st.producers.Done() {
-					for _, ch := range st.chans {
-						close(ch)
-					}
-				}
-			}
-			if err != nil {
-				fail(fmt.Errorf("core: filter %s copy %d: %w", c.ci.name, c.ci.globalIdx, err))
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(stopCtl)
-	ctlWG.Wait()
-	if err := ab.err(); err != nil {
+	err = r.rt.Process(exec.ResolveSizes(r.g.Streams(), decls, r.opts.BufferBytes))
+	close(stop)
+	ctl.Wait()
+	if err != nil {
 		return err
 	}
-
-	// Phase 3: Finalize (concurrent).
-	if err := r.runPhase(ctxs, ab, func(c *runCtx) error { return c.ci.filter.Finalize(c) }); err != nil {
-		return err
-	}
-
-	// Fold per-target receive counts into stats.
-	for name, st := range streams {
-		st.counts.Fold(st.hosts, r.stats.Streams[name].PerTargetHost)
-	}
-	return nil
+	_, err = r.rt.Finalize()
+	return err
 }
-
-// abort records the first failure and cancels the unit of work.
-type abort struct {
-	done chan struct{}
-	once sync.Once
-	mu   sync.Mutex
-	e    error
-}
-
-func (a *abort) fail(err error) {
-	a.once.Do(func() {
-		a.mu.Lock()
-		a.e = err
-		a.mu.Unlock()
-		close(a.done)
-	})
-}
-
-func (a *abort) err() error {
-	select {
-	case <-a.done:
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return a.e
-	default:
-		return nil
-	}
-}
-
-// safeCall invokes a filter callback, converting panics into errors so a
-// buggy filter aborts the run instead of crashing the process.
-func safeCall(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("filter panicked: %v", r)
-		}
-	}()
-	return fn()
-}
-
-func (r *Runner) runPhase(ctxs []*runCtx, ab *abort, f func(*runCtx) error) error {
-	var wg sync.WaitGroup
-	for _, c := range ctxs {
-		wg.Add(1)
-		go func(c *runCtx) {
-			defer wg.Done()
-			t0 := time.Now()
-			err := safeCall(func() error { return f(c) })
-			// Init/Finalize work counts toward the filter's busy time.
-			dt := time.Since(t0).Seconds()
-			fs := r.stats.Filters[c.ci.name]
-			fs.BusySeconds[c.ci.globalIdx] += dt
-			fs.WallSeconds[c.ci.globalIdx] += dt
-			if err != nil {
-				ab.fail(fmt.Errorf("core: filter %s copy %d: %w", c.ci.name, c.ci.globalIdx, err))
-			}
-		}(c)
-	}
-	wg.Wait()
-	return ab.err()
-}
-
-// chanPort binds the shared stream-writer runtime (exec.StreamWriter) to
-// this engine's transport: a buffered Go channel per copy set. Deliver owns
-// everything transport-side of the pick — backpressure stalls,
-// cancellation, stream stats, and the enqueue trace event.
-type chanPort struct {
-	c      *runCtx
-	st     *streamRT
-	stream string
-	acks   exec.AckChan // non-nil when the policy wants acks
-}
-
-func (p *chanPort) Deliver(idx int, b Buffer, ackEvery int) error {
-	c := p.c
-	d := delivery{buf: b, targetIdx: idx}
-	if ackEvery > 0 {
-		d.acks = p.acks
-		d.ackEvery = ackEvery
-	}
-	if err := c.enqueue(p.st, p.stream, idx, d); err != nil {
-		return err
-	}
-	ss := c.r.stats.Streams[p.stream]
-	atomic.AddInt64(&ss.Buffers, 1)
-	atomic.AddInt64(&ss.Bytes, int64(b.Size))
-	atomic.AddInt64(&c.r.stats.Filters[c.ci.name].BuffersOut, 1)
-	if c.o != nil {
-		if m := p.st.metrics; m != nil {
-			m.buffers.Inc()
-			m.bytes.Add(int64(b.Size))
-		}
-		c.o.Emit(obs.Event{Kind: obs.KindEnqueue, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, Stream: p.stream, Target: p.st.hosts[idx], Bytes: b.Size, UOW: c.uow})
-	}
-	return nil
-}
-
-// runCtx implements Ctx for the real engine.
-type runCtx struct {
-	r    *Runner
-	ci   *copyInst
-	uow  int
-	work any
-	done chan struct{}
-
-	inputs   map[string]chan delivery
-	inputRT  map[string]*streamRT
-	writers  map[string]*exec.StreamWriter
-	outputRT map[string]*streamRT
-	// inputAll holds every copy set's queue per input stream when work
-	// stealing is on (Options.StealWork); nil otherwise.
-	inputAll map[string][]chan delivery
-
-	// o is the attached observer (nil = disabled; every use is guarded or
-	// nil-receiver safe, so the off cost is a pointer comparison).
-	o           *obs.Observer
-	readStallH  *obs.Histogram
-	writeStallH *obs.Histogram
-
-	// svcH samples inter-read service time for the autoscale controller's
-	// p95 signal (elastic mode with obs attached only).
-	svcH    *obs.Histogram
-	svcLast time.Time
-
-	readBlocked  float64
-	writeBlocked float64
-
-	// acks coalesces consumer-side acknowledgments per (stream, ack
-	// channel, target) for batched-ack policies.
-	acks *exec.Coalescer[ackPendingKey]
-}
-
-type ackPendingKey struct {
-	stream string
-	ch     exec.AckChan
-	target int
-}
-
-var _ Ctx = (*runCtx)(nil)
-
-func (c *runCtx) Read(stream string) (Buffer, bool) {
-	ch, ok := c.inputs[stream]
-	if !ok {
-		panic(fmt.Sprintf("core: filter %s reads unknown input stream %q", c.ci.name, stream))
-	}
-	if sibs := c.inputAll[stream]; len(sibs) > 1 {
-		return c.readStealing(stream, ch, sibs)
-	}
-	t0 := time.Now()
-	if c.o != nil {
-		// Non-blocking first attempt so a read that actually stalls gets a
-		// stall-start/stall-end trace span around the wait.
-		select {
-		case d, ok := <-ch:
-			return c.finishRead(stream, t0, d, ok)
-		case <-c.done:
-			c.readBlocked += time.Since(t0).Seconds()
-			return Buffer{}, false
-		default:
-		}
-		c.emitStall(obs.KindStallStart, stream, "read")
-		defer func() {
-			c.readStallH.Observe(time.Since(t0).Seconds())
-			c.emitStall(obs.KindStallEnd, stream, "read")
-		}()
-	}
-	select {
-	case d, ok := <-ch:
-		return c.finishRead(stream, t0, d, ok)
-	case <-c.done:
-		c.readBlocked += time.Since(t0).Seconds()
-		return Buffer{}, false
-	}
-}
-
-// finishRead accounts a completed Read: blocked time, end-of-work ack
-// flushing, demand-driven acknowledgment, and input accounting.
-func (c *runCtx) finishRead(stream string, t0 time.Time, d delivery, ok bool) (Buffer, bool) {
-	c.readBlocked += time.Since(t0).Seconds()
-	if !ok {
-		c.flushAcks()
-		return Buffer{}, false
-	}
-	if d.acks != nil {
-		c.ack(stream, d)
-	}
-	if c.svcH != nil {
-		now := time.Now()
-		if !c.svcLast.IsZero() {
-			c.svcH.Observe(now.Sub(c.svcLast).Seconds())
-		}
-		c.svcLast = now
-	}
-	atomic.AddInt64(&c.r.stats.Filters[c.ci.name].BuffersIn, 1)
-	return d.buf, true
-}
-
-// emitStall emits one stall edge for this copy (obs enabled only).
-func (c *runCtx) emitStall(k obs.Kind, stream, dir string) {
-	c.o.Emit(obs.Event{Kind: k, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, Stream: stream, UOW: c.uow, Note: dir})
-}
-
-// ack acknowledges one consumed buffer as processing begins (paper §2),
-// coalescing per the producer policy's batch factor (exec.Coalescer). The
-// ack channel is sized (exec.AckCap) so sends cannot block.
-func (c *runCtx) ack(stream string, d delivery) {
-	if c.acks == nil {
-		c.acks = exec.NewCoalescer[ackPendingKey](func(key ackPendingKey, n int) {
-			key.ch.Ack(key.target, n)
-			c.ackSent(key.stream, n)
-		})
-	}
-	c.acks.Ack(ackPendingKey{stream: stream, ch: d.acks, target: d.targetIdx}, d.ackEvery)
-}
-
-// ackSent accounts one acknowledgment message covering n buffers.
-func (c *runCtx) ackSent(stream string, n int) {
-	atomic.AddInt64(&c.r.stats.Streams[stream].Acks, 1)
-	if c.o != nil {
-		if st := c.inputRT[stream]; st != nil && st.metrics != nil {
-			st.metrics.acks.Inc()
-		}
-		c.o.Emit(obs.Event{Kind: obs.KindAck, Filter: c.ci.name, Copy: c.ci.globalIdx, Host: c.ci.host, Stream: stream, N: n, UOW: c.uow})
-	}
-}
-
-// flushAcks releases coalesced acknowledgments at end-of-work (each flush
-// counts as one acknowledgment message, as it would on the wire).
-func (c *runCtx) flushAcks() {
-	if c.acks != nil {
-		c.acks.Flush()
-	}
-}
-
-// Write hands the buffer to the shared stream-writer runtime: ack drain,
-// policy pick, and window update happen in exec.StreamWriter; the chanPort
-// Deliver callback brings the buffer back into this engine's channels.
-func (c *runCtx) Write(stream string, b Buffer) error {
-	sw, ok := c.writers[stream]
-	if !ok {
-		panic(fmt.Sprintf("core: filter %s writes unknown output stream %q", c.ci.name, stream))
-	}
-	return sw.Write(b)
-}
-
-// enqueue places a delivery on the chosen copy-set queue, tracing a stall
-// span when the queue is full and observability is on.
-func (c *runCtx) enqueue(st *streamRT, stream string, idx int, d delivery) error {
-	t0 := time.Now()
-	if c.o != nil {
-		select {
-		case st.chans[idx] <- d:
-			c.writeBlocked += time.Since(t0).Seconds()
-			return nil
-		case <-c.done:
-			c.writeBlocked += time.Since(t0).Seconds()
-			return ErrCancelled
-		default:
-		}
-		c.emitStall(obs.KindStallStart, stream, "write")
-		defer func() {
-			c.writeStallH.Observe(time.Since(t0).Seconds())
-			c.emitStall(obs.KindStallEnd, stream, "write")
-		}()
-	}
-	select {
-	case st.chans[idx] <- d:
-		c.writeBlocked += time.Since(t0).Seconds()
-	case <-c.done:
-		c.writeBlocked += time.Since(t0).Seconds()
-		return ErrCancelled
-	}
-	return nil
-}
-
-func (c *runCtx) Compute(float64)     {} // real work is real on this engine
-func (c *runCtx) ChargeDisk(int, int) {}
-
-func (c *runCtx) DeclareBuffer(stream string, minBytes, maxBytes int) {
-	if st, ok := c.outputRT[stream]; ok {
-		st.declare(minBytes, maxBytes)
-		return
-	}
-	if st, ok := c.inputRT[stream]; ok {
-		st.declare(minBytes, maxBytes)
-		return
-	}
-	panic(fmt.Sprintf("core: filter %s declares unknown stream %q", c.ci.name, stream))
-}
-
-func (c *runCtx) BufferBytes(stream string) int {
-	if st, ok := c.outputRT[stream]; ok {
-		return st.bufBytes
-	}
-	if st, ok := c.inputRT[stream]; ok {
-		return st.bufBytes
-	}
-	panic(fmt.Sprintf("core: filter %s queries unknown stream %q", c.ci.name, stream))
-}
-
-func (c *runCtx) Host() string     { return c.ci.host }
-func (c *runCtx) CopyIndex() int   { return c.ci.globalIdx }
-func (c *runCtx) TotalCopies() int { return c.ci.total }
-func (c *runCtx) UOW() int         { return c.uow }
-func (c *runCtx) Work() any        { return c.work }

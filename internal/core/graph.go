@@ -3,19 +3,17 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"datacutter/internal/elastic"
+	"datacutter/internal/exec"
 )
 
 // FilterFactory creates one filter instance per transparent copy.
 type FilterFactory func() Filter
 
-// StreamSpec is a logical unidirectional stream between two filters. The
-// runtime maintains the illusion of a single point-to-point pipe even when
-// either endpoint is transparently copied.
-type StreamSpec struct {
-	Name string // unique stream name, used by Ctx.Read/Write
-	From string // producer filter name
-	To   string // consumer filter name
-}
+// StreamSpec is a logical unidirectional stream between two filters; see
+// exec.StreamSpec.
+type StreamSpec = exec.StreamSpec
 
 // Graph is the application processing structure: named filters connected by
 // streams. Graphs must be acyclic.
@@ -73,28 +71,6 @@ func (g *Graph) Streams() []StreamSpec {
 
 // Factory returns the factory for a filter name.
 func (g *Graph) Factory(name string) FilterFactory { return g.filters[name] }
-
-// Inputs returns the streams consumed by the named filter.
-func (g *Graph) Inputs(name string) []StreamSpec {
-	var in []StreamSpec
-	for _, s := range g.streams {
-		if s.To == name {
-			in = append(in, s)
-		}
-	}
-	return in
-}
-
-// Outputs returns the streams produced by the named filter.
-func (g *Graph) Outputs(name string) []StreamSpec {
-	var out []StreamSpec
-	for _, s := range g.streams {
-		if s.From == name {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // Validate checks that every stream endpoint exists and the graph is
 // acyclic.
@@ -156,13 +132,12 @@ type PlaceEntry struct {
 // application developer decides decomposition, placement, and copy counts
 // (paper §2); the runtime does the rest.
 type Placement struct {
-	entries map[string][]PlaceEntry
-	order   map[string][]string // preserve host order per filter
+	entries map[string][]PlaceEntry // per filter, in first-assignment order
 }
 
 // NewPlacement returns an empty placement.
 func NewPlacement() *Placement {
-	return &Placement{entries: make(map[string][]PlaceEntry), order: make(map[string][]string)}
+	return &Placement{entries: make(map[string][]PlaceEntry)}
 }
 
 // Place assigns `copies` transparent copies of filter on host, accumulating
@@ -178,7 +153,6 @@ func (p *Placement) Place(filter, host string, copies int) *Placement {
 		}
 	}
 	p.entries[filter] = append(p.entries[filter], PlaceEntry{Host: host, Copies: copies})
-	p.order[filter] = append(p.order[filter], host)
 	return p
 }
 
@@ -187,6 +161,19 @@ func (p *Placement) Place(filter, host string, copies int) *Placement {
 func (p *Placement) Of(filter string) []PlaceEntry {
 	out := make([]PlaceEntry, len(p.entries[filter]))
 	copy(out, p.entries[filter])
+	return out
+}
+
+// Entries returns the placement as engine-neutral entries, in g's filter
+// order then placement host order — the deterministic base the scale
+// schedule mutates and the copy runtime places from.
+func (p *Placement) Entries(g *Graph) []elastic.Entry {
+	var out []elastic.Entry
+	for _, name := range g.Filters() {
+		for _, e := range p.entries[name] {
+			out = append(out, elastic.Entry{Filter: name, Host: e.Host, Copies: e.Copies})
+		}
+	}
 	return out
 }
 

@@ -1,32 +1,21 @@
 package core
 
-import "sort"
+import "datacutter/internal/exec"
+
+// The stats shape every engine reports in lives with the runtime that
+// fills it (internal/exec).
 
 // StreamStats aggregates traffic on one logical stream across a run.
-type StreamStats struct {
-	Buffers int64 // buffers transferred
-	Bytes   int64 // payload bytes transferred
-	Acks    int64 // acknowledgment messages sent (DD only)
-	// PerTargetHost counts buffers delivered to each consumer copy set,
-	// keyed by host name (the paper's Table 3 measurement).
-	PerTargetHost map[string]int64
-}
+type StreamStats = exec.StreamStats
 
 // FilterStats aggregates execution of one filter's copies across a run.
-type FilterStats struct {
-	Copies int
-	// BusySeconds is per-copy time spent inside Process excluding time
-	// blocked reading from or writing to streams (compute time).
-	BusySeconds []float64
-	// WallSeconds is per-copy total time inside Process.
-	WallSeconds []float64
-	// ReadBlockedSeconds / WriteBlockedSeconds are per-copy stream stall
-	// times.
-	ReadBlockedSeconds  []float64
-	WriteBlockedSeconds []float64
-	BuffersIn           int64
-	BuffersOut          int64
-}
+type FilterStats = exec.FilterStats
+
+// Stats is the result of a run.
+type Stats = exec.Stats
+
+// NewStats allocates an empty Stats for a graph.
+func NewStats(g *Graph) *Stats { return exec.NewStats(g.Filters(), g.Streams()) }
 
 // MinAvgMax summarizes a per-copy series.
 func MinAvgMax(xs []float64) (min, avg, max float64) {
@@ -45,40 +34,4 @@ func MinAvgMax(xs []float64) (min, avg, max float64) {
 		sum += x
 	}
 	return min, sum / float64(len(xs)), max
-}
-
-// Stats is the result of a run.
-type Stats struct {
-	Streams map[string]*StreamStats
-	Filters map[string]*FilterStats
-	// WallSeconds is total run time; PerUOWSeconds is per unit of work.
-	// On the real engine these are wall-clock; on the simulated engine
-	// they are virtual time.
-	WallSeconds   float64
-	PerUOWSeconds []float64
-}
-
-// StreamNames returns the stream names present in the stats, sorted.
-func (s *Stats) StreamNames() []string {
-	names := make([]string, 0, len(s.Streams))
-	for n := range s.Streams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewStats allocates an empty Stats for a graph. Engines (this package's
-// Runner and internal/simrt) use it to report results in one shape.
-func NewStats(g *Graph) *Stats { return newStats(g) }
-
-func newStats(g *Graph) *Stats {
-	st := &Stats{Streams: make(map[string]*StreamStats), Filters: make(map[string]*FilterStats)}
-	for _, sp := range g.Streams() {
-		st.Streams[sp.Name] = &StreamStats{PerTargetHost: make(map[string]int64)}
-	}
-	for _, f := range g.Filters() {
-		st.Filters[f] = &FilterStats{}
-	}
-	return st
 }

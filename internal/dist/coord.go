@@ -9,6 +9,7 @@ import (
 
 	"datacutter/internal/core"
 	"datacutter/internal/elastic"
+	"datacutter/internal/exec"
 	"datacutter/internal/obs"
 )
 
@@ -83,20 +84,20 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts.Policy != "" && core.PolicyByName(opts.Policy) == nil {
-		return nil, fmt.Errorf("dist: unknown policy %q", opts.Policy)
-	}
-	for stream, name := range opts.StreamPolicy {
-		if core.PolicyByName(name) == nil {
-			return nil, fmt.Errorf("dist: unknown policy %q for stream %q", name, stream)
-		}
+	if _, err := exec.ParsePolicies(opts.Policy, opts.StreamPolicy); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	for _, e := range placement {
 		if _, ok := addrs[e.Host]; !ok {
 			return nil, fmt.Errorf("dist: placement host %q has no worker address", e.Host)
 		}
 	}
-	if err := validateSchedule(spec, addrs, opts.ScaleSchedule); err != nil {
+	names := make([]string, len(spec.Filters))
+	for i, f := range spec.Filters {
+		names[i] = f.Name
+	}
+	hasWorker := func(host string) bool { _, ok := addrs[host]; return ok }
+	if err := elastic.ValidateSchedule("dist", opts.ScaleSchedule, names, hasWorker); err != nil {
 		return nil, err
 	}
 
@@ -111,7 +112,7 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 		addrs:     make(map[string]string, len(addrs)),
 		placement: placement,
 		links:     make(map[string]*hostLink, len(addrs)),
-		agg:       newAggStats(spec),
+		stats:     exec.NewStats(names, spec.Streams),
 	}
 	for h, a := range addrs {
 		co.addrs[h] = a
@@ -129,35 +130,35 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 	defer co.teardown()
 
 	if err := co.connectAll(); err != nil {
-		return co.agg.s, err
+		return co.stats, err
 	}
 
 	start := time.Now()
 	for i, work := range uows {
 		if due := elastic.StepsAt(opts.ScaleSchedule, i); len(due) > 0 {
 			if err := co.rescaleSessions(due, i); err != nil {
-				return co.agg.s, attributeHosts(err, co.deadHosts())
+				return co.stats, attributeHosts(err, co.deadHosts())
 			}
 		}
 		for attempt := 0; ; attempt++ {
 			if cerr := ctx.Err(); cerr != nil {
-				return co.agg.s, fmt.Errorf("dist: run cancelled: %w", cerr)
+				return co.stats, fmt.Errorf("dist: run cancelled: %w", cerr)
 			}
 			t0 := time.Now()
 			err := co.runUOW(i, work)
 			if err == nil {
 				d := time.Since(t0).Seconds()
-				co.agg.s.PerUOWSeconds = append(co.agg.s.PerUOWSeconds, d)
+				co.stats.PerUOWSeconds = append(co.stats.PerUOWSeconds, d)
 				co.m.uowH.Observe(d)
-				publishCoordGauges(co.o, co.agg)
+				publishCoordGauges(co.o, co.stats)
 				break
 			}
 			dead := co.deadHosts()
 			if ctx.Err() != nil || len(dead) == 0 || attempt >= co.opts.MaxUOWRetries {
-				return co.agg.s, attributeHosts(err, dead)
+				return co.stats, attributeHosts(err, dead)
 			}
 			if rerr := co.recover(dead); rerr != nil {
-				return co.agg.s, attributeHosts(
+				return co.stats, attributeHosts(
 					fmt.Errorf("dist: recovering from %q failed: %w", err, rerr), dead)
 			}
 			co.m.retries.Inc()
@@ -165,10 +166,10 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 				Note: "hosts lost: " + strings.Join(dead, ",")})
 		}
 	}
-	co.agg.s.WallSeconds = time.Since(start).Seconds()
+	co.stats.WallSeconds = time.Since(start).Seconds()
 
 	co.shutdownAll()
-	return co.agg.s, nil
+	return co.stats, nil
 }
 
 // coordMetrics are the coordinator's resolved metric handles (nil-safe).
@@ -192,7 +193,7 @@ type coordinator struct {
 	addrs     map[string]string
 	placement []PlacementEntry
 	links     map[string]*hostLink
-	agg       *aggStats
+	stats     *core.Stats // committed fragments of the units that succeeded
 	m         coordMetrics
 
 	// shut marks a completed graceful shutdown; teardown then skips the
@@ -422,35 +423,13 @@ func (co *coordinator) runUOW(idx int, work any) error {
 	decls := map[string][2]int{}
 	err := co.gather("init", func(host string, f *frame) {
 		for stream, d := range f.Decls {
-			cur := decls[stream]
-			if d[0] > cur[0] {
-				cur[0] = d[0]
-			}
-			if d[1] > 0 && (cur[1] == 0 || d[1] < cur[1]) {
-				cur[1] = d[1]
-			}
-			decls[stream] = cur
+			decls[stream] = exec.Declare(decls[stream], d[0], d[1])
 		}
 	})
 	if err != nil {
 		return err
 	}
-	def := co.opts.BufferBytes
-	if def <= 0 {
-		def = 256 << 10
-	}
-	sizes := map[string]int{}
-	for _, sp := range co.agg.streams {
-		b := def
-		d := decls[sp]
-		if d[0] > 0 && b < d[0] {
-			b = d[0]
-		}
-		if d[1] > 0 && b > d[1] {
-			b = d[1]
-		}
-		sizes[sp] = b
-	}
+	sizes := exec.ResolveSizes(co.spec.Streams, decls, co.opts.BufferBytes)
 
 	// Phase 2: Process everywhere.
 	if err := co.broadcast(&frame{Kind: kindBeginProcess, Sizes: sizes}); err != nil {
@@ -466,15 +445,15 @@ func (co *coordinator) runUOW(idx int, work any) error {
 	if err := co.broadcast(&frame{Kind: kindFinalize}); err != nil {
 		return err
 	}
-	var frags []*wireStats
+	var frags []*core.Stats
 	err = co.gather("finalize", func(host string, f *frame) {
 		frags = append(frags, f.Stats)
 	})
 	if err != nil {
 		return err
 	}
-	for _, ws := range frags {
-		co.agg.merge(ws)
+	for _, frag := range frags {
+		co.stats.Merge(frag)
 	}
 	return nil
 }
@@ -552,7 +531,7 @@ func (co *coordinator) recover(dead []string) error {
 		return fmt.Errorf("dist: no surviving hosts")
 	}
 
-	replanned, err := replanPlacement(co.placement, deadSet)
+	replanned, err := elastic.ReplanDead(co.placement, deadSet)
 	if err != nil {
 		return err
 	}
@@ -619,64 +598,14 @@ func (co *coordinator) teardown() {
 
 // publishCoordGauges reflects the running aggregate stream totals into the
 // coordinator's registry after each unit of work.
-func publishCoordGauges(o *obs.Observer, agg *aggStats) {
+func publishCoordGauges(o *obs.Observer, st *core.Stats) {
 	reg := o.Registry()
 	if reg == nil {
 		return
 	}
-	for _, name := range agg.streams {
-		ss := agg.s.Streams[name]
-		if ss == nil {
-			continue
-		}
+	for name, ss := range st.Streams {
 		reg.Gauge("coord.stream." + name + ".buffers").Set(ss.Buffers)
 		reg.Gauge("coord.stream." + name + ".bytes").Set(ss.Bytes)
 		reg.Gauge("coord.stream." + name + ".acks").Set(ss.Acks)
-	}
-}
-
-// aggStats accumulates workers' stats fragments into a core.Stats.
-type aggStats struct {
-	s       *core.Stats
-	streams []string
-}
-
-func newAggStats(spec GraphSpec) *aggStats {
-	g := core.NewGraph()
-	for _, f := range spec.Filters {
-		g.AddFilter(f.Name, func() core.Filter { return nil })
-	}
-	for _, sp := range spec.Streams {
-		g.Connect(sp.From, sp.To, sp.Name)
-	}
-	a := &aggStats{s: core.NewStats(g)}
-	for _, sp := range spec.Streams {
-		a.streams = append(a.streams, sp.Name)
-	}
-	return a
-}
-
-func (a *aggStats) merge(ws *wireStats) {
-	if ws == nil {
-		return
-	}
-	for stream, n := range ws.StreamBuffers {
-		a.s.Streams[stream].Buffers += n
-	}
-	for stream, n := range ws.StreamBytes {
-		a.s.Streams[stream].Bytes += n
-	}
-	for stream, n := range ws.StreamAcks {
-		a.s.Streams[stream].Acks += n
-	}
-	for stream, per := range ws.PerTarget {
-		for host, n := range per {
-			a.s.Streams[stream].PerTargetHost[host] += n
-		}
-	}
-	for filter, busy := range ws.FilterBusy {
-		fs := a.s.Filters[filter]
-		fs.BusySeconds = append(fs.BusySeconds, busy...)
-		fs.Copies = len(fs.BusySeconds)
 	}
 }

@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"fmt"
+	"slices"
 
 	"datacutter/internal/elastic"
 )
@@ -12,46 +12,6 @@ import (
 // session restart fault recovery already performs, minus the casualties.
 // Transparent-copy semantics make this legal: per-UOW filter state is
 // rebuilt by Init, so spawned and retired copies need no state hand-off.
-
-// toEntries converts a dist placement to engine-neutral elastic entries.
-func toEntries(pl []PlacementEntry) []elastic.Entry {
-	out := make([]elastic.Entry, len(pl))
-	for i, pe := range pl {
-		out[i] = elastic.Entry{Filter: pe.Filter, Host: pe.Host, Copies: pe.Copies}
-	}
-	return out
-}
-
-func fromEntries(es []elastic.Entry) []PlacementEntry {
-	out := make([]PlacementEntry, len(es))
-	for i, e := range es {
-		out[i] = PlacementEntry{Filter: e.Filter, Host: e.Host, Copies: e.Copies}
-	}
-	return out
-}
-
-// validateSchedule rejects steps naming filters absent from the graph spec,
-// hosts without a worker address, or the reserved zero boundary.
-func validateSchedule(spec GraphSpec, addrs map[string]string, steps []elastic.ScaleStep) error {
-	known := make(map[string]bool, len(spec.Filters))
-	for _, f := range spec.Filters {
-		known[f.Name] = true
-	}
-	for _, s := range steps {
-		if !known[s.Filter] {
-			return fmt.Errorf("dist: scale schedule names unknown filter %q", s.Filter)
-		}
-		if s.BeforeUOW < 1 {
-			return fmt.Errorf("dist: scale step for %q has BeforeUOW %d (the initial plan is the zero boundary; steps need >= 1)", s.Filter, s.BeforeUOW)
-		}
-		if s.Copies >= 1 {
-			if _, ok := addrs[s.Host]; !ok {
-				return fmt.Errorf("dist: scale step for %q uses host %q with no worker address", s.Filter, s.Host)
-			}
-		}
-	}
-	return nil
-}
 
 // rescaleSessions applies the scale steps due at boundary uow. Steps whose
 // target host has no live worker (it died mid-run and was replanned away)
@@ -73,57 +33,13 @@ func (co *coordinator) rescaleSessions(due []elastic.ScaleStep, uow int) error {
 		return nil
 	}
 	old := co.placement
-	next := fromEntries(elastic.Apply(toEntries(old), live))
-	if placementEqual(old, next) {
+	next := elastic.Apply(old, live)
+	if slices.Equal(old, next) {
 		return nil
 	}
 	co.shutdownAll()
 	co.shut = false
 	co.placement = next
-	emitScaleDiff(co, old, next, uow)
+	elastic.RecordScaleDiff(co.o, old, next, uow, nil)
 	return co.connectAll()
-}
-
-func placementEqual(a, b []PlacementEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// emitScaleDiff publishes one RecordScale per (filter, host) pair whose
-// copy count changed between the old and new placements.
-func emitScaleDiff(co *coordinator, old, next []PlacementEntry, uow int) {
-	type key struct{ filter, host string }
-	before := make(map[key]int, len(old))
-	for _, e := range old {
-		before[key{e.Filter, e.Host}] += e.Copies
-	}
-	seen := make(map[key]bool, len(next))
-	for _, e := range next {
-		k := key{e.Filter, e.Host}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		after := 0
-		for _, e2 := range next {
-			if e2.Filter == k.filter && e2.Host == k.host {
-				after += e2.Copies
-			}
-		}
-		if b := before[k]; b != after {
-			elastic.RecordScale(co.o, k.filter, k.host, b, after, uow, "scale schedule")
-		}
-	}
-	for k, b := range before {
-		if !seen[k] {
-			elastic.RecordScale(co.o, k.filter, k.host, b, 0, uow, "scale schedule")
-		}
-	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"datacutter/internal/core"
 	"datacutter/internal/elastic"
+	"datacutter/internal/exec"
 	"datacutter/internal/faults"
 )
 
@@ -48,12 +49,10 @@ type GraphSpec struct {
 	Streams []core.StreamSpec
 }
 
-// PlacementEntry assigns copies of a filter to a host.
-type PlacementEntry struct {
-	Filter string
-	Host   string
-	Copies int
-}
+// PlacementEntry assigns copies of a filter to a host. It is the
+// engine-neutral elastic.Entry: scale schedules, fault replanning and the
+// copy runtime all mutate and read placements in that one shape.
+type PlacementEntry = elastic.Entry
 
 // Options configures a distributed run.
 type Options struct {
@@ -121,11 +120,8 @@ func (o Options) WithFaults(in *faults.Injector) Options {
 
 // validate rejects nonsensical knob values; zero means "use the default".
 func (o Options) validate() error {
-	if o.QueueCap < 0 {
-		return fmt.Errorf("dist: Options.QueueCap must be >= 0, got %d", o.QueueCap)
-	}
-	if o.BufferBytes < 0 {
-		return fmt.Errorf("dist: Options.BufferBytes must be >= 0, got %d", o.BufferBytes)
+	if err := exec.CheckOptions("dist", o.QueueCap, o.BufferBytes); err != nil {
+		return err
 	}
 	if o.DialTimeout < 0 {
 		return fmt.Errorf("dist: Options.DialTimeout must be >= 0, got %v", o.DialTimeout)
@@ -246,7 +242,7 @@ type frame struct {
 	// Control (worker -> coordinator).
 	Decls map[string][2]int // stream -> {min,max} declared this UOW
 	Err   string
-	Stats *wireStats
+	Stats *core.Stats // one unit of work's accounting on this host
 	// Failure attribution on kindFail: when the first failure a worker saw
 	// was a transport error talking to a peer, FailNet is true and FailHost
 	// names the implicated host, so the coordinator can mark that host dead
@@ -318,15 +314,6 @@ type setupMsg struct {
 type uowMsg struct {
 	Index int
 	Work  []byte // gob-encoded unit-of-work descriptor
-}
-
-// wireStats is the per-worker stats fragment returned at finalize.
-type wireStats struct {
-	StreamBuffers map[string]int64
-	StreamBytes   map[string]int64
-	StreamAcks    map[string]int64
-	PerTarget     map[string]map[string]int64 // stream -> host -> buffers
-	FilterBusy    map[string][]float64        // filter -> per-local-copy busy seconds
 }
 
 // RegisterPayload registers a buffer payload or unit-of-work type with gob

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -192,13 +193,15 @@ func (w *Worker) severConns(markKilled bool) {
 
 // Close stops the listener, severs all connections, and tears down every
 // active session.
-func (w *Worker) Close() {
+func (w *Worker) Close() { w.stop(false, "dist: worker closed") }
+
+func (w *Worker) stop(kill bool, why string) {
 	w.closed.Store(true)
 	unregisterInproc(w)
 	w.ln.Close()
-	w.severConns(false)
+	w.severConns(kill)
 	for _, s := range w.liveSessions() {
-		s.fail(fmt.Errorf("dist: worker closed"))
+		s.rt.Abort(errors.New(why))
 	}
 }
 
@@ -240,15 +243,7 @@ func (w *Worker) Drain(timeout time.Duration) bool {
 // are hard-closed with no flush and no farewell frames, so peers and the
 // coordinator see raw resets/EOFs exactly as they would from a real death.
 // The worker accepts no further connections.
-func (w *Worker) Kill() {
-	w.closed.Store(true)
-	unregisterInproc(w)
-	w.ln.Close()
-	w.severConns(true)
-	for _, s := range w.liveSessions() {
-		s.fail(fmt.Errorf("dist: worker killed"))
-	}
-}
+func (w *Worker) Kill() { w.stop(true, "dist: worker killed") }
 
 // Serve accepts coordinator and peer connections until Close.
 func (w *Worker) Serve() {
@@ -271,10 +266,10 @@ func (w *Worker) Instances(name string) []core.Filter {
 	defer w.mu.Unlock()
 	var out []core.Filter
 	for _, job := range w.jobIDsLocked() {
-		out = append(out, w.sessions[job].instancesOf(name)...)
+		out = append(out, w.sessions[job].rt.Instances(name)...)
 	}
 	if len(out) == 0 && w.last != nil {
-		out = w.last.instancesOf(name)
+		out = w.last.rt.Instances(name)
 	}
 	return out
 }
@@ -286,10 +281,10 @@ func (w *Worker) InstancesJob(job uint64, name string) []core.Filter {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if s := w.sessions[job]; s != nil {
-		return s.instancesOf(name)
+		return s.rt.Instances(name)
 	}
 	if s := w.ended[job]; s != nil {
-		return s.instancesOf(name)
+		return s.rt.Instances(name)
 	}
 	return nil
 }
@@ -322,16 +317,6 @@ func (w *Worker) jobIDsLocked() []uint64 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-func (s *session) instancesOf(name string) []core.Filter {
-	var out []core.Filter
-	for _, c := range s.copies {
-		if c.name == name {
-			out = append(out, c.filter)
-		}
-	}
-	return out
 }
 
 // handle dispatches an incoming connection by its first frame: a Setup
@@ -418,14 +403,14 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 	var opWG sync.WaitGroup
 	// endSession teardown order matters: closing peers first unblocks any
 	// phase goroutine stuck in a TCP send to a dead host, so the Wait
-	// cannot hang; only then is the session unregistered (a new Setup for
-	// the job is accepted from that point, while Instances still reads the
-	// copies via w.last).
+	// cannot hang; only then are the copies retired and the session
+	// unregistered (a new Setup for the job is accepted from that point,
+	// while Instances still reads the instances via w.last).
 	endSession := func() {
 		s.closePeers()
 		opWG.Wait()
+		s.rt.Close() // retire the copies: a filter that opened a store closes it
 		w.mu.Lock()
-		s.ended = true
 		if w.sessions[job] == s {
 			delete(w.sessions, job)
 		}
@@ -462,13 +447,27 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 		}
 	}()
 
+	// op runs one phase of the unit of work (a runtime call) off the control
+	// loop and replies with its frame, or with the failure.
+	op := func(phase func() (*frame, error)) {
+		opWG.Add(1)
+		go func() {
+			defer opWG.Done()
+			reply, err := phase()
+			if err != nil {
+				reply = s.failFrame(err)
+			}
+			_ = ctrl.send(reply)
+		}()
+	}
+
 	for {
 		// Silence beyond the miss budget means the coordinator is gone;
 		// its heartbeats re-arm the deadline every interval.
 		ctrl.setReadDeadline(opts.hbTimeout())
 		f, err := ctrl.recv()
 		if err != nil {
-			s.fail(fmt.Errorf("dist: coordinator connection lost: %w", err))
+			s.rt.Abort(fmt.Errorf("dist: coordinator connection lost: %w", err))
 			endSession()
 			return
 		}
@@ -476,53 +475,34 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 		case kindHeartbeat:
 			// Liveness only; the recv already reset the deadline clock.
 		case kindInitUOW:
-			opWG.Add(1)
-			go func(msg *uowMsg) {
-				defer opWG.Done()
+			msg := f.UOW
+			op(func() (*frame, error) {
 				decls, err := s.initUOW(msg)
-				if err != nil {
-					_ = ctrl.send(s.failFrame(err))
-					return
-				}
-				_ = ctrl.send(&frame{Kind: kindDecls, Decls: decls})
-			}(f.UOW)
+				return &frame{Kind: kindDecls, Decls: decls}, err
+			})
 		case kindBeginProcess:
-			opWG.Add(1)
-			go func(sizes map[string]int) {
-				defer opWG.Done()
-				if err := s.process(sizes); err != nil {
-					_ = ctrl.send(s.failFrame(err))
-					return
-				}
-				_ = ctrl.send(&frame{Kind: kindProcessDone})
-			}(f.Sizes)
+			sizes := f.Sizes
+			op(func() (*frame, error) { return &frame{Kind: kindProcessDone}, s.rt.Process(sizes) })
 		case kindFinalize:
-			opWG.Add(1)
-			go func() {
-				defer opWG.Done()
-				st, err := s.finalize()
-				if err != nil {
-					_ = ctrl.send(s.failFrame(err))
-					return
-				}
-				_ = ctrl.send(&frame{Kind: kindFinalizeDone, Stats: st})
-			}()
-		case kindAbort:
-			// Coordinator-ordered teardown (typically a peer host died).
-			// Unblock everything, wait the phase out, end the session so a
-			// re-setup is accepted the moment AbortDone is on the wire.
-			s.fail(fmt.Errorf("dist: run aborted by coordinator: %s", f.Err))
+			op(func() (*frame, error) {
+				frag, err := s.rt.Finalize()
+				return &frame{Kind: kindFinalizeDone, Stats: frag}, err
+			})
+		case kindAbort, kindShutdown:
+			// Abort is the coordinator-ordered teardown (typically a peer
+			// host died): unblock everything and wait the phase out. Either
+			// way, confirm only after endSession, so the coordinator knows
+			// the job slot is free — a re-setup or a back-to-back Run's Setup
+			// would otherwise race the teardown and be refused busy, eating
+			// a retry backoff.
+			done := kindShutdownDone
+			if f.Kind == kindAbort {
+				s.rt.Abort(fmt.Errorf("dist: run aborted by coordinator: %s", f.Err))
+				done = kindAbortDone
+			}
 			endSession()
 			ctrl.setReadDeadline(0)
-			_ = ctrl.send(&frame{Kind: kindAbortDone})
-			return
-		case kindShutdown:
-			// Confirm after endSession so the coordinator knows the job slot
-			// is free: a back-to-back Run's Setup would otherwise race the
-			// teardown and be refused busy, eating a retry backoff.
-			endSession()
-			ctrl.setReadDeadline(0)
-			_ = ctrl.send(&frame{Kind: kindShutdownDone})
+			_ = ctrl.send(&frame{Kind: done})
 			return
 		}
 	}
@@ -530,169 +510,71 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 
 // ---- Session ----
 
-type dcopy struct {
-	name      string
-	filter    core.Filter
-	globalIdx int
-	total     int
-}
-
-type copyStream struct {
-	copyIdx int
-	stream  string
-}
-
-type delivery struct {
-	buf          core.Buffer
-	stream       string
-	fromHost     string
-	producerCopy int
-	targetIdx    int
-	ackEvery     int
-	localAck     exec.AckChan // non-nil for same-host deliveries
-	// release recycles the pooled wire buffer a zero-copy payload aliases;
-	// the consumer's ctx calls it when the filter copy finishes the buffer.
-	release func()
-}
-
+// session is one job's run on this worker: the copy runtime (internal/exec)
+// on the wall clock, holding this host's copies, plus what only this engine
+// has — the peer links its remote copy sets are reached through (the
+// session is the runtime's exec.Remote), the dispatch of inbound peer
+// frames into its inbound port, and failure attribution for recovery.
 type session struct {
 	w     *Worker
 	setup *setupMsg
 	// job namespaces this session's frames on the shared worker mesh.
 	job uint64
-
-	copies []*dcopy
-	// filterHosts caches placement order per filter (copy-set targets).
-	placeOf map[string][]PlacementEntry
-	totalOf map[string]int
-	// copyHost maps a filter's global copy index to its host.
-	copyHost map[string][]string
+	rt  *exec.Runtime
 
 	peersMu sync.Mutex
 	peers   map[string]peerLink
 
+	// failHost/failNet attribute the run's failure when it was a transport
+	// error talking to a peer: a dead host's cascade, not an application error.
 	failMu   sync.Mutex
-	failedCh chan struct{}
-	failErr  error
-	// failHost/failNet attribute the first failure when it was a transport
-	// error talking to a peer — the coordinator uses them to tell a dead
-	// host's cascade apart from an application error.
 	failHost string
 	failNet  bool
-	// ended marks the session finished (guarded by Worker.mu); the worker
-	// then accepts a new Setup while Instances still reads the old copies.
-	ended bool
-
-	uowMu sync.Mutex
-	uow   *uowState
-}
-
-type uowState struct {
-	index int
-	work  any
-
-	queues map[string]chan delivery
-	// producersLeft counts down a stream's unfinished producer copies;
-	// the exact zero edge closes the local queue (duplicated producer-done
-	// frames from fault injection cannot double-close it). The map itself
-	// is immutable once the unit of work is published.
-	producersLeft map[string]*exec.Countdown
-	writers       map[copyStream]*exec.StreamWriter
-	acks          map[copyStream]exec.AckChan
-	// counts tallies per-target deliveries per produced stream, shared by
-	// this host's producer copies; targetHosts names the targets for the
-	// finalize-time fold into wireStats.PerTarget.
-	counts      map[string]*exec.Counts
-	targetHosts map[string][]string
-
-	declMu sync.Mutex
-	decls  map[string][2]int
-	sizes  map[string]int
-
-	// stats (atomics / mutex-guarded)
-	statMu   sync.Mutex
-	buffers  map[string]int64
-	bytes    map[string]int64
-	ackCount map[string]int64
-	busy     map[string][]float64
-	busyIdx  map[string]map[int]int // filter -> globalIdx -> slot
 }
 
 func newSession(w *Worker, setup *setupMsg) (*session, error) {
-	s := &session{
-		w: w, setup: setup, job: setup.Opts.JobID,
-		placeOf:  make(map[string][]PlacementEntry),
-		totalOf:  make(map[string]int),
-		copyHost: make(map[string][]string),
-		peers:    make(map[string]peerLink),
-		failedCh: make(chan struct{}),
-	}
-	for _, e := range setup.Placement {
-		s.placeOf[e.Filter] = append(s.placeOf[e.Filter], e)
-		s.totalOf[e.Filter] += e.Copies
-		for i := 0; i < e.Copies; i++ {
-			s.copyHost[e.Filter] = append(s.copyHost[e.Filter], e.Host)
-		}
-	}
-	// Build local copies, preserving global copy numbering.
-	for _, fs := range setup.Graph.Filters {
-		b, err := builderFor(fs.Kind)
-		if err != nil {
+	s := &session{w: w, setup: setup, job: setup.Opts.JobID, peers: make(map[string]peerLink)}
+	// The policy names were validated coordinator-side before setup shipped;
+	// a name that somehow fails here falls back to Round Robin via the zero
+	// config rather than crashing mid-session.
+	pol, _ := exec.ParsePolicies(setup.Opts.Policy, setup.Opts.StreamPolicy)
+	names := make([]string, len(setup.Graph.Filters))
+	for i, fs := range setup.Graph.Filters {
+		if _, err := builderFor(fs.Kind); err != nil {
 			return nil, err
 		}
-		idx := 0
-		for _, e := range s.placeOf[fs.Name] {
-			for i := 0; i < e.Copies; i++ {
-				if e.Host == setup.Host {
-					filt, err := b(fs.Params)
-					if err != nil {
-						return nil, fmt.Errorf("dist: building %s: %w", fs.Name, err)
-					}
-					// Near-storage instrumentation: a filter that owns a
-					// prunable store gets this worker's observer, so pushdown
-					// metrics are recorded where the pruning decision runs.
-					if so, ok := filt.(core.ObserverSetter); ok {
-						so.SetObserver(s.w.obsrv)
-					}
-					s.copies = append(s.copies, &dcopy{
-						name: fs.Name, filter: filt,
-						globalIdx: idx, total: s.totalOf[fs.Name],
-					})
-				}
-				idx++
+		names[i] = fs.Name
+	}
+	s.rt = exec.New(exec.Config{
+		Engine: "dist", Clock: exec.Wall(),
+		Filters: names, Streams: setup.Graph.Streams,
+		New: func(name string) (core.Filter, error) {
+			fs := setup.Graph.Filters[slices.Index(names, name)]
+			b, err := builderFor(fs.Kind)
+			if err != nil {
+				return nil, err
 			}
-		}
+			return b(fs.Params)
+		},
+		Host: setup.Host, Remote: s,
+		Policies: pol, QueueCap: setup.Opts.QueueCap,
+		Obs: w.obsrv, // pushdown metrics are recorded where the pruning runs
+	})
+	if err := s.rt.Place(setup.Placement); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-func (s *session) fail(err error) {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	if s.failErr == nil {
-		s.failErr = err
-		close(s.failedCh)
-	}
-}
-
 // failTransport records a failure caused by the network path to host. Only
-// the first recorded failure carries attribution: a transport error that
+// the run's first failure carries attribution: a transport error that
 // arrives after an application error is a cascade, not a cause.
 func (s *session) failTransport(host string, err error) {
 	s.failMu.Lock()
 	defer s.failMu.Unlock()
-	if s.failErr == nil {
-		s.failErr = err
-		s.failHost = host
-		s.failNet = true
-		close(s.failedCh)
+	if s.rt.Abort(err) {
+		s.failHost, s.failNet = host, true
 	}
-}
-
-func (s *session) failed() error {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	return s.failErr
 }
 
 // failFrame builds the kindFail reply for err, attaching the session's
@@ -723,9 +605,9 @@ func (s *session) closePeers() {
 // always, for the default "tcp" — the dial goes through dialRetry, the
 // shared backoff+jitter helper bounded per attempt by Options.DialTimeout,
 // so a peer mid-restart is retried rather than failing the run, and a
-// session being torn down cancels the backoff wait via failedCh. newConn
-// sets TCP_NODELAY: the connection's vectored batch writer already
-// coalesces small frames, so Nagle would only delay those batches.
+// session being torn down cancels the backoff wait. newConn sets
+// TCP_NODELAY: the connection's vectored batch writer already coalesces
+// small frames, so Nagle would only delay those batches.
 func (s *session) peer(host string) (peerLink, error) {
 	s.peersMu.Lock()
 	defer s.peersMu.Unlock()
@@ -757,7 +639,7 @@ func (s *session) peer(host string) (peerLink, error) {
 	if m := s.w.metrics(); m != nil {
 		redials = m.redials
 	}
-	nc, err := dialRetry(addr, &s.setup.Opts, s.w.fi, redials, s.failedCh)
+	nc, err := dialRetry(addr, &s.setup.Opts, s.w.fi, redials, s.rt.Done())
 	if err != nil {
 		return nil, fmt.Errorf("dist: dialing peer %s: %w", host, err)
 	}
@@ -770,66 +652,7 @@ func (s *session) peer(host string) (peerLink, error) {
 	return c, nil
 }
 
-// inputsOf / outputsOf resolve stream specs by endpoint.
-func (s *session) inputsOf(filter string) []core.StreamSpec {
-	var out []core.StreamSpec
-	for _, sp := range s.setup.Graph.Streams {
-		if sp.To == filter {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-func (s *session) outputsOf(filter string) []core.StreamSpec {
-	var out []core.StreamSpec
-	for _, sp := range s.setup.Graph.Streams {
-		if sp.From == filter {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-func (s *session) streamByName(name string) (core.StreamSpec, bool) {
-	for _, sp := range s.setup.Graph.Streams {
-		if sp.Name == name {
-			return sp, true
-		}
-	}
-	return core.StreamSpec{}, false
-}
-
-// consumerTargets lists the consumer copy sets of a stream in placement
-// order.
-func (s *session) consumerTargets(sp core.StreamSpec, producerHost string) []core.TargetInfo {
-	var out []core.TargetInfo
-	for _, e := range s.placeOf[sp.To] {
-		out = append(out, core.TargetInfo{Host: e.Host, Copies: e.Copies, Local: e.Host == producerHost})
-	}
-	return out
-}
-
-func (s *session) qcap() int {
-	if s.setup.Opts.QueueCap > 0 {
-		return s.setup.Opts.QueueCap
-	}
-	return 8
-}
-
-// policies resolves the session's writer-policy configuration (default +
-// per-stream overrides). The names were validated coordinator-side before
-// setup shipped; a name that somehow fails here falls back to Round Robin
-// via the zero config rather than crashing mid-session.
-func (s *session) policies() exec.PolicyConfig {
-	cfg, err := exec.ParsePolicies(s.setup.Opts.Policy, s.setup.Opts.StreamPolicy)
-	if err != nil {
-		return exec.PolicyConfig{}
-	}
-	return cfg
-}
-
-// initUOW builds per-UOW plumbing and runs every local copy's Init.
+// initUOW starts a unit of work, returning the declared buffer bounds.
 func (s *session) initUOW(msg *uowMsg) (map[string][2]int, error) {
 	var work any
 	if len(msg.Work) > 0 {
@@ -839,306 +662,66 @@ func (s *session) initUOW(msg *uowMsg) (map[string][2]int, error) {
 			return nil, fmt.Errorf("dist: decoding unit of work: %w", err)
 		}
 	}
-	u := &uowState{
-		index:         msg.Index,
-		work:          work,
-		queues:        make(map[string]chan delivery),
-		producersLeft: make(map[string]*exec.Countdown),
-		writers:       make(map[copyStream]*exec.StreamWriter),
-		acks:          make(map[copyStream]exec.AckChan),
-		counts:        make(map[string]*exec.Counts),
-		targetHosts:   make(map[string][]string),
-		decls:         make(map[string][2]int),
-		sizes:         make(map[string]int),
-		buffers:       make(map[string]int64),
-		bytes:         make(map[string]int64),
-		ackCount:      make(map[string]int64),
-		busy:          make(map[string][]float64),
-		busyIdx:       make(map[string]map[int]int),
-	}
-	// Queues for streams consumed on this host.
-	for _, sp := range s.setup.Graph.Streams {
-		consumesHere := false
-		for _, e := range s.placeOf[sp.To] {
-			if e.Host == s.setup.Host {
-				consumesHere = true
-			}
-		}
-		if consumesHere {
-			u.queues[sp.Name] = make(chan delivery, s.qcap())
-			u.producersLeft[sp.Name] = exec.NewCountdown(s.totalOf[sp.From])
-		}
-	}
-	// Stream writers (the shared internal/exec runtime bound to a wire
-	// port) and ack channels for local producer copies.
-	pol := s.policies()
-	for _, c := range s.copies {
-		for _, sp := range s.outputsOf(c.name) {
-			targets := s.consumerTargets(sp, s.setup.Host)
-			if u.counts[sp.Name] == nil {
-				u.counts[sp.Name] = exec.NewCounts(len(targets))
-				hosts := make([]string, len(targets))
-				for i, t := range targets {
-					hosts[i] = t.Host
-				}
-				u.targetHosts[sp.Name] = hosts
-			}
-			key := copyStream{c.globalIdx, sp.Name}
-			port := &distPort{s: s, u: u, c: c, stream: sp.Name, targets: targets}
-			if reg := s.w.obsrv.Registry(); reg != nil {
-				port.writeStallH = reg.Histogram("dist.write_stall_seconds")
-			}
-			sw := exec.NewStreamWriter(sp.Name, pol.For(sp.Name), targets, port, u.counts[sp.Name],
-				exec.Meta{Obs: s.w.obsrv, Filter: c.name, Copy: c.globalIdx, Host: s.setup.Host, UOW: u.index})
-			if sw.WantsAcks() {
-				// 4x the never-block bound: inbound wire acks are shed with
-				// Offer on overflow, so headroom trades memory for fewer
-				// conservative drops under fault-injected duplication.
-				ch := exec.NewAckChan(4 * exec.AckCap(targets, s.qcap()))
-				u.acks[key] = ch
-				port.acks = ch
-				sw.BindAckSource(ch)
-			}
-			u.writers[key] = sw
-		}
-	}
-	s.uowMu.Lock()
-	s.uow = u
-	s.uowMu.Unlock()
-
-	// Run Init on every local copy.
-	var wg sync.WaitGroup
-	var initErr error
-	var errMu sync.Mutex
-	for _, c := range s.copies {
-		wg.Add(1)
-		go func(c *dcopy) {
-			defer wg.Done()
-			ctx := s.ctxFor(c, u)
-			t0 := time.Now()
-			err := c.filter.Init(ctx)
-			u.addBusy(c, time.Since(t0).Seconds())
-			if err != nil {
-				errMu.Lock()
-				if initErr == nil {
-					initErr = fmt.Errorf("dist: %s copy %d init: %w", c.name, c.globalIdx, err)
-				}
-				errMu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	if initErr != nil {
-		return nil, initErr
-	}
-	u.declMu.Lock()
-	defer u.declMu.Unlock()
-	out := make(map[string][2]int, len(u.decls))
-	for k, v := range u.decls {
-		out[k] = v
-	}
-	return out, nil
+	// A fresh Stats per unit: Finalize returns it as this host's fragment,
+	// which the coordinator commits once the unit succeeded everywhere.
+	return s.rt.Init(msg.Index, work, s.rt.NewStats())
 }
 
-func (u *uowState) addBusy(c *dcopy, seconds float64) {
-	u.statMu.Lock()
-	defer u.statMu.Unlock()
-	m := u.busyIdx[c.name]
-	if m == nil {
-		m = make(map[int]int)
-		u.busyIdx[c.name] = m
+// ---- exec.Remote: the runtime's way out to copy sets on other hosts ----
+
+// Deliver frames the buffer and sends it on the peer's data connection,
+// where blocking is TCP backpressure. The conn serializes the payload via
+// the codec registry, outside its write lock.
+func (s *session) Deliver(host string, e exec.Edge, b core.Buffer, ackEvery int) error {
+	c, err := s.peer(host)
+	if err != nil {
+		s.failTransport(host, err)
+		return core.ErrCancelled
 	}
-	slot, ok := m[c.globalIdx]
-	if !ok {
-		slot = len(u.busy[c.name])
-		u.busy[c.name] = append(u.busy[c.name], 0)
-		m[c.globalIdx] = slot
+	if err := c.send(dataFrame(s.job, e.UOW, e.Stream, e.From, e.Target, ackEvery, b.Size, b.Payload)); err != nil {
+		s.failTransport(host, fmt.Errorf("dist: sending buffer for %s to %s: %w", e.Stream, host, err))
+		return core.ErrCancelled
 	}
-	u.busy[c.name][slot] += seconds
+	if m := s.w.metrics(); m != nil {
+		m.txDataFrames.Inc()
+		m.txDataBytes.Add(int64(b.Size))
+	}
+	return nil
 }
 
-// process runs every local copy's Process and propagates end-of-work.
-func (s *session) process(sizes map[string]int) error {
-	s.uowMu.Lock()
-	u := s.uow
-	s.uowMu.Unlock()
-	if u == nil {
-		return fmt.Errorf("dist: BeginProcess before InitUOW")
+// ProducerDone sends the end-of-work marker on the data connection, so it
+// trails the producer's buffers. A consumer host we cannot reach would wait
+// for the marker forever; surface the failure instead of hanging the run.
+func (s *session) ProducerDone(host string, uow int, stream string) {
+	c, err := s.peer(host)
+	if err == nil {
+		err = c.send(&frame{Kind: kindProducerDone, Job: s.job, UOWIdx: uow, Stream: stream})
 	}
-	u.sizes = sizes
-
-	var wg sync.WaitGroup
-	var procErr error
-	var errMu sync.Mutex
-	for _, c := range s.copies {
-		wg.Add(1)
-		go func(c *dcopy) {
-			defer wg.Done()
-			ctx := s.ctxFor(c, u)
-			s.w.obsrv.Emit(obs.Event{Kind: obs.KindProcessStart, Filter: c.name, Copy: c.globalIdx, Host: s.setup.Host, UOW: u.index})
-			t0 := time.Now()
-			err := safeProcess(c.filter, ctx)
-			u.addBusy(c, time.Since(t0).Seconds())
-			s.w.obsrv.Emit(obs.Event{Kind: obs.KindProcessEnd, Filter: c.name, Copy: c.globalIdx, Host: s.setup.Host, UOW: u.index})
-			// End-of-work: tell every consuming host this producer copy is
-			// done (on the data connections, so markers trail the data).
-			for _, sp := range s.outputsOf(c.name) {
-				s.broadcastProducerDone(sp, u.index)
-			}
-			if err != nil {
-				errMu.Lock()
-				// A cancelled copy is a symptom of whichever copy failed
-				// first; keep the root cause even when the symptom wins the
-				// race to report (e.g. a strict-ring setup error on one copy
-				// cancelling its siblings).
-				if procErr == nil ||
-					(errors.Is(procErr, core.ErrCancelled) && !errors.Is(err, core.ErrCancelled)) {
-					procErr = fmt.Errorf("dist: %s copy %d: %w", c.name, c.globalIdx, err)
-				}
-				errMu.Unlock()
-				s.fail(err)
-			}
-		}(c)
-	}
-	wg.Wait()
-	if procErr != nil {
-		// Copies report ErrCancelled for failures the session already
-		// recorded with attribution (a dead peer, a strict-ring setup
-		// refusal): surface the recorded root cause, not the symptom.
-		if ferr := s.failed(); ferr != nil && errors.Is(procErr, core.ErrCancelled) {
-			return ferr
-		}
-		return procErr
-	}
-	return s.failed()
-}
-
-func safeProcess(f core.Filter, ctx core.Ctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("filter panicked: %v", r)
-		}
-	}()
-	return f.Process(ctx)
-}
-
-// broadcastProducerDone notifies every host holding a consumer copy set of
-// sp (including this one) that one producer copy finished.
-func (s *session) broadcastProducerDone(sp core.StreamSpec, uowIdx int) {
-	seen := map[string]bool{}
-	for _, e := range s.placeOf[sp.To] {
-		if seen[e.Host] {
-			continue
-		}
-		seen[e.Host] = true
-		if e.Host == s.setup.Host {
-			s.producerDone(sp.Name, uowIdx)
-			continue
-		}
-		c, err := s.peer(e.Host)
-		if err != nil {
-			// A consumer host we cannot reach would wait for this marker
-			// forever; surface the failure instead of hanging the run.
-			s.failTransport(e.Host, fmt.Errorf("dist: end-of-work for %s undeliverable: %w", sp.Name, err))
-			continue
-		}
-		if err := c.send(&frame{Kind: kindProducerDone, Job: s.job, UOWIdx: uowIdx, Stream: sp.Name}); err != nil {
-			s.failTransport(e.Host, fmt.Errorf("dist: end-of-work for %s undeliverable: %w", sp.Name, err))
-		}
+	if err != nil {
+		s.failTransport(host, fmt.Errorf("dist: end-of-work for %s undeliverable: %w", stream, err))
 	}
 }
 
-// producerDone decrements a stream's live-producer countdown, closing the
-// local queue exactly once at zero.
-func (s *session) producerDone(stream string, uowIdx int) {
-	s.uowMu.Lock()
-	u := s.uow
-	s.uowMu.Unlock()
-	if u == nil || u.index != uowIdx {
+// Ack sends an acknowledgment frame to the producer's host, best effort.
+func (s *session) Ack(host string, e exec.Edge, n int) {
+	c, err := s.peer(host)
+	if err != nil {
 		return
 	}
-	cd, ok := u.producersLeft[stream]
-	if !ok {
-		return
+	if m := s.w.metrics(); m != nil {
+		m.txAckFrames.Inc()
 	}
-	if cd.Done() {
-		if q := u.queues[stream]; q != nil {
-			close(q)
-		}
-	}
+	_ = c.send(&frame{Kind: kindAck, Job: s.job, UOWIdx: e.UOW, Stream: e.Stream, Copy: e.From, Target: e.Target, AckN: n})
 }
 
-// finalize runs Finalize on local copies and returns the stats fragment.
-func (s *session) finalize() (*wireStats, error) {
-	s.uowMu.Lock()
-	u := s.uow
-	s.uowMu.Unlock()
-	if u == nil {
-		return nil, fmt.Errorf("dist: Finalize before InitUOW")
-	}
-	var wg sync.WaitGroup
-	var finErr error
-	var errMu sync.Mutex
-	for _, c := range s.copies {
-		wg.Add(1)
-		go func(c *dcopy) {
-			defer wg.Done()
-			ctx := s.ctxFor(c, u)
-			t0 := time.Now()
-			err := c.filter.Finalize(ctx)
-			u.addBusy(c, time.Since(t0).Seconds())
-			if err != nil {
-				errMu.Lock()
-				if finErr == nil {
-					finErr = err
-				}
-				errMu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	if finErr != nil {
-		return nil, finErr
-	}
-	// Fold the shared runtime's per-target tallies into the wire shape.
-	perTarget := make(map[string]map[string]int64, len(u.counts))
-	for stream, counts := range u.counts {
-		per := make(map[string]int64)
-		counts.Fold(u.targetHosts[stream], per)
-		perTarget[stream] = per
-	}
-	u.statMu.Lock()
-	defer u.statMu.Unlock()
-	ws := &wireStats{
-		StreamBuffers: u.buffers, StreamBytes: u.bytes, StreamAcks: u.ackCount,
-		PerTarget: perTarget, FilterBusy: u.busy,
-	}
-	return ws, nil
-}
-
-// dispatchPeer handles one inbound peer frame. Frames carry the unit of
-// work they belong to; anything from a stale unit (e.g. a trailing
-// acknowledgment that arrives after the next unit's state replaced the
-// writer counters) is dropped — stream names repeat every unit, so
-// without the check a late ack would corrupt the new unit's demand counts.
+// dispatchPeer hands one inbound peer frame to the runtime's inbound port,
+// which drops anything from a stale unit of work.
 func (s *session) dispatchPeer(f *frame) {
 	switch f.Kind {
 	case kindData:
 		if m := s.w.metrics(); m != nil {
 			m.rxDataFrames.Inc()
 			m.rxDataBytes.Add(int64(f.Size))
-		}
-		s.uowMu.Lock()
-		u := s.uow
-		s.uowMu.Unlock()
-		if u == nil || u.index != f.UOWIdx {
-			f.release()
-			return
-		}
-		q := u.queues[f.Stream]
-		if q == nil {
-			f.release()
-			return
 		}
 		var payload any
 		var release func()
@@ -1150,45 +733,20 @@ func (s *session) dispatchPeer(f *frame) {
 			var err error
 			payload, release, err = decodePayload(f)
 			if err != nil {
-				s.fail(fmt.Errorf("dist: decoding buffer on %s: %w", f.Stream, err))
+				s.rt.Abort(fmt.Errorf("dist: decoding buffer on %s: %w", f.Stream, err))
 				return
 			}
 		}
-		sp, _ := s.streamByName(f.Stream)
-		fromHost := s.copyHost[sp.From][f.Copy]
-		d := delivery{
-			buf:          core.Buffer{Payload: payload, Size: f.Size},
-			stream:       f.Stream,
-			fromHost:     fromHost,
-			producerCopy: f.Copy,
-			targetIdx:    f.Target,
-			ackEvery:     f.AckN,
-			release:      release,
-		}
-		select {
-		case q <- d: // blocking here exerts TCP backpressure upstream
-			// Copy -1: arrival on the host's shared copy-set queue — the
-			// consuming copy is only decided at dequeue time.
-			s.w.obsrv.Emit(obs.Event{Kind: obs.KindEnqueue, Filter: sp.To, Copy: -1, Host: s.setup.Host, Stream: f.Stream, Target: s.setup.Host, Bytes: f.Size, UOW: f.UOWIdx, Note: "rx"})
-		case <-s.failedCh:
-			if release != nil {
-				release()
-			}
+		e := exec.Edge{UOW: f.UOWIdx, Stream: f.Stream, From: f.Copy, Target: f.Target}
+		if !s.rt.Inject(e, core.Buffer{Payload: payload, Size: f.Size}, f.AckN, release) && release != nil {
+			release()
 		}
 	case kindAck:
 		if m := s.w.metrics(); m != nil {
 			m.rxAckFrames.Inc()
 		}
-		s.uowMu.Lock()
-		u := s.uow
-		s.uowMu.Unlock()
-		if u == nil || u.index != f.UOWIdx {
-			return
-		}
-		if ch, ok := u.acks[copyStream{f.Copy, f.Stream}]; ok {
-			ch.Offer(f.Target, f.AckN) // overflow: drop (conservative)
-		}
+		s.rt.Ack(exec.Edge{UOW: f.UOWIdx, Stream: f.Stream, From: f.Copy, Target: f.Target}, f.AckN)
 	case kindProducerDone:
-		s.producerDone(f.Stream, f.UOWIdx)
+		s.rt.ProducerDone(f.UOWIdx, f.Stream)
 	}
 }

@@ -40,6 +40,47 @@ func RecordScale(o *obs.Observer, filter, host string, oldCopies, newCopies, uow
 	})
 }
 
+// RecordScaleDiff publishes one RecordScale per (filter, host) copy set
+// whose size differs between the old and next placements — next's sets in
+// order, then the sets next retired. reason, when non-nil, explains one
+// change (the autoscale controller's decision); an empty answer means the
+// scale schedule did it.
+func RecordScaleDiff(o *obs.Observer, old, next []Entry, uow int, reason func(filter, host string) string) {
+	if o == nil {
+		return
+	}
+	type key struct{ filter, host string }
+	tally := func(es []Entry) (map[key]int, []key) {
+		n := make(map[key]int, len(es))
+		var order []key
+		for _, e := range es {
+			k := key{e.Filter, e.Host}
+			if _, seen := n[k]; !seen {
+				order = append(order, k)
+			}
+			n[k] += e.Copies
+		}
+		return n, order
+	}
+	before, oldOrder := tally(old)
+	after, order := tally(next)
+	for _, k := range oldOrder {
+		if _, kept := after[k]; !kept {
+			order = append(order, k)
+		}
+	}
+	for _, k := range order {
+		why := ""
+		if reason != nil {
+			why = reason(k.filter, k.host)
+		}
+		if why == "" {
+			why = "scale schedule"
+		}
+		RecordScale(o, k.filter, k.host, before[k], after[k], uow, why)
+	}
+}
+
 // RecordRebalance publishes one WRR weight rebalance on a stream: the
 // rebalances counter and a rebalance trace event (Stream names the stream,
 // Host the producer side, Note the new weights). Safe on a nil observer.

@@ -1,5 +1,7 @@
 package elastic
 
+import "fmt"
+
 // ScaleStep is one seeded copy-set membership change, applied at a
 // work-cycle boundary: before unit of work BeforeUOW starts, the (Filter,
 // Host) placement entry's copy count becomes Copies. Steps are the
@@ -87,4 +89,27 @@ func StepsAt(steps []ScaleStep, uow int) []ScaleStep {
 		}
 	}
 	return out
+}
+
+// ValidateSchedule rejects scale steps that name a filter absent from the
+// graph (a typo would otherwise silently grow a copy set nobody consumes),
+// the reserved zero boundary, or — when hostOK is non-nil — a host the
+// engine cannot place copies on. engine prefixes the error.
+func ValidateSchedule(engine string, steps []ScaleStep, filters []string, hostOK func(host string) bool) error {
+	known := make(map[string]bool, len(filters))
+	for _, name := range filters {
+		known[name] = true
+	}
+	for _, s := range steps {
+		if !known[s.Filter] {
+			return fmt.Errorf("%s: scale schedule names unknown filter %q", engine, s.Filter)
+		}
+		if s.BeforeUOW < 1 {
+			return fmt.Errorf("%s: scale step for %q has BeforeUOW %d (the initial plan is the zero boundary; steps need >= 1)", engine, s.Filter, s.BeforeUOW)
+		}
+		if s.Copies >= 1 && hostOK != nil && !hostOK(s.Host) {
+			return fmt.Errorf("%s: scale step for %q uses unknown host %q", engine, s.Filter, s.Host)
+		}
+	}
+	return nil
 }

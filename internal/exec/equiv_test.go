@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -115,7 +116,33 @@ func checkDist(t *testing.T, engine, pol string, per map[string]int64, acks int6
 	}
 }
 
-func runCoreEquiv(t *testing.T, pol string) (map[string]int64, int64) {
+// checkShape validates that an engine reports filter stats in the one shape
+// the runtime fills: per-copy series of length Copies, indexed by global
+// copy index and summed over units of work, whose busy and stream-blocked
+// parts add up to the wall time; and buffer counts on both stream ends.
+func checkShape(t *testing.T, engine string, st *core.Stats) {
+	t.Helper()
+	for name, copies := range map[string]int{"S": 1, "K": 3} {
+		fs := st.Filters[name]
+		if fs.Copies != copies || len(fs.BusySeconds) != copies || len(fs.WallSeconds) != copies ||
+			len(fs.ReadBlockedSeconds) != copies || len(fs.WriteBlockedSeconds) != copies {
+			t.Fatalf("%s: filter %s stats shape %+v, want %d copies", engine, name, fs, copies)
+		}
+		for i := 0; i < copies; i++ {
+			busy, wall := fs.BusySeconds[i], fs.WallSeconds[i]
+			parts := busy + fs.ReadBlockedSeconds[i] + fs.WriteBlockedSeconds[i]
+			if wall <= 0 || busy < -1e-9 || math.Abs(parts-wall) > 1e-9+1e-6*wall {
+				t.Fatalf("%s: filter %s copy %d: busy %g + read %g + write %g != wall %g", engine, name, i,
+					busy, fs.ReadBlockedSeconds[i], fs.WriteBlockedSeconds[i], wall)
+			}
+		}
+	}
+	if out, in := st.Filters["S"].BuffersOut, st.Filters["K"].BuffersIn; out != equivN || in != equivN {
+		t.Fatalf("%s: S wrote %d, K read %d, want %d", engine, out, in, equivN)
+	}
+}
+
+func runCoreEquiv(t *testing.T, pol string) *core.Stats {
 	t.Helper()
 	r, err := core.NewRunner(equivGraph(), equivPlacement(), core.Options{Policy: core.PolicyByName(pol)})
 	if err != nil {
@@ -125,10 +152,10 @@ func runCoreEquiv(t *testing.T, pol string) (map[string]int64, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Streams["nums"].PerTargetHost, st.Streams["nums"].Acks
+	return st
 }
 
-func runSimEquiv(t *testing.T, pol string) (map[string]int64, int64) {
+func runSimEquiv(t *testing.T, pol string) *core.Stats {
 	t.Helper()
 	k := sim.NewKernel()
 	cl := cluster.New(k)
@@ -146,10 +173,10 @@ func runSimEquiv(t *testing.T, pol string) (map[string]int64, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Streams["nums"].PerTargetHost, st.Streams["nums"].Acks
+	return st
 }
 
-func runDistEquiv(t *testing.T, pol string) (map[string]int64, int64) {
+func runDistEquiv(t *testing.T, pol string) *core.Stats {
 	t.Helper()
 	addrs := make(map[string]string, 2)
 	for _, host := range []string{"hostA", "hostB"} {
@@ -176,13 +203,13 @@ func runDistEquiv(t *testing.T, pol string) (map[string]int64, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Streams["nums"].PerTargetHost, st.Streams["nums"].Acks
+	return st
 }
 
 func TestCrossEngineEquivalence(t *testing.T) {
 	type runner struct {
 		name string
-		run  func(*testing.T, string) (map[string]int64, int64)
+		run  func(*testing.T, string) *core.Stats
 	}
 	engines := []runner{
 		{"core", runCoreEquiv},
@@ -193,8 +220,9 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		t.Run(pol, func(t *testing.T) {
 			leakcheck.Check(t)
 			for _, e := range engines {
-				per, acks := e.run(t, pol)
-				checkDist(t, e.name, pol, per, acks)
+				st := e.run(t, pol)
+				checkDist(t, e.name, pol, st.Streams["nums"].PerTargetHost, st.Streams["nums"].Acks)
+				checkShape(t, e.name, st)
 			}
 		})
 	}

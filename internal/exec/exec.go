@@ -1,20 +1,17 @@
-// Package exec is the transport-agnostic stream-writer runtime shared by
-// all three engines. It owns everything between "a filter produced a
-// buffer" and "bytes handed to a transport": writer-policy construction
-// from TargetInfo (RR/WRR/DD, see policy.go), the demand-driven unacked
-// sliding window and ack coalescing, copy-set targeting, producer-done /
+// Package exec is the copy runtime shared by all three engines: the filter
+// model (Filter, Ctx), the work cycle that drives every transparent copy
+// through Init → Process → Finalize (Runtime, Copy), and the stream-writer
+// path between "a filter produced a buffer" and "the buffer is on a queue
+// or a wire" — writer-policy construction from TargetInfo (RR/WRR/DD, see
+// policy.go), the demand-driven unacked sliding window and ack coalescing,
 // end-of-work countdowns, per-target delivery stats, and the internal/obs
 // buffer-lifecycle events.
 //
-// Engines plug in through two small interfaces: a Port delivers a picked
-// buffer over whatever the engine's transport is (a Go channel in
-// internal/core, a sim-kernel channel plus virtual-time NIC occupation in
-// internal/simrt, a wire hostLink or local queue in internal/dist), and an
-// AckSource surfaces consumer acknowledgments back to the producer side
-// (an AckChan for the concurrent engines, an AckSeq for the cooperative
-// simulator). The StreamWriter in between is identical for every engine,
-// which is the point: policy semantics are implemented once and verified
-// once (see the cross-engine equivalence test).
+// An engine is this runtime plus two seams: a Clock (wall time in
+// internal/core and internal/dist, a sim kernel's virtual time in
+// internal/simrt) and, for copy sets on other hosts, a Remote with its
+// inbound twin (internal/dist's wire). Everything else is implemented once
+// and verified once (see the cross-engine equivalence test).
 package exec
 
 import (
@@ -30,19 +27,16 @@ type Buffer struct {
 	Size    int
 }
 
-// Port delivers one picked buffer to a target copy set. It is the
-// engine-owned half of a stream-writer path: everything before Deliver
-// (policy pick, window update, pick trace event) is shared runtime,
-// everything from Deliver on (queueing, wire framing, virtual-time NIC
-// charges, enqueue/send trace events, backpressure stalls, cancellation)
-// belongs to the engine.
+// Port delivers one picked buffer to a target copy set: the half of a
+// stream-writer path after the policy pick, window update and pick trace
+// event. The runtime's implementation (Copy's outputs) enqueues on the
+// target's queue or hands the buffer to the engine's Remote.
 //
 // ackEvery is the consumer-side acknowledgment contract for this buffer:
 // 0 means the policy wants no acks, k >= 1 means the consumer must
 // acknowledge every k-th buffer it dequeues (coalesced via Coalescer).
-// Deliver returns the engine's cancellation error (e.g. core.ErrCancelled)
-// when the run is being torn down; the StreamWriter then reports the
-// buffer as undelivered (no stats, no count).
+// Deliver returns ErrCancelled when the run is being torn down; the
+// StreamWriter then reports the buffer as undelivered (no stats, no count).
 type Port interface {
 	Deliver(target int, b Buffer, ackEvery int) error
 }
@@ -56,20 +50,14 @@ type AckSource interface {
 	TryAck() (target, n int, ok bool)
 }
 
-// AckChan is the AckSource for the concurrent engines (core, dist): a
-// buffered channel of (target, count) acknowledgments that consumers send
-// into and one producer copy drains. Capacity must cover the worst-case
-// in-flight acknowledgment count (see AckCap) so consumer-side sends never
-// block; dist additionally uses Offer to shed rather than stall when a
-// fault-injected peer floods it.
+// AckChan is the wall clock's AckQueue: a buffered channel of (target,
+// count) acknowledgments that consumers send into and one producer copy
+// drains. Capacity must cover the worst-case in-flight acknowledgment count
+// (see AckCap) so the runtime's Offer never sheds a local consumer's ack.
 type AckChan chan [2]int
 
 // NewAckChan returns an AckChan with the given capacity.
 func NewAckChan(capacity int) AckChan { return make(AckChan, capacity) }
-
-// Ack records n acknowledged buffers for target. It blocks if the channel
-// is full, which a correctly sized channel (AckCap) never is.
-func (c AckChan) Ack(target, n int) { c <- [2]int{target, n} }
 
 // Offer records the acknowledgment if there is room and drops it
 // otherwise, reporting whether it was accepted. The drop path exists for
@@ -94,15 +82,19 @@ func (c AckChan) TryAck() (target, n int, ok bool) {
 	}
 }
 
-// AckSeq is the AckSource for the cooperative simulator: a plain slice,
-// safe because the sim kernel runs one process at a time and acknowledging
-// processes and the producer never interleave within a step.
+// AckSeq is the virtual clock's AckQueue: a plain slice, safe because the
+// sim kernel runs one process at a time and acknowledging processes and the
+// producer never interleave within a step.
 type AckSeq struct {
 	pending [][2]int
 }
 
-// Ack appends n acknowledged buffers for target.
-func (s *AckSeq) Ack(target, n int) { s.pending = append(s.pending, [2]int{target, n}) }
+// Offer appends n acknowledged buffers for target; an AckSeq is unbounded,
+// so it always accepts.
+func (s *AckSeq) Offer(target, n int) bool {
+	s.pending = append(s.pending, [2]int{target, n})
+	return true
+}
 
 // TryAck implements AckSource.
 func (s *AckSeq) TryAck() (target, n int, ok bool) {
@@ -147,9 +139,8 @@ type Meta struct {
 // drains acknowledgments into the unacked sliding window, asks the policy
 // writer to pick a target copy set, emits the pick trace event, hands the
 // buffer to the engine Port, and counts the delivery. One StreamWriter is
-// single-producer state — engines create one per producer copy per stream
-// (core, simrt) or one per producing host per stream (dist, where a host's
-// copies share the write path under the session lock).
+// single-producer state — the runtime creates one per producer copy per
+// stream.
 //
 // The target set is runtime-mutable: AddTarget/RemoveTarget/Reweight queue
 // membership changes that take effect at the next buffer-pick boundary (see
@@ -231,9 +222,6 @@ func (sw *StreamWriter) Targets() []TargetInfo {
 	return out
 }
 
-// SetUOW updates the unit-of-work index stamped on pick events.
-func (sw *StreamWriter) SetUOW(uow int) { sw.meta.UOW = uow }
-
 // Write sends one buffer: drain pending acks into the window, pick a
 // target, deliver, count. The window is incremented at pick time — before
 // the Port runs — so a policy never sees a buffer it already placed as
@@ -307,8 +295,7 @@ func (sw *StreamWriter) Unacked() []int {
 // buffer toward key and invokes send once every `every` buffers; Flush
 // sends whatever remains at end-of-work so DD windows drain even when the
 // buffer count is not a multiple of the batch factor. K identifies the
-// producer-side window the ack belongs to — engines key it by ack channel
-// and target (core), writer state (simrt), or origin coordinates (dist).
+// producer-side window the ack belongs to.
 type Coalescer[K comparable] struct {
 	pending map[K]int
 	send    func(key K, n int)

@@ -128,7 +128,7 @@ func TestAckChan(t *testing.T) {
 	if _, _, ok := c.TryAck(); ok {
 		t.Fatal("empty channel yielded an ack")
 	}
-	c.Ack(2, 3)
+	c.Offer(2, 3)
 	target, n, ok := c.TryAck()
 	if !ok || target != 2 || n != 3 {
 		t.Fatalf("TryAck = (%d,%d,%v)", target, n, ok)
@@ -148,8 +148,8 @@ func TestAckSeq(t *testing.T) {
 	if _, _, ok := s.TryAck(); ok {
 		t.Fatal("empty seq yielded an ack")
 	}
-	s.Ack(0, 1)
-	s.Ack(1, 2)
+	s.Offer(0, 1)
+	s.Offer(1, 2)
 	if target, n, ok := s.TryAck(); !ok || target != 0 || n != 1 {
 		t.Fatalf("first TryAck = (%d,%d,%v)", target, n, ok)
 	}
@@ -268,7 +268,7 @@ func (p *recordPort) Deliver(target int, b Buffer, ackEvery int) error {
 	p.picks = append(p.picks, target)
 	p.ackEvery = append(p.ackEvery, ackEvery)
 	if p.acks != nil {
-		p.acks.Ack(target, 1)
+		p.acks.Offer(target, 1)
 	}
 	return nil
 }
@@ -340,7 +340,7 @@ func TestStreamWriterDDWindow(t *testing.T) {
 		t.Fatalf("window after 4 unacked writes: %v", w)
 	}
 	// Ack everything on target 0; the next writes all pick it.
-	acks.Ack(0, 2)
+	acks.Offer(0, 2)
 	if err := sw.Write(Buffer{Size: 1}); err != nil {
 		t.Fatal(err)
 	}

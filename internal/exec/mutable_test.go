@@ -105,7 +105,7 @@ func TestReAddReclaimsStableIndexAndWindow(t *testing.T) {
 		t.Fatalf("window after remove+write: %v", w)
 	}
 	// A late ack for the removed target still drains its slot.
-	acks.Ack(0, 2)
+	acks.Offer(0, 2)
 	sw.AddTarget(TargetInfo{Host: "a", Copies: 1})
 	// a rejoined at its old index with a drained window — DD picks it.
 	mustWrite(t, sw)

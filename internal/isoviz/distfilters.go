@@ -82,14 +82,15 @@ func init() {
 		}
 		if p.Mmap {
 			if err := st.EnableMmap(); err != nil {
+				st.Close()
 				return nil, err
 			}
 		}
 		src := &StoreSource{St: st, Readahead: p.Readahead, ReadaheadBytes: p.ReadaheadBytes}
-		return &ReadExtractFilter{
+		return &storeRE{st: st, ReadExtractFilter: &ReadExtractFilter{
 			Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamTriangles,
 			Pushdown: p.Pushdown, Pred: p.Pred,
-		}, nil
+		}}, nil
 	})
 	dist.RegisterFilter(KindRasterAP, func([]byte) (core.Filter, error) {
 		return &RasterAPFilter{In: StreamTriangles, Out: StreamPixels}, nil
@@ -101,6 +102,16 @@ func init() {
 		return &MergeFilter{In: StreamPixels}, nil
 	})
 }
+
+// storeRE is the RE filter KindREStore builds. It opened the store, so it
+// owns it: the copy runtime calls Close when it retires the copy (a Source
+// a caller hands to a ReadExtractFilter stays the caller's to close).
+type storeRE struct {
+	*ReadExtractFilter
+	st *dataset.Store
+}
+
+func (f *storeRE) Close() error { return f.st.Close() }
 
 // DistGraphField builds a GraphSpec for the RE–Ra–M pipeline over a
 // synthetic field source.

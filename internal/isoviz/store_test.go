@@ -1,10 +1,13 @@
 package isoviz
 
 import (
+	"os"
 	"testing"
+	"time"
 
 	"datacutter/internal/core"
 	"datacutter/internal/dataset"
+	"datacutter/internal/dist"
 	"datacutter/internal/leakcheck"
 )
 
@@ -122,5 +125,77 @@ func TestZBufferChunkingCoversFrame(t *testing.T) {
 	want := int64(view.Width * view.Height * 7)
 	if got := st.Streams[StreamPixels].Bytes; got != want {
 		t.Fatalf("z-buffer transport %d bytes, want %d", got, want)
+	}
+}
+
+// A KindREStore copy opens its own dataset.Store, and a persistent worker
+// serves any number of sessions: the store must be closed when the session
+// retires the copy, or every job leaks file handles. 50 back-to-back runs on
+// one worker must leave the process's open-file count flat, and closing the
+// RE copies must not touch the sink — the merged image stays retrievable.
+func TestDistStoreHandlesClosedPerSession(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd on this platform")
+	}
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	st, err := dataset.Create(dir, dataset.Meta{
+		GX: 17, GY: 17, GZ: 17, BX: 2, BY: 2, BZ: 2,
+		Timesteps: 1, Files: 4, Seed: 5, Plumes: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	graph, err := DistGraphStore(StoreREParams{Dir: dir}, ActivePixel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := dist.NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Serve()
+	defer w.Close()
+	addrs := map[string]string{"w0": w.Addr()}
+	placement := []dist.PlacementEntry{
+		{Filter: "RE", Host: "w0", Copies: 2},
+		{Filter: "Ra", Host: "w0", Copies: 1},
+		{Filter: "M", Host: "w0", Copies: 1},
+	}
+	view := testView(32)
+	view.Timestep = 0
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	run := func(job uint64) {
+		if _, err := dist.Run(addrs, graph, placement, dist.Options{JobID: job}, []any{view}); err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+	}
+	run(1) // warm up: the peer mesh, the listener's accepted conns
+	before := openFiles()
+	for job := uint64(2); job <= 51; job++ {
+		run(job)
+	}
+	// Teardown of the last session's sockets may trail Run's return.
+	deadline := time.Now().Add(2 * time.Second)
+	for openFiles() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := openFiles(); after > before+2 {
+		t.Fatalf("open files grew from %d to %d over 50 sessions", before, after)
+	}
+	ms := w.InstancesJob(51, "M")
+	if len(ms) != 1 {
+		t.Fatalf("InstancesJob(51, M) = %d instances, want 1", len(ms))
+	}
+	img := ms[0].(*MergeFilter).Result()
+	if img == nil || img.ActiveCount() == 0 {
+		t.Fatal("merged image missing after the session's copies were retired")
 	}
 }
