@@ -368,3 +368,91 @@ func TestStreamTotalsDiamond(t *testing.T) {
 		t.Fatalf("s2 multiset %v, want %v", m.ids["s2"], wantIDs)
 	}
 }
+
+// TestConformanceFused sweeps exec.Fuse under the delivery oracle: every
+// seed's pipeline runs with one or more single-input transforms fused into
+// their producers, on all three engines, and every consumer must receive
+// exactly what the unfused pipeline delivers. The sweep must not be
+// vacuous: enough seeds must fuse something, some into a multi-copy carrier
+// (chains, rare in the draw, have TestFusedChain).
+func TestConformanceFused(t *testing.T) {
+	n := int64(25)
+	if !testing.Short() {
+		n = 60
+	}
+	if *seedFlag >= 0 {
+		n = 1
+	}
+	var fusedSeeds, multiCopy int
+	for i := int64(0); i < n; i++ {
+		seed := i
+		if *seedFlag >= 0 {
+			seed = *seedFlag
+		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			leakcheck.Check(t)
+			s := Generate(seed, GenConfig{Fused: true})
+			base := s.Clone()
+			base.Fused = nil
+			if !reflect.DeepEqual(Generate(seed, GenConfig{}), base) {
+				t.Fatalf("fusion draw changed the base pipeline of seed %d", seed)
+			}
+			if len(s.Fused) == 0 {
+				t.Skipf("seed %d: no single-input transform to fuse", seed)
+			}
+			fusedSeeds++
+			for _, name := range s.Fused {
+				if s.totalCopies(s.carrier(name)) > 1 {
+					multiCopy++
+				}
+			}
+			if fail := Check(s, Options{}); fail != nil {
+				failReport(t, seed, fail, Options{})
+			}
+		})
+	}
+	if *seedFlag >= 0 {
+		return
+	}
+	if fusedSeeds < int(n)/4 || multiCopy == 0 {
+		t.Fatalf("vacuous sweep: %d of %d seeds fused, %d fusions into multi-copy carriers", fusedSeeds, n, multiCopy)
+	}
+}
+
+// TestFusedChain nests fusions: T1 and T2 both run inside A's two copies
+// (T2's producer is itself fused), while A and T1 also feed the sink over
+// real streams.
+func TestFusedChain(t *testing.T) {
+	leakcheck.Check(t)
+	s := &Spec{
+		Filters: []Filter{
+			{Name: "A", Role: RoleSource, Emit: 5},
+			{Name: "T1", Role: RoleTransform},
+			{Name: "T2", Role: RoleTransform},
+			{Name: "K", Role: RoleSink},
+		},
+		Streams: []Stream{
+			{Name: "s0", From: "A", To: "T1", Policy: "RR"},
+			{Name: "s1", From: "T1", To: "T2", Policy: "DD"},
+			{Name: "s2", From: "T2", To: "K", Policy: "DD", Wire: WireBytes},
+			{Name: "s3", From: "T1", To: "K", Policy: "WRR", Wire: WireFloats},
+			{Name: "s4", From: "A", To: "K", Policy: "RR"},
+		},
+		Placement: []Place{
+			{Filter: "A", Host: "h0", Copies: 2},
+			{Filter: "T1", Host: "h1", Copies: 1},
+			{Filter: "T2", Host: "h1", Copies: 3},
+			{Filter: "K", Host: "h1", Copies: 2},
+		},
+		Hosts:    []Host{{Name: "h0", Speed: 1}, {Name: "h1", Speed: 2}},
+		UOWs:     2,
+		QueueCap: 16,
+		Fused:    []string{"T1", "T2"},
+	}
+	if got := buildGraph(s, newRecorder()).Filters(); !reflect.DeepEqual(got, []string{"A", "K"}) {
+		t.Fatalf("contracted graph has filters %v", got)
+	}
+	if fail := Check(s, Options{}); fail != nil {
+		t.Fatal(fail)
+	}
+}

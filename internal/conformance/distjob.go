@@ -75,19 +75,10 @@ func NewDistJob(s *Spec, hosts []string) (*DistJob, error) {
 		m:        buildModel(c),
 		tok:      tok,
 	}
-	for _, f := range c.Filters {
-		fs, err := newConfFilter(c, f, rec).distSpec(tok)
-		if err != nil {
-			releaseRecorder(tok)
-			return nil, err
-		}
-		j.Graph.Filters = append(j.Graph.Filters, fs)
-	}
-	for _, st := range c.Streams {
-		j.Graph.Streams = append(j.Graph.Streams, core.StreamSpec{Name: st.Name, From: st.From, To: st.To})
-	}
-	for _, p := range c.Placement {
-		j.Placement = append(j.Placement, dist.PlacementEntry{Filter: p.Filter, Host: p.Host, Copies: p.Copies})
+	var err error
+	if j.Graph, j.Placement, err = distGraph(c, rec, tok); err != nil {
+		releaseRecorder(tok)
+		return nil, err
 	}
 	for _, w := range uowList(c) {
 		raw, err := dist.EncodeUOW(w)

@@ -18,22 +18,40 @@ import (
 // copy-set target order and global copy indices on every engine), same
 // per-stream policies, same queue capacity, same unit-of-work count.
 
+// With s.Fused set, the graph every engine is handed is the contracted one:
+// a fused transform is no filter of its own (nor placed), its input is no
+// stream, and its outputs leave its carrier.
+
 func buildGraph(s *Spec, rec *Recorder) *core.Graph {
 	g := core.NewGraph()
 	for _, f := range s.Filters {
 		f := f
-		g.AddFilter(f.Name, func() core.Filter { return newConfFilter(s, f, rec) })
+		if !s.fused(f.Name) {
+			g.AddFilter(f.Name, func() core.Filter { return fuseChain(chainOf(s, f, rec)) })
+		}
 	}
-	for _, st := range s.Streams {
+	for _, st := range graphStreams(s) {
 		g.Connect(st.From, st.To, st.Name)
 	}
 	return g
 }
 
+func graphStreams(s *Spec) []core.StreamSpec {
+	var out []core.StreamSpec
+	for _, st := range s.Streams {
+		if !s.fused(st.To) {
+			out = append(out, core.StreamSpec{Name: st.Name, From: s.carrier(st.From), To: st.To})
+		}
+	}
+	return out
+}
+
 func buildPlacement(s *Spec) *core.Placement {
 	pl := core.NewPlacement()
 	for _, p := range s.Placement {
-		pl.Place(p.Filter, p.Host, p.Copies)
+		if !s.fused(p.Filter) {
+			pl.Place(p.Filter, p.Host, p.Copies)
+		}
 	}
 	return pl
 }
@@ -133,21 +151,9 @@ func runDist(s *Spec, rec *Recorder, plans map[string]string, tune func(*dist.Op
 		addrs[h.Name] = w.Addr()
 	}
 
-	filters := make([]dist.FilterSpec, 0, len(s.Filters))
-	for _, f := range s.Filters {
-		fs, err := newConfFilter(s, f, rec).distSpec(tok)
-		if err != nil {
-			return nil, err
-		}
-		filters = append(filters, fs)
-	}
-	streams := make([]core.StreamSpec, 0, len(s.Streams))
-	for _, st := range s.Streams {
-		streams = append(streams, core.StreamSpec{Name: st.Name, From: st.From, To: st.To})
-	}
-	entries := make([]dist.PlacementEntry, 0, len(s.Placement))
-	for _, p := range s.Placement {
-		entries = append(entries, dist.PlacementEntry{Filter: p.Filter, Host: p.Host, Copies: p.Copies})
+	g, entries, err := distGraph(s, rec, tok)
+	if err != nil {
+		return nil, err
 	}
 
 	opts := dist.Options{
@@ -160,11 +166,33 @@ func runDist(s *Spec, rec *Recorder, plans map[string]string, tune func(*dist.Op
 	if tune != nil {
 		tune(&opts)
 	}
-	g := dist.GraphSpec{Filters: filters, Streams: streams}
 	if reg != nil {
 		return dist.RunObserved(addrs, g, entries, opts, uowList(s), obs.New(nil, reg))
 	}
 	return dist.Run(addrs, g, entries, opts, uowList(s))
+}
+
+// distGraph is the spec as the dist engine takes it: one registered-kind
+// filter spec per graph filter, the streams, and the placement entries.
+func distGraph(s *Spec, rec *Recorder, tok uint64) (dist.GraphSpec, []dist.PlacementEntry, error) {
+	g := dist.GraphSpec{Streams: graphStreams(s)}
+	for _, f := range s.Filters {
+		if s.fused(f.Name) {
+			continue
+		}
+		fs, err := distSpec(chainOf(s, f, rec), tok)
+		if err != nil {
+			return g, nil, err
+		}
+		g.Filters = append(g.Filters, fs)
+	}
+	var entries []dist.PlacementEntry
+	for _, p := range s.Placement {
+		if !s.fused(p.Filter) {
+			entries = append(entries, dist.PlacementEntry{Filter: p.Filter, Host: p.Host, Copies: p.Copies})
+		}
+	}
+	return g, entries, nil
 }
 
 // faultTune is the coordinator configuration every fault-mode run uses:

@@ -195,6 +195,28 @@ func newConfFilter(s *Spec, f Filter, rec *Recorder) *confFilter {
 	return cf
 }
 
+// chainOf lists what the engines run under f's name: f's conformance filter
+// followed by every transform fused into it (s.Fused), in spec —
+// topological — order.
+func chainOf(s *Spec, f Filter, rec *Recorder) []*confFilter {
+	chain := []*confFilter{newConfFilter(s, f, rec)}
+	for _, t := range s.Filters {
+		if s.fused(t.Name) && s.carrier(t.Name) == f.Name {
+			chain = append(chain, newConfFilter(s, t, rec))
+		}
+	}
+	return chain
+}
+
+// fuseChain fuses a chain left to right, each link over its single input.
+func fuseChain(chain []*confFilter) core.Filter {
+	var f core.Filter = chain[0]
+	for _, t := range chain[1:] {
+		f = core.Fuse(f, t, t.inputs[0])
+	}
+	return f
+}
+
 func (f *confFilter) writeAll(ctx core.Ctx, id string) error {
 	for _, out := range f.outputs {
 		b := core.Buffer{Payload: encodePayload(f.wires[out], id), Size: len(id) + 16}
@@ -299,6 +321,8 @@ type distParams struct {
 	// path: the pruning decision executes on the worker that owns the
 	// source, never on the coordinator.
 	Pred *dataset.Predicate `json:",omitempty"`
+	// Fused are the transforms fused into this filter (chainOf order).
+	Fused []distParams `json:",omitempty"`
 }
 
 func init() {
@@ -311,22 +335,40 @@ func init() {
 		if rec == nil {
 			return nil, fmt.Errorf("conformance: no recorder for token %d (non-loopback worker?)", p.Token)
 		}
-		return &confFilter{
-			name: p.Name, role: p.Role, emit: p.Emit,
-			inputs: p.Inputs, outputs: p.Outputs, wires: p.Wires,
-			pred: p.Pred, rec: rec,
-		}, nil
+		chain := []*confFilter{p.filter(rec)}
+		for _, t := range p.Fused {
+			chain = append(chain, t.filter(rec))
+		}
+		return fuseChain(chain), nil
 	})
 }
 
-func (f *confFilter) distSpec(tok uint64) (dist.FilterSpec, error) {
-	params, err := json.Marshal(distParams{
+func (p distParams) filter(rec *Recorder) *confFilter {
+	return &confFilter{
+		name: p.Name, role: p.Role, emit: p.Emit,
+		inputs: p.Inputs, outputs: p.Outputs, wires: p.Wires,
+		pred: p.Pred, rec: rec,
+	}
+}
+
+func (f *confFilter) params() distParams {
+	return distParams{
 		Name: f.name, Role: f.role, Emit: f.emit,
-		Inputs: f.inputs, Outputs: f.outputs, Wires: f.wires, Token: tok,
-		Pred: f.pred,
-	})
+		Inputs: f.inputs, Outputs: f.outputs, Wires: f.wires, Pred: f.pred,
+	}
+}
+
+// distSpec describes a chain (chainOf) to a dist worker under its head's
+// name.
+func distSpec(chain []*confFilter, tok uint64) (dist.FilterSpec, error) {
+	p := chain[0].params()
+	p.Token = tok
+	for _, t := range chain[1:] {
+		p.Fused = append(p.Fused, t.params())
+	}
+	params, err := json.Marshal(p)
 	if err != nil {
 		return dist.FilterSpec{}, err
 	}
-	return dist.FilterSpec{Name: f.name, Kind: distFilterKind, Params: params}, nil
+	return dist.FilterSpec{Name: p.Name, Kind: distFilterKind, Params: params}, nil
 }

@@ -14,6 +14,7 @@ func FuzzGraphSpec(f *testing.F) {
 		cfg := GenConfig{
 			MaxUOWs: int(uows%3) + 1,
 			MaxEmit: int(emit%12) + 2,
+			Fused:   seed&1 == 1, // odd seeds run with transforms fused
 		}
 		s := Generate(seed, cfg)
 		if err := s.Validate(); err != nil {

@@ -50,9 +50,11 @@ func ReproCommand(seed int64) string {
 }
 
 // Check runs the spec on every selected engine and diffs each run against
-// the oracle model. It returns nil if every engine conforms, or the first
-// engine's Failure otherwise. Each engine gets a fresh Recorder; engines
-// run sequentially so a violation is attributed unambiguously.
+// the oracle model (a spec with fused transforms against the deliveries of
+// its unfused self, see checkFused). It returns nil if every engine
+// conforms, or the first engine's Failure otherwise. Each engine gets a
+// fresh Recorder; engines run sequentially so a violation is attributed
+// unambiguously.
 func Check(s *Spec, opts Options) *Failure {
 	if err := s.Validate(); err != nil {
 		return &Failure{Spec: s, Engine: "spec", Violations: []string{err.Error()}}
@@ -67,7 +69,13 @@ func Check(s *Spec, opts Options) *Failure {
 		if opts.Perturb != nil {
 			opts.Perturb(engine, st)
 		}
-		if v := checkRun(m, st, rec, false); len(v) > 0 {
+		var v []string
+		if len(s.Fused) > 0 {
+			v = checkFused(m, rec)
+		} else {
+			v = checkRun(m, st, rec, false)
+		}
+		if len(v) > 0 {
 			return &Failure{Spec: s, Engine: engine, Violations: v}
 		}
 	}
@@ -216,6 +224,13 @@ func shrinkCandidates(s *Spec) []*Spec {
 		c.Transport = ""
 		out = append(out, c)
 	}
+	for i := range s.Fused {
+		// Unfuse one transform: a failure that survives with it back on its
+		// own copies is not a fusion bug.
+		c := s.Clone()
+		c.Fused = append(c.Fused[:i:i], c.Fused[i+1:]...)
+		out = append(out, c)
+	}
 	if s.Pred != nil {
 		// Drop the pushdown predicate: a failure that survives without it
 		// is not a pruning bug, and one that doesn't keeps the predicate in
@@ -235,6 +250,7 @@ func removeFilter(s *Spec, name string) *Spec {
 	c.Streams = filterSlice(c.Streams, func(st Stream) bool { return st.From != name && st.To != name })
 	c.Placement = filterSlice(c.Placement, func(p Place) bool { return p.Filter != name })
 	c.Scale = filterSlice(c.Scale, func(st elastic.ScaleStep) bool { return st.Filter != name })
+	c.Fused = filterSlice(c.Fused, func(f string) bool { return f != name })
 	c.normalizeHosts()
 	return c
 }

@@ -349,25 +349,8 @@ func checkRun(m *model, st *core.Stats, rec *Recorder, relaxed bool) []string {
 		}
 	}
 
-	wantDel := m.expectedDeliveries()
 	gotDel := rec.Deliveries()
-	for k, want := range wantDel {
-		got := gotDel[k]
-		bad := got != want
-		if relaxed {
-			bad = got < want
-		}
-		if bad {
-			v = append(v, fmt.Sprintf("delivery %s/%s uow=%d id=%q: %d, want %s%d",
-				k.Consumer, k.Stream, k.UOW, k.ID, got, relaxedPrefix(relaxed), want))
-		}
-	}
-	for k, got := range gotDel {
-		if _, ok := wantDel[k]; !ok {
-			v = append(v, fmt.Sprintf("unexpected delivery %s/%s uow=%d id=%q (x%d)",
-				k.Consumer, k.Stream, k.UOW, k.ID, got))
-		}
-	}
+	v = append(v, diffCounts("delivery", m.expectedDeliveries(), gotDel, relaxed)...)
 
 	// Pushdown oracles. First the pruned multiset itself: exactly what the
 	// predicate dictates (at-least-once under the relaxed fault oracle,
@@ -377,24 +360,8 @@ func checkRun(m *model, st *core.Stats, rec *Recorder, relaxed bool) []string {
 	// pruned and delivered must PARTITION the full identity multiset — an
 	// identity in both was pruned yet leaked downstream, an identity in
 	// neither was silently dropped without being accounted as pruned.
-	wantPruned := m.expectedPruned()
 	gotPruned := rec.Pruned()
-	for k, want := range wantPruned {
-		got := gotPruned[k]
-		bad := got != want
-		if relaxed {
-			bad = got < want
-		}
-		if bad {
-			v = append(v, fmt.Sprintf("pruned %s uow=%d id=%q: %d, want %s%d",
-				k.Source, k.UOW, k.ID, got, relaxedPrefix(relaxed), want))
-		}
-	}
-	for k, got := range gotPruned {
-		if _, ok := wantPruned[k]; !ok {
-			v = append(v, fmt.Sprintf("unexpected prune %s uow=%d id=%q (x%d)", k.Source, k.UOW, k.ID, got))
-		}
-	}
+	v = append(v, diffCounts("prune", m.expectedPruned(), gotPruned, relaxed)...)
 	if m.spec.Pred != nil {
 		for _, sp := range m.spec.Streams {
 			if m.spec.filter(sp.From).Role != RoleSource {
@@ -423,34 +390,46 @@ func checkRun(m *model, st *core.Stats, rec *Recorder, relaxed bool) []string {
 		}
 	}
 
-	wantEOW := m.expectedEOW()
-	gotEOW := rec.EOW()
-	for k, want := range wantEOW {
-		got := gotEOW[k]
-		bad := got != want
-		if relaxed {
-			bad = got < want
-		}
-		if bad {
-			v = append(v, fmt.Sprintf("end-of-work %s/%s uow=%d: seen by %d copies, want %s%d",
-				k.Consumer, k.Stream, k.UOW, got, relaxedPrefix(relaxed), want))
-		}
-	}
-	for k, got := range gotEOW {
-		if _, ok := wantEOW[k]; !ok {
-			v = append(v, fmt.Sprintf("unexpected end-of-work %s/%s uow=%d (x%d)", k.Consumer, k.Stream, k.UOW, got))
-		}
-	}
+	v = append(v, diffCounts("end-of-work", m.expectedEOW(), rec.EOW(), relaxed)...)
 
 	sort.Strings(v)
 	return v
 }
 
-func relaxedPrefix(relaxed bool) string {
+// checkFused diffs a run with fused transforms (Spec.Fused) against the
+// model, which describes the UNFUSED pipeline: every consumer — the fused
+// transforms too, which record what crosses their in-memory stream — must
+// have been delivered exactly the unfused multiset, and the sources must
+// have pruned exactly the unfused set. The stats and end-of-work oracles do
+// not carry over: a fused stream has no stats row, and a fused transform
+// runs in its carrier's copies, not its own.
+func checkFused(m *model, rec *Recorder) []string {
+	v := diffCounts("delivery", m.expectedDeliveries(), rec.Deliveries(), false)
+	v = append(v, diffCounts("prune", m.expectedPruned(), rec.Pruned(), false)...)
+	sort.Strings(v)
+	return v
+}
+
+// diffCounts diffs one recorded multiset against the model's: every
+// expected key at its expected count (at least it when relaxed), and no
+// key the model does not expect.
+func diffCounts[K comparable](what string, want, got map[K]int, relaxed bool) []string {
+	var v []string
+	atLeast := ""
 	if relaxed {
-		return ">= "
+		atLeast = ">= "
 	}
-	return ""
+	for k, n := range want {
+		if g := got[k]; g != n && !(relaxed && g > n) {
+			v = append(v, fmt.Sprintf("%s %+v: seen %d times, want %s%d", what, k, g, atLeast, n))
+		}
+	}
+	for k, g := range got {
+		if _, ok := want[k]; !ok {
+			v = append(v, fmt.Sprintf("unexpected %s %+v (x%d)", what, k, g))
+		}
+	}
+	return v
 }
 
 func equalHostCounts(a, b map[string]int64) bool {

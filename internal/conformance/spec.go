@@ -10,8 +10,10 @@
 // end-of-work per consumer copy, and zero goroutine leaks. In pushdown
 // mode (GenConfig.Pushdown) a near-storage predicate prunes identities at
 // the sources and a conservation oracle requires the pruned and delivered
-// sets to exactly partition the full multiset. A failing seed
-// is greedily shrunk to a minimal reproduction (see shrink.go).
+// sets to exactly partition the full multiset. In fused mode
+// (GenConfig.Fused) transforms run fused into their producers and every
+// consumer must still receive what the unfused pipeline delivers. A failing
+// seed is greedily shrunk to a minimal reproduction (see shrink.go).
 //
 // Everything is derived from a Spec, which is in turn derived from a seed:
 // the same seed always produces the same graph, placement, policies, and
@@ -22,6 +24,7 @@ package conformance
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"datacutter/internal/core"
@@ -147,6 +150,34 @@ type Spec struct {
 	// delivered, nothing silently dropped. QueueCap is sized from the
 	// UNPRUNED totals (the generator draws Pred last), so it stays safe.
 	Pred *dataset.Predicate
+	// Fused names transforms the engines run fused into their producer
+	// (core.Fuse) instead of as filters of their own: each has exactly one
+	// input stream, which becomes an in-memory hand-off inside the copies of
+	// the filter that writes it, and its own placement is ignored. Fusion
+	// moves where a transform runs, never what anyone receives, so a fused
+	// run is checked against the UNFUSED model's deliveries (checkFused).
+	Fused []string
+}
+
+// fused reports whether the named filter runs fused into its producer.
+func (s *Spec) fused(name string) bool { return slices.Contains(s.Fused, name) }
+
+// fusable reports whether the named filter may be listed in Fused: a
+// transform with exactly one input stream and no scale step (fused, it has
+// no copies of its own to scale).
+func (s *Spec) fusable(name string) bool {
+	f := s.filter(name)
+	return f != nil && f.Role == RoleTransform && len(s.inputsOf(name)) == 1 &&
+		!slices.ContainsFunc(s.Scale, func(st elastic.ScaleStep) bool { return st.Filter == name })
+}
+
+// carrier returns the filter whose copies run the named one: itself, or for
+// a fused transform the carrier of its input's producer.
+func (s *Spec) carrier(name string) string {
+	for s.fused(name) {
+		name = s.inputsOf(name)[0].From
+	}
+	return name
 }
 
 // filter returns the named filter spec, or nil.
@@ -220,6 +251,7 @@ func (s *Spec) Clone() *Spec {
 	c.Placement = append([]Place(nil), s.Placement...)
 	c.Hosts = append([]Host(nil), s.Hosts...)
 	c.Scale = append([]elastic.ScaleStep(nil), s.Scale...)
+	c.Fused = append([]string(nil), s.Fused...)
 	if s.Pred != nil {
 		p := *s.Pred
 		if p.Iso != nil {
@@ -338,6 +370,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("conformance: scale step for %q on %q sets %d copies, want >= 1", step.Filter, step.Host, step.Copies)
 		}
 	}
+	for _, name := range s.Fused {
+		if !s.fusable(name) {
+			return fmt.Errorf("conformance: fused %q is not a single-input transform free of scale steps", name)
+		}
+	}
 	// The engine-neutral graph rules (unique streams, known endpoints,
 	// acyclicity) and full placement, checked exactly the way every engine
 	// will check them.
@@ -368,6 +405,9 @@ func (s *Spec) String() string {
 	}
 	if s.Pred != nil {
 		fmt.Fprintf(&b, " pred=%s", s.Pred)
+	}
+	if len(s.Fused) > 0 {
+		fmt.Fprintf(&b, " fused=%v", s.Fused)
 	}
 	b.WriteString(")\n")
 	fmt.Fprintf(&b, "  hosts:")
@@ -421,6 +461,12 @@ type GenConfig struct {
 	// Transport and Elastic), so a seed's base pipeline is identical with
 	// the flag on or off.
 	Pushdown bool
+	// Fused fuses transforms into their producers (Spec.Fused): every
+	// eligible transform — exactly one input stream, no scale step — is
+	// drawn with probability 1/2, and at least one is taken when any is
+	// eligible. The draws come after even the pushdown draws, so a seed's
+	// base pipeline is identical with the flag on or off.
+	Fused bool
 }
 
 func (c GenConfig) withDefaults() GenConfig {
@@ -601,6 +647,26 @@ func Generate(seed int64, cfg GenConfig) *Spec {
 	if cfg.Pushdown {
 		lo := float32(rng.Float64() * 1.2)
 		s.Pred = &dataset.Predicate{Iso: &dataset.IsoRange{Lo: lo, Hi: lo + float32(rng.Float64()*0.6)}}
+	}
+
+	// Fusion draws come after everything else (the seed-stability rule once
+	// more). Chains arise on their own: a fused transform whose producer is
+	// also fused nests the fusions.
+	if cfg.Fused {
+		var eligible []string
+		for _, f := range s.Filters {
+			if s.fusable(f.Name) {
+				eligible = append(eligible, f.Name)
+			}
+		}
+		for _, name := range eligible {
+			if rng.Intn(2) == 0 {
+				s.Fused = append(s.Fused, name)
+			}
+		}
+		if len(s.Fused) == 0 && len(eligible) > 0 {
+			s.Fused = []string{eligible[rng.Intn(len(eligible))]}
+		}
 	}
 	return s
 }

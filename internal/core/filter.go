@@ -41,3 +41,7 @@ type BaseFilter = exec.BaseFilter
 
 // ErrCancelled is returned by Ctx.Write when the run has been aborted.
 var ErrCancelled = exec.ErrCancelled
+
+// Fuse runs two filters as one, the stream between them kept in memory; see
+// exec.Fuse.
+func Fuse(up, down Filter, stream string) Filter { return exec.Fuse(up, down, stream) }

@@ -22,6 +22,7 @@ type Graph struct {
 	filterOrder []string
 	streams     []StreamSpec
 	byName      map[string]int
+	err         error // set by Fail
 }
 
 // NewGraph returns an empty graph.
@@ -55,6 +56,14 @@ func (g *Graph) Connect(from, to, streamName string) *Graph {
 	return g
 }
 
+// Fail marks the graph unbuildable: Validate, and so every engine's
+// NewRunner, returns err. A builder whose signature has no error result
+// reports a bad specification this way.
+func (g *Graph) Fail(err error) *Graph {
+	g.err = err
+	return g
+}
+
 // Filters returns the filter names in registration order.
 func (g *Graph) Filters() []string {
 	out := make([]string, len(g.filterOrder))
@@ -75,6 +84,9 @@ func (g *Graph) Factory(name string) FilterFactory { return g.filters[name] }
 // Validate checks that every stream endpoint exists and the graph is
 // acyclic.
 func (g *Graph) Validate() error {
+	if g.err != nil {
+		return g.err
+	}
 	if len(g.filters) == 0 {
 		return fmt.Errorf("core: graph has no filters")
 	}

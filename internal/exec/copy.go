@@ -123,7 +123,7 @@ func (c *Copy) addOutput(st *stream) {
 func (c *Copy) contain(phase string, call func(*Copy) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("filter panicked: %v", r)
+			err = panicError(r)
 		}
 		if err != nil {
 			err = fmt.Errorf("%s: filter %s copy %d (%s): %w", c.rt.cfg.Engine, c.in.name, c.in.index, phase, err)
@@ -131,6 +131,9 @@ func (c *Copy) contain(phase string, call func(*Copy) error) (err error) {
 	}()
 	return call(c)
 }
+
+// panicError is what a recovered filter panic is reported as.
+func panicError(r any) error { return fmt.Errorf("filter panicked: %v", r) }
 
 func (c *Copy) event(k obs.Kind, stream string) obs.Event {
 	return obs.Event{Kind: k, Filter: c.in.name, Copy: c.in.index, Host: c.in.host, Stream: stream, UOW: c.u.index}

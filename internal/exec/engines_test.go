@@ -25,22 +25,24 @@ import (
 // slow per buffer. With queue capacity 1 that forces a read stall (K waits
 // for S's first buffer) and write stalls (S waits for K) on every engine.
 type tinySource struct {
-	core.BaseFilter
 	n       int
-	panicAt string
+	panicAt panicAt
 }
 
-func (s *tinySource) phase(p string) error {
-	if s.panicAt == p {
+// panicAt names the phase a tiny filter panics in ("" = none).
+type panicAt string
+
+func (at panicAt) phase(p string) error {
+	if string(at) == p {
 		panic("synthetic " + p + " panic")
 	}
 	return nil
 }
 
-func (s *tinySource) Init(core.Ctx) error     { return s.phase("init") }
-func (s *tinySource) Finalize(core.Ctx) error { return s.phase("finalize") }
+func (s *tinySource) Init(core.Ctx) error     { return s.panicAt.phase("init") }
+func (s *tinySource) Finalize(core.Ctx) error { return s.panicAt.phase("finalize") }
 func (s *tinySource) Process(ctx core.Ctx) error {
-	s.phase("process")
+	s.panicAt.phase("process")
 	time.Sleep(5 * time.Millisecond)
 	ctx.Compute(0.005)
 	for i := 0; i < s.n; i++ {
@@ -49,6 +51,30 @@ func (s *tinySource) Process(ctx core.Ctx) error {
 		}
 	}
 	return nil
+}
+
+// tinyTail swallows stream t inside a fusion and panics where told — in
+// Process with its upstream part still producing.
+type tinyTail struct{ panicAt panicAt }
+
+func (f tinyTail) Init(core.Ctx) error     { return f.panicAt.phase("init") }
+func (f tinyTail) Finalize(core.Ctx) error { return f.panicAt.phase("finalize") }
+func (f tinyTail) Process(ctx core.Ctx) error {
+	for {
+		if _, ok := ctx.Read("t"); !ok {
+			return nil
+		}
+		f.panicAt.phase("process")
+	}
+}
+
+// newTinySource builds filter S: the source panicking in phase at, or —
+// fused — a healthy source with the panicking tail fused onto stream t.
+func newTinySource(at string, fused bool) core.Filter {
+	if fused {
+		return core.Fuse(&tinySource{n: 6}, tinyTail{panicAt(at)}, "t")
+	}
+	return &tinySource{n: 6, panicAt: panicAt(at)}
 }
 
 type tinySink struct{ core.BaseFilter }
@@ -65,25 +91,33 @@ func (tinySink) Process(ctx core.Ctx) error {
 
 func init() {
 	dist.RegisterFilter("tiny.source", func(params []byte) (core.Filter, error) {
-		return &tinySource{n: 6, panicAt: string(params)}, nil
+		return newTinySource(string(params), false), nil
+	})
+	dist.RegisterFilter("tiny.fused", func(params []byte) (core.Filter, error) {
+		return newTinySource(string(params), true), nil
 	})
 	dist.RegisterFilter("tiny.sink", func([]byte) (core.Filter, error) { return tinySink{}, nil })
 }
 
-func tinyCoreGraph(panicAt string) (*core.Graph, *core.Placement) {
+// tinyCoreGraph is S -> K, or — fused — S alone, stream t inside it.
+func tinyCoreGraph(panicAt string, fused bool) (*core.Graph, *core.Placement) {
 	g := core.NewGraph()
-	g.AddFilter("S", func() core.Filter { return &tinySource{n: 6, panicAt: panicAt} })
-	g.AddFilter("K", func() core.Filter { return tinySink{} })
-	g.Connect("S", "K", "t")
-	return g, core.NewPlacement().Place("S", "h", 1).Place("K", "h", 1)
+	g.AddFilter("S", func() core.Filter { return newTinySource(panicAt, fused) })
+	pl := core.NewPlacement().Place("S", "h", 1)
+	if !fused {
+		g.AddFilter("K", func() core.Filter { return tinySink{} })
+		g.Connect("S", "K", "t")
+		pl.Place("K", "h", 1)
+	}
+	return g, pl
 }
 
 // tinyRun runs the tiny graph on one engine under DD with queue capacity 1.
 // w is the dist engine's worker (nil elsewhere).
-func tinyRun(engine, panicAt string, o *obs.Observer, w *dist.Worker) error {
+func tinyRun(engine, panicAt string, fused bool, o *obs.Observer, w *dist.Worker) error {
 	switch engine {
 	case "core":
-		g, pl := tinyCoreGraph(panicAt)
+		g, pl := tinyCoreGraph(panicAt, fused)
 		r, err := core.NewRunner(g, pl, core.Options{Policy: core.DemandDriven(), QueueCap: 1, Obs: o})
 		if err != nil {
 			return err
@@ -94,7 +128,7 @@ func tinyRun(engine, panicAt string, o *obs.Observer, w *dist.Worker) error {
 		cl := cluster.New(sim.NewKernel())
 		cl.AddHost(cluster.HostSpec{Name: "h", Cores: 2, Speed: 1, NICBandwidth: 100e6,
 			Disks: []cluster.DiskSpec{{SeekSeconds: 0.001, Bandwidth: 50e6}}})
-		g, pl := tinyCoreGraph(panicAt)
+		g, pl := tinyCoreGraph(panicAt, fused)
 		r, err := simrt.NewRunner(g, pl, cl, simrt.Options{Policy: core.DemandDriven(), QueueCap: 1, Obs: o})
 		if err != nil {
 			return err
@@ -106,9 +140,12 @@ func tinyRun(engine, panicAt string, o *obs.Observer, w *dist.Worker) error {
 		Filters: []dist.FilterSpec{{Name: "S", Kind: "tiny.source", Params: []byte(panicAt)}, {Name: "K", Kind: "tiny.sink"}},
 		Streams: []core.StreamSpec{{Name: "t", From: "S", To: "K"}},
 	}
-	_, err := dist.Run(map[string]string{"h": w.Addr()}, spec,
-		[]dist.PlacementEntry{{Filter: "S", Host: "h", Copies: 1}, {Filter: "K", Host: "h", Copies: 1}},
-		dist.Options{Policy: "DD", QueueCap: 1}, nil)
+	pl := []dist.PlacementEntry{{Filter: "S", Host: "h", Copies: 1}, {Filter: "K", Host: "h", Copies: 1}}
+	if fused {
+		spec.Filters[0].Kind = "tiny.fused"
+		spec.Filters, spec.Streams, pl = spec.Filters[:1], nil, pl[:1]
+	}
+	_, err := dist.Run(map[string]string{"h": w.Addr()}, spec, pl, dist.Options{Policy: "DD", QueueCap: 1}, nil)
 	return err
 }
 
@@ -129,27 +166,34 @@ func startWorker(t *testing.T, o *obs.Observer) *dist.Worker {
 // A panicking filter must fail its own run — in any phase, on any engine,
 // with the failure attributed "<engine>: filter F copy N (phase): …" — and
 // nothing else: a dist worker is shared by every tenant, so it must accept
-// and complete the next session afterwards.
+// and complete the next session afterwards. The same holds when the panic
+// is in the downstream part of a fusion: it is filter S's failure.
 func TestPanicContainedInEveryPhaseOnEveryEngine(t *testing.T) {
 	for _, engine := range []string{"core", "simrt", "dist"} {
 		for _, phase := range []string{"init", "process", "finalize"} {
-			t.Run(engine+"/"+phase, func(t *testing.T) {
-				leakcheck.Check(t)
-				var w *dist.Worker
-				if engine == "dist" {
-					w = startWorker(t, nil)
+			for _, fused := range []bool{false, true} {
+				name := engine + "/" + phase
+				if fused {
+					name += "/fused"
 				}
-				err := tinyRun(engine, phase, nil, w)
-				want := fmt.Sprintf("%s: filter S copy 0 (%s): filter panicked: synthetic %s panic", engine, phase, phase)
-				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Fatalf("error = %v, want it to contain %q", err, want)
-				}
-				if w != nil {
-					if err := tinyRun(engine, "", nil, w); err != nil {
-						t.Fatalf("worker did not complete the next session: %v", err)
+				t.Run(name, func(t *testing.T) {
+					leakcheck.Check(t)
+					var w *dist.Worker
+					if engine == "dist" {
+						w = startWorker(t, nil)
 					}
-				}
-			})
+					err := tinyRun(engine, phase, fused, nil, w)
+					want := fmt.Sprintf("%s: filter S copy 0 (%s): filter panicked: synthetic %s panic", engine, phase, phase)
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("error = %v, want it to contain %q", err, want)
+					}
+					if w != nil {
+						if err := tinyRun(engine, "", fused, nil, w); err != nil {
+							t.Fatalf("worker did not complete the next session: %v", err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -171,7 +215,7 @@ func TestOneMetricAndEventVocabulary(t *testing.T) {
 		if engine == "dist" {
 			w = startWorker(t, o)
 		}
-		if err := tinyRun(engine, "", o, w); err != nil {
+		if err := tinyRun(engine, "", false, o, w); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
 		var names []string

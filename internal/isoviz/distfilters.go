@@ -16,8 +16,8 @@ import (
 // are reconstructed worker-side (a synthetic field from its seed, or an
 // on-disk store from its directory).
 
-// FieldREParams parameterizes a ReadExtractFilter over a synthetic field
-// source for distributed runs.
+// FieldREParams parameterizes an RE filter over a synthetic field source
+// for distributed runs.
 type FieldREParams struct {
 	Seed       int64
 	Plumes     int
@@ -25,7 +25,7 @@ type FieldREParams struct {
 	BX, BY, BZ int
 }
 
-// StoreREParams parameterizes a ReadExtractFilter over an on-disk store.
+// StoreREParams parameterizes an RE filter over an on-disk store.
 // Readahead/ReadaheadBytes configure chunk prefetching along the copy's
 // planned read order; Mmap switches the store to memory-mapped reads.
 // Pushdown/Pred enable near-storage predicate pruning: the params travel in
@@ -69,7 +69,7 @@ func init() {
 			return nil, fmt.Errorf("isoviz: bad RE-field params: %w", err)
 		}
 		src := NewFieldSource(volume.NewPlumeField(p.Seed, p.Plumes), p.GX, p.GY, p.GZ, p.BX, p.BY, p.BZ)
-		return &ReadExtractFilter{Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamTriangles}, nil
+		return fuseRE(&ReadFilter{Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamVoxels}), nil
 	})
 	dist.RegisterFilter(KindREStore, func(params []byte) (core.Filter, error) {
 		var p StoreREParams
@@ -87,10 +87,10 @@ func init() {
 			}
 		}
 		src := &StoreSource{St: st, Readahead: p.Readahead, ReadaheadBytes: p.ReadaheadBytes}
-		return &storeRE{st: st, ReadExtractFilter: &ReadExtractFilter{
-			Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamTriangles,
+		return fuseRE(&storeRE{st: st, ReadFilter: &ReadFilter{
+			Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamVoxels,
 			Pushdown: p.Pushdown, Pred: p.Pred,
-		}}, nil
+		}}), nil
 	})
 	dist.RegisterFilter(KindRasterAP, func([]byte) (core.Filter, error) {
 		return &RasterAPFilter{In: StreamTriangles, Out: StreamPixels}, nil
@@ -103,11 +103,18 @@ func init() {
 	})
 }
 
-// storeRE is the RE filter KindREStore builds. It opened the store, so it
-// owns it: the copy runtime calls Close when it retires the copy (a Source
-// a caller hands to a ReadExtractFilter stays the caller's to close).
+// fuseRE completes the RE filter of the distributed graphs: read fused
+// with extraction over the in-memory voxel stream.
+func fuseRE(read core.Filter) core.Filter {
+	return core.Fuse(read, &ExtractFilter{In: StreamVoxels, Out: StreamTriangles}, StreamVoxels)
+}
+
+// storeRE is the read stage of the RE filter KindREStore builds. It opened
+// the store, so it owns it: the copy runtime calls Close when it retires the
+// copy, and the fusion forwards it (a Source a caller hands to a ReadFilter
+// stays the caller's to close).
 type storeRE struct {
-	*ReadExtractFilter
+	*ReadFilter
 	st *dataset.Store
 }
 

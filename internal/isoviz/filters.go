@@ -9,7 +9,6 @@ import (
 	"datacutter/internal/mcubes"
 	"datacutter/internal/obs"
 	"datacutter/internal/render"
-	"datacutter/internal/volume"
 )
 
 // viewOf extracts the View descriptor from the unit of work.
@@ -64,7 +63,9 @@ func (f *ReadFilter) Process(ctx core.Ctx) error {
 
 // triPacker accumulates extracted triangles and emits fixed-size buffers:
 // when the batch reaches the stream's buffer size or an input buffer has
-// been fully processed, the batch is sent (paper §3.1.1).
+// been fully processed, the batch is sent (paper §3.1.1). The batch grows
+// on demand — a fused output stream has no size bound to preallocate — so
+// a caller that runs every unit of work hands the grown batch back in.
 type triPacker struct {
 	out   string
 	cap   int
@@ -76,7 +77,7 @@ func newTriPacker(ctx core.Ctx, out string) *triPacker {
 	if capTris < 1 {
 		capTris = 1
 	}
-	return &triPacker{out: out, cap: capTris, batch: make([]geom.Triangle, 0, capTris)}
+	return &triPacker{out: out, cap: capTris}
 }
 
 func (p *triPacker) add(ctx core.Ctx, t geom.Triangle) error {
@@ -98,23 +99,13 @@ func (p *triPacker) flush(ctx core.Ctx) error {
 	return ctx.Write(p.out, core.Buffer{Payload: b, Size: b.Bytes()})
 }
 
-// extractBlock runs isosurface extraction on one chunk, feeding the packer.
-func extractBlock(ctx core.Ctx, v *volume.Volume, iso float32, p *triPacker) error {
-	var werr error
-	mcubes.Walk(v, iso, func(t geom.Triangle) {
-		if werr == nil {
-			werr = p.add(ctx, t)
-		}
-	})
-	return werr
-}
-
 // ExtractFilter turns voxel chunks into triangle batches via marching
 // cubes. Voxels are independent, so any number of transparent copies may
 // run (paper §3.1.1).
 type ExtractFilter struct {
 	core.BaseFilter
 	In, Out string
+	scratch []geom.Triangle // the packer's batch, kept across units of work
 }
 
 // Process implements core.Filter.
@@ -124,6 +115,8 @@ func (f *ExtractFilter) Process(ctx core.Ctx) error {
 		return err
 	}
 	packer := newTriPacker(ctx, f.Out)
+	packer.batch = f.scratch[:0]
+	defer func() { f.scratch = packer.batch }()
 	for {
 		b, ok := ctx.Read(f.In)
 		if !ok {
@@ -133,8 +126,14 @@ func (f *ExtractFilter) Process(ctx core.Ctx) error {
 		if !ok {
 			return fmt.Errorf("isoviz: extract got %T", b.Payload)
 		}
-		if err := extractBlock(ctx, vb.V, view.Iso, packer); err != nil {
-			return err
+		var werr error
+		mcubes.Walk(vb.V, view.Iso, func(t geom.Triangle) {
+			if werr == nil {
+				werr = packer.add(ctx, t)
+			}
+		})
+		if werr != nil {
+			return werr
 		}
 		// End of input buffer: send what we have (keeps the pipeline busy).
 		if err := packer.flush(ctx); err != nil {
@@ -144,19 +143,6 @@ func (f *ExtractFilter) Process(ctx core.Ctx) error {
 }
 
 // ---- Raster filter (Ra), z-buffer variant ----
-
-// zbufState is the per-unit-of-work accumulator of a z-buffer raster copy.
-type zbufState struct {
-	z  *render.ZBuffer
-	rr *render.Raster
-}
-
-func newZbufState(view View) *zbufState {
-	return &zbufState{
-		z:  render.NewZBuffer(view.Width, view.Height),
-		rr: render.NewRaster(view.Camera, view.Width, view.Height),
-	}
-}
 
 // sendZBuffer ships the full z-buffer in fixed-size chunks on out. This is
 // the pixel-merging phase of the z-buffer algorithm: it happens only after
@@ -189,7 +175,8 @@ func sendZBuffer(ctx core.Ctx, z *render.ZBuffer, out string) error {
 // transmits the whole buffer at end-of-work.
 type RasterZFilter struct {
 	In, Out string
-	st      *zbufState
+	z       *render.ZBuffer // the per-unit-of-work accumulator
+	rr      *render.Raster
 }
 
 // Init implements core.Filter: the z-buffer is allocated and initialized
@@ -202,7 +189,8 @@ func (f *RasterZFilter) Init(ctx core.Ctx) error {
 		return err
 	}
 	ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
-	f.st = newZbufState(view)
+	f.z = render.NewZBuffer(view.Width, view.Height)
+	f.rr = render.NewRaster(view.Camera, view.Width, view.Height)
 	return nil
 }
 
@@ -212,19 +200,19 @@ func (f *RasterZFilter) Process(ctx core.Ctx) error {
 		b, ok := ctx.Read(f.In)
 		if !ok {
 			// End-of-work marker received: enter the pixel merging phase.
-			return sendZBuffer(ctx, f.st.z, f.Out)
+			return sendZBuffer(ctx, f.z, f.Out)
 		}
 		tb, ok := b.Payload.(TriBatch)
 		if !ok {
 			return fmt.Errorf("isoviz: raster got %T", b.Payload)
 		}
-		f.st.rr.DrawAll(tb.Tris, f.st.z)
+		f.rr.DrawAll(tb.Tris, f.z)
 	}
 }
 
 // Finalize implements core.Filter.
 func (f *RasterZFilter) Finalize(core.Ctx) error {
-	f.st = nil // release the frame (paper: finalize frees scratch space)
+	f.z, f.rr = nil, nil // release the frame (paper: finalize frees scratch space)
 	return nil
 }
 
@@ -282,6 +270,33 @@ func (f *RasterAPFilter) Process(ctx core.Ctx) error {
 func (f *RasterAPFilter) Finalize(core.Ctx) error {
 	f.st = nil
 	return nil
+}
+
+// apState bundles an active-pixel rasterizer whose flushes write buffers.
+type apState struct {
+	rr   *render.Raster
+	ap   *render.ActivePixels
+	out  string
+	ctx  core.Ctx
+	werr error
+}
+
+// newAPState must run in Process (buffer sizes are resolved after Init).
+func newAPState(ctx core.Ctx, view View, out string) *apState {
+	s := &apState{out: out}
+	capPixels := ctx.BufferBytes(out) / render.PixelBytes
+	if capPixels < 1 {
+		capPixels = 1
+	}
+	s.rr = render.NewRaster(view.Camera, view.Width, view.Height)
+	s.ap = render.NewActivePixels(view.Width, view.Height, capPixels, func(px []render.Pixel) {
+		if s.werr != nil {
+			return
+		}
+		batch := PixBatch{Pixels: append([]render.Pixel(nil), px...)}
+		s.werr = s.ctx.Write(s.out, core.Buffer{Payload: batch, Size: batch.Bytes()})
+	})
+	return s
 }
 
 // ---- Merge filter (M) ----

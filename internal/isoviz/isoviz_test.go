@@ -277,14 +277,14 @@ func (f fakeCtx) TotalCopies() int { return f.total }
 func (f fakeCtx) Host() string     { return f.host }
 
 func TestConfigStrings(t *testing.T) {
-	if FullPipeline.String() != "R-E-Ra-M" || CombinedAll.String() != "RERa-M" ||
-		ReadExtract.String() != "RE-Ra-M" || ExtractRaster.String() != "R-ERa-M" {
-		t.Fatal("config names wrong")
-	}
-	if ReadExtract.SourceFilter() != "RE" || ReadExtract.WorkerFilter() != "Ra" {
-		t.Fatal("ReadExtract filter names wrong")
-	}
-	if CombinedAll.WorkerFilter() != "" {
-		t.Fatal("CombinedAll has no separate worker")
+	for cfg, want := range map[Config][3]string{
+		FullPipeline:  {"R-E-Ra-M", "R", "Ra"},
+		ReadExtract:   {"RE-Ra-M", "RE", "Ra"},
+		ExtractRaster: {"R-ERa-M", "R", "ERa"},
+		CombinedAll:   {"RERa-M", "RERa", ""},
+	} {
+		if got := [3]string{cfg.String(), cfg.SourceFilter(), cfg.WorkerFilter()}; got != want {
+			t.Errorf("config %d: name, source, worker = %q, want %q", cfg, got, want)
+		}
 	}
 }

@@ -141,9 +141,10 @@ func (f *ModelExtract) Process(ctx core.Ctx) error {
 		if !ok {
 			return fmt.Errorf("isoviz: model extract got %T", b.Payload)
 		}
-		cellCost, perTri := splitExtractCost(f.Costs, mc.Stats)
-		ctx.Compute(cellCost)
-		if err := em.add(ctx, mc.Stats.Tris, perTri); err != nil {
+		// The cell scan is charged up front, triangle generation as the
+		// buffers fill.
+		ctx.Compute(float64(mc.Stats.Cells) * f.Costs.CellSeconds)
+		if err := em.add(ctx, mc.Stats.Tris, f.Costs.TriGenSeconds); err != nil {
 			return err
 		}
 		if err := em.flush(ctx); err != nil {
@@ -231,17 +232,13 @@ func (f *ModelRaster) Init(ctx core.Ctx) error {
 	}
 	f.view = view
 	f.pxPerTri = f.Costs.PxPerTri(view, f.W.TotalTris(view.Timestep))
-	f.declare(ctx)
-	f.ap = nil
-	return nil
-}
-
-func (f *ModelRaster) declare(ctx core.Ctx) {
 	if f.Alg == ZBuffer {
 		ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
 	} else {
 		ctx.DeclareBuffer(f.Out, 0, WPABufferBytes)
 	}
+	f.ap = nil
+	return nil
 }
 
 // Process implements core.Filter.
@@ -325,163 +322,6 @@ func (f *ModelMerge) Finalize(ctx core.Ctx) error {
 	return nil
 }
 
-// ModelReadExtract mirrors ReadExtractFilter (RE).
-type ModelReadExtract struct {
-	core.BaseFilter
-	W      *Workload
-	Dist   *dataset.Distribution
-	Assign Assign
-	Out    string
-	Costs  CostModel
-}
-
-// Process implements core.Filter.
-func (f *ModelReadExtract) Process(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	rd := &ModelRead{W: f.W, Dist: f.Dist, Costs: f.Costs}
-	em := newModelTriEmitter(ctx, f.Out)
-	for _, chunk := range f.Assign(ctx) {
-		st := f.W.Stats(chunk, view.Timestep)
-		ctx.ChargeDisk(rd.diskOf(chunk), st.Bytes)
-		cellCost, perTri := splitExtractCost(f.Costs, st)
-		ctx.Compute(float64(st.Bytes)*f.Costs.ReadCPUPerByte + cellCost)
-		if err := em.add(ctx, st.Tris, perTri); err != nil {
-			return err
-		}
-		if err := em.flush(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// splitExtractCost divides a chunk's extract cost into the cell-scan part
-// (charged up front) and a per-triangle part (charged as buffers fill).
-func splitExtractCost(c CostModel, st ChunkStats) (cellCost, perTri float64) {
-	cellCost = float64(st.Cells) * c.CellSeconds
-	if st.Tris > 0 {
-		perTri = c.TriGenSeconds
-	}
-	return cellCost, perTri
-}
-
-// ModelExtractRaster mirrors ExtractRasterZFilter / ExtractRasterAPFilter
-// (ERa).
-type ModelExtractRaster struct {
-	In, Out string
-	Alg     Algorithm
-	W       *Workload
-	Costs   CostModel
-
-	view     View
-	pxPerTri float64
-	ap       *modelAPEmitter
-}
-
-// Init implements core.Filter.
-func (f *ModelExtractRaster) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	f.view = view
-	f.pxPerTri = f.Costs.PxPerTri(view, f.W.TotalTris(view.Timestep))
-	(&ModelRaster{Alg: f.Alg, Out: f.Out}).declare(ctx)
-	return nil
-}
-
-// Process implements core.Filter.
-func (f *ModelExtractRaster) Process(ctx core.Ctx) error {
-	if f.Alg == ActivePixel {
-		f.ap = newModelAPEmitter(ctx, f.Out)
-	}
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			if f.Alg == ZBuffer {
-				return emitModelZFrame(ctx, f.view, f.Out)
-			}
-			return f.ap.flushInput(ctx)
-		}
-		mc, ok := b.Payload.(MChunk)
-		if !ok {
-			return fmt.Errorf("isoviz: model extract-raster got %T", b.Payload)
-		}
-		st := mc.Stats
-		ctx.Compute(f.Costs.ExtractSeconds(st.Cells, st.Tris) + f.Costs.RasterSeconds(st.Tris, f.pxPerTri))
-		if f.Alg == ActivePixel {
-			if err := f.ap.add(ctx, float64(st.Tris)*f.pxPerTri*f.Costs.APDedupFactor); err != nil {
-				return err
-			}
-			if err := f.ap.flushInput(ctx); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// Finalize implements core.Filter.
-func (f *ModelExtractRaster) Finalize(core.Ctx) error { return nil }
-
-// ModelReadExtractRaster mirrors the RERa combined filters.
-type ModelReadExtractRaster struct {
-	Out    string
-	Alg    Algorithm
-	W      *Workload
-	Dist   *dataset.Distribution
-	Assign Assign
-	Costs  CostModel
-
-	view     View
-	pxPerTri float64
-}
-
-// Init implements core.Filter.
-func (f *ModelReadExtractRaster) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	f.view = view
-	f.pxPerTri = f.Costs.PxPerTri(view, f.W.TotalTris(view.Timestep))
-	(&ModelRaster{Alg: f.Alg, Out: f.Out}).declare(ctx)
-	return nil
-}
-
-// Process implements core.Filter.
-func (f *ModelReadExtractRaster) Process(ctx core.Ctx) error {
-	rd := &ModelRead{W: f.W, Dist: f.Dist, Costs: f.Costs}
-	var ap *modelAPEmitter
-	if f.Alg == ActivePixel {
-		ap = newModelAPEmitter(ctx, f.Out)
-	}
-	for _, chunk := range f.Assign(ctx) {
-		st := f.W.Stats(chunk, f.view.Timestep)
-		ctx.ChargeDisk(rd.diskOf(chunk), st.Bytes)
-		ctx.Compute(float64(st.Bytes)*f.Costs.ReadCPUPerByte +
-			f.Costs.ExtractSeconds(st.Cells, st.Tris) +
-			f.Costs.RasterSeconds(st.Tris, f.pxPerTri))
-		if f.Alg == ActivePixel {
-			if err := ap.add(ctx, float64(st.Tris)*f.pxPerTri*f.Costs.APDedupFactor); err != nil {
-				return err
-			}
-			if err := ap.flushInput(ctx); err != nil {
-				return err
-			}
-		}
-	}
-	if f.Alg == ZBuffer {
-		return emitModelZFrame(ctx, f.view, f.Out)
-	}
-	return ap.flushInput(ctx)
-}
-
-// Finalize implements core.Filter.
-func (f *ModelReadExtractRaster) Finalize(core.Ctx) error { return nil }
-
 // ModelSpec assembles a model pipeline graph with the same filter and
 // stream names as PipelineSpec, so placements are interchangeable.
 type ModelSpec struct {
@@ -493,49 +333,16 @@ type ModelSpec struct {
 	Costs  CostModel
 }
 
-// Build constructs the model graph.
+// Build constructs the model graph: the same grouping-driven builder as
+// PipelineSpec.Build, so a fused model filter is the model stages fused.
 func (s ModelSpec) Build() *core.Graph {
-	g := core.NewGraph()
-	switch s.Config {
-	case FullPipeline:
-		g.AddFilter("R", func() core.Filter {
+	return s.Config.build([...]core.FilterFactory{
+		func() core.Filter {
 			return &ModelRead{W: s.W, Dist: s.Dist, Assign: s.Assign, Out: StreamVoxels, Costs: s.Costs}
-		})
-		g.AddFilter("E", func() core.Filter {
-			return &ModelExtract{In: StreamVoxels, Out: StreamTriangles, Costs: s.Costs}
-		})
-		g.AddFilter("Ra", func() core.Filter {
+		},
+		func() core.Filter { return &ModelExtract{In: StreamVoxels, Out: StreamTriangles, Costs: s.Costs} },
+		func() core.Filter {
 			return &ModelRaster{In: StreamTriangles, Out: StreamPixels, Alg: s.Alg, W: s.W, Costs: s.Costs}
-		})
-		g.Connect("R", "E", StreamVoxels)
-		g.Connect("E", "Ra", StreamTriangles)
-		g.Connect("Ra", "M", StreamPixels)
-	case CombinedAll:
-		g.AddFilter("RERa", func() core.Filter {
-			return &ModelReadExtractRaster{Out: StreamPixels, Alg: s.Alg, W: s.W, Dist: s.Dist, Assign: s.Assign, Costs: s.Costs}
-		})
-		g.Connect("RERa", "M", StreamPixels)
-	case ReadExtract:
-		g.AddFilter("RE", func() core.Filter {
-			return &ModelReadExtract{W: s.W, Dist: s.Dist, Assign: s.Assign, Out: StreamTriangles, Costs: s.Costs}
-		})
-		g.AddFilter("Ra", func() core.Filter {
-			return &ModelRaster{In: StreamTriangles, Out: StreamPixels, Alg: s.Alg, W: s.W, Costs: s.Costs}
-		})
-		g.Connect("RE", "Ra", StreamTriangles)
-		g.Connect("Ra", "M", StreamPixels)
-	case ExtractRaster:
-		g.AddFilter("R", func() core.Filter {
-			return &ModelRead{W: s.W, Dist: s.Dist, Assign: s.Assign, Out: StreamVoxels, Costs: s.Costs}
-		})
-		g.AddFilter("ERa", func() core.Filter {
-			return &ModelExtractRaster{In: StreamVoxels, Out: StreamPixels, Alg: s.Alg, W: s.W, Costs: s.Costs}
-		})
-		g.Connect("R", "ERa", StreamVoxels)
-		g.Connect("ERa", "M", StreamPixels)
-	default:
-		panic("isoviz: unknown config")
-	}
-	g.AddFilter("M", func() core.Filter { return &ModelMerge{In: StreamPixels, Costs: s.Costs} })
-	return g
+		},
+	}, func() core.Filter { return &ModelMerge{In: StreamPixels, Costs: s.Costs} })
 }
