@@ -29,7 +29,7 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,49 +45,62 @@ import (
 	"datacutter/internal/volume"
 )
 
+// options is the parsed command line.
+type options struct {
+	exp, scale string
+	all, list  bool
+	trace      string
+	metrics    bool
+	demo       demoConfig
+	transport  string
+}
+
+// parseFlags parses args (without the program name). Errors and -h are
+// reported on stderr by the flag package; the caller only picks the exit code.
+func parseFlags(args []string) (options, error) {
+	var f options
+	fs := flag.NewFlagSet("dcbench", flag.ContinueOnError)
+	fs.StringVar(&f.exp, "exp", "", "experiment id (table1..table5, fig4, fig5, fig7)")
+	fs.StringVar(&f.scale, "scale", "quick", "workload scale: quick | full")
+	fs.BoolVar(&f.all, "all", false, "run every experiment")
+	fs.BoolVar(&f.list, "list", false, "list experiment ids")
+	fs.StringVar(&f.trace, "trace", "", "write Chrome trace_event JSON to this file")
+	fs.BoolVar(&f.metrics, "metrics", false, "print the metrics registry snapshot after the run")
+	fs.StringVar(&f.demo.policy, "policy", "DD", "demo pipeline default writer policy: RR | WRR | DD | DD/<k>")
+	fs.StringVar(&f.demo.streams, "stream-policy", "", "demo pipeline per-stream overrides, e.g. 'triangles=DD/8,pixels=WRR'")
+	fs.Int64Var(&f.demo.seed, "seed", 42, "demo pipeline synthetic-field seed")
+
+	fs.StringVar(&f.transport, "transport", "", "run the demo on the dist engine over in-process workers with this peer data plane: tcp | auto | ring")
+	fs.StringVar(&f.demo.dir, "dir", "", "datagen dataset directory for the demo source (default: synthetic field)")
+	fs.IntVar(&f.demo.readahead, "readahead", 0, "chunks the demo prefetches ahead of the planned read order (with -dir)")
+	fs.BoolVar(&f.demo.mmap, "mmap", false, "memory-map the demo dataset instead of pread (with -dir)")
+	if err := fs.Parse(args); err != nil {
+		return f, err
+	}
+	var err error
+	switch {
+	case (f.demo.readahead > 0 || f.demo.mmap) && f.demo.dir == "":
+		err = errors.New("-readahead/-mmap tune on-disk store reads; they need -dir")
+	case !f.all && !f.list && f.exp == "" && f.trace == "" && !f.metrics && f.transport == "" && f.demo.dir == "":
+		err = errors.New("need -exp <id>, -all, -list, -trace, -metrics, -transport, or -dir")
+	}
+	if err != nil {
+		fmt.Fprintln(fs.Output(), "dcbench:", err)
+		fs.Usage()
+	}
+	return f, err
+}
+
 func main() {
-	var (
-		exp     = flag.String("exp", "", "experiment id (table1..table5, fig4, fig5, fig7)")
-		scale   = flag.String("scale", "quick", "workload scale: quick | full")
-		all     = flag.Bool("all", false, "run every experiment")
-		list    = flag.Bool("list", false, "list experiment ids")
-		trace   = flag.String("trace", "", "write Chrome trace_event JSON to this file")
-		metrics = flag.Bool("metrics", false, "print the metrics registry snapshot after the run")
-		policy  = flag.String("policy", "DD", "demo pipeline default writer policy: RR | WRR | DD | DD/<k>")
-		streams = flag.String("stream-policy", "", "demo pipeline per-stream overrides, e.g. 'triangles=DD/8,pixels=WRR'")
-		seed    = flag.Int64("seed", 42, "demo pipeline synthetic-field seed")
-
-		transport = flag.String("transport", "", "run the demo on the dist engine over in-process workers with this peer data plane: tcp | auto | ring")
-		dir       = flag.String("dir", "", "datagen dataset directory for the demo source (default: synthetic field)")
-		readahead = flag.Int("readahead", 0, "chunks the demo prefetches ahead of the planned read order (with -dir)")
-		mmapOn    = flag.Bool("mmap", false, "memory-map the demo dataset instead of pread (with -dir)")
-
-		elasticOn       = flag.Bool("elastic", false, "run the elastic hot-spot scenario: a slow worker host, autoscale off vs on")
-		elasticMin      = flag.Int("elastic-min", 1, "elastic scenario: copies per worker copy set at the start (controller floor)")
-		elasticMax      = flag.Int("elastic-max", 4, "elastic scenario: controller ceiling per copy set")
-		elasticInterval = flag.Duration("elastic-interval", 2*time.Millisecond, "elastic scenario: controller sampling interval")
-		pushdownOn      = flag.Bool("pushdown", false, "run the pushdown scenario: sparse vs dense iso-values, predicate pruning off vs on")
-		benchOut        = flag.String("bench-out", "", "scenario runs (-elastic, -pushdown): write the comparison report as JSON to this file")
-	)
-	flag.Parse()
-	if (*readahead > 0 || *mmapOn) && *dir == "" {
-		fatal(fmt.Errorf("-readahead/-mmap tune on-disk store reads; they need -dir"))
-	}
-
-	if *elasticOn {
-		if err := runElasticScenario(*elasticMin, *elasticMax, *elasticInterval, *benchOut); err != nil {
-			fatal(err)
-		}
+	f, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	if *pushdownOn {
-		if err := runPushdownScenario(*benchOut); err != nil {
-			fatal(err)
-		}
-		return
+	if err != nil {
+		os.Exit(2)
 	}
 
-	if *list {
+	if f.list {
 		for _, id := range experiments.IDs() {
 			fmt.Printf("%-8s %s\n", id, experiments.Title(id))
 		}
@@ -100,15 +113,15 @@ func main() {
 		reg    *obs.Registry
 		traceF *os.File
 	)
-	if *trace != "" || *metrics {
+	if f.trace != "" || f.metrics {
 		var sink obs.Sink
-		if *trace != "" {
-			f, err := os.Create(*trace)
+		if f.trace != "" {
+			tf, err := os.Create(f.trace)
 			if err != nil {
 				fatal(err)
 			}
-			traceF = f
-			sink = obs.NewChromeTraceSink(f)
+			traceF = tf
+			sink = obs.NewChromeTraceSink(tf)
 		}
 		reg = obs.NewRegistry()
 		o = obs.New(sink, reg)
@@ -123,48 +136,46 @@ func main() {
 			if err := traceF.Close(); err != nil {
 				fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "dcbench: wrote trace to %s (open at https://ui.perfetto.dev)\n", *trace)
+			fmt.Fprintf(os.Stderr, "dcbench: wrote trace to %s (open at https://ui.perfetto.dev)\n", f.trace)
 		}
-		if *metrics {
+		if f.metrics {
 			fmt.Fprintln(os.Stderr, "dcbench: metrics snapshot:")
 			reg.WriteJSON(os.Stdout)
 			fmt.Println()
 		}
 	}
 
-	sc, err := experiments.ParseScale(*scale)
+	sc, err := experiments.ParseScale(f.scale)
 	if err != nil {
 		fatal(err)
 	}
 	var ids []string
 	switch {
-	case *all:
+	case f.all:
 		ids = experiments.IDs()
-	case *exp != "":
-		ids = []string{*exp}
-	case o != nil || *transport != "" || *dir != "":
+	case f.exp != "":
+		ids = []string{f.exp}
+	default:
 		// No experiment selected: run the built-in demo pipeline — on the
 		// dist engine over in-process workers when -transport is set, on
 		// the core engine otherwise.
-		demo := demoConfig{
-			policy: *policy, streams: *streams, seed: *seed,
-			dir: *dir, readahead: *readahead, mmap: *mmapOn,
-		}
-		var err error
-		if *transport != "" {
-			err = runDemoDist(o, reg, demo, *transport)
+		title := "demo pipeline"
+		var stats *core.Stats
+		if f.transport != "" {
+			title = fmt.Sprintf("demo pipeline (dist, transport=%s)", f.transport)
+			stats, err = runDemoDist(o, f.demo, f.transport)
 		} else {
-			err = runDemo(o, demo)
+			stats, err = runDemo(o, f.demo)
 		}
 		if err != nil {
 			fatal(err)
 		}
+		printDemoStats(title, stats)
+		if f.transport != "" && reg != nil {
+			fmt.Printf("ring frames received: %d\n", reg.Counter("dist.rx.ring_frames").Value())
+		}
 		finish()
 		return
-	default:
-		fmt.Fprintln(os.Stderr, "dcbench: need -exp <id>, -all, -list, -trace, -transport, or -dir")
-		flag.Usage()
-		os.Exit(2)
 	}
 
 	experiments.SetObserver(o)
@@ -198,14 +209,29 @@ func demoView(timestep int) isoviz.View {
 	}
 }
 
-// demoSource builds the demo chunk source: the 97^3 synthetic field, or a
+// demoField is the synthetic demo dataset: a 97^3 plume field in 4x4x4
+// chunks. The core demo builds its source from it directly; the dist demo
+// ships it as RE params, exactly as dcsubmit does.
+func demoField(seed int64) isoviz.FieldREParams {
+	return isoviz.FieldREParams{
+		Seed: seed, Plumes: 4,
+		GX: 97, GY: 97, GZ: 97, BX: 4, BY: 4, BZ: 4,
+	}
+}
+
+// demoFieldTimestep is the timestep the demos render on the synthetic field;
+// a datagen store is rendered at its first timestep.
+const demoFieldTimestep = 3
+
+// demoSource builds the demo chunk source: the synthetic field, or a
 // datagen store with the selected read fast paths (chunk readahead along
 // the planned order, mmap reads). The returned timestep is one the source
 // actually holds.
 func demoSource(d demoConfig) (isoviz.ChunkSource, int, error) {
 	if d.dir == "" {
-		field := volume.NewPlumeField(d.seed, 4)
-		return isoviz.NewFieldSource(field, 97, 97, 97, 4, 4, 4), 3, nil
+		p := demoField(d.seed)
+		field := volume.NewPlumeField(p.Seed, p.Plumes)
+		return isoviz.NewFieldSource(field, p.GX, p.GY, p.GZ, p.BX, p.BY, p.BZ), demoFieldTimestep, nil
 	}
 	st, err := dataset.Open(d.dir)
 	if err != nil {
@@ -219,12 +245,8 @@ func demoSource(d demoConfig) (isoviz.ChunkSource, int, error) {
 	return &isoviz.StoreSource{St: st, Readahead: d.readahead}, 0, nil
 }
 
-func printDemoStats(prefix string, chunks int, stats *core.Stats) {
-	if chunks >= 0 {
-		fmt.Printf("%s: %d chunks through RE(2) -> Ra(4) -> M in %.2fs\n", prefix, chunks, stats.WallSeconds)
-	} else {
-		fmt.Printf("%s: RE(2) -> Ra(4) -> M in %.2fs\n", prefix, stats.WallSeconds)
-	}
+func printDemoStats(title string, stats *core.Stats) {
+	fmt.Printf("%s: RE(2) -> Ra(4) -> M in %.2fs\n", title, stats.WallSeconds)
 	for _, name := range stats.StreamNames() {
 		s := stats.Streams[name]
 		fmt.Printf("stream %-10s: %4d buffers, %7.2f MB\n", name, s.Buffers, float64(s.Bytes)/1e6)
@@ -237,18 +259,18 @@ func printDemoStats(prefix string, chunks int, stats *core.Stats) {
 // policy selected by -policy / -stream-policy (demand driven by default)
 // and the synthetic field derived from -seed. Every filter copy produces
 // trace events.
-func runDemo(o *obs.Observer, d demoConfig) error {
+func runDemo(o *obs.Observer, d demoConfig) (*core.Stats, error) {
 	perStream, err := exec.ParseStreamPolicies(d.streams)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cfg, err := exec.ParsePolicies(d.policy, perStream)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	source, timestep, err := demoSource(d)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	spec := isoviz.PipelineSpec{
 		Config: isoviz.ReadExtract,
@@ -267,14 +289,9 @@ func runDemo(o *obs.Observer, d demoConfig) error {
 		Obs:          o,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	stats, err := runner.Run()
-	if err != nil {
-		return err
-	}
-	printDemoStats("demo pipeline", source.Chunks(), stats)
-	return nil
+	return runner.Run()
 }
 
 // runDemoDist executes the same demo on the distributed engine: two
@@ -282,48 +299,29 @@ func runDemo(o *obs.Observer, d demoConfig) error {
 // -transport auto/ring — zero-copy in-process rings. The source is
 // reconstructed worker-side from its params exactly as dcsubmit ships it,
 // so -dir/-readahead/-mmap exercise the store fast paths per RE copy.
-func runDemoDist(o *obs.Observer, reg *obs.Registry, d demoConfig, transport string) error {
+func runDemoDist(o *obs.Observer, d demoConfig, transport string) (*core.Stats, error) {
 	perStream, err := exec.ParseStreamPolicies(d.streams)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var re dist.FilterSpec
+	var spec dist.GraphSpec
 	timestep := 0
 	if d.dir != "" {
-		raw, err := json.Marshal(isoviz.StoreREParams{
+		spec, err = isoviz.DistGraphStore(isoviz.StoreREParams{
 			Dir: d.dir, Readahead: d.readahead, Mmap: d.mmap,
-		})
-		if err != nil {
-			return err
-		}
-		re = dist.FilterSpec{Name: "RE", Kind: isoviz.KindREStore, Params: raw}
+		}, isoviz.ActivePixel)
 	} else {
-		raw, err := json.Marshal(isoviz.FieldREParams{
-			Seed: d.seed, Plumes: 4,
-			GX: 97, GY: 97, GZ: 97, BX: 4, BY: 4, BZ: 4,
-		})
-		if err != nil {
-			return err
-		}
-		re = dist.FilterSpec{Name: "RE", Kind: isoviz.KindREField, Params: raw}
-		timestep = 3
+		spec, err = isoviz.DistGraphField(demoField(d.seed), isoviz.ActivePixel)
+		timestep = demoFieldTimestep
 	}
-	spec := dist.GraphSpec{
-		Filters: []dist.FilterSpec{
-			re,
-			{Name: "Ra", Kind: isoviz.KindRasterAP},
-			{Name: "M", Kind: isoviz.KindMerge},
-		},
-		Streams: []core.StreamSpec{
-			{Name: isoviz.StreamTriangles, From: "RE", To: "Ra"},
-			{Name: isoviz.StreamPixels, From: "Ra", To: "M"},
-		},
+	if err != nil {
+		return nil, err
 	}
 	addrs := make(map[string]string, 2)
 	for _, host := range []string{"node0", "node1"} {
 		w, err := dist.NewWorker("127.0.0.1:0")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if o != nil {
 			w.SetObserver(o)
@@ -344,15 +342,7 @@ func runDemoDist(o *obs.Observer, reg *obs.Registry, d demoConfig, transport str
 		StreamPolicy: perStream,
 		Transport:    transport,
 	}
-	stats, err := dist.RunObserved(addrs, spec, placement, opts, []any{demoView(timestep)}, o)
-	if err != nil {
-		return err
-	}
-	printDemoStats(fmt.Sprintf("demo pipeline (dist, transport=%s)", transport), -1, stats)
-	if reg != nil {
-		fmt.Printf("ring frames received: %d\n", reg.Counter("dist.rx.ring_frames").Value())
-	}
-	return nil
+	return dist.RunObserved(addrs, spec, placement, opts, []any{demoView(timestep)}, o)
 }
 
 func fatal(err error) {

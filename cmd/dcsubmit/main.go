@@ -92,7 +92,6 @@ func main() {
 		grid    = flag.Int("grid", 65, "synthetic grid samples per axis (without -dir)")
 		debug   = flag.String("debug-addr", "", "serve coordinator /metrics and /debug/pprof on this address during the run")
 		metrics = flag.Bool("metrics", false, "print the coordinator metrics snapshot after the run")
-		wirebuf = flag.Int("wirebuf", 0, "coordinator-side write-coalescing buffer in bytes (default 64 KiB)")
 
 		retries     = flag.Int("uow-retries", 0, "max per-unit-of-work retries after a host loss (0 = fail fast)")
 		hbInterval  = flag.Duration("hb-interval", 0, "heartbeat interval for liveness tracking (default 1s)")
@@ -116,9 +115,6 @@ func main() {
 		}
 		cancelJob(*server, *cancelID)
 		return
-	}
-	if *wirebuf > 0 {
-		dist.SetWireBufferSize(*wirebuf)
 	}
 	if *server != "" && *faultSpec != "" {
 		fatal(fmt.Errorf("-faults is coordinator-side; with -server the job server coordinates"))
@@ -156,44 +152,24 @@ func main() {
 		fatal(fmt.Errorf("merge host %q not among workers", mergeHost))
 	}
 
-	// Pipeline spec: source reconstructed worker-side.
-	var re dist.FilterSpec
-	if *dir != "" {
-		raw, err := json.Marshal(isoviz.StoreREParams{
+	if *dir == "" && (*readahead > 0 || *mmap || *pushdown) {
+		fatal(fmt.Errorf("-readahead/-mmap/-pushdown tune on-disk store reads; they need -dir"))
+	}
+	fieldSeed := int64(2002)
+	if *seed != 0 {
+		fieldSeed = *seed
+	}
+	spec, err := pipelineGraph(
+		isoviz.StoreREParams{
 			Dir: *dir, Readahead: *readahead, ReadaheadBytes: *raBytes, Mmap: *mmap,
 			Pushdown: *pushdown,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		re = dist.FilterSpec{Name: "RE", Kind: isoviz.KindREStore, Params: raw}
-	} else {
-		if *readahead > 0 || *mmap || *pushdown {
-			fatal(fmt.Errorf("-readahead/-mmap/-pushdown tune on-disk store reads; they need -dir"))
-		}
-		fieldSeed := int64(2002)
-		if *seed != 0 {
-			fieldSeed = *seed
-		}
-		raw, err := json.Marshal(isoviz.FieldREParams{
+		},
+		isoviz.FieldREParams{
 			Seed: fieldSeed, Plumes: 5,
 			GX: *grid, GY: *grid, GZ: *grid, BX: 4, BY: 4, BZ: 4,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		re = dist.FilterSpec{Name: "RE", Kind: isoviz.KindREField, Params: raw}
-	}
-	spec := dist.GraphSpec{
-		Filters: []dist.FilterSpec{
-			re,
-			{Name: "Ra", Kind: isoviz.KindRasterAP},
-			{Name: "M", Kind: isoviz.KindMerge},
-		},
-		Streams: []core.StreamSpec{
-			{Name: isoviz.StreamTriangles, From: "RE", To: "Ra"},
-			{Name: isoviz.StreamPixels, From: "Ra", To: "M"},
-		},
+	if err != nil {
+		fatal(err)
 	}
 
 	var placement []dist.PlacementEntry
@@ -283,6 +259,16 @@ func main() {
 		fmt.Printf("  stream %-10s %6d buffers %9.2f MB %6d acks  per host: %v\n",
 			name, ss.Buffers, float64(ss.Bytes)/1e6, ss.Acks, ss.PerTargetHost)
 	}
+}
+
+// pipelineGraph is the RE -> Ra -> M spec dcsubmit ships, its source
+// reconstructed worker-side: the datagen store when store.Dir is set, the
+// synthetic field otherwise.
+func pipelineGraph(store isoviz.StoreREParams, field isoviz.FieldREParams) (dist.GraphSpec, error) {
+	if store.Dir != "" {
+		return isoviz.DistGraphStore(store, isoviz.ActivePixel)
+	}
+	return isoviz.DistGraphField(field, isoviz.ActivePixel)
 }
 
 // fetchWorkers lists the server's registered workers (host-ordered).

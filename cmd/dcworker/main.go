@@ -16,9 +16,7 @@
 // counters, flush batching gauges — dist.tx.flushes and
 // dist.tx.frames_per_flush — and stall histograms as JSON), /debug/events
 // (recent buffer-lifecycle trace events), and /debug/pprof/. With -trace,
-// every trace event is also appended to a JSONL file. -wirebuf sizes the
-// per-connection write-coalescing buffer (larger buffers batch more frames
-// per syscall on fast producers).
+// every trace event is also appended to a JSONL file.
 //
 // For chaos testing, -faults installs a deterministic fault plan (see
 // internal/faults for the grammar) on every connection this worker opens or
@@ -62,7 +60,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:9101", "address to listen on")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/events, /debug/pprof on this address (e.g. :6060)")
 	trace := flag.String("trace", "", "append buffer-lifecycle trace events to this JSONL file")
-	wirebuf := flag.Int("wirebuf", 0, "per-connection write-coalescing buffer in bytes (default 64 KiB)")
 	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. 'seed=7; drop=triangles:100; kill=data:500'")
 	dialTimeout := flag.Duration("dialtimeout", 0, "per-attempt peer dial timeout when the session options don't set one (default 10s)")
 	register := flag.String("register", "", "dcjobd base URL to register with (e.g. http://localhost:8080)")
@@ -75,9 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *wirebuf > 0 {
-		dist.SetWireBufferSize(*wirebuf)
-	}
 	if *dialTimeout > 0 {
 		dist.SetDefaultDialTimeout(*dialTimeout)
 	}

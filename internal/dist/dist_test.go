@@ -3,6 +3,7 @@ package dist_test
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,13 +65,15 @@ func init() {
 	dist.RegisterFilter("test.sink", func([]byte) (core.Filter, error) { return &intSink{}, nil })
 	dist.RegisterFilter("test.fail", func([]byte) (core.Filter, error) { return &failingFilter{}, nil })
 	dist.RegisterFilter("test.suicide", func([]byte) (core.Filter, error) {
-		return &suicideSink{w: suicideTarget}, nil
+		return &suicideSink{w: suicideTarget.Load()}, nil
 	})
 }
 
 // suicideTarget is the worker the suicide sink kills; set by the test
-// before the run (builders are registered once in init).
-var suicideTarget *dist.Worker
+// before the run (builders are registered once in init). Atomic: the builder
+// reads it on a worker goroutine, ordered after the test's store only by a
+// socket, which the race detector does not see.
+var suicideTarget atomic.Pointer[dist.Worker]
 
 // startWorkers launches n in-process workers on ephemeral localhost ports,
 // named host0..host<n-1>.
@@ -277,7 +280,7 @@ func TestDistributedIsosurfaceRender(t *testing.T) {
 func TestDistributedWorkerDeathSurfaces(t *testing.T) {
 	leakcheck.Check(t)
 	addrs, workers := startWorkers(t, 2)
-	suicideTarget = workers["host1"]
+	suicideTarget.Store(workers["host1"])
 	g := dist.GraphSpec{
 		Filters: []dist.FilterSpec{
 			{Name: "S", Kind: "test.source", Params: []byte{200}},
@@ -352,7 +355,7 @@ func TestDistributedTinyQueueStress(t *testing.T) {
 // worker must accept a fresh session after the first completes.
 func TestDistributedWorkerRefusesConcurrentSession(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
-	suicideTarget = nil
+	suicideTarget.Store(nil)
 
 	// Occupy host0 with a session that stays open (slow sink holds it).
 	started := make(chan struct{})

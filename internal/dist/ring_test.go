@@ -160,7 +160,7 @@ func TestRingTransportRejectsBadName(t *testing.T) {
 // of hanging.
 func TestRingTransportWorkerCloseSevers(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
-	suicideTarget = workers["host1"]
+	suicideTarget.Store(workers["host1"])
 	g := dist.GraphSpec{
 		Filters: []dist.FilterSpec{
 			{Name: "S", Kind: "test.source", Params: []byte{200}},

@@ -45,27 +45,6 @@ var errFrameTooLarge = fmt.Errorf("dist: frame length prefix exceeds %d bytes", 
 // defaultWireBuf is the per-connection write-coalescing buffer size.
 const defaultWireBuf = 64 << 10
 
-var wireBufMu sync.RWMutex
-var wireBufBytes = defaultWireBuf
-
-// SetWireBufferSize sets the per-connection write buffer used to coalesce
-// frames into batched syscalls (default 64 KiB). It applies to connections
-// opened afterwards; call it before workers or coordinators start.
-func SetWireBufferSize(n int) {
-	if n < 4<<10 {
-		n = 4 << 10
-	}
-	wireBufMu.Lock()
-	wireBufBytes = n
-	wireBufMu.Unlock()
-}
-
-func wireBufSize() int {
-	wireBufMu.RLock()
-	defer wireBufMu.RUnlock()
-	return wireBufBytes
-}
-
 // ---- Pooled wire buffers ----
 
 // wirePool recycles frame encode/decode buffers. Oversized buffers (above
@@ -452,9 +431,9 @@ func newConn(c net.Conn, m *connMetrics) *conn {
 	}
 	cn := &conn{
 		c:       c,
-		br:      bufio.NewReaderSize(c, wireBufSize()),
-		slabCap: wireBufSize(),
-		pendMax: 4 * wireBufSize(),
+		br:      bufio.NewReaderSize(c, defaultWireBuf),
+		slabCap: defaultWireBuf,
+		pendMax: 4 * defaultWireBuf,
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		m:       m,

@@ -380,7 +380,7 @@ func TestStreamWriterBatchedAckEvery(t *testing.T) {
 	}
 }
 
-// ---- Fan-out benchmark (wired into the CI bench job) ----
+// ---- Fan-out benchmark ----
 
 // BenchmarkExecFanout measures the shared write path — ack drain, policy
 // pick, window update, delivery — over 4 targets with an instantly acking

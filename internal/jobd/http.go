@@ -24,14 +24,14 @@ import (
 //	GET    /status           human-readable summary page
 //
 // Admission failures map to statuses: quota 429, draining 503, bad spec
-// 400, load shedding 503 with a Retry-After header so clients back off.
+// 400, a body over maxBodyBytes 413, load shedding 503 with a Retry-After
+// header so clients back off.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, "jobd: bad job spec: "+err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &spec, "job spec") {
 			return
 		}
 		id, err := s.Submit(spec)
@@ -114,8 +114,7 @@ func (s *Server) Handler() http.Handler {
 			Addr   string `json:"addr"`
 			Health string `json:"health"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&reg); err != nil {
-			http.Error(w, "jobd: bad worker registration: "+err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &reg, "worker registration") {
 			return
 		}
 		if reg.Host == "" || reg.Addr == "" {
@@ -163,6 +162,27 @@ func (s *Server) Handler() http.Handler {
 	// /debug/pprof — falls through to the obs debug handler.
 	mux.Handle("/", obs.Handler(s.reg, nil))
 	return mux
+}
+
+// maxBodyBytes bounds a POST body. A job spec is a graph, a placement and
+// one small descriptor per unit of work — kilobytes; the cap only keeps a
+// hostile or broken client from making the server buffer without limit.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v, answering 413 for a
+// body over maxBodyBytes and 400 for anything else that does not parse.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "jobd: bad "+what+": "+err.Error(), status)
+	return false
 }
 
 func orDefault(tenant string) string {

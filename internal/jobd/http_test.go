@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,4 +162,49 @@ func TestHTTPQuotaStatus(t *testing.T) {
 
 	httpPost(t, ts.URL+"/jobs", confJobSpec(j, "q", "one"), http.StatusAccepted)
 	httpPost(t, ts.URL+"/jobs", confJobSpec(j, "q", "two"), http.StatusTooManyRequests)
+}
+
+// A POST body is outside input: one over the server's cap is refused with
+// 413 before anything is admitted, and an ordinary spec is still accepted.
+func TestHTTPBodyLimit(t *testing.T) {
+	s := newServer(t, jobd.Config{})
+	h := s.Handler()
+
+	spec := conformance.Generate(47, conformance.GenConfig{MaxHosts: 2})
+	j, err := conformance.NewDistJob(spec, []string{"w0", "w1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+
+	post := func(path string, v any) int {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+		return rec.Code
+	}
+	pad := strings.Repeat("x", 2<<20)
+
+	// Well-formed but oversized: only the size can be the reason to refuse.
+	big := confJobSpec(j, "t", pad)
+	if got := post("/jobs", big); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /jobs = %d, want 413", got)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized submission admitted %d job(s)", len(jobs))
+	}
+	if got := post("/workers", map[string]string{"host": pad, "addr": "127.0.0.1:1"}); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /workers = %d, want 413", got)
+	}
+	if ws := s.Workers(); len(ws) != 0 {
+		t.Fatalf("oversized registration added %d worker(s)", len(ws))
+	}
+
+	if got := post("/jobs", confJobSpec(j, "t", "normal")); got != http.StatusAccepted {
+		t.Fatalf("normal POST /jobs = %d, want 202", got)
+	}
 }
