@@ -10,9 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"time"
 
 	"datacutter/internal/geom"
+	"datacutter/internal/isoviz"
 	"datacutter/internal/mcubes"
 	"datacutter/internal/render"
 	"datacutter/internal/volume"
@@ -26,85 +28,89 @@ func main() {
 	)
 	flag.Parse()
 
-	fld := volume.NewPlumeField(7, 5)
-	fmt.Printf("sampling %d^3 volume...\n", *grid)
-	v := volume.Rasterize(fld, *grid, *grid, *grid, 0)
-
-	// Extraction: split cell scanning from triangle generation by running
-	// once at an isovalue above the maximum (pure scan) and once for real.
-	_, max := v.MinMax()
-	t0 := time.Now()
-	scanStats := mcubes.Walk(v, max+1, func(geom.Triangle) {})
-	scanSecs := time.Since(t0).Seconds()
-	cellSecs := scanSecs / float64(scanStats.Cells)
-
-	var tris []geom.Triangle
-	t0 = time.Now()
-	st := mcubes.Walk(v, float32(*iso), func(t geom.Triangle) { tris = append(tris, t) })
-	extractSecs := time.Since(t0).Seconds()
-	triGenSecs := (extractSecs - scanSecs) / float64(maxInt(st.Triangles, 1))
-	if triGenSecs < 0 {
-		triGenSecs = 0
-	}
-
-	// Rasterization: per-triangle setup vs per-pixel fill, separated by
-	// rendering the same scene at two image sizes.
-	cam := geom.DefaultCamera()
-	measure := func(w int) (secs float64, pixels int64) {
-		z := render.NewZBuffer(w, w)
-		rr := render.NewRaster(cam, w, w)
-		t0 := time.Now()
-		rr.DrawAll(tris, z)
-		return time.Since(t0).Seconds(), rr.Pixels
-	}
-	smallSecs, smallPx := measure(*size / 4)
-	bigSecs, bigPx := measure(*size)
-	pixelSecs := (bigSecs - smallSecs) / float64(maxInt64(bigPx-smallPx, 1))
-	triRasterSecs := (smallSecs - pixelSecs*float64(smallPx)) / float64(maxInt(len(tris), 1))
-	if triRasterSecs < 0 {
-		triRasterSecs = 0
-	}
-
-	// Merging.
-	full := render.NewZBuffer(*size, *size)
-	rr := render.NewRaster(cam, *size, *size)
-	rr.DrawAll(tris, full)
-	acc := render.NewZBuffer(*size, *size)
-	t0 = time.Now()
-	acc.MergeFrom(full)
-	mergeSecs := time.Since(t0).Seconds() / float64((*size)*(*size))
-	t0 = time.Now()
-	img := acc.Image()
-	imageGenSecs := time.Since(t0).Seconds() / float64((*size)*(*size))
-	_ = img
-
-	fmt.Printf("\nmeasured on this machine (%d cells, %d triangles, %dx%d image):\n\n",
-		scanStats.Cells, len(tris), *size, *size)
+	fmt.Printf("measuring on a %d^3 volume and a %dx%d image...\n", *grid, *size, *size)
+	c := measure(*grid, *size, float32(*iso))
+	fmt.Printf("\nmeasured on this machine:\n\n")
 	fmt.Printf("isoviz.CostModel{\n")
-	fmt.Printf("\tReadCPUPerByte:    6e-9, // not measured here: dominated by I/O path\n")
-	fmt.Printf("\tCellSeconds:       %.3g,\n", cellSecs)
-	fmt.Printf("\tTriGenSeconds:     %.3g,\n", triGenSecs)
-	fmt.Printf("\tTriRasterSeconds:  %.3g,\n", triRasterSecs)
-	fmt.Printf("\tPixelSeconds:      %.3g,\n", pixelSecs)
-	fmt.Printf("\tMergePixelSeconds: %.3g,\n", mergeSecs)
-	fmt.Printf("\tImageGenSeconds:   %.3g,\n", imageGenSecs)
-	fmt.Printf("\tCoverage:          0.75,\n")
-	fmt.Printf("\tAPDedupFactor:     0.55,\n")
+	fmt.Printf("\tReadCPUPerByte:    %.3g, // not measured here: dominated by I/O path\n", c.ReadCPUPerByte)
+	fmt.Printf("\tCellSeconds:       %.3g,\n", c.CellSeconds)
+	fmt.Printf("\tTriGenSeconds:     %.3g,\n", c.TriGenSeconds)
+	fmt.Printf("\tTriRasterSeconds:  %.3g,\n", c.TriRasterSeconds)
+	fmt.Printf("\tPixelSeconds:      %.3g,\n", c.PixelSeconds)
+	fmt.Printf("\tMergePixelSeconds: %.3g,\n", c.MergePixelSeconds)
+	fmt.Printf("\tImageGenSeconds:   %.3g,\n", c.ImageGenSeconds)
+	fmt.Printf("\tCoverage:          %.3g,\n", c.Coverage)
+	fmt.Printf("\tAPDedupFactor:     %.3g,\n", c.APDedupFactor)
 	fmt.Printf("}\n")
 	fmt.Printf("\nreference calibration (isoviz.DefaultCosts) models a 2002 Pentium III 550;\n")
 	fmt.Printf("divide your constants by DefaultCosts' to estimate this machine's speedup.\n")
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// measure times the extraction and rendering kernels on a grid^3 plume
+// volume at isovalue iso and a size×size image. The fields it does not
+// measure — ReadCPUPerByte, Coverage, APDedupFactor — keep
+// isoviz.DefaultCosts' values.
+func measure(grid, size int, iso float32) isoviz.CostModel {
+	c := isoviz.DefaultCosts()
+	v := volume.Rasterize(volume.NewPlumeField(7, 5), grid, grid, grid, 0)
+
+	// Extraction: split cell scanning from triangle generation by running
+	// once at an isovalue above the maximum (pure scan) and once for real.
+	_, hi := v.MinMax()
+	var scan mcubes.Stats
+	scanSecs := seconds(func() { scan = mcubes.Walk(v, hi+1, func(geom.Triangle) {}) })
+	c.CellSeconds = scanSecs / float64(scan.Cells)
+
+	var tris []geom.Triangle
+	extractSecs := seconds(func() { tris, _ = mcubes.Extract(v, iso, tris[:0]) })
+	c.TriGenSeconds = math.Max(0, (extractSecs-scanSecs)/float64(max(len(tris), 1)))
+
+	// Rasterization: per-pixel fill from two triangles covering the whole
+	// image, then per-triangle setup from the scene less its fill. (Fitting
+	// both from one scene at two image sizes leaves the per-pixel term
+	// inside the timing noise on small scenes.)
+	cam := geom.DefaultCamera()
+	raster := func(rr *render.Raster, ts []geom.Triangle) (secs float64, pixels int64) {
+		z := render.NewZBuffer(size, size)
+		secs = seconds(func() {
+			rr.Pixels = 0
+			rr.DrawAll(ts, z)
+		})
+		return secs, rr.Pixels
 	}
-	return b
+	screen := render.NewRaster(cam, size, size)
+	screen.M = geom.Identity()
+	screen.M[0], screen.M[5] = float64(size), float64(size) // the unit square onto the image
+	quad := []geom.Triangle{
+		{P: [3]geom.Vec3{geom.V(0, 0, 0.5), geom.V(1, 0, 0.5), geom.V(0, 1, 0.5)}},
+		{P: [3]geom.Vec3{geom.V(1, 0, 0.5), geom.V(1, 1, 0.5), geom.V(0, 1, 0.5)}},
+	}
+	fillSecs, fillPx := raster(screen, quad)
+	c.PixelSeconds = fillSecs / float64(fillPx)
+	sceneSecs, scenePx := raster(render.NewRaster(cam, size, size), tris)
+	c.TriRasterSeconds = math.Max(0, (sceneSecs-c.PixelSeconds*float64(scenePx))/float64(max(len(tris), 1)))
+
+	// Merging.
+	full := render.NewZBuffer(size, size)
+	render.NewRaster(cam, size, size).DrawAll(tris, full)
+	acc := render.NewZBuffer(size, size)
+	c.MergePixelSeconds = seconds(func() { acc.MergeFrom(full) }) / float64(size*size)
+	c.ImageGenSeconds = seconds(func() { acc.Image() }) / float64(size*size)
+	return c
 }
 
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
+// seconds returns f's fastest run over at least three runs totalling at
+// least 50 ms: on a shared machine the minimum is the least noisy estimate
+// of what the work itself costs.
+func seconds(f func()) float64 {
+	best := math.Inf(1)
+	var total time.Duration
+	for n := 0; n < 3 || total < 50*time.Millisecond; n++ {
+		t0 := time.Now()
+		f()
+		d := time.Since(t0)
+		total += d
+		best = math.Min(best, d.Seconds())
 	}
-	return b
+	return best
 }

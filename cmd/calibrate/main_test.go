@@ -1,0 +1,22 @@
+package main
+
+import (
+	"math"
+	"testing"
+)
+
+func TestMeasureReturnsPositiveConstants(t *testing.T) {
+	c := measure(17, 64, 0.5)
+	for name, v := range map[string]float64{
+		"CellSeconds":       c.CellSeconds,
+		"TriGenSeconds":     c.TriGenSeconds,
+		"TriRasterSeconds":  c.TriRasterSeconds,
+		"PixelSeconds":      c.PixelSeconds,
+		"MergePixelSeconds": c.MergePixelSeconds,
+		"ImageGenSeconds":   c.ImageGenSeconds,
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+			t.Errorf("%s = %v, want finite and positive", name, v)
+		}
+	}
+}

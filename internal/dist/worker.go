@@ -239,6 +239,13 @@ func (w *Worker) Drain(timeout time.Duration) bool {
 	}
 }
 
+// dead reports whether the worker was killed or closed.
+func (w *Worker) dead() bool {
+	w.connsMu.Lock()
+	defer w.connsMu.Unlock()
+	return w.killed || w.closed.Load()
+}
+
 // Kill simulates a process crash: the listener and every live connection
 // are hard-closed with no flush and no farewell frames, so peers and the
 // coordinator see raw resets/EOFs exactly as they would from a real death.
@@ -455,7 +462,9 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 			defer opWG.Done()
 			reply, err := phase()
 			if err != nil {
-				reply = s.failFrame(err)
+				if reply = s.failFrame(err); reply == nil {
+					return
+				}
 			}
 			_ = ctrl.send(reply)
 		}()
@@ -578,8 +587,15 @@ func (s *session) failTransport(host string, err error) {
 }
 
 // failFrame builds the kindFail reply for err, attaching the session's
-// transport attribution when its first failure implicated a peer host.
+// transport attribution when its first failure implicated a peer host. On
+// a killed or closed worker it returns nil — reply nothing: the worker's
+// own death severed its links, so the attribution would name a healthy
+// peer, and a crashed process is silent anyway; the coordinator learns of
+// the death from the severed control connection.
 func (s *session) failFrame(err error) *frame {
+	if s.w.dead() {
+		return nil
+	}
 	f := &frame{Kind: kindFail, Err: err.Error()}
 	s.failMu.Lock()
 	if s.failNet {

@@ -77,7 +77,8 @@ func TestTriangleAreaAndCentroid(t *testing.T) {
 }
 
 func TestIdentityApply(t *testing.T) {
-	v, w := Identity().Apply(V(1, 2, 3))
+	id := Identity()
+	v, w := id.Apply(V(1, 2, 3))
 	if v != V(1, 2, 3) || w != 1 {
 		t.Fatalf("identity apply = %v %v", v, w)
 	}

@@ -33,8 +33,9 @@ func (a Mat4) Mul(b Mat4) Mat4 {
 
 // Apply transforms a point, performing the perspective divide. The returned
 // w is the clip-space w before division (w <= 0 means the point is at or
-// behind the eye plane and must be culled).
-func (a Mat4) Apply(v Vec3) (out Vec3, w float64) {
+// behind the eye plane and must be culled). The pointer receiver spares
+// the rasterizer a 128-byte matrix copy per vertex.
+func (a *Mat4) Apply(v Vec3) (out Vec3, w float64) {
 	x, y, z := float64(v.X), float64(v.Y), float64(v.Z)
 	ox := a[0]*x + a[1]*y + a[2]*z + a[3]
 	oy := a[4]*x + a[5]*y + a[6]*z + a[7]

@@ -341,6 +341,8 @@ func TestWorkerDrainTimeoutThenCloseAborts(t *testing.T) {
 		j, _ := s.Get(id)
 		return j.State == jobd.StateRunning
 	})
+	// A job is running from dispatch on; the worker's session comes later.
+	waitFor(t, "session on a", 15*time.Second, func() bool { return len(wa.Instances("S")) > 0 })
 	// First signal: graceful drain, but the session outlives the timeout.
 	if wa.Drain(100 * time.Millisecond) {
 		t.Fatal("drain reported clean with a session mid-stream")

@@ -1,6 +1,7 @@
 package mcubes
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -268,13 +269,31 @@ func TestDeterministicExtraction(t *testing.T) {
 	}
 }
 
-func BenchmarkExtract64(b *testing.B) {
-	fld := volume.NewPlumeField(1, 4)
-	v := volume.Rasterize(fld, 64, 64, 64, 0)
-	min, max := v.MinMax()
-	iso := (min + max) / 2
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Walk(v, iso, func(geom.Triangle) {})
+// benchChunks is the bench's dense input without its dataset files: the
+// 129x129x97 plume grid cut into its 8x8x6 chunks.
+func benchChunks() []*volume.Volume {
+	full := volume.Rasterize(volume.NewPlumeField(2002, 5), 129, 129, 97, 0)
+	var chunks []*volume.Volume
+	for _, b := range volume.Partition(129, 129, 97, 8, 8, 6) {
+		chunks = append(chunks, full.ExtractBlock(b))
+	}
+	return chunks
+}
+
+// BenchmarkExtractChunks extracts every chunk of the bench frame the way
+// the bench replay and the E filter do, reusing one output slice; the two
+// iso-values are the dense and sparse workloads'.
+func BenchmarkExtractChunks(b *testing.B) {
+	chunks := benchChunks()
+	for _, iso := range []float32{0.15, 0.9} {
+		b.Run(fmt.Sprintf("iso=%v", iso), func(b *testing.B) {
+			b.ReportAllocs()
+			var tris []geom.Triangle
+			for i := 0; i < b.N; i++ {
+				for _, v := range chunks {
+					tris, _ = Extract(v, iso, tris[:0])
+				}
+			}
+		})
 	}
 }

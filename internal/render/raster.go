@@ -110,17 +110,28 @@ func (r *Raster) shadeVertex(n geom.Vec3) RGB {
 // rectangle clips the rest), shade, and fill with interpolated depth and
 // color. Pixel centers are sampled at (x+0.5, y+0.5).
 func (r *Raster) Draw(t geom.Triangle, out Target) {
+	r.draw(&t, out)
+}
+
+// DrawAll rasterizes a batch.
+func (r *Raster) DrawAll(ts []geom.Triangle, out Target) {
+	for i := range ts {
+		r.draw(&ts[i], out)
+	}
+}
+
+// draw is Draw without the 72-byte triangle copy. Isosurface triangles are
+// about a pixel in size, so per-triangle work dominates: shading waits for
+// the first covered pixel center, and the three edge tests of a bounding-box
+// pixel join into one branch, because which of them fails is unpredictable.
+func (r *Raster) draw(t *geom.Triangle, out Target) {
 	var sp [3]geom.Vec3
-	for i := 0; i < 3; i++ {
+	for i := range t.P {
 		p, w := r.M.Apply(t.P[i])
 		if w <= 0 {
 			return // behind the eye plane
 		}
 		sp[i] = p
-	}
-	var sc [3]RGB
-	for i := 0; i < 3; i++ {
-		sc[i] = r.shadeVertex(t.N[i])
 	}
 	r.Triangles++
 
@@ -154,25 +165,32 @@ func (r *Raster) Draw(t geom.Triangle, out Target) {
 	}
 
 	// Barycentric fill in float64 for watertight edge behavior.
-	x0, y0 := float64(sp[0].X), float64(sp[0].Y)
-	x1, y1 := float64(sp[1].X), float64(sp[1].Y)
-	x2, y2 := float64(sp[2].X), float64(sp[2].Y)
+	x0, y0, z0 := float64(sp[0].X), float64(sp[0].Y), float64(sp[0].Z)
+	x1, y1, z1 := float64(sp[1].X), float64(sp[1].Y), float64(sp[1].Z)
+	x2, y2, z2 := float64(sp[2].X), float64(sp[2].Y), float64(sp[2].Z)
 	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
 	if area == 0 {
 		return
 	}
 	inv := 1 / area
+	var sc [3]RGB
+	shaded := false
 	for y := minY; y <= maxY; y++ {
 		py := float64(y) + 0.5
+		dy0, dy1, dy2 := y0-py, y1-py, y2-py
 		for x := minX; x <= maxX; x++ {
 			px := float64(x) + 0.5
-			w0 := ((x1-px)*(y2-py) - (x2-px)*(y1-py)) * inv
-			w1 := ((x2-px)*(y0-py) - (x0-px)*(y2-py)) * inv
+			w0 := ((x1-px)*dy2 - (x2-px)*dy1) * inv
+			w1 := ((x2-px)*dy0 - (x0-px)*dy2) * inv
 			w2 := 1 - w0 - w1
-			if w0 < 0 || w1 < 0 || w2 < 0 {
+			if negative(w0)|negative(w1)|negative(w2) != 0 {
 				continue
 			}
-			depth := float32(w0*float64(sp[0].Z) + w1*float64(sp[1].Z) + w2*float64(sp[2].Z))
+			if !shaded {
+				sc = [3]RGB{r.shadeVertex(t.N[0]), r.shadeVertex(t.N[1]), r.shadeVertex(t.N[2])}
+				shaded = true
+			}
+			depth := float32(w0*z0 + w1*z1 + w2*z2)
 			c := RGB{
 				lerp3(sc[0].R, sc[1].R, sc[2].R, w0, w1, w2),
 				lerp3(sc[0].G, sc[1].G, sc[2].G, w0, w1, w2),
@@ -184,11 +202,12 @@ func (r *Raster) Draw(t geom.Triangle, out Target) {
 	}
 }
 
-// DrawAll rasterizes a batch.
-func (r *Raster) DrawAll(ts []geom.Triangle, out Target) {
-	for _, t := range ts {
-		r.Draw(t, out)
+// negative is w < 0 as a bit (a SETcc, not a branch).
+func negative(w float64) uint8 {
+	if w < 0 {
+		return 1
 	}
+	return 0
 }
 
 func lerp3(a, b, c uint8, wa, wb, wc float64) uint8 {

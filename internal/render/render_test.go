@@ -361,3 +361,28 @@ func TestBandedRasterizationExact(t *testing.T) {
 		t.Fatal("banded render differs from full render")
 	}
 }
+
+// BenchmarkDrawAll rasterizes the bench's dense frame (the 129x129x97 plume
+// grid at iso 0.15, extracted chunk by chunk) into a 512x512 active-pixel
+// target, flushing after every chunk as the Ra filter does.
+func BenchmarkDrawAll(b *testing.B) {
+	full := volume.Rasterize(volume.NewPlumeField(2002, 5), 129, 129, 97, 0)
+	var scene [][]geom.Triangle
+	for _, blk := range volume.Partition(129, 129, 97, 8, 8, 6) {
+		tris, _ := mcubes.Extract(full.ExtractBlock(blk), 0.15, nil)
+		scene = append(scene, tris)
+	}
+	const size = 512
+	r := NewRaster(geom.DefaultCamera(), size, size)
+	merged := 0
+	// The WPA capacity of isoviz.WPABufferBytes (64 KiB) buffers.
+	ap := NewActivePixels(size, size, (64<<10)/PixelBytes, func(px []Pixel) { merged += len(px) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tris := range scene {
+			r.DrawAll(tris, ap)
+			ap.FlushRemaining()
+		}
+	}
+}
