@@ -228,7 +228,8 @@ func (s *Store) Close() error {
 	return first
 }
 
-// ReadChunk reads one chunk at one timestep from disk.
+// ReadChunk reads one chunk at one timestep from disk into a volume from
+// volume.Borrow; the caller owns it and may hand it to volume.Recycle.
 func (s *Store) ReadChunk(chunk, timestep int) (*volume.Volume, error) {
 	if timestep < 0 || timestep >= s.DS.Timesteps {
 		return nil, fmt.Errorf("dataset: timestep %d out of range", timestep)
@@ -251,7 +252,7 @@ func (s *Store) ReadChunk(chunk, timestep int) (*volume.Volume, error) {
 	s.mu.Lock()
 	mm := s.useMmap
 	s.mu.Unlock()
-	v := volume.NewBlockVolume(s.DS.Block(chunk))
+	v := volume.Borrow(s.DS.Block(chunk)) // every sample is overwritten below
 	if mm {
 		m, err := s.mapping(f)
 		if err != nil {

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,18 +18,30 @@ import (
 // gets core.ErrCancelled, not a hang.
 type cancelRecordingSource struct {
 	core.BaseFilter
-	n    int
+	n int
+	// werr is read by the test after the run; the worker's copy goroutine
+	// wrote it, and the session's end reaches the test over a socket, which
+	// orders nothing for the race detector.
+	mu   sync.Mutex
 	werr error
 }
 
 func (s *cancelRecordingSource) Process(ctx core.Ctx) error {
 	for i := 0; i < s.n; i++ {
 		if err := ctx.Write("ints", core.Buffer{Payload: i, Size: 8}); err != nil {
+			s.mu.Lock()
 			s.werr = err
+			s.mu.Unlock()
 			return err
 		}
 	}
 	return nil
+}
+
+func (s *cancelRecordingSource) writeErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.werr
 }
 
 func init() {
@@ -73,8 +86,8 @@ func TestDistributedLocalWriteCancelled(t *testing.T) {
 		t.Fatalf("run error = %v: application error must win over the cancellation it caused", err)
 	}
 	src := workers["host0"].Instances("S")[0].(*cancelRecordingSource)
-	if !errors.Is(src.werr, core.ErrCancelled) {
-		t.Fatalf("source write error = %v, want core.ErrCancelled", src.werr)
+	if werr := src.writeErr(); !errors.Is(werr, core.ErrCancelled) {
+		t.Fatalf("source write error = %v, want core.ErrCancelled", werr)
 	}
 }
 

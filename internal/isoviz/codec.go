@@ -73,7 +73,7 @@ func (triBatchCodec) Decode(body []byte) (any, error) {
 	if len(body)-4 != n*geom.TriangleBytes {
 		return nil, fmt.Errorf("isoviz: TriBatch payload: %d bytes for %d triangles", len(body)-4, n)
 	}
-	tris := make([]geom.Triangle, n)
+	tris := triangles.get(n)
 	wirebin.Float32s(triView(tris), body[4:])
 	return TriBatch{Tris: tris}, nil
 }
@@ -109,7 +109,7 @@ func (pixBatchCodec) Decode(body []byte) (any, error) {
 	if len(body)-4 != n*render.PixelBytes {
 		return nil, fmt.Errorf("isoviz: PixBatch payload: %d bytes for %d pixels", len(body)-4, n)
 	}
-	px := make([]render.Pixel, n)
+	px := pixels.get(n)
 	b := body[4:]
 	for i := range px {
 		px[i] = render.Pixel{
@@ -126,13 +126,16 @@ func (pixBatchCodec) Decode(body []byte) (any, error) {
 func (pixBatchCodec) ZeroCopy() bool { return false }
 
 // zChunkCodec: u32 off | u32 npix | npix little-endian f32 depths |
-// u32 ncol | ncol × (r g b).
+// u32 ncol | ncol × (r g b), with ncol = npix: one color per depth.
 type zChunkCodec struct{}
 
 func (zChunkCodec) Append(dst []byte, v any) ([]byte, error) {
 	z, ok := v.(ZChunk)
 	if !ok {
 		return nil, fmt.Errorf("isoviz: ZChunk codec got %T", v)
+	}
+	if len(z.Color) != len(z.Depth) {
+		return nil, fmt.Errorf("isoviz: ZChunk has %d colors for %d depths", len(z.Color), len(z.Depth))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(z.Off))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(z.Depth)))
@@ -151,16 +154,17 @@ func (zChunkCodec) Decode(body []byte) (any, error) {
 	if len(b) < 4*np+4 {
 		return nil, fmt.Errorf("isoviz: ZChunk payload: %d bytes for %d depths", len(b), np)
 	}
-	z.Depth = make([]float32, np)
-	wirebin.Float32s(z.Depth, b[:4*np])
-	b = b[4*np:]
-	nc := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != 3*nc {
-		return nil, fmt.Errorf("isoviz: ZChunk payload: %d bytes for %d colors", len(b), nc)
+	nc := int(binary.LittleEndian.Uint32(b[4*np:]))
+	if nc != np {
+		return nil, fmt.Errorf("isoviz: ZChunk payload: %d colors for %d depths", nc, np)
 	}
-	z.Color = make([]render.RGB, nc)
-	copy(rgbView(z.Color), b)
+	if len(b)-4*np-4 != 3*nc {
+		return nil, fmt.Errorf("isoviz: ZChunk payload: %d bytes for %d colors", len(b)-4*np-4, nc)
+	}
+	z.Depth = depths.get(np)
+	wirebin.Float32s(z.Depth, b[:4*np])
+	z.Color = colors.get(nc)
+	copy(rgbView(z.Color), b[4*np+4:])
 	return z, nil
 }
 

@@ -1,6 +1,8 @@
 package isoviz
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
 	"testing"
@@ -87,7 +89,7 @@ func TestZChunkCodecRoundTrip(t *testing.T) {
 	in := ZChunk{
 		Off:   4096,
 		Depth: []float32{1, 0.5, -0.25, 3e8},
-		Color: []render.RGB{{R: 1, G: 2, B: 3}, {R: 4, G: 5, B: 6}},
+		Color: []render.RGB{{R: 1, G: 2, B: 3}, {R: 4, G: 5, B: 6}, {R: 7, G: 8, B: 9}, {R: 255}},
 	}
 	body, err := zChunkCodec{}.Append(nil, in)
 	if err != nil {
@@ -105,6 +107,54 @@ func TestZChunkCodecRoundTrip(t *testing.T) {
 			t.Fatalf("truncation at %d bytes decoded successfully", cut)
 		}
 	}
+}
+
+// A ZChunk carries one color per depth. A body whose counts differ — which
+// the merge filter would index out of range — is a decode error, and such a
+// chunk is refused on the way out too.
+func TestZChunkCodecRejectsMismatchedPlanes(t *testing.T) {
+	body := binary.LittleEndian.AppendUint32(nil, 0) // off
+	body = binary.LittleEndian.AppendUint32(body, 4) // 4 depths
+	body = append(body, make([]byte, 16)...)
+	body = binary.LittleEndian.AppendUint32(body, 2) // 2 colors
+	body = append(body, make([]byte, 6)...)
+	if _, err := (zChunkCodec{}).Decode(body); err == nil {
+		t.Fatal("decoded 2 colors for 4 depths")
+	}
+	if _, err := (zChunkCodec{}).Append(nil, ZChunk{Depth: make([]float32, 4), Color: make([]render.RGB, 2)}); err == nil {
+		t.Fatal("encoded 2 colors for 4 depths")
+	}
+}
+
+// FuzzPayloadCodecs feeds arbitrary bytes — a peer's frame body — to each
+// of the three decoders: none may panic, and a body one accepts must
+// re-encode to exactly the same bytes.
+func FuzzPayloadCodecs(f *testing.F) {
+	tri, _ := triBatchCodec{}.Append(nil, TriBatch{Tris: make([]geom.Triangle, 2)})
+	pix, _ := pixBatchCodec{}.Append(nil, PixBatch{Pixels: make([]render.Pixel, 3)})
+	z, _ := zChunkCodec{}.Append(nil, ZChunk{Off: 9, Depth: make([]float32, 2), Color: make([]render.RGB, 2)})
+	for _, b := range [][]byte{tri, pix, z, nil, {1, 0, 0, 0}, {0, 0, 0, 0, 4, 0, 0, 0}} {
+		f.Add(b)
+	}
+	codecs := []interface {
+		Append([]byte, any) ([]byte, error)
+		Decode([]byte) (any, error)
+	}{triBatchCodec{}, pixBatchCodec{}, zChunkCodec{}}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, c := range codecs {
+			v, err := c.Decode(body)
+			if err != nil {
+				continue
+			}
+			again, err := c.Append(nil, v)
+			if err != nil {
+				t.Fatalf("%T: decoded %x but cannot re-encode it: %v", c, body, err)
+			}
+			if !bytes.Equal(again, body) {
+				t.Fatalf("%T: %x re-encodes as %x", c, body, again)
+			}
+		}
+	})
 }
 
 func TestCodecsRejectWrongType(t *testing.T) {

@@ -92,7 +92,7 @@ func (p *triPacker) flush(ctx core.Ctx) error {
 	if len(p.batch) == 0 {
 		return nil
 	}
-	tris := make([]geom.Triangle, len(p.batch))
+	tris := triangles.get(len(p.batch))
 	copy(tris, p.batch)
 	p.batch = p.batch[:0]
 	b := TriBatch{Tris: tris}
@@ -132,6 +132,7 @@ func (f *ExtractFilter) Process(ctx core.Ctx) error {
 				werr = packer.add(ctx, t)
 			}
 		})
+		recycleVolume(vb.V)
 		if werr != nil {
 			return werr
 		}
@@ -147,27 +148,30 @@ func (f *ExtractFilter) Process(ctx core.Ctx) error {
 // sendZBuffer ships the full z-buffer in fixed-size chunks on out. This is
 // the pixel-merging phase of the z-buffer algorithm: it happens only after
 // the end-of-work marker, the synchronization point that stalls the
-// pipeline (paper §3.1.2), and it transmits inactive pixels too.
+// pipeline (paper §3.1.2), and it transmits inactive pixels too. The planes
+// go with it: a frame that fits one buffer ships as its own planes, and a
+// larger one is copied out and its planes return to the free lists.
 func sendZBuffer(ctx core.Ctx, z *render.ZBuffer, out string) error {
-	pxPerBuf := ctx.BufferBytes(out) / render.ZPixelBytes
-	if pxPerBuf < 1 {
-		pxPerBuf = 1
-	}
+	pxPerBuf := max(ctx.BufferBytes(out)/render.ZPixelBytes, 1)
 	total := z.W * z.H
+	if 0 < total && total <= pxPerBuf {
+		chunk := ZChunk{Depth: z.Depth, Color: z.Color}
+		return ctx.Write(out, core.Buffer{Payload: chunk, Size: chunk.Bytes()})
+	}
 	for off := 0; off < total; off += pxPerBuf {
 		end := off + pxPerBuf
 		if end > total {
 			end = total
 		}
-		chunk := ZChunk{
-			Off:   off,
-			Depth: append([]float32(nil), z.Depth[off:end]...),
-			Color: append([]render.RGB(nil), z.Color[off:end]...),
-		}
+		chunk := ZChunk{Off: off, Depth: depths.get(end - off), Color: colors.get(end - off)}
+		copy(chunk.Depth, z.Depth[off:end])
+		copy(chunk.Color, z.Color[off:end])
 		if err := ctx.Write(out, core.Buffer{Payload: chunk, Size: chunk.Bytes()}); err != nil {
 			return err
 		}
 	}
+	depths.put(z.Depth)
+	colors.put(z.Color)
 	return nil
 }
 
@@ -179,17 +183,21 @@ type RasterZFilter struct {
 	rr      *render.Raster
 }
 
-// Init implements core.Filter: the z-buffer is allocated and initialized
-// per unit of work (paper §3.1.2). The filter discloses that it wants large
-// buffers for the frame dump; the WPA variant instead asks for small ones
-// (paper §2: filters disclose buffer bounds, the runtime picks the size).
+// Init implements core.Filter: the z-buffer is initialized per unit of work
+// (paper §3.1.2), on planes from the free lists — those M handed back after
+// merging an earlier frame — so clearing takes the place of allocating. The
+// filter discloses that it wants large buffers for the frame dump; the WPA
+// variant instead asks for small ones (paper §2: filters disclose buffer
+// bounds, the runtime picks the size).
 func (f *RasterZFilter) Init(ctx core.Ctx) error {
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
 	}
 	ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
-	f.z = render.NewZBuffer(view.Width, view.Height)
+	n := view.Width * view.Height
+	f.z = &render.ZBuffer{W: view.Width, H: view.Height, Depth: depths.get(n), Color: colors.get(n)}
+	f.z.Clear()
 	f.rr = render.NewRaster(view.Camera, view.Width, view.Height)
 	return nil
 }
@@ -207,12 +215,13 @@ func (f *RasterZFilter) Process(ctx core.Ctx) error {
 			return fmt.Errorf("isoviz: raster got %T", b.Payload)
 		}
 		f.rr.DrawAll(tb.Tris, f.z)
+		triangles.put(tb.Tris)
 	}
 }
 
 // Finalize implements core.Filter.
 func (f *RasterZFilter) Finalize(core.Ctx) error {
-	f.z, f.rr = nil, nil // release the frame (paper: finalize frees scratch space)
+	f.z, f.rr = nil, nil // the planes left with the frame (sendZBuffer)
 	return nil
 }
 
@@ -257,6 +266,7 @@ func (f *RasterAPFilter) Process(ctx core.Ctx) error {
 			return fmt.Errorf("isoviz: raster got %T", b.Payload)
 		}
 		f.st.rr.DrawAll(tb.Tris, f.st.ap)
+		triangles.put(tb.Tris)
 		// All triangles of this input buffer processed: ship the WPA
 		// (paper §3.1.2).
 		f.st.ap.FlushRemaining()
@@ -293,7 +303,8 @@ func newAPState(ctx core.Ctx, view View, out string) *apState {
 		if s.werr != nil {
 			return
 		}
-		batch := PixBatch{Pixels: append([]render.Pixel(nil), px...)}
+		batch := PixBatch{Pixels: pixels.get(len(px))}
+		copy(batch.Pixels, px)
 		s.werr = s.ctx.Write(s.out, core.Buffer{Payload: batch, Size: batch.Bytes()})
 	})
 	return s
@@ -346,9 +357,16 @@ func (f *MergeFilter) Process(ctx core.Ctx) error {
 			f.Received++
 			switch p := b.Payload.(type) {
 			case ZChunk:
+				if n := len(p.Depth); len(p.Color) != n || p.Off < 0 || p.Off > len(f.z.Depth)-n {
+					return fmt.Errorf("%w: %d depths and %d colors at pixel %d of a %dx%d frame",
+						ErrZChunkBounds, n, len(p.Color), p.Off, f.z.W, f.z.H)
+				}
 				f.z.MergeRange(p.Off, p.Depth, p.Color)
+				depths.put(p.Depth)
+				colors.put(p.Color)
 			case PixBatch:
 				render.MergePixels(f.z, p.Pixels)
+				pixels.put(p.Pixels)
 			default:
 				return fmt.Errorf("isoviz: merge got %T", b.Payload)
 			}

@@ -113,6 +113,7 @@ func (f *ReadExtractRouteFilter) Process(ctx core.Ctx) error {
 				werr = route(t)
 			}
 		})
+		recycleVolume(v)
 		if werr != nil {
 			return werr
 		}
@@ -164,6 +165,7 @@ func (f *RasterBandAPFilter) Process(ctx core.Ctx) error {
 			return fmt.Errorf("isoviz: band raster got %T", b.Payload)
 		}
 		f.st.rr.DrawAll(tb.Tris, f.st.ap)
+		triangles.put(tb.Tris)
 		f.st.ap.FlushRemaining()
 		if f.st.werr != nil {
 			return f.st.werr

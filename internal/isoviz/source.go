@@ -9,7 +9,9 @@ import (
 
 // ChunkSource supplies volume chunks to read filters. Implementations: a
 // field sampled on demand (in-memory synthetic storage) or an on-disk
-// chunk store.
+// chunk store. Load hands over the volume it returns: the extract stage
+// recycles it (volume.Recycle) once it has walked it, so a source must not
+// keep or share it.
 type ChunkSource interface {
 	Chunks() int
 	Block(i int) volume.Block
@@ -37,8 +39,8 @@ func (s *FieldSource) Block(i int) volume.Block { return s.Blocks[i] }
 
 // Load implements ChunkSource.
 func (s *FieldSource) Load(i, timestep int) (*volume.Volume, error) {
-	v := volume.NewBlockVolume(s.Blocks[i])
-	volume.FillBlock(s.Fld, v, float64(timestep))
+	v := volume.Borrow(s.Blocks[i])
+	volume.FillBlock(s.Fld, v, float64(timestep)) // sets every sample
 	return v, nil
 }
 

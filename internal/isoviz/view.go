@@ -18,6 +18,8 @@
 package isoviz
 
 import (
+	"errors"
+
 	"datacutter/internal/geom"
 	"datacutter/internal/render"
 	"datacutter/internal/volume"
@@ -64,6 +66,11 @@ type ZChunk struct {
 
 // Bytes returns the chunk's serialized size.
 func (z ZChunk) Bytes() int { return len(z.Depth) * render.ZPixelBytes }
+
+// ErrZChunkBounds is the merge filter's error for a ZChunk that does not
+// describe a run of the frame: its planes differ in length, or its pixels
+// run outside the image.
+var ErrZChunkBounds = errors.New("isoviz: z-buffer chunk outside the frame")
 
 // PixBatch is one flushed Winning Pixel Array, the Ra->M payload of the
 // active-pixel algorithm.

@@ -120,26 +120,67 @@ func (r *Raster) DrawAll(ts []geom.Triangle, out Target) {
 	}
 }
 
+// margin widens the pixel-centre box on each side; see draw.
+const margin = 1.0 / 64
+
 // draw is Draw without the 72-byte triangle copy. Isosurface triangles are
-// about a pixel in size, so per-triangle work dominates: shading waits for
-// the first covered pixel center, and the three edge tests of a bounding-box
-// pixel join into one branch, because which of them fails is unpredictable.
+// about a pixel in size, so per-triangle work dominates: the depth divide
+// and shading wait until a pixel center may be covered, and the three edge
+// tests of a visited pixel join into one branch, because which of them
+// fails is unpredictable.
+//
+// The loop visits only the pixel centers within margin m of the projected
+// extent, ceil(min-0.5-m) … floor(max-0.5+m) per axis — on average one
+// center per triangle where the floor/ceil box holds eight. Skipping a
+// center whose computed weights include a negative one cannot change the
+// output, and the others are evaluated by the same formula. Why every
+// skipped center has one: with u = 2^-53, T = 2(Wx+1.5)(Wy+1.5)/|area| for
+// extents Wx, Wy, each weight computed for a center of the floor/ceil box
+// is within 17uT² of its exact value. Since the exact weights sum to 1 and
+// reproduce the center, one that lies more than m beyond the x extent has
+// an exact weight below -m/(2Wx) (likewise for y). So the tight box loses
+// nothing when 32uT² ≤ m/(2·max(Wx,Wy)), i.e. area² ≥ 2^-39·max(Wx,Wy)·
+// (Wx+1.5)²(Wy+1.5)²; the test below asks for four times that, to absorb
+// its own rounding. Pixel-sized triangles pass it by orders of magnitude
+// (63 of the 234k in the bench's dense frame fail it); needle slivers and
+// far off-screen vertices may not, and keep the floor/ceil box. So does
+// any non-finite screen x or y: the
+// area or the bound is then NaN or +Inf and the test is false — which
+// matters, because NaN weights pass the < 0 tests and fill that whole box.
 func (r *Raster) draw(t *geom.Triangle, out Target) {
-	var sp [3]geom.Vec3
+	var sx, sy [3]float32
+	var oz, ow [3]float64
+	m := &r.M
 	for i := range t.P {
-		p, w := r.M.Apply(t.P[i])
+		// geom.Mat4.Apply with the depth divide held back.
+		x, y, z := float64(t.P[i].X), float64(t.P[i].Y), float64(t.P[i].Z)
+		w := m[12]*x + m[13]*y + m[14]*z + m[15]
 		if w <= 0 {
 			return // behind the eye plane
 		}
-		sp[i] = p
+		sx[i] = float32((m[0]*x + m[1]*y + m[2]*z + m[3]) / w)
+		sy[i] = float32((m[4]*x + m[5]*y + m[6]*z + m[7]) / w)
+		oz[i], ow[i] = m[8]*x+m[9]*y+m[10]*z+m[11], w
 	}
 	r.Triangles++
 
+	// Barycentric fill in float64 for watertight edge behavior.
+	x0, y0 := float64(sx[0]), float64(sy[0])
+	x1, y1 := float64(sx[1]), float64(sy[1])
+	x2, y2 := float64(sx[2]), float64(sy[2])
+	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
+
 	// Screen bounding box, clipped to the viewport.
-	minX := int(math.Floor(float64(min3(sp[0].X, sp[1].X, sp[2].X))))
-	maxX := int(math.Ceil(float64(max3(sp[0].X, sp[1].X, sp[2].X))))
-	minY := int(math.Floor(float64(min3(sp[0].Y, sp[1].Y, sp[2].Y))))
-	maxY := int(math.Ceil(float64(max3(sp[0].Y, sp[1].Y, sp[2].Y))))
+	lx, hx := float64(min3(sx[0], sx[1], sx[2])), float64(max3(sx[0], sx[1], sx[2]))
+	ly, hy := float64(min3(sy[0], sy[1], sy[2])), float64(max3(sy[0], sy[1], sy[2]))
+	var minX, maxX, minY, maxY int
+	if wx, wy := hx-lx, hy-ly; area*area > 0x1p-37*max(wx, wy)*(wx+1.5)*(wx+1.5)*(wy+1.5)*(wy+1.5) {
+		minX, maxX = int(math.Ceil(lx-(0.5+margin))), int(math.Floor(hx-(0.5-margin)))
+		minY, maxY = int(math.Ceil(ly-(0.5+margin))), int(math.Floor(hy-(0.5-margin)))
+	} else {
+		minX, maxX = int(math.Floor(lx)), int(math.Ceil(hx))
+		minY, maxY = int(math.Floor(ly)), int(math.Ceil(hy))
+	}
 	if minX < 0 {
 		minX = 0
 	}
@@ -160,18 +201,12 @@ func (r *Raster) draw(t *geom.Triangle, out Target) {
 			maxY = r.scissorY1 - 1
 		}
 	}
-	if minX > maxX || minY > maxY {
+	if minX > maxX || minY > maxY || area == 0 {
 		return
 	}
-
-	// Barycentric fill in float64 for watertight edge behavior.
-	x0, y0, z0 := float64(sp[0].X), float64(sp[0].Y), float64(sp[0].Z)
-	x1, y1, z1 := float64(sp[1].X), float64(sp[1].Y), float64(sp[1].Z)
-	x2, y2, z2 := float64(sp[2].X), float64(sp[2].Y), float64(sp[2].Z)
-	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
-	if area == 0 {
-		return
-	}
+	z0 := float64(float32(oz[0] / ow[0]))
+	z1 := float64(float32(oz[1] / ow[1]))
+	z2 := float64(float32(oz[2] / ow[2]))
 	inv := 1 / area
 	var sc [3]RGB
 	shaded := false

@@ -199,11 +199,15 @@ type rasterCase struct {
 	w, h     int
 	band     [2]int // scissor [y0,y1) when band[1] > 0
 	oneByOne bool
-	capacity int // active-pixel WPA capacity
+	capacity int        // active-pixel WPA capacity
+	m        *geom.Mat4 // world-to-pixel transform; nil = the default camera's
 }
 
 func (c rasterCase) raster() *Raster {
 	r := NewRaster(geom.DefaultCamera(), c.w, c.h)
+	if c.m != nil {
+		r.M = *c.m
+	}
 	if c.band[1] > 0 {
 		r.SetScissor(c.band[0], c.band[1])
 	}
@@ -302,15 +306,8 @@ func randomTriangles(rng *rand.Rand) []geom.Triangle {
 // targets and both entry points, Draw/DrawAll match the reference exactly.
 func TestDrawMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tris := randomTriangles(rng)
-		c := rasterCase{w: 1 + rng.Intn(96), h: 1 + rng.Intn(96), oneByOne: rng.Intn(3) == 0, capacity: 1 + rng.Intn(300)}
-		if rng.Intn(2) == 0 {
-			y0 := rng.Intn(c.h)
-			c.band = [2]int{y0, y0 + 1 + rng.Intn(c.h-y0)}
-		}
-		if err := compareDraw(tris, c); err != nil {
-			t.Logf("seed %d %+v: %v", seed, c, err)
+		if err := compareSeed(seed); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		return true
@@ -318,6 +315,258 @@ func TestDrawMatchesReferenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// compareSeed is one case of the property: a random scene and setup.
+func compareSeed(seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	tris := randomTriangles(rng)
+	c := rasterCase{w: 1 + rng.Intn(96), h: 1 + rng.Intn(96), oneByOne: rng.Intn(3) == 0, capacity: 1 + rng.Intn(300)}
+	if rng.Intn(2) == 0 {
+		y0 := rng.Intn(c.h)
+		c.band = [2]int{y0, y0 + 1 + rng.Intn(c.h-y0)}
+	}
+	if err := compareDraw(tris, c); err != nil {
+		return fmt.Errorf("%+v: %w", c, err)
+	}
+	return nil
+}
+
+// screenTri is a triangle given in pixel coordinates: under the identity
+// transform (w = 1) every coordinate lands on screen exactly as written.
+func screenTri(x0, y0, x1, y1, x2, y2 float32) geom.Triangle {
+	return geom.Triangle{
+		P: [3]geom.Vec3{{X: x0, Y: y0, Z: 0.25}, {X: x1, Y: y1, Z: 0.5}, {X: x2, Y: y2, Z: 0.75}},
+		N: [3]geom.Vec3{geom.V(0, 0, 1), geom.V(0, 1, 0), geom.V(1, 0, 0)},
+	}
+}
+
+// coords views a triangle's nine position coordinates for editing.
+func coords(t *geom.Triangle) [9]*float32 {
+	var c [9]*float32
+	for i := range t.P {
+		c[3*i], c[3*i+1], c[3*i+2] = &t.P[i].X, &t.P[i].Y, &t.P[i].Z
+	}
+	return c
+}
+
+func ulpUp(f float32) float32   { return math.Nextafter32(f, float32(math.Inf(1))) }
+func ulpDown(f float32) float32 { return math.Nextafter32(f, float32(math.Inf(-1))) }
+
+// adversarialCases are the inputs where a pixel-centre box could diverge
+// from the floor/ceil box: centres on or an ulp from vertices and edges,
+// extents ending on the margin, slivers whose weights are mostly rounding,
+// coordinates far off screen, non-finite coordinates, and w near 0. All but
+// the last run under the identity transform on a 16x12 viewport.
+func adversarialCases() map[string][]geom.Triangle {
+	const m = float32(margin)
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	cases := map[string][]geom.Triangle{}
+
+	onCentres := []geom.Triangle{
+		screenTri(2.5, 2.5, 9.5, 2.5, 2.5, 8.5),
+		screenTri(3.5, 3.5, 3.5, 9.5, 10.5, 6.5),
+		screenTri(0.5, 0.5, 15.5, 11.5, 0.5, 11.5),
+	}
+	cases["vertices on pixel centres"] = onCentres
+	var nudged []geom.Triangle
+	for _, base := range onCentres {
+		for k := 0; k < 9; k++ {
+			if k%3 == 2 {
+				continue // depth
+			}
+			for _, f := range []func(float32) float32{ulpUp, ulpDown} {
+				t := base
+				p := coords(&t)[k]
+				*p = f(*p)
+				nudged = append(nudged, t)
+			}
+		}
+		up, down := base, base
+		for k, p := range coords(&up) {
+			if k%3 != 2 {
+				*p = ulpUp(*p)
+				*coords(&down)[k] = ulpDown(*coords(&down)[k])
+			}
+		}
+		nudged = append(nudged, up, down)
+	}
+	cases["vertices ±1 ulp from pixel centres"] = nudged
+
+	// A tip whose coordinate ends exactly at a centre ± m (or an ulp either
+	// side of that), pointing each way along each axis.
+	var tips []geom.Triangle
+	for _, e := range []float32{5.5 - m, 5.5, 5.5 + m} {
+		for _, v := range []float32{ulpDown(e), e, ulpUp(e)} {
+			tips = append(tips,
+				screenTri(v, 4.5, 1.25, 1.75, 1.25, 7.25), // right extent
+				screenTri(v, 4.5, 9.75, 1.75, 9.75, 7.25), // left extent
+				screenTri(4.5, v, 1.75, 1.25, 7.25, 1.25), // bottom extent
+				screenTri(4.5, v, 1.75, 9.75, 7.25, 9.75), // top extent
+				screenTri(v, v, 1.25, 2, 2, 1.25),         // corner
+			)
+		}
+	}
+	cases["extents ending at a centre ± margin"] = tips
+
+	slivers := []geom.Triangle{
+		screenTri(0.5, 0.5, 15.5, 11.5, 15.5, ulpUp(11.5)),
+		screenTri(0.5, 4.5, 15.5, 4.5, 8, ulpUp(4.5)),
+		screenTri(0.5, 4.5, 15.5, ulpDown(4.5), 8, 4.5),
+		screenTri(1.5, 1.5, 13.5, 7.5, 7.5, ulpUp(4.5)),
+		screenTri(1.5, 1.5, 13.5, 7.5, 7.5, 4.5), // collinear: zero area
+		screenTri(-1000, 4.5, 7.5, 4.5, -1000, ulpUp(4.5)),
+		screenTri(-1000, 4.5, 7.5, 4.5, -1000, 4.6),
+		screenTri(7.5, 4.5, 7.5+1e-6, 4.5, 7.5, 4.5+1e-6),
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, off := range []float64{1e-2, 1e-4, 1e-6, 1e-8} {
+		for k := 0; k < 8; k++ {
+			ax, ay := rng.Float64()*16, rng.Float64()*12
+			bx, by := rng.Float64()*16, rng.Float64()*12
+			s := rng.Float64()
+			nx, ny := -(by - ay), bx-ax
+			slivers = append(slivers, screenTri(float32(ax), float32(ay), float32(bx), float32(by),
+				float32(ax+s*(bx-ax)+off*nx), float32(ay+s*(by-ay)+off*ny)))
+		}
+	}
+	cases["needle slivers and near-collinear triangles"] = slivers
+
+	var far []geom.Triangle
+	for _, mag := range []float32{1e6, 1e10, 1e20, 1e30} {
+		for _, s := range []float32{-mag, mag} {
+			far = append(far,
+				screenTri(s, 5.5, 8.5, 2.5, 8.5, 9.5),
+				screenTri(3.5, s, 8.5, 2.5, 12.5, 9.5),
+				screenTri(s, s, -s, 6, 8.5, 9.5),
+				screenTri(s, 4.5, s, 4.6, 7.5, 4.5), // a needle from far away
+				screenTri(-mag, -mag, mag, -mag, 0, mag),
+				screenTri(s, s, s+1, s, s, s+1),
+			)
+		}
+	}
+	cases["off-screen coordinates from ±1e6 to ±1e30"] = far
+
+	var nonFinite []geom.Triangle
+	for _, base := range []geom.Triangle{screenTri(2.25, 2.75, 9.5, 3.25, 4.75, 8.5), screenTri(0.5, 0.5, 15.5, 11.5, 0.5, 11.5)} {
+		for k := 0; k < 9; k++ {
+			for _, v := range []float32{nan, inf, -inf} {
+				t := base
+				*coords(&t)[k] = v
+				nonFinite = append(nonFinite, t)
+			}
+		}
+	}
+	cases["one NaN or ±Inf coordinate"] = nonFinite
+	return cases
+}
+
+// nearW0 are triangles for the transform w = z (x/w and y/w on screen):
+// a vertex with z just above 0 projects to a huge or overflowing
+// coordinate, and z = ±0 is culled.
+func nearW0() []geom.Triangle {
+	var ts []geom.Triangle
+	for _, z := range []float32{math.SmallestNonzeroFloat32, 1e-38, 1e-30, 1e-6, ulpUp(0), 0, float32(math.Copysign(0, -1))} {
+		for _, p := range []geom.Vec3{{X: 0.5, Y: 0.5, Z: z}, {X: -0.5, Y: 0.25, Z: z}, {X: 0, Y: -1e-30, Z: z}} {
+			ts = append(ts, geom.Triangle{
+				P: [3]geom.Vec3{{X: 4, Y: 4, Z: 1}, {X: 8, Y: 4.5, Z: 1}, p},
+				N: [3]geom.Vec3{geom.V(0, 0, 1), geom.V(0, 1, 0), geom.V(1, 0, 0)},
+			})
+		}
+	}
+	return ts
+}
+
+// permutations returns t under all six vertex orders (both windings).
+func permutations(t geom.Triangle) []geom.Triangle {
+	var out []geom.Triangle
+	for _, o := range [][3]int{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}, {0, 2, 1}, {2, 1, 0}, {1, 0, 2}} {
+		var p geom.Triangle
+		for i, j := range o {
+			p.P[i], p.N[i] = t.P[j], t.N[j]
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// Each adversarial triangle, in every vertex order, on its own and as one
+// batch, must match the reference exactly (planes, counters, Put sequence,
+// active-pixel flushes). The property seed that caught a pixel-centre box
+// filling less than the floor/ceil box for NaN weights rides along.
+func TestDrawMatchesReferenceAdversarial(t *testing.T) {
+	id := geom.Identity()
+	wz := geom.Identity()
+	wz[14], wz[15] = 1, 0 // w = z
+	setups := func(m *geom.Mat4) []rasterCase {
+		return []rasterCase{
+			{w: 16, h: 12, capacity: 7, m: m},
+			{w: 16, h: 12, capacity: 1000, oneByOne: true, m: m},
+			{w: 16, h: 12, capacity: 3, band: [2]int{3, 8}, m: m},
+			{w: 1, h: 1, capacity: 1, m: m},
+		}
+	}
+	cases := adversarialCases()
+	cases["w just above 0"] = nearW0()
+	for name, tris := range cases {
+		m := &id
+		if name == "w just above 0" {
+			m = &wz
+		}
+		var all []geom.Triangle
+		for _, tri := range tris {
+			all = append(all, permutations(tri)...)
+		}
+		for _, c := range setups(m) {
+			for _, tri := range all {
+				if err := compareDraw([]geom.Triangle{tri}, c); err != nil {
+					t.Fatalf("%s: %+v, w=%d h=%d band=%v: %v", name, tri.P, c.w, c.h, c.band, err)
+				}
+			}
+			if err := compareDraw(all, c); err != nil {
+				t.Fatalf("%s: batch, w=%d h=%d band=%v: %v", name, c.w, c.h, c.band, err)
+			}
+		}
+	}
+	if err := compareSeed(1422328323328110583); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzDrawMatchesReference draws one triangle from raw float32 bits — any
+// NaN payload, infinity, denormal or magnitude — on a fuzzed viewport,
+// under the identity transform (the bits are screen coordinates) or the
+// default camera, and requires the reference's output bit for bit.
+func FuzzDrawMatchesReference(f *testing.F) {
+	bits := func(t geom.Triangle) (b [9]uint32) {
+		for k, p := range coords(&t) {
+			b[k] = math.Float32bits(*p)
+		}
+		return b
+	}
+	for _, tris := range adversarialCases() {
+		for _, tri := range tris[:1] {
+			b := bits(tri)
+			f.Add(b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], uint8(16), uint8(12), false)
+		}
+	}
+	b := bits(screenTri(0.25, 0.5, 0.75, 0.5, 0.5, 0.75))
+	f.Add(b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], uint8(64), uint8(64), true)
+	f.Fuzz(func(t *testing.T, x0, y0, z0, x1, y1, z1, x2, y2, z2 uint32, w, h uint8, camera bool) {
+		var tri geom.Triangle
+		for k, p := range coords(&tri) {
+			*p = math.Float32frombits([]uint32{x0, y0, z0, x1, y1, z1, x2, y2, z2}[k])
+		}
+		tri.N = [3]geom.Vec3{geom.V(0, 0, 1), geom.V(0, 1, 0), geom.V(1, 0, 0)}
+		c := rasterCase{w: 1 + int(w%64), h: 1 + int(h%64), capacity: 5}
+		if !camera {
+			id := geom.Identity()
+			c.m = &id
+		}
+		if err := compareDraw([]geom.Triangle{tri}, c); err != nil {
+			t.Fatalf("%+v on %dx%d: %v", tri.P, c.w, c.h, err)
+		}
+	})
 }
 
 // The corner viewports: 1x1, one-pixel strips, and the bench's 512x512

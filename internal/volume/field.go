@@ -105,3 +105,39 @@ func NewBlockVolume(b Block) *Volume {
 	v.Block = b
 	return v
 }
+
+// spare holds volumes handed back by Recycle for Borrow. Like a sync.Pool it
+// is safe for concurrent use; unlike one it survives garbage collections, so
+// a steady stream of chunk reads allocates nothing. The bound caps what it
+// pins, not what may be in flight — a full list drops the volume — and
+// covers the chunks a pipeline holds at once (a stream queue of 8 plus one
+// per reading copy).
+var spare = make(chan *Volume, 16)
+
+// Borrow returns a volume shaped like block b whose samples are
+// unspecified, so the caller must overwrite every one. It reuses the first
+// recycled volume when that is large enough and otherwise allocates exactly
+// b's size.
+func Borrow(b Block) *Volume {
+	n := b.Samples()
+	select {
+	case v := <-spare:
+		if cap(v.Data) >= n {
+			v.NX, v.NY, v.NZ, v.Block = b.NX, b.NY, b.NZ, b
+			v.Data = v.Data[:n]
+			return v
+		}
+	default:
+	}
+	return NewBlockVolume(b)
+}
+
+// Recycle hands v back to Borrow. The caller must hold the only reference:
+// in the isosurface pipeline, that is the extract stage once it has walked a
+// chunk the read stage wrote.
+func Recycle(v *Volume) {
+	select {
+	case spare <- v:
+	default:
+	}
+}
