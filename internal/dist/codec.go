@@ -17,7 +17,12 @@ import (
 // performance decision and both directions of a mixed deployment stay
 // wire-compatible as long as the same ids map to the same codecs.
 type PayloadCodec interface {
-	// Append encodes v, appending its wire bytes to dst.
+	// Append encodes v, appending its wire bytes to dst. It is the sender's
+	// last use of v: the runtime drops v when Append returns (even when
+	// the connection has already failed and the bytes go nowhere), so a
+	// codec may reclaim v's storage for reuse. Transports that hand a
+	// payload over by reference (the in-process ring, exec.Fuse) never
+	// call Append.
 	Append(dst []byte, v any) ([]byte, error)
 	// Decode decodes one payload from body. If ZeroCopy reports true the
 	// returned value may alias body; the runtime then keeps body alive

@@ -67,6 +67,19 @@ func init() {
 	dist.RegisterFilter("test.suicide", func([]byte) (core.Filter, error) {
 		return &suicideSink{w: suicideTarget.Load()}, nil
 	})
+
+	// The control-session frames of the wire tests, fuzz seeds and
+	// benchmark (package dist) set up the jobd-small-jobs bench query.
+	// isoviz imports dist, so only this external package can build it.
+	g, err := isoviz.DistGraphStore(isoviz.StoreREParams{Dir: "plume", Pushdown: true}, isoviz.ActivePixel)
+	if err != nil {
+		panic(err)
+	}
+	work, err := dist.EncodeUOW(isoviz.View{Timestep: 2, Iso: 0.9, Width: 256, Height: 256, Camera: geom.DefaultCamera()})
+	if err != nil {
+		panic(err)
+	}
+	dist.SessionGraph, dist.SessionWork = g, work
 }
 
 // suicideTarget is the worker the suicide sink kills; set by the test

@@ -10,9 +10,11 @@ import (
 // claims (truncated, zero, or oversized prefixes are all in the seed
 // corpus), and any frame it does accept must re-encode to the same bytes.
 func FuzzDecodeFrame(f *testing.F) {
-	// Well-formed frames of each data-plane kind, plus a control frame.
+	// Well-formed frames of each data-plane kind, plus a control frame —
+	// the first on its stream, so it carries the type descriptors.
 	seed := func(fr *frame) {
-		body, err := appendFrame(nil, fr)
+		var w frameWriter
+		body, err := w.appendFrame(nil, fr)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -43,11 +45,12 @@ func FuzzDecodeFrame(f *testing.F) {
 				return
 			}
 			// Accepted frames on the binary plane must round-trip
-			// byte-identically (control frames re-encode via gob, whose
-			// map ordering is not canonical, so skip those).
+			// byte-identically (FuzzControlStream covers control frames:
+			// gob's map ordering is not canonical).
 			switch fr.Kind {
 			case kindData, kindAck, kindProducerDone, kindHello:
-				re, err := appendFrame(nil, fr)
+				var w frameWriter
+				re, err := w.appendFrame(nil, fr)
 				if err != nil {
 					t.Fatalf("re-encoding accepted frame: %v", err)
 				}

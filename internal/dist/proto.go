@@ -12,10 +12,12 @@
 //
 // The data plane (data, ack, and producer-done frames) uses hand-rolled
 // binary headers, per-payload-type codecs (PayloadCodec, with a gob
-// fallback for unregistered types), pooled frame buffers, and buffered
+// fallback for unregistered types), pooled frame buffers, and batched
 // connection writers whose flush-on-idle policy coalesces bursts of small
-// frames into single syscalls (wire.go, codec.go). Control frames stay on
-// gob — they are per-session or per-unit-of-work, never per-buffer.
+// frames into single vectored writes (wire.go, codec.go). Control frames
+// are per-session or per-unit-of-work, never per-buffer, and stay on gob:
+// one gob stream per connection direction, so the frame type's
+// descriptors cross a connection once.
 //
 // Filters are constructed worker-side from a registry of named builders
 // (the coordinator ships only the spec), so any process that imports the
@@ -229,7 +231,8 @@ func builderFor(kind string) (Builder, error) {
 // and producer-done frames travel on worker->worker connections (one TCP
 // connection per ordered host pair, so FIFO ordering between a host's data
 // and its end-of-work markers is guaranteed by TCP). Frame serialization
-// lives in wire.go: binary bodies for the data plane, gob for control.
+// lives in wire.go: binary bodies for the data plane, a per-connection gob
+// stream for control.
 
 type frame struct {
 	Kind frameKind

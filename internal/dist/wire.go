@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"time"
 
@@ -33,7 +34,9 @@ import (
 //
 // Everything else (setup, unit-of-work, declarations, stats, failures) is
 // control traffic — rare, per-session or per-UOW — and keeps a gob-encoded
-// frame struct as its body, one self-contained gob stream per frame.
+// frame struct as its body. Each direction of a connection is one gob
+// stream: the frame type's descriptors travel once, in the first control
+// frame, and every later control frame body is one gob value.
 
 // maxFrameLen bounds a frame's length prefix; anything larger is a corrupt
 // or hostile stream and fails the connection before large allocations.
@@ -72,14 +75,46 @@ func (f *frame) release() {
 	}
 }
 
+// control reports whether frames of kind k travel on the gob control
+// stream rather than the stateless binary plane.
+func (k frameKind) control() bool {
+	switch k {
+	case kindData, kindAck, kindProducerDone, kindHello, kindHeartbeat:
+		return false
+	}
+	return true
+}
+
 // ---- Frame encode ----
+
+// frameWriter encodes the frames of one connection direction. Binary-plane
+// frames touch none of its state, so concurrent senders encode them in
+// parallel; control frames share the direction's gob stream, so callers
+// must serialize them in wire order (conn.send holds conn.ctl from encode
+// to queue). The zero value is a fresh stream.
+type frameWriter struct {
+	enc *gob.Encoder
+	out []byte // enc's sink: the frame being appended to, during an encode
+}
 
 // appendFrame serializes f (kind byte + body, no length prefix) onto dst.
 // For data frames carrying a payload value, the payload is encoded through
 // the codec registry; pre-encoded payload bytes (re-framing a received
 // frame) are copied verbatim with their codec id.
-func appendFrame(dst []byte, f *frame) ([]byte, error) {
+func (w *frameWriter) appendFrame(dst []byte, f *frame) ([]byte, error) {
 	dst = append(dst, byte(f.Kind))
+	if f.Kind.control() {
+		if w.enc == nil {
+			w.enc = gob.NewEncoder(appendWriter{&w.out})
+		}
+		w.out = dst
+		err := w.enc.Encode(f)
+		dst, w.out = w.out, nil
+		if err != nil {
+			return nil, fmt.Errorf("dist: encoding %v control frame: %w", f.Kind, err)
+		}
+		return dst, nil
+	}
 	switch f.Kind {
 	case kindData:
 		dst = appendU64(dst, f.Job)
@@ -129,12 +164,6 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 		}
 	case kindHello, kindHeartbeat:
 		// empty body
-	default:
-		var bb bytes.Buffer
-		if err := gob.NewEncoder(&bb).Encode(f); err != nil {
-			return nil, fmt.Errorf("dist: encoding %v control frame: %w", f.Kind, err)
-		}
-		dst = append(dst, bb.Bytes()...)
 	}
 	return dst, nil
 }
@@ -157,19 +186,37 @@ func appendStream(dst []byte, s string) ([]byte, error) {
 
 // ---- Frame decode ----
 
-// frameReader decodes kind-prefixed frame bodies. names interns stream
-// names so steady-state data frames decode without string allocations; it
-// is not synchronized — each connection direction has a single reader.
+// frameReader decodes the kind-prefixed frame bodies of one connection
+// direction. names interns stream names so steady-state data frames decode
+// without string allocations. It is not synchronized — each direction has a
+// single reader.
+//
+// dec is the direction's gob control stream. It reads from src, which holds
+// exactly the frame body being decoded, so gob never reads ahead.
 type frameReader struct {
-	buf   []byte
 	names map[string]string
+	dec   *gob.Decoder
+	src   bytes.Reader
+	// err is sticky: after a failed frame the stream position and the gob
+	// stream's type table are unknown, so nothing later is trusted.
+	err error
 }
+
+// maxInterned bounds the stream names one reader interns. A session uses a
+// handful; names beyond the cap (a hostile or confused peer) are allocated
+// per frame instead of pinned for the connection's lifetime.
+const maxInterned = 64
 
 var errShortFrame = fmt.Errorf("dist: truncated frame")
 
-// errTrailingBytes rejects binary-plane frames whose body is longer than
-// the fields account for: every accepted frame re-encodes byte-identically.
+// errTrailingBytes rejects frames whose body is longer than the fields (or
+// the control frame's one gob value) account for: every accepted
+// binary-plane frame re-encodes byte-identically.
 var errTrailingBytes = fmt.Errorf("dist: frame has trailing bytes")
+
+// errControlStream marks every failure to decode a control frame; the
+// connection's control stream is unusable from then on.
+var errControlStream = fmt.Errorf("dist: corrupt control stream")
 
 // decodeFrame parses one frame body (kind byte + body, as produced by
 // appendFrame). Data-frame payloads alias buf.
@@ -255,14 +302,59 @@ func (r *frameReader) decodeFrame(buf []byte) (*frame, error) {
 	case kindSetup, kindSetupOK, kindInitUOW, kindDecls, kindBeginProcess,
 		kindProcessDone, kindFinalize, kindFinalizeDone, kindShutdown, kindFail,
 		kindAbort, kindAbortDone, kindShutdownDone:
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(f); err != nil {
-			return nil, fmt.Errorf("dist: decoding control frame: %w", err)
+		if r.dec == nil {
+			r.dec = gob.NewDecoder(&r.src) // *bytes.Reader is an io.ByteReader: no read-ahead buffer
+		}
+		// gob sizes a new map by the count the peer sent, so a few hostile
+		// bytes could demand gigabytes. The first pass discards the value,
+		// walking every map entry on the wire: after it each count is
+		// backed by bytes of the body. It also takes in the body's type
+		// definitions, so the second pass decodes the value message alone.
+		r.src.Reset(b)
+		err := r.dec.DecodeValue(reflect.Value{})
+		if err == nil && r.src.Len() != 0 {
+			err = errTrailingBytes
+		}
+		if err == nil {
+			r.src.Reset(lastGobMessage(b))
+			err = r.dec.Decode(f)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: kind %d: %w", errControlStream, buf[0], err)
 		}
 		f.Kind = frameKind(buf[0]) // outer kind byte is authoritative
 	default:
 		return nil, fmt.Errorf("dist: unknown frame kind %d", buf[0])
 	}
 	return f, nil
+}
+
+// lastGobMessage returns the last message of a gob stream segment: after
+// a clean decode of one control frame body, the value that follows its
+// type definitions. Each message is a gob uint byte count and that many
+// bytes; a count under 128 is one byte, a larger one is its big-endian
+// bytes after one byte holding their number, negated. Malformed framing
+// yields nil, which then fails to decode.
+func lastGobMessage(b []byte) []byte {
+	var last []byte
+	for len(b) > 0 {
+		n, w := uint64(b[0]), 1
+		if b[0] >= 0x80 {
+			w += 256 - int(b[0])
+			if w > 9 || w > len(b) {
+				return nil
+			}
+			n = 0
+			for _, c := range b[1:w] {
+				n = n<<8 | uint64(c)
+			}
+		}
+		if n > uint64(len(b)-w) {
+			return nil
+		}
+		last, b = b[:w+int(n)], b[w+int(n):]
+	}
+	return last
 }
 
 func readU32(b []byte) (int, []byte, error) {
@@ -296,7 +388,9 @@ func (r *frameReader) readStream(b []byte) (string, []byte, error) {
 	if r.names == nil {
 		r.names = make(map[string]string, 8)
 	}
-	r.names[s] = s
+	if len(r.names) < maxInterned {
+		r.names[s] = s
+	}
 	return s, b[n:], nil
 }
 
@@ -304,8 +398,20 @@ func (r *frameReader) readStream(b []byte) (string, []byte, error) {
 // buffer and decodes it. The returned cleanup recycles the buffer and is
 // non-nil exactly when the frame (or its payload) may alias it. The body is
 // read in bounded chunks so a hostile length prefix cannot force a large
-// allocation ahead of actual stream contents.
+// allocation ahead of actual stream contents. The first error is sticky:
+// every later call returns it without reading.
 func (r *frameReader) readWireFrame(rd io.Reader) (*frame, func(), error) {
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	f, rel, err := r.readFrame(rd)
+	if err != nil {
+		r.err = err
+	}
+	return f, rel, err
+}
+
+func (r *frameReader) readFrame(rd io.Reader) (*frame, func(), error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 		return nil, nil, err
@@ -380,17 +486,22 @@ var errConnClosed = fmt.Errorf("dist: connection closed")
 
 // conn wraps a TCP connection with length-prefixed framing, a vectored
 // batch writer drained by a per-connection flusher goroutine, and an
-// interning frame reader. Senders encode frames into pooled buffers outside
-// any lock, then queue the finished segments under mu; the flusher hands
-// the whole batch to writev (net.Buffers) in one syscall — large payload
-// buffers travel from codec output to kernel with no intermediate memcpy,
-// while bursts of small frames ride a shared slab segment. A batch-size cap
-// (pendMax) blocks senders when the socket falls behind, standing in for
-// the old bufio backpressure.
+// interning frame reader. Senders encode binary-plane frames into pooled
+// buffers outside any lock, then queue the finished segments under mu; the
+// flusher hands the whole batch to writev (net.Buffers) in one syscall —
+// large payload buffers travel from codec output to kernel with no
+// intermediate memcpy, while bursts of small frames ride a shared slab
+// segment. A batch-size cap (pendMax) blocks senders when the socket falls
+// behind, standing in for the old bufio backpressure.
 type conn struct {
 	c  net.Conn
 	br *bufio.Reader
 	r  frameReader
+	w  frameWriter
+
+	// ctl is held from a control frame's encode to its queueing, so the
+	// outbound gob stream's message order is the wire order.
+	ctl sync.Mutex
 
 	mu        sync.Mutex
 	cond      *sync.Cond // signaled when pend drains or the conn fails
@@ -513,17 +624,23 @@ func (c *conn) flushPend() {
 			c.m.writevBytes.Add(int64(total))
 		}
 		if err != nil {
-			c.mu.Lock()
-			if c.werr == nil {
-				c.werr = err
-			}
-			c.cond.Broadcast()
-			c.mu.Unlock()
+			c.fail(err)
 		}
 	}
 	for _, sp := range segs {
 		putWireBuf(sp)
 	}
+}
+
+// fail makes err the connection's sticky write error unless one is already
+// set, and wakes senders blocked on the batch cap.
+func (c *conn) fail(err error) {
+	c.mu.Lock()
+	if c.werr == nil {
+		c.werr = err
+	}
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
 // close tears the connection down and stops its flusher (idempotent). A
@@ -539,12 +656,7 @@ func (c *conn) close() {
 		close(c.stop)
 		_ = c.c.SetWriteDeadline(time.Now().Add(250 * time.Millisecond))
 		c.flushPend()
-		c.mu.Lock()
-		if c.werr == nil {
-			c.werr = errConnClosed
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
+		c.fail(errConnClosed)
 		if c.onClose != nil {
 			c.onClose()
 		}
@@ -604,7 +716,8 @@ func (c *conn) flusher() {
 // are in the pending batch; the flusher moves them to the socket (senders
 // block at the batch-size cap, which exerts TCP backpressure upstream).
 // Write errors are sticky: after a failure every subsequent send reports
-// one.
+// one. A control frame that fails to encode fails the connection too: the
+// encoder may have written type descriptors the peer will never see.
 func (c *conn) send(f *frame) error {
 	var dup bool
 	if c.fi != nil && f.Kind == kindData {
@@ -617,13 +730,21 @@ func (c *conn) send(f *frame) error {
 		}
 		dup = act.Dup
 	}
+	control := f.Kind.control()
+	if control {
+		c.ctl.Lock()
+		defer c.ctl.Unlock()
+	}
 	bp := getWireBuf()
 	// Reserve the length prefix up front so the segment is one contiguous
 	// iovec; patch it once the body size is known.
 	buf := append((*bp)[:0], 0, 0, 0, 0)
-	buf, err := appendFrame(buf, f)
+	buf, err := c.w.appendFrame(buf, f)
 	if err != nil {
 		putWireBuf(bp)
+		if control {
+			c.fail(err)
+		}
 		return err
 	}
 	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
@@ -662,7 +783,8 @@ var errInjectedKill = fmt.Errorf("dist: fault injection killed this process")
 
 // recv reads and decodes the next frame. Data frames own a pooled wire
 // buffer (released via decodePayload / frame.release); every other kind is
-// fully decoded and the buffer recycled before returning.
+// fully decoded and the buffer recycled before returning. Errors are
+// sticky, like send's.
 func (c *conn) recv() (*frame, error) {
 	f, _, err := c.r.readWireFrame(c.br)
 	if err == nil && c.fi != nil {

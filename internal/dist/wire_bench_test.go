@@ -10,11 +10,14 @@ import (
 // concrete type registered (the codec fast path does not).
 func init() { RegisterPayload([]float32{}) }
 
-// BenchmarkWireCodec compares the binary frame path against the gob path it
-// replaced, frame encode + decode + payload decode per op. "gob" replicates
-// the old protocol faithfully: a persistent frame encoder/decoder pair per
-// connection (gob streams), with each payload gob-encoded separately into
-// the frame's byte slice (encodeAny/decodeAny, still the fallback today).
+// BenchmarkWireCodec measures frame encode + decode (+ payload decode) per
+// op. The binary/* cases are today's data plane. The gob/* cases replicate
+// the data plane it replaced: one persistent gob encoder/decoder pair per
+// connection carrying whole frame structs, each payload gob-encoded
+// separately into the frame's bytes (encodeAny/decodeAny; the gob fallback,
+// appendGob, still writes that payload format). control-session is today's
+// control plane: the ten control frames of a one-UOW session, each
+// direction on a fresh per-connection gob stream, as one op.
 func BenchmarkWireCodec(b *testing.B) {
 	payload := make([]float32, 4096)
 	for i := range payload {
@@ -25,10 +28,11 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(4 * len(payload)))
 		var buf []byte
+		var w frameWriter
 		var r frameReader
 		for i := 0; i < b.N; i++ {
 			var err error
-			buf, err = appendFrame(buf[:0], dataFrame(1, 1, "floats", 0, 0, 4, len(payload)*4, payload))
+			buf, err = w.appendFrame(buf[:0], dataFrame(1, 1, "floats", 0, 0, 4, len(payload)*4, payload))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -79,11 +83,12 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("binary/ack", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
+		var w frameWriter
 		var r frameReader
 		f := &frame{Kind: kindAck, UOWIdx: 1, Stream: "floats", Target: 2, Copy: 3, AckN: 4}
 		for i := 0; i < b.N; i++ {
 			var err error
-			buf, err = appendFrame(buf[:0], f)
+			buf, err = w.appendFrame(buf[:0], f)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -106,6 +111,27 @@ func BenchmarkWireCodec(b *testing.B) {
 			var g frame
 			if err := dec.Decode(&g); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("control-session", func(b *testing.B) {
+		b.ReportAllocs()
+		down, up := controlSession()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			for _, frames := range [][]*frame{down, up} {
+				var w frameWriter
+				var r frameReader
+				for _, f := range frames {
+					var err error
+					if buf, err = w.appendFrame(buf[:0], f); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := r.decodeFrame(buf); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
 		}
 	})

@@ -96,6 +96,9 @@ func TestConnBatchedWritevRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: kind %v target %d", i, f.Kind, f.Target)
 		}
 	}
+	// The flusher counts a batch after its write returns, which can be
+	// after the receiver has read it; close waits out an in-flight flush.
+	c.close()
 	if v := reg.Counter("dist.tx.writev_calls").Value(); v == 0 {
 		t.Fatal("no vectored writes recorded")
 	}

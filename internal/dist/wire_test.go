@@ -3,15 +3,18 @@ package dist
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
 )
 
-// roundTrip encodes f and decodes the result with a fresh reader.
+// roundTrip encodes f on a fresh stream and decodes the result with a fresh
+// reader.
 func roundTrip(t *testing.T, f *frame) *frame {
 	t.Helper()
-	body, err := appendFrame(nil, f)
+	var w frameWriter
+	body, err := w.appendFrame(nil, f)
 	if err != nil {
 		t.Fatalf("appendFrame: %v", err)
 	}
@@ -169,7 +172,8 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body, err := appendFrame(nil, tc.f)
+			var w frameWriter
+			body, err := w.appendFrame(nil, tc.f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +189,8 @@ func TestFrameGoldenBytes(t *testing.T) {
 }
 
 func TestDecodeFrameErrors(t *testing.T) {
-	valid, err := appendFrame(nil, dataFrame(1, 1, "tri", 2, 3, 4, 24, []float32{1, -2}))
+	var w frameWriter
+	valid, err := w.appendFrame(nil, dataFrame(1, 1, "tri", 2, 3, 4, 24, []float32{1, -2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,27 +211,33 @@ func TestDecodeFrameErrors(t *testing.T) {
 	}
 }
 
+// Each case gets a fresh reader: a reader's first error is sticky.
 func TestReadWireFrameLimits(t *testing.T) {
-	var r frameReader
+	read := func(in []byte) error {
+		var r frameReader
+		_, _, err := r.readWireFrame(bytes.NewReader(in))
+		return err
+	}
 	// Oversized length prefix: rejected before any allocation.
-	if _, _, err := r.readWireFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err != errFrameTooLarge {
+	if err := read([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != errFrameTooLarge {
 		t.Fatalf("oversized prefix: err = %v", err)
 	}
 	// Zero-length prefix is invalid (frames always carry a kind byte).
-	if _, _, err := r.readWireFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err != errFrameTooLarge {
+	if err := read([]byte{0, 0, 0, 0}); err != errFrameTooLarge {
 		t.Fatalf("zero prefix: err = %v", err)
 	}
 	// Truncated stream: frame announces more bytes than arrive.
-	if _, _, err := r.readWireFrame(bytes.NewReader([]byte{16, 0, 0, 0, byte(kindHello)})); err != io.ErrUnexpectedEOF {
+	if err := read([]byte{16, 0, 0, 0, byte(kindHello)}); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated body: err = %v", err)
 	}
 }
 
 func TestStreamNameInterning(t *testing.T) {
 	var r frameReader
+	var w frameWriter
 	frames := make([][]byte, 2)
 	for i := range frames {
-		body, err := appendFrame(nil, &frame{Kind: kindProducerDone, UOWIdx: i, Stream: "triangles"})
+		body, err := w.appendFrame(nil, &frame{Kind: kindProducerDone, UOWIdx: i, Stream: "triangles"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,5 +249,37 @@ func TestStreamNameInterning(t *testing.T) {
 	// check: the intern map holds exactly one entry).
 	if a.Stream != b.Stream || len(r.names) != 1 {
 		t.Fatalf("interning failed: %d names", len(r.names))
+	}
+}
+
+// A peer cycling through fresh stream names — any dialer that says hello
+// gets a peer connection, and frames for unknown jobs are dropped only
+// after their name is decoded — must not grow the reader's intern map
+// without bound: every frame still decodes, and the map stops at the cap.
+func TestStreamNameInterningBounded(t *testing.T) {
+	const n = 10000
+	name := func(i int) string { return fmt.Sprintf("stream-%05d", i) }
+	var w frameWriter
+	var in []byte
+	for i := 0; i < n; i++ {
+		body, err := w.appendFrame(nil, &frame{Kind: kindProducerDone, Job: 99, UOWIdx: i, Stream: name(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in = append(in, wireBytes(body)...)
+	}
+	var r frameReader
+	rd := bytes.NewReader(in)
+	for i := 0; i < n; i++ {
+		f, _, err := r.readWireFrame(rd)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if f.Kind != kindProducerDone || f.Job != 99 || f.UOWIdx != i || f.Stream != name(i) {
+			t.Fatalf("frame %d mangled: %+v", i, f)
+		}
+		if len(r.names) > maxInterned {
+			t.Fatalf("after %d frames the reader interns %d names, cap %d", i+1, len(r.names), maxInterned)
+		}
 	}
 }

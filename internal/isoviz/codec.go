@@ -15,8 +15,11 @@ import (
 // (E->Ra) and the two pixel-run shapes (Ra->M). Each replaces the gob
 // fallback's per-frame type descriptors and element-wise reflection with a
 // count header plus bulk little-endian field data, encoded straight into
-// the connection's pooled frame buffer. Registered in distfilters.go
-// alongside the gob registrations, which remain the fallback.
+// the connection's pooled frame buffer. Append is the sender's last use of
+// a payload (dist.PayloadCodec), so each encoder hands the storage it has
+// just copied out back to the free lists (recycle.go). Registered in
+// distfilters.go alongside the gob registrations, which remain the
+// fallback.
 //
 // Codec ids (dist reserves 1–255 for built-ins; applications start at 256).
 const (
@@ -62,7 +65,9 @@ func (triBatchCodec) Append(dst []byte, v any) ([]byte, error) {
 		return nil, fmt.Errorf("isoviz: TriBatch codec got %T", v)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Tris)))
-	return wirebin.AppendFloat32s(dst, triView(b.Tris)), nil
+	dst = wirebin.AppendFloat32s(dst, triView(b.Tris))
+	triangles.put(b.Tris)
+	return dst, nil
 }
 
 func (triBatchCodec) Decode(body []byte) (any, error) {
@@ -98,6 +103,7 @@ func (pixBatchCodec) Append(dst []byte, v any) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p.Depth))
 		dst = append(dst, p.C.R, p.C.G, p.C.B)
 	}
+	pixels.put(b.Pixels)
 	return dst, nil
 }
 
@@ -141,7 +147,10 @@ func (zChunkCodec) Append(dst []byte, v any) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(z.Depth)))
 	dst = wirebin.AppendFloat32s(dst, z.Depth)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(z.Color)))
-	return append(dst, rgbView(z.Color)...), nil
+	dst = append(dst, rgbView(z.Color)...)
+	depths.put(z.Depth)
+	colors.put(z.Color)
+	return dst, nil
 }
 
 func (zChunkCodec) Decode(body []byte) (any, error) {

@@ -4,12 +4,29 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"datacutter/internal/geom"
 	"datacutter/internal/render"
 )
+
+// clonePayload deep-copies a payload. Append is the sender's last use of a
+// payload and recycles its storage — a decode may draw it straight back —
+// so a round trip compares against a copy taken before Append.
+func clonePayload(v any) any {
+	switch p := v.(type) {
+	case TriBatch:
+		return TriBatch{Tris: slices.Clone(p.Tris)}
+	case PixBatch:
+		return PixBatch{Pixels: slices.Clone(p.Pixels)}
+	case ZChunk:
+		return ZChunk{Off: p.Off, Depth: slices.Clone(p.Depth), Color: slices.Clone(p.Color)}
+	}
+	panic(fmt.Sprintf("clonePayload: %T", v))
+}
 
 func TestTriBatchCodecRoundTrip(t *testing.T) {
 	in := TriBatch{Tris: []geom.Triangle{
@@ -22,6 +39,7 @@ func TestTriBatchCodecRoundTrip(t *testing.T) {
 			N: [3]geom.Vec3{{X: 0, Y: 0, Z: -1}, {}, {}},
 		},
 	}}
+	want := clonePayload(in)
 	body, err := triBatchCodec{}.Append(nil, in)
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +51,8 @@ func TestTriBatchCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.(TriBatch), in) {
-		t.Fatalf("round trip mangled:\n got  %+v\n want %+v", out, in)
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("round trip mangled:\n got  %+v\n want %+v", out, want)
 	}
 	if _, err := (triBatchCodec{}).Decode(body[:len(body)-1]); err == nil {
 		t.Fatal("truncated payload accepted")
@@ -49,6 +67,7 @@ func TestPixBatchCodecRoundTrip(t *testing.T) {
 		{X: 10, Y: 20, Depth: 0.5, C: render.RGB{R: 1, G: 2, B: 3}},
 		{X: -1, Y: 1 << 20, Depth: -2.25, C: render.RGB{R: 255, G: 0, B: 128}},
 	}}
+	want := clonePayload(in)
 	body, err := pixBatchCodec{}.Append(nil, in)
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +79,8 @@ func TestPixBatchCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.(PixBatch), in) {
-		t.Fatalf("round trip mangled:\n got  %+v\n want %+v", out, in)
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("round trip mangled:\n got  %+v\n want %+v", out, want)
 	}
 	if _, err := (pixBatchCodec{}).Decode(body[:len(body)-1]); err == nil {
 		t.Fatal("truncated payload accepted")
@@ -91,6 +110,7 @@ func TestZChunkCodecRoundTrip(t *testing.T) {
 		Depth: []float32{1, 0.5, -0.25, 3e8},
 		Color: []render.RGB{{R: 1, G: 2, B: 3}, {R: 4, G: 5, B: 6}, {R: 7, G: 8, B: 9}, {R: 255}},
 	}
+	want := clonePayload(in)
 	body, err := zChunkCodec{}.Append(nil, in)
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +119,8 @@ func TestZChunkCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.(ZChunk), in) {
-		t.Fatalf("round trip mangled:\n got  %+v\n want %+v", out, in)
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("round trip mangled:\n got  %+v\n want %+v", out, want)
 	}
 	for cut := 0; cut < len(body); cut++ {
 		if _, err := (zChunkCodec{}).Decode(body[:cut]); err == nil {
@@ -128,7 +148,11 @@ func TestZChunkCodecRejectsMismatchedPlanes(t *testing.T) {
 
 // FuzzPayloadCodecs feeds arbitrary bytes — a peer's frame body — to each
 // of the three decoders: none may panic, and a body one accepts must
-// re-encode to exactly the same bytes.
+// re-encode to exactly the same bytes. Append recycles what it encodes, so
+// the value decoded back from those bytes — possibly into the recycled
+// storage — must match a copy taken before Append. The codecs encode bit
+// for bit (NaNs included, which DeepEqual would not match), so "match" is
+// "re-encodes to the same bytes".
 func FuzzPayloadCodecs(f *testing.F) {
 	tri, _ := triBatchCodec{}.Append(nil, TriBatch{Tris: make([]geom.Triangle, 2)})
 	pix, _ := pixBatchCodec{}.Append(nil, PixBatch{Pixels: make([]render.Pixel, 3)})
@@ -146,12 +170,22 @@ func FuzzPayloadCodecs(f *testing.F) {
 			if err != nil {
 				continue
 			}
+			want := clonePayload(v)
 			again, err := c.Append(nil, v)
 			if err != nil {
 				t.Fatalf("%T: decoded %x but cannot re-encode it: %v", c, body, err)
 			}
 			if !bytes.Equal(again, body) {
 				t.Fatalf("%T: %x re-encodes as %x", c, body, again)
+			}
+			back, err := c.Decode(again)
+			if err != nil {
+				t.Fatalf("%T: %x no longer decodes: %v", c, again, err)
+			}
+			for _, p := range []any{back, want} {
+				if b, err := c.Append(nil, p); err != nil || !bytes.Equal(b, body) {
+					t.Fatalf("%T: round trip through recycled storage: %x, %v; want %x", c, b, err, body)
+				}
 			}
 		}
 	})

@@ -12,13 +12,16 @@ import (
 // producer never touches a buffer after Write — the ring transport and
 // exec.Fuse pass it by reference. So the consumer that has finished a
 // payload hands its storage back here, and the producers and wire decoders
-// draw from these lists instead of allocating:
+// draw from these lists instead of allocating. On a dist TCP edge the
+// consumer is the sender's codec: Append is a payload's last use there.
 //
 //	volumes    E after mcubes.Walk          -> Store.ReadChunk, FieldSource.Load
-//	triangles  Ra after DrawAll             -> triPacker, TriBatch decoder
-//	pixels     M after merging a PixBatch   -> active-pixel flush, PixBatch decoder
-//	depths,    M after merging a ZChunk     -> Ra's z-buffer, sendZBuffer,
-//	colors                                     ZChunk decoder
+//	triangles  Ra after DrawAll,            -> triPacker, TriBatch decoder
+//	           TriBatch codec after Append
+//	pixels     M after merging a PixBatch,  -> active-pixel flush, PixBatch decoder
+//	           PixBatch codec after Append
+//	depths,    M after merging a ZChunk,    -> Ra's z-buffer, sendZBuffer,
+//	colors     ZChunk codec after Append       ZChunk decoder
 //
 // A z-buffer that fits one buffer travels as its own planes, so on the
 // z-buffer path a frame's planes cycle Ra -> M -> Ra without a copy.

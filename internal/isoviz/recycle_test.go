@@ -2,12 +2,14 @@ package isoviz
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
 	"datacutter/internal/core"
 	"datacutter/internal/dataset"
+	"datacutter/internal/dist"
 	"datacutter/internal/geom"
 	"datacutter/internal/leakcheck"
 	"datacutter/internal/render"
@@ -53,31 +55,57 @@ func TestMergeRejectsZChunkOutsideFrame(t *testing.T) {
 }
 
 // framePath runs the two frame paths over a small store, one session per
-// call, and returns each session's final image.
+// call, and returns each session's final image. With workers set it runs
+// them on dist instead of core.
 type framePath struct {
 	t     *testing.T
+	dir   string
 	src   *StoreSource
 	views []View
+
+	workers []*dist.Worker // w0, w1
+	addrs   map[string]string
 }
 
 func newFramePath(t *testing.T) *framePath {
-	st, err := dataset.Create(t.TempDir(), dataset.Meta{
+	dir := t.TempDir()
+	st, err := dataset.Create(dir, dataset.Meta{
 		GX: 33, GY: 33, GZ: 33, BX: 4, BY: 4, BZ: 3, Timesteps: 2, Files: 4, Seed: 2002, Plumes: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	p := &framePath{t: t, src: &StoreSource{St: st}}
+	p := &framePath{t: t, dir: dir, src: &StoreSource{St: st}}
 	for i := 0; i < 8; i++ {
 		p.views = append(p.views, View{Timestep: i % 2, Iso: 0.15 + 0.05*float32(i%3), Width: 128, Height: 128, Camera: geom.DefaultCamera()})
 	}
 	return p
 }
 
-// session renders p.views in one core run: active pixel on RE x2 -> Ra x2
-// -> M, or z-buffer on R -> E x2 -> Ra x2 -> M.
+// startWorkers moves the frame path onto two in-process dist workers.
+func (p *framePath) startWorkers() {
+	p.addrs = map[string]string{}
+	for i := 0; i < 2; i++ {
+		w, err := dist.NewWorker("127.0.0.1:0")
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		go w.Serve()
+		p.t.Cleanup(w.Close)
+		p.workers = append(p.workers, w)
+		p.addrs[fmt.Sprintf("w%d", i)] = w.Addr()
+	}
+}
+
+// session renders p.views in one run. On core: active pixel on RE x2 ->
+// Ra x2 -> M, or z-buffer on R -> E x2 -> Ra x2 -> M. On dist: RE x2 on w0
+// and Ra x2 + M on w1 over loopback TCP, so every triangle batch and pixel
+// run crosses a connection through its codec.
 func (p *framePath) session(alg Algorithm) *render.ZBuffer {
+	if p.workers != nil {
+		return p.distSession(alg)
+	}
 	cfg, place := ReadExtract, map[string]int{"RE": 2, "Ra": 2, "M": 1}
 	if alg == ZBuffer {
 		cfg, place = FullPipeline, map[string]int{"R": 1, "E": 2, "Ra": 2, "M": 1}
@@ -93,6 +121,30 @@ func (p *framePath) session(alg Algorithm) *render.ZBuffer {
 	spec := PipelineSpec{Config: cfg, Alg: alg, Source: p.src, Assign: AssignByCopy(p.src.Chunks())}
 	img, _ := runPipeline(p.t, spec, pl, core.Options{Policy: core.PolicyByName("DD"), UOWs: uows})
 	return img
+}
+
+func (p *framePath) distSession(alg Algorithm) *render.ZBuffer {
+	graph, err := DistGraphStore(StoreREParams{Dir: p.dir}, alg)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	uows := make([]any, len(p.views))
+	for i, v := range p.views {
+		uows[i] = v
+	}
+	placement := []dist.PlacementEntry{
+		{Filter: "RE", Host: "w0", Copies: 2},
+		{Filter: "Ra", Host: "w1", Copies: 2},
+		{Filter: "M", Host: "w1", Copies: 1},
+	}
+	if _, err := dist.Run(p.addrs, graph, placement, dist.Options{Policy: "DD", Transport: dist.TransportTCP}, uows); err != nil {
+		p.t.Fatal(err)
+	}
+	m, err := MergeResult(p.workers[1].Instances("M"))
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return m.Result()
 }
 
 // bytesPerFrame is the heap allocated per frame by one session.
@@ -146,7 +198,29 @@ func fill[T any](s []T, v T) {
 // reuses nothing.
 func TestFramePathAllocations(t *testing.T) {
 	leakcheck.Check(t)
+	checkFramePath(t, newFramePath(t), 800e3)
+}
+
+// On dist the senders' codecs recycle what they encode, so a frame of a
+// warm session allocates about 0.7 MB (active pixel) and 0.4 MB (z-buffer)
+// for both workers and the coordinator together. When every encoded payload
+// was dropped, the same sessions allocated 3.2–3.4 MB and 3.1–3.3 MB per
+// frame (under -race, 2.3–2.6 MB now against 4.9–5.3 MB then). Poisoning
+// recycled storage proves nothing reads a payload after its codec's Append.
+func TestFramePathAllocationsDist(t *testing.T) {
+	leakcheck.Check(t)
 	p := newFramePath(t)
+	p.startWorkers()
+	bound := 1.5e6
+	if raceEnabled {
+		bound = 3.5e6
+	}
+	checkFramePath(t, p, bound)
+}
+
+// checkFramePath bounds the bytes allocated per frame of a warm session on
+// each algorithm, and renders from poisoned recycled storage.
+func checkFramePath(t *testing.T, p *framePath, bound float64) {
 	defer func() { testHookRecycle = nil }()
 	algs := []Algorithm{ActivePixel, ZBuffer}
 	fresh := map[Algorithm]*render.ZBuffer{}
@@ -157,7 +231,7 @@ func TestFramePathAllocations(t *testing.T) {
 	for _, alg := range algs {
 		testHookRecycle = nil
 		p.session(alg) // warm-up: fills the free lists
-		if got, bound := p.bytesPerFrame(alg), 800e3; got > bound {
+		if got := p.bytesPerFrame(alg); got > bound {
 			t.Errorf("%v: %.0f bytes allocated per frame, want <= %.0f", alg, got, bound)
 		} else {
 			t.Logf("%v: %.0f bytes allocated per frame", alg, got)
