@@ -1,9 +1,7 @@
-// Benchmarks regenerating each of the paper's tables and figures at quick
-// scale (one Benchmark per artifact; run `cmd/dcbench -scale full` for the
-// paper-scale numbers), plus ablation benches for the design decisions in
-// DESIGN.md §6. Simulated experiments report their virtual-time result as
-// the custom metric "vsec" so benchmark output doubles as a compact shape
-// check.
+// Ablation benches for the design decisions in DESIGN.md §6. Simulated
+// ablations report their virtual-time result as the custom metric "vsec".
+// The paper's tables and figures are not benchmarks: `dcbench -exp <id>`
+// prints them, and TestQuickScaleGolden pins them at quick scale.
 package datacutter
 
 import (
@@ -13,52 +11,12 @@ import (
 	"datacutter/internal/cluster"
 	"datacutter/internal/core"
 	"datacutter/internal/dataset"
-	"datacutter/internal/experiments"
 	"datacutter/internal/hilbert"
 	"datacutter/internal/isoviz"
 	"datacutter/internal/sim"
 	"datacutter/internal/simrt"
 	"datacutter/internal/volume"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, experiments.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Tables) == 0 || res.Tables[0].Rows() == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
-	}
-}
-
-// BenchmarkTable1Pipeline regenerates Table 1 (buffer counts and volumes).
-func BenchmarkTable1Pipeline(b *testing.B) { benchExperiment(b, "table1") }
-
-// BenchmarkTable2Filters regenerates Table 2 (per-filter times).
-func BenchmarkTable2Filters(b *testing.B) { benchExperiment(b, "table2") }
-
-// BenchmarkFig4 regenerates Figure 4 (ADR vs DataCutter, homogeneous).
-func BenchmarkFig4(b *testing.B) { benchExperiment(b, "fig4") }
-
-// BenchmarkFig5 regenerates Figure 5 (background load, normalized).
-func BenchmarkFig5(b *testing.B) { benchExperiment(b, "fig5") }
-
-// BenchmarkTable3 regenerates Table 3 (per-node-class buffer counts).
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-
-// BenchmarkTable4Configs regenerates Table 4 (configurations x policies).
-func BenchmarkTable4Configs(b *testing.B) { benchExperiment(b, "table4") }
-
-// BenchmarkTable5Policies regenerates Table 5 (8-way compute node).
-func BenchmarkTable5Policies(b *testing.B) { benchExperiment(b, "table5") }
-
-// BenchmarkFig7Skew regenerates Figure 7 (skewed distributions).
-func BenchmarkFig7Skew(b *testing.B) { benchExperiment(b, "fig7") }
-
-// ---- Ablation benches (DESIGN.md §6) ----
 
 // BenchmarkPolicyDecision measures the per-buffer decision cost of each
 // writer policy (ablation 1: one policy implementation drives both

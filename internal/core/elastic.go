@@ -12,11 +12,12 @@ import (
 )
 
 // Elasticity on the real engine. Copy-set membership changes happen at
-// work-cycle boundaries (exec.Runtime.Place). Mid-cycle, the autoscale
-// controller (elasticLoop) only mutates what is safe while buffers are in
-// flight: WRR weights and DD windows through the StreamWriter mutation API,
-// plus opportunistic work stealing between copy sets (stealQueue). Both
-// read the runtime's live state through Runtime.Sample and the Clock seam.
+// work-cycle boundaries (exec.Runtime.Place), where every stream writer and
+// delivery tally is built afresh. Mid-cycle, only two things move while
+// buffers are in flight: the autoscale controller (elasticLoop) reweights
+// WRR streams through StreamWriter.Reweight, and copy sets steal work from
+// each other (stealQueue). Both read the runtime's live state through
+// Runtime.Sample and the Clock seam.
 
 // drainPending returns the copy-count changes the controller proposed during
 // the previous cycle as steps stamped for boundary uow, plus their reasons
@@ -41,7 +42,7 @@ type scaleKey struct{ filter, host string }
 // reweights WRR streams from observed per-target throughput, and (b) turns
 // queue-depth / DD-window / p95-service signals into copy-count decisions
 // queued for the next work-cycle boundary. It owns no engine state — all
-// mutation goes through the StreamWriter API or the pending queue.
+// mutation goes through StreamWriter.Reweight or the pending queue.
 func (r *Runner) elasticLoop(uow int, stop chan struct{}) {
 	cfg := r.opts.Elastic.WithDefaults()
 	qcap := r.rt.QueueCap()

@@ -13,9 +13,9 @@ import "fmt"
 //
 // A step with Copies <= 0 retires the entry — unless it is the filter's
 // last, in which case it is clamped to one copy (a filter must run
-// somewhere; mirrors StreamWriter.RemoveTarget refusing to empty a target
-// set). A step naming a (Filter, Host) pair absent from the placement
-// appends a new entry.
+// somewhere, and a stream must always have a copy set to write to). A step
+// naming a (Filter, Host) pair absent from the placement appends a new
+// entry.
 type ScaleStep struct {
 	BeforeUOW int
 	Filter    string

@@ -15,6 +15,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
 	"datacutter/internal/obs"
@@ -140,32 +141,24 @@ type Meta struct {
 // writer to pick a target copy set, emits the pick trace event, hands the
 // buffer to the engine Port, and counts the delivery. One StreamWriter is
 // single-producer state — the runtime creates one per producer copy per
-// stream.
+// stream and per unit of work.
 //
-// The target set is runtime-mutable: AddTarget/RemoveTarget/Reweight queue
-// membership changes that take effect at the next buffer-pick boundary (see
-// mutable.go). Target indices are stable for the writer's lifetime — a
-// removed target keeps its index (and its unacked-window slot, so late acks
-// still land) and a re-added host reclaims it; brand-new hosts append. The
-// policy writer itself only ever sees the active targets.
+// The target set is fixed for the writer's lifetime: copy-set membership
+// changes only at work-cycle boundaries, where the runtime builds fresh
+// writers. Reweight is the one mid-cycle change; it shifts a target's copy
+// count in place.
 type StreamWriter struct {
 	stream   string
-	pol      Policy
-	targets  []TargetInfo // stable-index table; removed targets keep slots
-	w        Writer       // policy state over the active view
-	unacked  []int        // stable-index space
+	hosts    []string // target i's host
+	w        Writer
 	acks     AckSource
 	ackEvery int
 	counts   *Counts
 	port     Port
 	meta     Meta
 
-	mu      sync.Mutex // guards pending ops, window, view, and policy state
-	pending []targetOp
-	active  []bool
-	view    []int // active stable indices in stable order; nil = identity
-	scratch []int // view-space unacked, reused across picks
-	mutated bool  // true once the view differs from the stable table
+	mu      sync.Mutex // guards the window and w's policy state
+	unacked []int
 }
 
 // NewStreamWriter builds the write path for one stream: policy writer from
@@ -177,17 +170,15 @@ func NewStreamWriter(stream string, p Policy, targets []TargetInfo, port Port, c
 	w := p.NewWriter(targets)
 	sw := &StreamWriter{
 		stream:  stream,
-		pol:     p,
-		targets: append([]TargetInfo(nil), targets...),
+		hosts:   make([]string, len(targets)),
 		w:       w,
 		unacked: make([]int, len(targets)),
-		active:  make([]bool, len(targets)),
 		counts:  counts,
 		port:    port,
 		meta:    meta,
 	}
-	for i := range sw.active {
-		sw.active[i] = true
+	for i, t := range targets {
+		sw.hosts[i] = t.Host
 	}
 	if w.WantsAcks() {
 		sw.ackEvery = AckBatchOf(w)
@@ -206,20 +197,19 @@ func (sw *StreamWriter) AckEvery() int { return sw.ackEvery }
 // WantsAcks is true.
 func (sw *StreamWriter) BindAckSource(src AckSource) { sw.acks = src }
 
-// Targets returns a copy of the writer's active copy-set targets in stable
-// index order. It is a defensive copy: the underlying set is runtime-mutable,
-// so handing out the internal slice would let callers alias state that
-// AddTarget/RemoveTarget/Reweight change underneath them.
-func (sw *StreamWriter) Targets() []TargetInfo {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	out := make([]TargetInfo, 0, len(sw.targets))
-	for i, t := range sw.targets {
-		if sw.active[i] {
-			out = append(out, t)
-		}
+// Reweight changes the copy count of the target on host, shifting WRR
+// proportions and DD/k batch scaling from the next pick on. Policy state
+// carries over: WRR credits and the DD tie-break rotation are untouched. An
+// unknown host or copies < 1 is ignored. Safe to call from any goroutine.
+func (sw *StreamWriter) Reweight(host string, copies int) {
+	r, ok := sw.w.(reweighter)
+	i := slices.Index(sw.hosts, host)
+	if !ok || i < 0 || copies < 1 {
+		return
 	}
-	return out
+	sw.mu.Lock()
+	r.reweight(i, copies)
+	sw.mu.Unlock()
 }
 
 // Write sends one buffer: drain pending acks into the window, pick a
@@ -231,9 +221,6 @@ func (sw *StreamWriter) Targets() []TargetInfo {
 // further picks occur.
 func (sw *StreamWriter) Write(b Buffer) error {
 	sw.mu.Lock()
-	if len(sw.pending) > 0 {
-		sw.applyPending()
-	}
 	if sw.acks != nil {
 		for {
 			target, n, ok := sw.acks.TryAck()
@@ -243,35 +230,19 @@ func (sw *StreamWriter) Write(b Buffer) error {
 			sw.unacked[target] -= n
 		}
 	}
-	var idx int
-	if !sw.mutated {
-		idx = sw.w.Pick(sw.unacked)
-	} else {
-		// The policy writer runs in view space (active targets only); map
-		// its pick back to the stable index the transport and acks use.
-		if cap(sw.scratch) < len(sw.view) {
-			sw.scratch = make([]int, len(sw.view))
-		}
-		s := sw.scratch[:len(sw.view)]
-		for vi, si := range sw.view {
-			s[vi] = sw.unacked[si]
-		}
-		idx = sw.view[sw.w.Pick(s)]
-	}
-	if sw.w.WantsAcks() {
+	idx := sw.w.Pick(sw.unacked)
+	if sw.ackEvery > 0 {
 		sw.unacked[idx]++
 	}
-	targetHost := sw.targets[idx].Host
-	ackEvery := sw.ackEvery
 	sw.mu.Unlock()
 	if sw.meta.Obs != nil {
 		sw.meta.Obs.Emit(obs.Event{
 			Kind: obs.KindPick, Filter: sw.meta.Filter, Copy: sw.meta.Copy,
-			Host: sw.meta.Host, Stream: sw.stream, Target: targetHost,
+			Host: sw.meta.Host, Stream: sw.stream, Target: sw.hosts[idx],
 			UOW: sw.meta.UOW,
 		})
 	}
-	if err := sw.port.Deliver(idx, b, ackEvery); err != nil {
+	if err := sw.port.Deliver(idx, b, sw.ackEvery); err != nil {
 		return err
 	}
 	if sw.counts != nil {
@@ -280,9 +251,8 @@ func (sw *StreamWriter) Write(b Buffer) error {
 	return nil
 }
 
-// Unacked returns a copy of the sliding window in stable index order, for
-// tests and debugging. Removed targets keep their slots (late acks still
-// drain them), so the slice always spans every target ever added.
+// Unacked returns a copy of the sliding window in target order, for the
+// autoscale controller's sampling, tests and debugging.
 func (sw *StreamWriter) Unacked() []int {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()

@@ -248,6 +248,12 @@ func TestCountsFold(t *testing.T) {
 	if _, present := into["zero"]; present {
 		t.Fatal("zero tally created a map entry")
 	}
+	// A host list shorter than the tally folds what it names, without panic.
+	short := map[string]int64{}
+	c.Fold([]string{"h"}, short)
+	if len(short) != 1 || short["h"] != 1 {
+		t.Fatalf("short fold: %v", short)
+	}
 }
 
 // ---- StreamWriter ----

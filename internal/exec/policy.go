@@ -73,24 +73,6 @@ func (w *rrWriter) Pick([]int) int {
 }
 func (w *rrWriter) WantsAcks() bool { return false }
 
-// migrateFrom resumes the rotation at the first surviving target at or after
-// the old writer's next pick, so a membership change neither skips nor
-// double-serves anyone.
-func (w *rrWriter) migrateFrom(old Writer, oldToNew []int) {
-	o, ok := old.(*rrWriter)
-	if !ok || len(oldToNew) == 0 || w.n == 0 {
-		return
-	}
-	n := len(oldToNew)
-	for i := 0; i < n; i++ {
-		q := (o.next + i) % n
-		if oldToNew[q] >= 0 {
-			w.next = oldToNew[q]
-			return
-		}
-	}
-}
-
 // ---- Weighted Round Robin ----
 
 type wrrPolicy struct{}
@@ -142,20 +124,12 @@ func (w *wrrWriter) Pick([]int) int {
 }
 func (w *wrrWriter) WantsAcks() bool { return false }
 
-// migrateFrom carries surviving targets' smooth-WRR credits across a
-// rebuild; departed credit disappears with its target and new targets start
-// at zero. Smooth WRR is self-correcting, so carried credit only smooths the
-// transition — long-run proportions follow the new weights regardless.
-func (w *wrrWriter) migrateFrom(old Writer, oldToNew []int) {
-	o, ok := old.(*wrrWriter)
-	if !ok {
-		return
-	}
-	for i, np := range oldToNew {
-		if np >= 0 && i < len(o.current) && np < len(w.current) {
-			w.current[np] = o.current[i]
-		}
-	}
+// reweight keeps every target's smooth-WRR credit. Smooth WRR is
+// self-correcting, so the carried credit only smooths the transition —
+// long-run proportions follow the new weights.
+func (w *wrrWriter) reweight(i, copies int) {
+	w.total += copies - w.weight[i]
+	w.weight[i] = copies
 }
 
 // ---- Demand Driven ----
@@ -215,34 +189,6 @@ func (w *ddWriter) Pick(unacked []int) int {
 	return best
 }
 func (w *ddWriter) WantsAcks() bool { return true }
-
-// migrateFrom remaps the remote tie-break rotation point to the nearest
-// surviving predecessor, so saturated-steady-state fairness carries across a
-// membership change. DD's demand signal itself (the unacked window) lives in
-// the StreamWriter and needs no migration. Promoted through ddBatchedWriter's
-// embedding, so it handles both plain and batched old writers.
-func (w *ddWriter) migrateFrom(old Writer, oldToNew []int) {
-	var o *ddWriter
-	switch v := old.(type) {
-	case *ddWriter:
-		o = v
-	case *ddBatchedWriter:
-		o = v.ddWriter
-	default:
-		return
-	}
-	n := len(oldToNew)
-	if n == 0 || o.last < 0 || o.last >= n || len(w.local) == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		q := ((o.last-i)%n + n) % n
-		if oldToNew[q] >= 0 {
-			w.last = oldToNew[q]
-			return
-		}
-	}
-}
 
 // ---- Demand Driven with batched acknowledgments ----
 
@@ -304,6 +250,15 @@ func (w *ddBatchedWriter) Pick(unacked []int) int {
 		scaled[i] = (u + w.copies[i] - 1) / w.copies[i]
 	}
 	return w.ddWriter.Pick(scaled)
+}
+
+func (w *ddBatchedWriter) reweight(i, copies int) { w.copies[i] = copies }
+
+// reweighter is implemented by the policy writers that read copy counts
+// (WRR, DD/k): reweight sets target i's count (>= 1) in place, keeping the
+// rest of the writer's state. RR and plain DD ignore copy counts.
+type reweighter interface {
+	reweight(i, copies int)
 }
 
 // AckBatchOf returns a writer's coalescing factor (1 when unbatched).

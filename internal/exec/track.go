@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Countdown tracks end-of-work propagation for one stream: it starts at the
 // number of producer copies (or producing hosts, in dist) and Done reports
@@ -30,71 +27,36 @@ func (c *Countdown) Done() bool { return c.left.Add(-1) == 0 }
 func (c *Countdown) Left() int { return int(c.left.Load()) }
 
 // Counts is a per-target delivery tally, shared by all producer copies of
-// one stream and safe for concurrent increment. Fold turns the indices back
-// into the per-host map the engines expose in their stream stats.
-//
-// The tally is growable so a runtime target-set addition (StreamWriter.
-// AddTarget) can extend it mid-stream: slots are pointers published through
-// an atomic snapshot, so a grow copies the pointers and concurrent
-// increments on existing slots are never lost.
+// one stream and safe for concurrent increment. Like the stream writers, a
+// tally lives for one unit of work, so its width is fixed. Fold turns the
+// indices back into the per-host map the engines expose in their stream
+// stats.
 type Counts struct {
-	mu    sync.Mutex // serializes Grow
-	slots atomic.Pointer[[]*atomic.Int64]
+	slots []atomic.Int64
 }
 
 // NewCounts returns a tally over n targets.
-func NewCounts(n int) *Counts {
-	c := &Counts{}
-	s := make([]*atomic.Int64, n)
-	for i := range s {
-		s[i] = new(atomic.Int64)
-	}
-	c.slots.Store(&s)
-	return c
-}
+func NewCounts(n int) *Counts { return &Counts{slots: make([]atomic.Int64, n)} }
 
 // Inc adds one delivery to target i.
-func (c *Counts) Inc(i int) { (*c.slots.Load())[i].Add(1) }
+func (c *Counts) Inc(i int) { c.slots[i].Add(1) }
 
 // Get returns target i's delivery count (0 for targets beyond the tally).
 func (c *Counts) Get(i int) int64 {
-	s := *c.slots.Load()
-	if i >= len(s) {
+	if i >= len(c.slots) {
 		return 0
 	}
-	return s[i].Load()
+	return c.slots[i].Load()
 }
 
 // Len returns the number of targets tallied.
-func (c *Counts) Len() int { return len(*c.slots.Load()) }
-
-// Grow extends the tally to cover n targets; existing counts are preserved.
-// No-op when already that wide. Safe to call concurrently with Inc/Get/Fold.
-func (c *Counts) Grow(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := *c.slots.Load()
-	if n <= len(s) {
-		return
-	}
-	ns := make([]*atomic.Int64, n)
-	copy(ns, s)
-	for i := len(s); i < n; i++ {
-		ns[i] = new(atomic.Int64)
-	}
-	c.slots.Store(&ns)
-}
+func (c *Counts) Len() int { return len(c.slots) }
 
 // Fold adds the tally into a per-host map; hosts[i] names target i. Slots
-// beyond the host list (added after the caller captured its host order) are
-// skipped.
+// beyond the host list are skipped.
 func (c *Counts) Fold(hosts []string, into map[string]int64) {
-	s := *c.slots.Load()
-	for i := range s {
-		if i >= len(hosts) {
-			break
-		}
-		if v := s[i].Load(); v != 0 {
+	for i := range c.slots[:min(len(c.slots), len(hosts))] {
+		if v := c.slots[i].Load(); v != 0 {
 			into[hosts[i]] += v
 		}
 	}

@@ -2,6 +2,7 @@ package jobd
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -67,8 +68,11 @@ type replayedJob struct {
 }
 
 // openJournal opens (creating if absent) the journal at path, replays it,
-// and returns the jobs to re-queue in id order. Truncated or corrupt
-// trailing lines — a crash mid-append — are skipped, not fatal.
+// and returns the jobs to re-queue in id order. Corrupt lines are skipped,
+// not fatal. An unterminated last line — a crash mid-append — was never
+// acknowledged, since append syncs a record together with its newline: it
+// is not replayed, even when it parses, and is cut off so that the next
+// append starts on a line of its own.
 func openJournal(path string) (*journal, []replayedJob, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -84,8 +88,17 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 	}
 	jobs := map[uint64]*entry{}
 	dirty := false
+	var whole int64 // bytes up to the last newline
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return 0, nil, nil // need more data, or an unterminated tail at EOF
+		}
+		whole += int64(i) + 1
+		return i + 1, data[:i], nil
+	})
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -93,7 +106,7 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		}
 		var r journalRec
 		if err := json.Unmarshal(line, &r); err != nil {
-			continue // torn tail write; later records would not exist
+			continue
 		}
 		switch r.Kind {
 		case "submit":
@@ -124,10 +137,9 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("jobd: reading journal: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
+	if err := f.Truncate(whole); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("jobd: sizing journal: %w", err)
+		return nil, nil, fmt.Errorf("jobd: cutting torn journal tail: %w", err)
 	}
 	var replay []replayedJob
 	for id, e := range jobs {
@@ -140,7 +152,7 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		})
 	}
 	sort.Slice(replay, func(i, j int) bool { return replay[i].ID < replay[j].ID })
-	return &journal{f: f, w: bufio.NewWriter(f), path: path, size: st.Size(), dirty: dirty}, replay, nil
+	return &journal{f: f, w: bufio.NewWriter(f), path: path, size: whole, dirty: dirty}, replay, nil
 }
 
 // append writes one record and syncs it to disk; the caller holds the

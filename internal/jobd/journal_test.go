@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"datacutter/internal/dist"
 )
 
 func testSpec(name string) *JobSpec {
@@ -120,32 +122,60 @@ func TestJournalCompactReplay(t *testing.T) {
 }
 
 // A torn trailing line (crash mid-append) is skipped, not fatal, and does
-// not corrupt the records before it.
+// not corrupt the records before it. Nor does it corrupt the records after
+// it: a submission the restarted server acknowledges must survive the next
+// restart, even when the torn line is a complete record missing only its
+// newline.
 func TestJournalTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	jnl, _, err := openJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	// No worker ever registers for host h, so the server keeps its jobs
+	// queued and journals nothing but their submissions.
+	queued := JobSpec{
+		Name:      "queued",
+		Graph:     dist.GraphSpec{Filters: []dist.FilterSpec{{Name: "f", Kind: "k"}}},
+		Placement: []dist.PlacementEntry{{Filter: "f", Host: "h", Copies: 1}},
 	}
-	if err := jnl.submit(1, time.Now(), testSpec("ok")); err != nil {
-		t.Fatal(err)
-	}
-	jnl.close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"kind":"sub`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, torn := range []string{
+		`{"kind":"sub`,
+		`{"kind":"submit","id":2,"time":"2024-01-01T00:00:00Z","spec":{"name":"unsynced"}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		jnl, _, err := openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.submit(1, time.Now(), &queued); err != nil {
+			t.Fatal(err)
+		}
+		jnl.close()
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(torn); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 
-	jnl2, replay, err := openJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl2.close()
-	if len(replay) != 1 || replay[0].ID != 1 {
-		t.Fatalf("replay after torn tail: %+v", replay)
+		s, err := NewServer(Config{JournalPath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(1); !ok {
+			t.Fatalf("torn tail %q: job 1 not replayed", torn)
+		}
+		id, err := s.Submit(queued)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+
+		jnl, replay, err := openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl.close()
+		if len(replay) != 2 || replay[0].ID != 1 || replay[1].ID != id {
+			t.Fatalf("torn tail %q: replay after acknowledged submit %d: %+v", torn, id, replay)
+		}
 	}
 }
