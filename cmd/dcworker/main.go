@@ -21,8 +21,8 @@
 // For chaos testing, -faults installs a deterministic fault plan (see
 // internal/faults for the grammar) on every connection this worker opens or
 // accepts — e.g. -faults 'kill=data:100' crashes the process model after
-// 100 received data frames. -dialtimeout overrides the per-attempt peer
-// dial timeout when the coordinator's options don't set one.
+// 100 received data frames. The per-attempt peer dial timeout comes from
+// the coordinator's options (dcsubmit -dialtimeout).
 //
 // As a persistent mesh member for a dcjobd server, the worker registers
 // itself (and re-registers periodically, so a restarted server re-learns
@@ -61,7 +61,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/events, /debug/pprof on this address (e.g. :6060)")
 	trace := flag.String("trace", "", "append buffer-lifecycle trace events to this JSONL file")
 	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. 'seed=7; drop=triangles:100; kill=data:500'")
-	dialTimeout := flag.Duration("dialtimeout", 0, "per-attempt peer dial timeout when the session options don't set one (default 10s)")
 	register := flag.String("register", "", "dcjobd base URL to register with (e.g. http://localhost:8080)")
 	host := flag.String("host", "", "placement host name to register as (required with -register)")
 	advertise := flag.String("advertise", "", "dist address to advertise to the server (default: the listen address)")
@@ -72,9 +71,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *dialTimeout > 0 {
-		dist.SetDefaultDialTimeout(*dialTimeout)
-	}
 	w, err := dist.NewWorker(*listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcworker:", err)

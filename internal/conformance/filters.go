@@ -17,8 +17,8 @@ import (
 // per stream, and the oracle model can predict the exact multiset each
 // consumer must receive per unit of work without ever caring how the
 // engines scheduled the copies. The identity travels as one of three wire
-// shapes (Wire) so dist exercises the gob fallback and both built-in
-// payload codecs.
+// shapes (Wire) so dist exercises a registered application codec and both
+// built-in payload codecs.
 
 func encodePayload(w Wire, id string) any {
 	switch w {
@@ -34,6 +34,17 @@ func encodePayload(w Wire, id string) any {
 		return id
 	}
 }
+
+// codecString is the dist codec id of WireString payloads: outside isoviz's
+// 256–258, since a worker binary (dcworker) registers both sets.
+const codecString uint16 = 512
+
+// stringCodec ships a WireString identity as its bytes.
+type stringCodec struct{}
+
+func (stringCodec) Append(dst []byte, v any) ([]byte, error) { return append(dst, v.(string)...), nil }
+func (stringCodec) Decode(body []byte) (any, error)          { return string(body), nil }
+func (stringCodec) ZeroCopy() bool                           { return false }
 
 // decodePayload recovers the identity from any wire shape. It copies out of
 // []byte immediately: on dist that slice aliases a pooled frame buffer that
@@ -326,6 +337,7 @@ type distParams struct {
 }
 
 func init() {
+	dist.RegisterCodec(codecString, "", stringCodec{})
 	dist.RegisterFilter(distFilterKind, func(params []byte) (core.Filter, error) {
 		var p distParams
 		if err := json.Unmarshal(params, &p); err != nil {

@@ -32,11 +32,11 @@ import (
 	"datacutter/internal/elastic"
 )
 
-// Wire selects how a stream's payload identities travel: as a string (the
-// dist gob fallback), as []byte (dist's zero-copy built-in codec), or as
-// []float32 (dist's bulk little-endian built-in codec). On core and simrt
-// the value is passed through unchanged; on dist it exercises the PR 2
-// codec registry end to end.
+// Wire selects how a stream's payload identities travel: as a string
+// (conformance's own registered codec), as []byte (dist's zero-copy
+// built-in codec), or as []float32 (dist's bulk little-endian built-in
+// codec). On core and simrt the value is passed through unchanged; on dist
+// it exercises the codec registry end to end.
 type Wire uint8
 
 const (

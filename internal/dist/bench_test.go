@@ -8,11 +8,10 @@ import (
 	"datacutter/internal/dist"
 )
 
-// Loopback two-worker throughput: a float source on host0 streams batches
-// to a sink on host1 over real TCP connections. The "codec" variant ships
-// []float32 through the registered fast path; "gob" wraps the same batch in
-// an unregistered struct so every buffer takes the fallback — the wire cost
-// profile of the protocol this PR replaced.
+// Loopback two-worker throughput: a float source on host0 streams
+// []float32 batches to a sink on host1, through the float32s codec over
+// real TCP connections ("codec") or by reference over in-process rings
+// ("codec-ring").
 
 const (
 	benchBatches   = 256
@@ -20,13 +19,7 @@ const (
 	benchBatchSize = benchBatchLen * 4
 )
 
-// gobBatch has no registered codec, forcing the gob fallback.
-type gobBatch struct{ Vals []float32 }
-
-type floatSource struct {
-	core.BaseFilter
-	wrap bool // ship gobBatch instead of []float32
-}
+type floatSource struct{ core.BaseFilter }
 
 func (s *floatSource) Process(ctx core.Ctx) error {
 	vals := make([]float32, benchBatchLen)
@@ -34,11 +27,7 @@ func (s *floatSource) Process(ctx core.Ctx) error {
 		vals[i] = float32(i)
 	}
 	for i := 0; i < benchBatches; i++ {
-		var payload any = vals
-		if s.wrap {
-			payload = gobBatch{Vals: vals}
-		}
-		if err := ctx.Write("floats", core.Buffer{Payload: payload, Size: benchBatchSize}); err != nil {
+		if err := ctx.Write("floats", core.Buffer{Payload: vals, Size: benchBatchSize}); err != nil {
 			return err
 		}
 	}
@@ -56,14 +45,7 @@ func (s *floatSink) Process(ctx core.Ctx) error {
 		if !ok {
 			return nil
 		}
-		var n int
-		switch v := b.Payload.(type) {
-		case []float32:
-			n = len(v)
-		case gobBatch:
-			n = len(v.Vals)
-		}
-		if n != benchBatchLen {
+		if n := len(b.Payload.([]float32)); n != benchBatchLen {
 			return fmt.Errorf("bench sink: batch of %d floats", n)
 		}
 		s.Seen++
@@ -71,25 +53,8 @@ func (s *floatSink) Process(ctx core.Ctx) error {
 }
 
 func init() {
-	dist.RegisterPayload(gobBatch{})
-	dist.RegisterFilter("bench.fsrc", func(params []byte) (core.Filter, error) {
-		return &floatSource{wrap: len(params) > 0 && params[0] == 1}, nil
-	})
+	dist.RegisterFilter("bench.fsrc", func([]byte) (core.Filter, error) { return &floatSource{}, nil })
 	dist.RegisterFilter("bench.fsink", func([]byte) (core.Filter, error) { return &floatSink{}, nil })
-}
-
-func benchGraph(wrap bool) dist.GraphSpec {
-	var params []byte
-	if wrap {
-		params = []byte{1}
-	}
-	return dist.GraphSpec{
-		Filters: []dist.FilterSpec{
-			{Name: "S", Kind: "bench.fsrc", Params: params},
-			{Name: "K", Kind: "bench.fsink"},
-		},
-		Streams: []core.StreamSpec{{Name: "floats", From: "S", To: "K"}},
-	}
 }
 
 func benchWorkers(b *testing.B, n int) map[string]string {
@@ -112,20 +77,18 @@ func BenchmarkDistThroughput(b *testing.B) {
 		{Filter: "S", Host: "host0", Copies: 1},
 		{Filter: "K", Host: "host1", Copies: 1},
 	}
-	for _, tc := range []struct {
-		name      string
-		wrap      bool
-		transport string
-	}{
-		{"codec", false, ""},
-		{"gob", true, ""},
+	graph := dist.GraphSpec{
+		Filters: []dist.FilterSpec{{Name: "S", Kind: "bench.fsrc"}, {Name: "K", Kind: "bench.fsink"}},
+		Streams: []core.StreamSpec{{Name: "floats", From: "S", To: "K"}},
+	}
+	for _, tc := range []struct{ name, transport string }{
+		{"codec", ""},
 		// Same pipeline, same-host ring transport: frames move by reference
 		// over in-process SPSC rings — no codec, no syscalls.
-		{"codec-ring", false, dist.TransportRing},
+		{"codec-ring", dist.TransportRing},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			addrs := benchWorkers(b, 2)
-			graph := benchGraph(tc.wrap)
 			opts := dist.Options{Transport: tc.transport}
 			b.ReportAllocs()
 			b.SetBytes(benchBatches * benchBatchSize)

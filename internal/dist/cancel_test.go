@@ -12,7 +12,7 @@ import (
 	"datacutter/internal/leakcheck"
 )
 
-// cancelRecordingSource writes n ints and records the first Write error, so
+// cancelRecordingSource writes n buffers and records the first Write error, so
 // tests can assert the distributed engine's cancellation contract: a
 // producer blocked on a same-host queue (or sending to a failed session)
 // gets core.ErrCancelled, not a hang.
@@ -28,7 +28,7 @@ type cancelRecordingSource struct {
 
 func (s *cancelRecordingSource) Process(ctx core.Ctx) error {
 	for i := 0; i < s.n; i++ {
-		if err := ctx.Write("ints", core.Buffer{Payload: i, Size: 8}); err != nil {
+		if err := ctx.Write("ints", core.Buffer{Payload: []byte{byte(i)}, Size: 8}); err != nil {
 			s.mu.Lock()
 			s.werr = err
 			s.mu.Unlock()
@@ -91,7 +91,7 @@ func TestDistributedLocalWriteCancelled(t *testing.T) {
 	}
 }
 
-// crawlSource writes n ints with a sleep between writes — slow enough for
+// crawlSource writes n buffers with a sleep between writes — slow enough for
 // a caller to cancel the run context mid-stream.
 type crawlSource struct {
 	core.BaseFilter
@@ -101,7 +101,7 @@ type crawlSource struct {
 func (s *crawlSource) Process(ctx core.Ctx) error {
 	for i := 0; i < s.n; i++ {
 		time.Sleep(20 * time.Millisecond)
-		if err := ctx.Write("ints", core.Buffer{Payload: i, Size: 8}); err != nil {
+		if err := ctx.Write("ints", core.Buffer{Payload: []byte{byte(i)}, Size: 8}); err != nil {
 			return err
 		}
 	}

@@ -85,7 +85,7 @@ func coordObserver(t *testing.T) (*obs.Observer, *obs.Registry) {
 // by the test before the run (builders are registered once in init).
 var chaosSuicideTarget *dist.Worker
 
-// suicideSource writes n ints on stream "b", killing chaosSuicideTarget
+// suicideSource writes n buffers on stream "b", killing chaosSuicideTarget
 // after the second write. On a retried unit of work the target is already
 // dead (Kill is idempotent), so the replanned copy completes the stream.
 type suicideSource struct {
@@ -95,7 +95,7 @@ type suicideSource struct {
 
 func (s *suicideSource) Process(ctx core.Ctx) error {
 	for i := 0; i < s.n; i++ {
-		if err := ctx.Write("b", core.Buffer{Payload: i, Size: 8}); err != nil {
+		if err := ctx.Write("b", core.Buffer{Payload: []byte{byte(i)}, Size: 8}); err != nil {
 			return err
 		}
 		if i == 1 && chaosSuicideTarget != nil {
@@ -117,7 +117,7 @@ func (s *twoStreamSink) Process(ctx core.Ctx) error {
 		if !ok {
 			break
 		}
-		s.SumA += b.Payload.(int)
+		s.SumA += int(b.Payload.([]byte)[0])
 	}
 	for {
 		b, ok := ctx.Read("b")
@@ -125,7 +125,7 @@ func (s *twoStreamSink) Process(ctx core.Ctx) error {
 			break
 		}
 		s.SeenB++
-		s.SumB += b.Payload.(int)
+		s.SumB += int(b.Payload.([]byte)[0])
 	}
 	return nil
 }

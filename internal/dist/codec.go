@@ -2,7 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -11,11 +11,10 @@ import (
 )
 
 // A PayloadCodec serializes one concrete buffer payload type onto the data
-// plane without gob's per-frame type descriptors or reflection. Codecs are
-// the fast path: any payload type without a registered codec still travels
-// via the gob fallback (codec id 0), so registering a codec is purely a
-// performance decision and both directions of a mixed deployment stay
-// wire-compatible as long as the same ids map to the same codecs.
+// plane: it is the only way a payload crosses a host boundary. A stream
+// whose payload type has no registered codec fails the run at the
+// producer's Write, on every transport; both ends of a deployment must map
+// the same ids to the same codecs.
 type PayloadCodec interface {
 	// Append encodes v, appending its wire bytes to dst. It is the sender's
 	// last use of v: the runtime drops v when Append returns (even when
@@ -34,10 +33,9 @@ type PayloadCodec interface {
 }
 
 // Codec ids 1–255 are reserved for dist built-ins; applications register
-// theirs from 256 up. Id 0 is the implicit gob fallback and cannot be
-// registered.
+// theirs from 256 up. Id 0 is unassigned: a receiver rejects it like any
+// other id it has no codec for.
 const (
-	codecGob      uint16 = 0 // fallback, not in the tables
 	CodecBytes    uint16 = 1 // []byte, zero-copy decode
 	CodecFloat32s uint16 = 2 // []float32, bulk little-endian
 )
@@ -65,16 +63,12 @@ func init() {
 	RegisterCodec(CodecFloat32s, []float32(nil), float32sCodec{})
 }
 
-// RegisterCodec installs a fast-path codec for prototype's concrete type
-// under a stable wire id. Like RegisterFilter it is meant for init
-// functions in the application's filter package, before any worker serves
-// traffic, and must be called with the same (id, type) pairing on every
-// process of a deployment. It is the sibling of RegisterPayload: types with
-// only RegisterPayload still round-trip via gob.
+// RegisterCodec installs the codec for prototype's concrete type under a
+// stable wire id. Like RegisterFilter it is meant for init functions in the
+// application's filter package, before any worker serves traffic, and must
+// be called with the same (id, type) pairing on every process of a
+// deployment.
 func RegisterCodec(id uint16, prototype any, c PayloadCodec) {
-	if id == codecGob {
-		panic("dist: codec id 0 is reserved for the gob fallback")
-	}
 	t := reflect.TypeOf(prototype)
 	if t == nil {
 		panic("dist: RegisterCodec prototype must be a non-nil-typed value")
@@ -103,31 +97,41 @@ func RegisterCodec(id uint16, prototype any, c PayloadCodec) {
 	codecs.Store(nt)
 }
 
-// codecFor resolves the fast-path codec for a payload value; (0, nil)
-// selects the gob fallback.
-func codecFor(v any) (uint16, PayloadCodec) {
-	if v == nil {
-		return codecGob, nil
-	}
-	if e, ok := codecs.Load().byType[reflect.TypeOf(v)]; ok {
-		return e.id, e.codec
-	}
-	return codecGob, nil
+// payloadError is a producer's failure to put its own payload on the wire:
+// no codec is registered for the payload's Go type, or the codec's Append
+// failed. It is an application error on the sending host, never a
+// transport one: no peer is implicated.
+type payloadError struct {
+	stream string
+	typ    reflect.Type // nil for an untyped nil payload
+	err    error
 }
 
-func codecByID(id uint16) PayloadCodec { return codecs.Load().byID[id] }
+var errNoCodec = errors.New("no payload codec registered")
 
-// appendPayload encodes a payload value with its resolved codec, returning
-// the codec id actually used.
-func appendPayload(dst []byte, v any) ([]byte, uint16, error) {
-	id, c := codecFor(v)
-	if c == nil {
-		var err error
-		dst, err = appendGob(dst, v)
-		return dst, codecGob, err
+func (e *payloadError) Error() string {
+	return fmt.Sprintf("dist: stream %s: %v payload: %v", e.stream, e.typ, e.err)
+}
+
+// codecFor resolves the codec for a payload value written on stream.
+func codecFor(stream string, v any) (uint16, PayloadCodec, error) {
+	if e, ok := codecs.Load().byType[reflect.TypeOf(v)]; ok {
+		return e.id, e.codec, nil
 	}
-	out, err := c.Append(dst, v)
-	return out, id, err
+	return 0, nil, &payloadError{stream, reflect.TypeOf(v), errNoCodec}
+}
+
+// appendPayload encodes a payload value written on stream with its codec,
+// returning the codec id.
+func appendPayload(dst []byte, stream string, v any) ([]byte, uint16, error) {
+	id, c, err := codecFor(stream, v)
+	if err != nil {
+		return nil, 0, err
+	}
+	if dst, err = c.Append(dst, v); err != nil {
+		return nil, 0, &payloadError{stream, reflect.TypeOf(v), err}
+	}
+	return dst, id, nil
 }
 
 // decodePayload decodes a received data frame's payload. The returned
@@ -135,12 +139,7 @@ func appendPayload(dst []byte, v any) ([]byte, uint16, error) {
 // immediately for copying codecs, at the consumer's finish point for
 // zero-copy ones — to recycle the pooled wire buffer.
 func decodePayload(f *frame) (any, func(), error) {
-	if f.Codec == codecGob {
-		v, err := decodeAny(f.Payload)
-		f.release()
-		return v, nil, err
-	}
-	c := codecByID(f.Codec)
+	c := codecs.Load().byID[f.Codec]
 	if c == nil {
 		f.release()
 		return nil, nil, fmt.Errorf("dist: payload codec %d not registered on this worker", f.Codec)
@@ -153,24 +152,6 @@ func decodePayload(f *frame) (any, func(), error) {
 	rel := f.rel
 	f.rel = nil
 	return v, rel, nil
-}
-
-// appendWriter adapts append-style encoding to gob's io.Writer.
-type appendWriter struct{ b *[]byte }
-
-func (w appendWriter) Write(p []byte) (int, error) {
-	*w.b = append(*w.b, p...)
-	return len(p), nil
-}
-
-// appendGob encodes &v with a fresh gob encoder (type descriptors
-// included, exactly as the pre-codec wire format did per frame) appending
-// to dst, so gob-fallback payloads stay byte-compatible with encodeAny.
-func appendGob(dst []byte, v any) ([]byte, error) {
-	if err := gob.NewEncoder(appendWriter{&dst}).Encode(&v); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // ---- Built-in codecs ----

@@ -26,7 +26,7 @@ type intSource struct {
 
 func (s *intSource) Process(ctx core.Ctx) error {
 	for i := 0; i < s.n; i++ {
-		if err := ctx.Write("ints", core.Buffer{Payload: i, Size: 8}); err != nil {
+		if err := ctx.Write("ints", core.Buffer{Payload: []byte{byte(i)}, Size: 8}); err != nil {
 			return err
 		}
 	}
@@ -46,7 +46,7 @@ func (s *intSink) Process(ctx core.Ctx) error {
 			return nil
 		}
 		s.Seen++
-		s.Sum += b.Payload.(int)
+		s.Sum += int(b.Payload.([]byte)[0])
 	}
 }
 

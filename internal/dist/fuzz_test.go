@@ -9,6 +9,9 @@ import (
 // The decoder must never panic or over-allocate, whatever the length prefix
 // claims (truncated, zero, or oversized prefixes are all in the seed
 // corpus), and any frame it does accept must re-encode to the same bytes.
+// Every accepted data frame's payload then goes through decodePayload: a
+// codec id this process has no codec for (0 included) is an error, never a
+// panic.
 func FuzzDecodeFrame(f *testing.F) {
 	// Well-formed frames of each data-plane kind, plus a control frame —
 	// the first on its stream, so it carries the type descriptors.
@@ -24,6 +27,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	seed(dataFrame(9, 1, "tri", 2, 3, 4, 24, []float32{1, -2}))
 	seed(dataFrame(0, 0, "s", 0, 0, 0, 3, []byte{0xDE, 0xAD, 0xBF}))
+	seed(&frame{Kind: kindData, Stream: "s", Size: 3, Codec: 0, Payload: []byte{1, 2, 3}})
 	seed(&frame{Kind: kindAck, UOWIdx: 1, Stream: "tri", Target: 2, Copy: 3, AckN: 4})
 	seed(&frame{Kind: kindProducerDone, UOWIdx: 7, Stream: "pix"})
 	seed(&frame{Kind: kindHello})
@@ -40,7 +44,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		var r frameReader
 		rd := bytes.NewReader(in)
 		for i := 0; i < 64; i++ { // bound multi-frame streams
-			fr, rel, err := r.readWireFrame(rd)
+			fr, _, err := r.readWireFrame(rd)
 			if err != nil {
 				return
 			}
@@ -59,8 +63,16 @@ func FuzzDecodeFrame(f *testing.F) {
 					t.Fatalf("re-encode mismatch:\n got  %x\n want %x", re, got)
 				}
 			}
-			if rel != nil {
-				rel()
+			if fr.Kind != kindData {
+				continue
+			}
+			// decodePayload owns the pooled buffer from here (rel is fr.rel).
+			_, release, err := decodePayload(fr)
+			if err == nil && codecs.Load().byID[fr.Codec] == nil {
+				t.Fatalf("payload with unknown codec id %d decoded", fr.Codec)
+			}
+			if release != nil {
+				release()
 			}
 		}
 	})

@@ -11,12 +11,12 @@
 // messages.
 //
 // The data plane (data, ack, and producer-done frames) uses hand-rolled
-// binary headers, per-payload-type codecs (PayloadCodec, with a gob
-// fallback for unregistered types), pooled frame buffers, and batched
-// connection writers whose flush-on-idle policy coalesces bursts of small
-// frames into single vectored writes (wire.go, codec.go). Control frames
-// are per-session or per-unit-of-work, never per-buffer, and stay on gob:
-// one gob stream per connection direction, so the frame type's
+// binary headers, one registered PayloadCodec per payload type (a type
+// without one fails the producer's Write), pooled frame buffers, and
+// batched connection writers whose flush-on-idle policy coalesces bursts of
+// small frames into single vectored writes (wire.go, codec.go). Control
+// frames are per-session or per-unit-of-work, never per-buffer, and stay on
+// gob: one gob stream per connection direction, so the frame type's
 // descriptors cross a connection once.
 //
 // Filters are constructed worker-side from a registry of named builders
@@ -29,7 +29,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datacutter/internal/core"
@@ -149,23 +148,9 @@ func (o Options) validate() error {
 	return nil
 }
 
-// defaultDialTimeoutNanos lets a process override the fallback dial timeout
-// (dcworker -dialtimeout) for sessions whose Options leave it zero; workers
-// receive Options from the coordinator, so this is their only local knob.
-var defaultDialTimeoutNanos atomic.Int64
-
-// SetDefaultDialTimeout sets this process's fallback dial timeout, used
-// whenever Options.DialTimeout is zero. d <= 0 restores DefaultDialTimeout.
-func SetDefaultDialTimeout(d time.Duration) {
-	defaultDialTimeoutNanos.Store(int64(d))
-}
-
 func (o *Options) dialTimeout() time.Duration {
 	if o.DialTimeout > 0 {
 		return o.DialTimeout
-	}
-	if d := defaultDialTimeoutNanos.Load(); d > 0 {
-		return time.Duration(d)
 	}
 	return DefaultDialTimeout
 }
@@ -260,15 +245,14 @@ type frame struct {
 	Target  int    // consumer copy-set index (data) / producer target index (ack)
 	Copy    int    // producer global copy index (data: sender; ack: addressee)
 	AckN    int    // coalesced ack count
-	Codec   uint16 // payload codec id (0 = gob fallback)
+	Codec   uint16 // payload codec id
 	Payload []byte // encoded payload; on receive it aliases the pooled wire buffer
 	Size    int    // buffer's accounted size
 
-	// payloadVal is a tx-side payload value serialized by appendFrame via
-	// the codec registry (hasPayloadVal distinguishes an untyped nil value
-	// from "use the pre-encoded Payload bytes").
-	payloadVal    any
-	hasPayloadVal bool
+	// payloadVal is a tx-side payload value, serialized by appendFrame with
+	// its codec; nil means "use the pre-encoded Payload bytes" (no codec
+	// takes a nil payload).
+	payloadVal any
 	// rel recycles the pooled wire buffer a received data frame (and its
 	// in-place-decoded payload) lives in; see frame.release.
 	rel func()
@@ -279,7 +263,7 @@ func dataFrame(job uint64, uowIdx int, stream string, copyIdx, target, ackN, siz
 	return &frame{
 		Kind: kindData, Job: job, UOWIdx: uowIdx, Stream: stream, Copy: copyIdx,
 		Target: target, AckN: ackN, Size: size,
-		payloadVal: payload, hasPayloadVal: true,
+		payloadVal: payload,
 	}
 }
 
@@ -319,9 +303,9 @@ type uowMsg struct {
 	Work  []byte // gob-encoded unit-of-work descriptor
 }
 
-// RegisterPayload registers a buffer payload or unit-of-work type with gob
-// (convenience wrapper so applications don't import encoding/gob). Types
-// without a RegisterCodec fast path travel through the gob fallback.
+// RegisterPayload registers a unit-of-work descriptor type with gob
+// (convenience wrapper so applications don't import encoding/gob). Buffer
+// payloads never use it: they cross hosts through RegisterCodec.
 func RegisterPayload(v any) { gob.Register(v) }
 
 // RawUOW is a pre-encoded unit-of-work descriptor (the output of
@@ -343,8 +327,8 @@ func EncodeUOW(v any) (RawUOW, error) {
 // this process.
 func DecodeUOW(raw RawUOW) (any, error) { return decodeAny(raw) }
 
-// encodeAny gob-encodes a value (with its concrete type registered) —
-// the gob-fallback payload format and the unit-of-work descriptor format.
+// encodeAny gob-encodes a value (with its concrete type registered): the
+// unit-of-work descriptor format.
 func encodeAny(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {

@@ -32,11 +32,13 @@ import (
 //	done := u64 job | u32 uow | u16 slen | stream
 //	hello := (empty)
 //
-// Everything else (setup, unit-of-work, declarations, stats, failures) is
-// control traffic — rare, per-session or per-UOW — and keeps a gob-encoded
-// frame struct as its body. Each direction of a connection is one gob
-// stream: the frame type's descriptors travel once, in the first control
-// frame, and every later control frame body is one gob value.
+// A data payload is encoded by the registered PayloadCodec its id names
+// (codec.go); a receiver rejects an id it has no codec for. Everything else
+// (setup, unit-of-work, declarations, stats, failures) is control traffic —
+// rare, per-session or per-UOW — and keeps a gob-encoded frame struct as
+// its body. Each direction of a connection is one gob stream: the frame
+// type's descriptors travel once, in the first control frame, and every
+// later control frame body is one gob value.
 
 // maxFrameLen bounds a frame's length prefix; anything larger is a corrupt
 // or hostile stream and fails the connection before large allocations.
@@ -97,6 +99,14 @@ type frameWriter struct {
 	out []byte // enc's sink: the frame being appended to, during an encode
 }
 
+// appendWriter adapts append-style encoding to gob's io.Writer.
+type appendWriter struct{ b *[]byte }
+
+func (w appendWriter) Write(p []byte) (int, error) {
+	*w.b = append(*w.b, p...)
+	return len(p), nil
+}
+
 // appendFrame serializes f (kind byte + body, no length prefix) onto dst.
 // For data frames carrying a payload value, the payload is encoded through
 // the codec registry; pre-encoded payload bytes (re-framing a received
@@ -128,11 +138,11 @@ func (w *frameWriter) appendFrame(dst []byte, f *frame) ([]byte, error) {
 		dst = appendU32(dst, f.Copy)
 		dst = appendU32(dst, f.AckN)
 		dst = appendU32(dst, f.Size)
-		if f.hasPayloadVal {
+		if f.payloadVal != nil {
 			var id uint16
 			idAt := len(dst)
 			dst = append(dst, 0, 0, 0, 0, 0, 0) // codec id + payload length
-			dst, id, err = appendPayload(dst, f.payloadVal)
+			dst, id, err = appendPayload(dst, f.Stream, f.payloadVal)
 			if err != nil {
 				return nil, err
 			}

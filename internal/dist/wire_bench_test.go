@@ -1,23 +1,11 @@
 package dist
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
-
-// The gob baseline ships []float32 through the fallback, which needs the
-// concrete type registered (the codec fast path does not).
-func init() { RegisterPayload([]float32{}) }
+import "testing"
 
 // BenchmarkWireCodec measures frame encode + decode (+ payload decode) per
-// op. The binary/* cases are today's data plane. The gob/* cases replicate
-// the data plane it replaced: one persistent gob encoder/decoder pair per
-// connection carrying whole frame structs, each payload gob-encoded
-// separately into the frame's bytes (encodeAny/decodeAny; the gob fallback,
-// appendGob, still writes that payload format). control-session is today's
-// control plane: the ten control frames of a one-UOW session, each
-// direction on a fresh per-connection gob stream, as one op.
+// op. The binary/* cases are the data plane; control-session is the control
+// plane: the ten control frames of a one-UOW session, each direction on a
+// fresh per-connection gob stream, as one op.
 func BenchmarkWireCodec(b *testing.B) {
 	payload := make([]float32, 4096)
 	for i := range payload {
@@ -50,36 +38,6 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 	})
 
-	b.Run("gob/float32s", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(4 * len(payload)))
-		var stream bytes.Buffer
-		enc := gob.NewEncoder(&stream)
-		dec := gob.NewDecoder(&stream)
-		for i := 0; i < b.N; i++ {
-			raw, err := encodeAny(payload)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f := &frame{Kind: kindData, UOWIdx: 1, Stream: "floats", AckN: 4,
-				Size: len(payload) * 4, Payload: raw}
-			if err := enc.Encode(f); err != nil {
-				b.Fatal(err)
-			}
-			var g frame
-			if err := dec.Decode(&g); err != nil {
-				b.Fatal(err)
-			}
-			v, err := decodeAny(g.Payload)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(v.([]float32)) != len(payload) {
-				b.Fatal("payload mangled")
-			}
-		}
-	})
-
 	b.Run("binary/ack", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
@@ -93,23 +51,6 @@ func BenchmarkWireCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := r.decodeFrame(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("gob/ack", func(b *testing.B) {
-		b.ReportAllocs()
-		var stream bytes.Buffer
-		enc := gob.NewEncoder(&stream)
-		dec := gob.NewDecoder(&stream)
-		f := &frame{Kind: kindAck, UOWIdx: 1, Stream: "floats", Target: 2, Copy: 3, AckN: 4}
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(f); err != nil {
-				b.Fatal(err)
-			}
-			var g frame
-			if err := dec.Decode(&g); err != nil {
 				b.Fatal(err)
 			}
 		}

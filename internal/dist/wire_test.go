@@ -75,34 +75,6 @@ func TestBytesPayloadZeroCopy(t *testing.T) {
 	}
 }
 
-// Payload types without a registered codec must fall back to gob and
-// round-trip unchanged (wire compatibility of the RegisterPayload API).
-type unregisteredPayload struct {
-	A int
-	B string
-}
-
-func init() { RegisterPayload(unregisteredPayload{}) }
-
-func TestGobFallbackRoundTrip(t *testing.T) {
-	want := unregisteredPayload{A: 42, B: "fallback"}
-	f := dataFrame(5, 1, "s", 0, 0, 0, 8, want)
-	g := roundTrip(t, f)
-	if g.Codec != 0 {
-		t.Fatalf("codec id = %d, want 0 (gob fallback)", g.Codec)
-	}
-	v, rel, err := decodePayload(g)
-	if err != nil {
-		t.Fatalf("decodePayload: %v", err)
-	}
-	if rel != nil {
-		t.Fatal("gob fallback must not hand out a release")
-	}
-	if got := v.(unregisteredPayload); got != want {
-		t.Fatalf("payload = %+v, want %+v", got, want)
-	}
-}
-
 func TestAckAndDoneRoundTrip(t *testing.T) {
 	a := roundTrip(t, &frame{Kind: kindAck, Job: 6, UOWIdx: 9, Stream: "pixels", Target: 1, Copy: 3, AckN: 4})
 	if a.Kind != kindAck || a.Job != 6 || a.UOWIdx != 9 || a.Stream != "pixels" || a.Target != 1 || a.Copy != 3 || a.AckN != 4 {

@@ -686,16 +686,27 @@ func (s *session) initUOW(msg *uowMsg) (map[string][2]int, error) {
 // ---- exec.Remote: the runtime's way out to copy sets on other hosts ----
 
 // Deliver frames the buffer and sends it on the peer's data connection,
-// where blocking is TCP backpressure. The conn serializes the payload via
-// the codec registry, outside its write lock.
+// where blocking is TCP backpressure; the conn encodes the payload outside
+// its write lock. The codec lookup precedes the link choice, so a missing
+// codec fails alike on every transport (a ring never encodes). Encoding
+// failures are the producer's: an application error, no peer implicated.
 func (s *session) Deliver(host string, e exec.Edge, b core.Buffer, ackEvery int) error {
+	if _, _, err := codecFor(e.Stream, b.Payload); err != nil {
+		s.rt.Abort(err)
+		return core.ErrCancelled
+	}
 	c, err := s.peer(host)
 	if err != nil {
 		s.failTransport(host, err)
 		return core.ErrCancelled
 	}
 	if err := c.send(dataFrame(s.job, e.UOW, e.Stream, e.From, e.Target, ackEvery, b.Size, b.Payload)); err != nil {
-		s.failTransport(host, fmt.Errorf("dist: sending buffer for %s to %s: %w", e.Stream, host, err))
+		var pe *payloadError
+		if errors.As(err, &pe) {
+			s.rt.Abort(err)
+		} else {
+			s.failTransport(host, fmt.Errorf("dist: sending buffer for %s to %s: %w", e.Stream, host, err))
+		}
 		return core.ErrCancelled
 	}
 	if m := s.w.metrics(); m != nil {
@@ -741,7 +752,7 @@ func (s *session) dispatchPeer(f *frame) {
 		}
 		var payload any
 		var release func()
-		if f.hasPayloadVal {
+		if f.payloadVal != nil {
 			// Ring transport: the producer's value arrived by reference —
 			// no wire encode ever happened, so there is nothing to decode.
 			payload = f.payloadVal

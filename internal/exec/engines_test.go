@@ -46,7 +46,7 @@ func (s *tinySource) Process(ctx core.Ctx) error {
 	time.Sleep(5 * time.Millisecond)
 	ctx.Compute(0.005)
 	for i := 0; i < s.n; i++ {
-		if err := ctx.Write("t", core.Buffer{Payload: i, Size: 8}); err != nil {
+		if err := ctx.Write("t", core.Buffer{Payload: []byte{byte(i)}, Size: 8}); err != nil {
 			return err
 		}
 	}

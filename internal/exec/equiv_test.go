@@ -44,7 +44,7 @@ type equivSource struct {
 
 func (s *equivSource) Process(ctx core.Ctx) error {
 	for i := 0; i < s.n; i++ {
-		if err := ctx.Write("nums", core.Buffer{Payload: i, Size: 64}); err != nil {
+		if err := ctx.Write("nums", core.Buffer{Payload: []byte{byte(i)}, Size: 64}); err != nil {
 			return err
 		}
 	}

@@ -11,17 +11,16 @@ import (
 	"datacutter/internal/wirebin"
 )
 
-// Fast-path wire codecs for the hot dist payloads: triangle batches
-// (E->Ra) and the two pixel-run shapes (Ra->M). Each replaces the gob
-// fallback's per-frame type descriptors and element-wise reflection with a
-// count header plus bulk little-endian field data, encoded straight into
-// the connection's pooled frame buffer. Append is the sender's last use of
-// a payload (dist.PayloadCodec), so each encoder hands the storage it has
+// Wire codecs for the dist payloads that cross hosts: triangle batches
+// (E->Ra) and the two pixel-run shapes (Ra->M). Each is a count header
+// plus bulk little-endian field data, encoded straight into the
+// connection's pooled frame buffer. Append is the sender's last use of a
+// payload (dist.PayloadCodec), so each encoder hands the storage it has
 // just copied out back to the free lists (recycle.go). Registered in
-// distfilters.go alongside the gob registrations, which remain the
-// fallback.
+// distfilters.go.
 //
-// Codec ids (dist reserves 1–255 for built-ins; applications start at 256).
+// Codec ids (dist reserves 1–255 for built-ins; applications start at 256;
+// conformance uses 512).
 const (
 	codecTriBatch uint16 = 256
 	codecPixBatch uint16 = 257

@@ -50,15 +50,10 @@ const (
 )
 
 func init() {
+	// View is the unit-of-work descriptor (gob, once per unit of work); the
+	// per-buffer payloads that cross hosts in the RE–Ra–M graphs ship through
+	// their wire codecs (codec.go). Voxels never leave RE's fusion.
 	dist.RegisterPayload(View{})
-	dist.RegisterPayload(TriBatch{})
-	dist.RegisterPayload(PixBatch{})
-	dist.RegisterPayload(ZChunk{})
-	dist.RegisterPayload(VoxelBlock{})
-
-	// Fast-path wire codecs (codec.go) for the per-buffer payloads; the gob
-	// registrations above remain the fallback for control descriptors
-	// (View) and anything shipped without a codec (VoxelBlock).
 	dist.RegisterCodec(codecTriBatch, TriBatch{}, triBatchCodec{})
 	dist.RegisterCodec(codecPixBatch, PixBatch{}, pixBatchCodec{})
 	dist.RegisterCodec(codecZChunk, ZChunk{}, zChunkCodec{})

@@ -29,7 +29,7 @@ import (
 // exactly these (-run 'TestJobdChaos') under the race detector and archives
 // the server metrics dumps on failure.
 
-// jobdSrc writes n ints on stream "ints", optionally sleeping between
+// jobdSrc writes bytes 0..n-1 on stream "ints", optionally sleeping between
 // writes (the slow variant keeps a session running long enough to cancel
 // or deadline it).
 type jobdSrc struct {
@@ -43,7 +43,7 @@ func (s *jobdSrc) Process(ctx core.Ctx) error {
 		if s.delay > 0 {
 			time.Sleep(s.delay)
 		}
-		if err := ctx.Write("ints", core.Buffer{Payload: i, Size: 8}); err != nil {
+		if err := ctx.Write("ints", core.Buffer{Payload: []byte{byte(i)}, Size: 8}); err != nil {
 			return err
 		}
 	}
@@ -63,7 +63,7 @@ func (k *jobdSink) Process(ctx core.Ctx) error {
 			return nil
 		}
 		k.Seen++
-		k.Sum += b.Payload.(int)
+		k.Sum += int(b.Payload.([]byte)[0])
 	}
 }
 
