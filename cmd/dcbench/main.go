@@ -18,13 +18,12 @@
 // built-in quickstart-sized isosurface pipeline on the real engine so there
 // is always something to trace.
 //
-// Data-path fast paths (DESIGN.md §14): -transport runs the same demo on
-// the dist engine over two in-process workers — "tcp" over loopback
-// sockets, "auto"/"ring" over zero-copy in-process rings; -dir points the
-// demo at a datagen dataset, where -readahead prefetches chunks along the
-// planned read order and -mmap memory-maps the store:
+// Data-path fast paths (DESIGN.md §14): -dist runs the same demo on the
+// dist engine over two in-process workers joined by loopback TCP; -dir
+// points the demo at a datagen dataset, where -readahead prefetches chunks
+// along the planned read order and -mmap memory-maps the store:
 //
-//	dcbench -transport ring -metrics
+//	dcbench -dist -metrics
 //	dcbench -dir /data/plume -readahead 4 -mmap -trace out.json
 package main
 
@@ -52,7 +51,7 @@ type options struct {
 	trace      string
 	metrics    bool
 	demo       demoConfig
-	transport  string
+	dist       bool
 }
 
 // parseFlags parses args (without the program name). Errors and -h are
@@ -70,7 +69,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&f.demo.streams, "stream-policy", "", "demo pipeline per-stream overrides, e.g. 'triangles=DD/8,pixels=WRR'")
 	fs.Int64Var(&f.demo.seed, "seed", 42, "demo pipeline synthetic-field seed")
 
-	fs.StringVar(&f.transport, "transport", "", "run the demo on the dist engine over in-process workers with this peer data plane: tcp | auto | ring")
+	fs.BoolVar(&f.dist, "dist", false, "run the demo on the dist engine: two in-process workers over loopback TCP")
 	fs.StringVar(&f.demo.dir, "dir", "", "datagen dataset directory for the demo source (default: synthetic field)")
 	fs.IntVar(&f.demo.readahead, "readahead", 0, "chunks the demo prefetches ahead of the planned read order (with -dir)")
 	fs.BoolVar(&f.demo.mmap, "mmap", false, "memory-map the demo dataset instead of pread (with -dir)")
@@ -81,8 +80,8 @@ func parseFlags(args []string) (options, error) {
 	switch {
 	case (f.demo.readahead > 0 || f.demo.mmap) && f.demo.dir == "":
 		err = errors.New("-readahead/-mmap tune on-disk store reads; they need -dir")
-	case !f.all && !f.list && f.exp == "" && f.trace == "" && !f.metrics && f.transport == "" && f.demo.dir == "":
-		err = errors.New("need -exp <id>, -all, -list, -trace, -metrics, -transport, or -dir")
+	case !f.all && !f.list && f.exp == "" && f.trace == "" && !f.metrics && !f.dist && f.demo.dir == "":
+		err = errors.New("need -exp <id>, -all, -list, -trace, -metrics, -dist, or -dir")
 	}
 	if err != nil {
 		fmt.Fprintln(fs.Output(), "dcbench:", err)
@@ -157,13 +156,13 @@ func main() {
 		ids = []string{f.exp}
 	default:
 		// No experiment selected: run the built-in demo pipeline — on the
-		// dist engine over in-process workers when -transport is set, on
-		// the core engine otherwise.
+		// dist engine over in-process workers with -dist, on the core
+		// engine otherwise.
 		title := "demo pipeline"
 		var stats *core.Stats
-		if f.transport != "" {
-			title = fmt.Sprintf("demo pipeline (dist, transport=%s)", f.transport)
-			stats, err = runDemoDist(o, f.demo, f.transport)
+		if f.dist {
+			title = "demo pipeline (dist)"
+			stats, err = runDemoDist(o, f.demo)
 		} else {
 			stats, err = runDemo(o, f.demo)
 		}
@@ -171,8 +170,8 @@ func main() {
 			fatal(err)
 		}
 		printDemoStats(title, stats)
-		if f.transport != "" && reg != nil {
-			fmt.Printf("ring frames received: %d\n", reg.Counter("dist.rx.ring_frames").Value())
+		if f.dist && reg != nil {
+			fmt.Printf("data frames received: %d\n", reg.Counter("dist.rx.data_frames").Value())
 		}
 		finish()
 		return
@@ -295,11 +294,11 @@ func runDemo(o *obs.Observer, d demoConfig) (*core.Stats, error) {
 }
 
 // runDemoDist executes the same demo on the distributed engine: two
-// in-process workers ("node0", "node1") joined over TCP loopback or — with
-// -transport auto/ring — zero-copy in-process rings. The source is
-// reconstructed worker-side from its params exactly as dcsubmit ships it,
-// so -dir/-readahead/-mmap exercise the store fast paths per RE copy.
-func runDemoDist(o *obs.Observer, d demoConfig, transport string) (*core.Stats, error) {
+// in-process workers ("node0", "node1") joined over TCP loopback. The
+// source is reconstructed worker-side from its params exactly as dcsubmit
+// ships it, so -dir/-readahead/-mmap exercise the store fast paths per RE
+// copy.
+func runDemoDist(o *obs.Observer, d demoConfig) (*core.Stats, error) {
 	perStream, err := exec.ParseStreamPolicies(d.streams)
 	if err != nil {
 		return nil, err
@@ -340,7 +339,6 @@ func runDemoDist(o *obs.Observer, d demoConfig, transport string) (*core.Stats, 
 	opts := dist.Options{
 		Policy:       d.policy,
 		StreamPolicy: perStream,
-		Transport:    transport,
 	}
 	return dist.RunObserved(addrs, spec, placement, opts, []any{demoView(timestep)}, o)
 }

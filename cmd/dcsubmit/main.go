@@ -11,11 +11,10 @@
 // -dir to render a datagen dataset every worker can open, or omit it for
 // the synthetic field (reconstructed worker-side from its seed).
 //
-// Data-path fast paths: -transport selects the peer data plane (tcp, or
-// auto/ring for zero-copy in-process rings between workers sharing a
-// process); with -dir, -readahead overlaps each RE copy's chunk reads with
-// its extraction work (bounded by -readahead-bytes) and -mmap switches the
-// store to memory-mapped reads. See DESIGN.md §14. -pushdown turns on
+// Data-path fast paths: workers exchange stream buffers over TCP; with
+// -dir, -readahead overlaps each RE copy's chunk reads with its extraction
+// work (bounded by -readahead-bytes) and -mmap switches the store to
+// memory-mapped reads. See DESIGN.md §14. -pushdown turns on
 // near-storage predicate pruning: each RE copy checks the view's iso-value
 // against the dataset's summary sidecar and skips chunks that provably
 // contribute no triangles, before any byte is read (DESIGN.md §17).
@@ -83,7 +82,6 @@ func main() {
 		policy  = flag.String("policy", "DD", "default writer policy: RR | WRR | DD | DD/<k>")
 		streams = flag.String("stream-policy", "", "per-stream policy overrides, e.g. 'triangles=DD/8,pixels=WRR'")
 
-		transport = flag.String("transport", "", "peer data plane: tcp (default) | auto (in-process rings for same-process peers) | ring (require rings)")
 		readahead = flag.Int("readahead", 0, "chunks each RE copy prefetches ahead of its planned read order (with -dir)")
 		raBytes   = flag.Int64("readahead-bytes", 0, "byte budget for resident prefetched chunks, 0 = unbounded (with -readahead)")
 		mmap      = flag.Bool("mmap", false, "memory-map dataset files instead of pread (with -dir)")
@@ -213,7 +211,6 @@ func main() {
 	opts := dist.Options{
 		Policy:            *policy,
 		StreamPolicy:      streamPolicy,
-		Transport:         *transport,
 		MaxUOWRetries:     *retries,
 		HeartbeatInterval: *hbInterval,
 		HeartbeatMisses:   *hbMisses,

@@ -95,61 +95,6 @@ func TestConformanceFaults(t *testing.T) {
 	}
 }
 
-// TestConformanceRingTransport pins the in-process ring data plane under
-// the full oracle set. The generator already flips ~half the sweep seeds
-// to transport "auto"; this sweep forces strict "ring" — the dist engine
-// errors rather than falling back to TCP, so a pass proves every oracle
-// holds with the whole peer mesh on rings. Core and simrt ignore the
-// field, keeping the differential baseline identical.
-func TestConformanceRingTransport(t *testing.T) {
-	n := int64(20)
-	if !testing.Short() {
-		n = 50
-	}
-	for seed := int64(0); seed < n; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			leakcheck.Check(t)
-			s := Generate(seed, GenConfig{})
-			s.Transport = "ring"
-			if fail := Check(s, Options{}); fail != nil {
-				failReport(t, seed, fail, Options{})
-			}
-		})
-	}
-}
-
-// TestConformanceFaultsRing is the fault sweep over the ring transport: a
-// deterministic worker kill must still be detected, replanned around, and
-// the relaxed oracle must hold when peer data rides in-process rings (the
-// kill trigger counts ring frames exactly like TCP frames).
-func TestConformanceFaultsRing(t *testing.T) {
-	n := int64(12)
-	if !testing.Short() {
-		n = 30
-	}
-	ran := 0
-	for seed := int64(0); seed < n; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			leakcheck.Check(t)
-			s := Generate(seed, GenConfig{})
-			s.Transport = "ring"
-			fail, ok := CheckFaults(s)
-			if !ok {
-				t.Skipf("seed %d: no qualifying kill victim", seed)
-			}
-			ran++
-			if fail != nil {
-				t.Fatalf("ring fault-mode violation at seed %d:\n%v", seed, fail)
-			}
-		})
-	}
-	if ran == 0 {
-		t.Fatalf("no seed in 0..%d produced a qualifying kill victim", n-1)
-	}
-}
-
 // TestConformanceElastic sweeps runtime-mutable copy sets: every seed's
 // pipeline carries a scale schedule with at least one guaranteed scale-up
 // and one guaranteed scale-down at work-cycle boundaries, and the full

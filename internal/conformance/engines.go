@@ -160,7 +160,6 @@ func runDist(s *Spec, rec *Recorder, plans map[string]string, tune func(*dist.Op
 		Policy:        "RR",
 		StreamPolicy:  policyNames(s),
 		QueueCap:      s.QueueCap,
-		Transport:     s.Transport,
 		ScaleSchedule: s.Scale,
 	}
 	if tune != nil {

@@ -216,14 +216,6 @@ func shrinkCandidates(s *Spec) []*Spec {
 		c.Scale = append(c.Scale[:i:i], c.Scale[i+1:]...)
 		out = append(out, c)
 	}
-	if s.Transport != "" {
-		// Back to plain TCP: a failure that survives this reduction is not
-		// a ring-transport bug, and one that doesn't keeps the transport in
-		// its minimal reproduction.
-		c := s.Clone()
-		c.Transport = ""
-		out = append(out, c)
-	}
 	for i := range s.Fused {
 		// Unfuse one transform: a failure that survives with it back on its
 		// own copies is not a fusion bug.

@@ -127,12 +127,6 @@ type Spec struct {
 	// above the largest per-stream buffer count so that a filter draining
 	// its input streams sequentially can never deadlock a producer.
 	QueueCap int
-	// Transport selects the dist engine's peer data plane: "" or "tcp" for
-	// sockets, "auto" to use in-process rings for peers in the same
-	// process (in this harness every worker is, so "auto" moves the whole
-	// mesh onto rings), "ring" to require them. Core and simrt ignore it —
-	// the oracles must hold identically either way.
-	Transport string
 	// Scale lists seeded copy-set membership changes applied at work-cycle
 	// boundaries on every engine. The harness restricts steps to what keeps
 	// the oracle model exact: non-source filters only (source copy counts
@@ -324,11 +318,6 @@ func (s *Spec) Validate() error {
 		}
 		hosts[h.Name] = true
 	}
-	switch s.Transport {
-	case "", "tcp", "auto", "ring": // mirrors dist.Options.Transport
-	default:
-		return fmt.Errorf("conformance: unknown transport %q", s.Transport)
-	}
 	for _, st := range s.Streams {
 		if core.PolicyByName(st.Policy) == nil {
 			return fmt.Errorf("conformance: stream %s: unknown policy %q", st.Name, st.Policy)
@@ -400,9 +389,6 @@ func (s *Spec) Validate() error {
 func (s *Spec) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "spec(seed=%d uows=%d qcap=%d", s.Seed, s.UOWs, s.QueueCap)
-	if s.Transport != "" {
-		fmt.Fprintf(&b, " transport=%s", s.Transport)
-	}
 	if s.Pred != nil {
 		fmt.Fprintf(&b, " pred=%s", s.Pred)
 	}
@@ -450,16 +436,15 @@ type GenConfig struct {
 	// Elastic seeds a runtime scale schedule into every generated spec: at
 	// least three units of work, one guaranteed scale-up before UOW 1 and
 	// one guaranteed scale-down before UOW 2 on a non-source filter's
-	// existing placement entry. All elastic draws happen after the
-	// transport draw, so a seed's base pipeline is identical with the flag
-	// on or off.
+	// existing placement entry. All elastic draws happen after every base
+	// draw, so a seed's base pipeline is identical with the flag on or off.
 	Elastic bool
 	// Pushdown seeds a near-storage pruning predicate (Spec.Pred) into
 	// every generated spec: a random iso range evaluated by sources against
 	// each identity's synthetic chunk summary. The predicate draws happen
 	// strictly after every other draw (the same seed-stability rule as
-	// Transport and Elastic), so a seed's base pipeline is identical with
-	// the flag on or off.
+	// Elastic), so a seed's base pipeline is identical with the flag on or
+	// off.
 	Pushdown bool
 	// Fused fuses transforms into their producers (Spec.Fused): every
 	// eligible transform — exactly one input stream, no scale step — is
@@ -597,17 +582,13 @@ func Generate(seed int64, cfg GenConfig) *Spec {
 		s.QueueCap = 8
 	}
 
-	// Transport is drawn LAST among the base fields: every draw above
-	// consumes the same rng prefix as before this field existed, so
-	// historical seeds reproduce their exact graphs. About half the seeds
-	// run dist's peer mesh over in-process rings instead of TCP sockets.
-	if rng.Intn(2) == 0 {
-		s.Transport = "auto"
-	}
+	// The last base draw once picked a peer transport, which no longer
+	// exists; it is still consumed, so every draw below sees the rng state
+	// it always did and historical seeds reproduce their exact pipelines.
+	_ = rng.Intn(2)
 
-	// Elastic draws come strictly after every base draw (same seed-
-	// stability rule as Transport): the base pipeline of a seed is
-	// identical whether or not cfg.Elastic is set.
+	// Elastic draws come strictly after every base draw: the base pipeline
+	// of a seed is identical whether or not cfg.Elastic is set.
 	if cfg.Elastic {
 		if s.UOWs < 3 {
 			s.UOWs = 3 // room for a scale-up boundary and a scale-down boundary
@@ -639,8 +620,8 @@ func Generate(seed int64, cfg GenConfig) *Spec {
 		}
 	}
 
-	// Pushdown draws come last of all (the Transport/Elastic seed-stability
-	// rule again). Identity summaries have Min uniform in [0,1) and Max in
+	// Pushdown draws come last of all (the Elastic seed-stability rule
+	// again). Identity summaries have Min uniform in [0,1) and Max in
 	// [Min, Min+1), so an iso range with Lo in [0,1.2) and a short width
 	// sweeps the whole spectrum: seeds where everything survives, seeds
 	// where almost everything prunes, and plenty of genuine partitions.

@@ -10,8 +10,7 @@ import (
 
 // Loopback two-worker throughput: a float source on host0 streams
 // []float32 batches to a sink on host1, through the float32s codec over
-// real TCP connections ("codec") or by reference over in-process rings
-// ("codec-ring").
+// real TCP connections ("codec").
 
 const (
 	benchBatches   = 256
@@ -81,23 +80,15 @@ func BenchmarkDistThroughput(b *testing.B) {
 		Filters: []dist.FilterSpec{{Name: "S", Kind: "bench.fsrc"}, {Name: "K", Kind: "bench.fsink"}},
 		Streams: []core.StreamSpec{{Name: "floats", From: "S", To: "K"}},
 	}
-	for _, tc := range []struct{ name, transport string }{
-		{"codec", ""},
-		// Same pipeline, same-host ring transport: frames move by reference
-		// over in-process SPSC rings — no codec, no syscalls.
-		{"codec-ring", dist.TransportRing},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			addrs := benchWorkers(b, 2)
-			opts := dist.Options{Transport: tc.transport}
-			b.ReportAllocs()
-			b.SetBytes(benchBatches * benchBatchSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := dist.Run(addrs, graph, placement, opts, nil); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("codec", func(b *testing.B) {
+		addrs := benchWorkers(b, 2)
+		b.ReportAllocs()
+		b.SetBytes(benchBatches * benchBatchSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := dist.Run(addrs, graph, placement, dist.Options{}, nil); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

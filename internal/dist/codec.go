@@ -13,15 +13,15 @@ import (
 // A PayloadCodec serializes one concrete buffer payload type onto the data
 // plane: it is the only way a payload crosses a host boundary. A stream
 // whose payload type has no registered codec fails the run at the
-// producer's Write, on every transport; both ends of a deployment must map
-// the same ids to the same codecs.
+// producer's Write; both ends of a deployment must map the same ids to the
+// same codecs.
 type PayloadCodec interface {
 	// Append encodes v, appending its wire bytes to dst. It is the sender's
 	// last use of v: the runtime drops v when Append returns (even when
 	// the connection has already failed and the bytes go nowhere), so a
-	// codec may reclaim v's storage for reuse. Transports that hand a
-	// payload over by reference (the in-process ring, exec.Fuse) never
-	// call Append.
+	// codec may reclaim v's storage for reuse. Hand-offs within one host
+	// (a copy-set queue, exec.Fuse) pass v by reference and never call
+	// Append.
 	Append(dst []byte, v any) ([]byte, error)
 	// Decode decodes one payload from body. If ZeroCopy reports true the
 	// returned value may alias body; the runtime then keeps body alive
@@ -113,25 +113,18 @@ func (e *payloadError) Error() string {
 	return fmt.Sprintf("dist: stream %s: %v payload: %v", e.stream, e.typ, e.err)
 }
 
-// codecFor resolves the codec for a payload value written on stream.
-func codecFor(stream string, v any) (uint16, PayloadCodec, error) {
-	if e, ok := codecs.Load().byType[reflect.TypeOf(v)]; ok {
-		return e.id, e.codec, nil
-	}
-	return 0, nil, &payloadError{stream, reflect.TypeOf(v), errNoCodec}
-}
-
 // appendPayload encodes a payload value written on stream with its codec,
 // returning the codec id.
 func appendPayload(dst []byte, stream string, v any) ([]byte, uint16, error) {
-	id, c, err := codecFor(stream, v)
-	if err != nil {
-		return nil, 0, err
+	e, ok := codecs.Load().byType[reflect.TypeOf(v)]
+	if !ok {
+		return nil, 0, &payloadError{stream, reflect.TypeOf(v), errNoCodec}
 	}
-	if dst, err = c.Append(dst, v); err != nil {
+	dst, err := e.codec.Append(dst, v)
+	if err != nil {
 		return nil, 0, &payloadError{stream, reflect.TypeOf(v), err}
 	}
-	return dst, id, nil
+	return dst, e.id, nil
 }
 
 // decodePayload decodes a received data frame's payload. The returned

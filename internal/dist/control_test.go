@@ -35,7 +35,7 @@ func controlSession() (down, up []*frame) {
 				{Filter: "Ra", Host: "node1", Copies: 2},
 				{Filter: "M", Host: "node1", Copies: 1},
 			},
-			Opts:  Options{JobID: 7, Policy: "DD", Transport: TransportTCP},
+			Opts:  Options{JobID: 7, Policy: "DD", Transport: "tcp"},
 			Addrs: map[string]string{"node0": "127.0.0.1:40001", "node1": "127.0.0.1:40002"},
 			Host:  "node1",
 		}},

@@ -81,11 +81,8 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 	if len(uows) == 0 {
 		uows = []any{nil}
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if _, err := exec.ParsePolicies(opts.Policy, opts.StreamPolicy); err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
 	}
 	for _, e := range placement {
 		if _, ok := addrs[e.Host]; !ok {

@@ -3,6 +3,8 @@ package dist_test
 import (
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -237,6 +239,38 @@ func TestDistributedMissingWorkerAddress(t *testing.T) {
 	}, dist.Options{}, nil)
 	if err == nil {
 		t.Fatal("placement on unknown host accepted")
+	}
+}
+
+// TCP is the only peer transport. Any other Options.Transport fails Run
+// before a single dial — the address below refuses connections, so a dial
+// would surface as a dial error — and the error names the field. "" and
+// "tcp" run across two hosts.
+func TestTransportValidation(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := map[string]string{"host0": ln.Addr().String(), "host1": ln.Addr().String()}
+	ln.Close()
+	place := []dist.PlacementEntry{
+		{Filter: "S", Host: "host0", Copies: 1},
+		{Filter: "K", Host: "host1", Copies: 1},
+	}
+	for _, name := range []string{"ring", "auto", "bogus"} {
+		_, err := dist.Run(refused, intGraph(5), place, dist.Options{Transport: name, DialAttempts: 1}, nil)
+		if err == nil || !strings.Contains(err.Error(), "Options.Transport") {
+			t.Errorf("Transport %q: err = %v, want a refusal naming Options.Transport", name, err)
+		}
+	}
+	addrs, workers := startWorkers(t, 2)
+	for _, name := range []string{"", "tcp"} {
+		if _, err := dist.Run(addrs, intGraph(5), place, dist.Options{Transport: name}, nil); err != nil {
+			t.Fatalf("Transport %q: %v", name, err)
+		}
+		if seen := workers["host1"].Instances("K")[0].(*intSink).Seen; seen != 5 {
+			t.Fatalf("Transport %q: sink saw %d buffers, want 5", name, seen)
+		}
 	}
 }
 

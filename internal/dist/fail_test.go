@@ -41,7 +41,7 @@ func init() {
 
 // pairSession starts serving workers for hosts h0 and h1 and returns h0's
 // session of the graph S(h0) -> K(h1) on stream s, S built from source.
-func pairSession(t *testing.T, transport, source string) (*session, GraphSpec, []PlacementEntry, map[string]string) {
+func pairSession(t *testing.T, source string) (*session, GraphSpec, []PlacementEntry, map[string]string) {
 	t.Helper()
 	addrs := map[string]string{}
 	var w0 *Worker
@@ -63,7 +63,7 @@ func pairSession(t *testing.T, transport, source string) (*session, GraphSpec, [
 	}
 	place := []PlacementEntry{{Filter: "S", Host: "h0", Copies: 1}, {Filter: "K", Host: "h1", Copies: 1}}
 	s, err := newSession(w0, &setupMsg{
-		Graph: graph, Placement: place, Opts: Options{Transport: transport}, Addrs: addrs, Host: "h0",
+		Graph: graph, Placement: place, Addrs: addrs, Host: "h0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,67 +72,77 @@ func pairSession(t *testing.T, transport, source string) (*session, GraphSpec, [
 	return s, graph, place, addrs
 }
 
-// A killed worker's own links fail — a refused ring attach, a severed TCP
-// conn — and that must not read as its healthy peer failing: the failure
-// reply would make the coordinator mark the peer dead. Kill the sender,
-// then deliver to the peer on each transport.
+// A killed worker's own links fail — its dial is refused or its conn
+// severed — and that must not read as its healthy peer failing: the
+// failure reply would make the coordinator mark the peer dead. Kill the
+// sender, then deliver to the peer.
 func TestKilledSenderDoesNotImplicatePeer(t *testing.T) {
-	for _, transport := range []string{TransportRing, TransportTCP} {
-		t.Run(transport, func(t *testing.T) {
-			s, _, _, _ := pairSession(t, transport, "test.nop")
-			s.w.Kill()
-			if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Payload: []byte{1}, Size: 1}, 0); err == nil {
-				t.Fatal("a killed worker delivered a buffer")
-			}
-			if f := s.failFrame(s.rt.Err()); f != nil {
-				t.Fatalf("killed worker replies %+v (implicating %q)", f, f.FailHost)
-			}
-		})
-	}
+	t.Run("tcp", func(t *testing.T) {
+		s, _, _, _ := pairSession(t, "test.nop")
+		s.w.Kill()
+		if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Payload: []byte{1}, Size: 1}, 0); err == nil {
+			t.Fatal("a killed worker delivered a buffer")
+		}
+		if f := s.failFrame(s.rt.Err()); f != nil {
+			t.Fatalf("killed worker replies %+v (implicating %q)", f, f.FailHost)
+		}
+	})
 }
 
-// A payload type without a codec is the producer's error, on every
-// transport: the run fails naming the type and the stream, and no peer is
-// blamed. Blaming one would make the coordinator mark a healthy host dead
-// and retry the unit of work without it, and jobd charge it a quarantine
-// strike.
+// A payload type without a codec is the producer's error: the run fails
+// naming the type and the stream, and no peer is blamed. Blaming one would
+// make the coordinator mark a healthy host dead and retry the unit of work
+// without it, and jobd charge it a quarantine strike.
 func TestUnencodablePayloadIsProducerError(t *testing.T) {
-	for _, transport := range []string{TransportTCP, TransportRing} {
-		t.Run(transport, func(t *testing.T) {
-			s, graph, place, addrs := pairSession(t, transport, "test.nocodec")
-			if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Payload: noCodecPayload{}, Size: 1}, 0); err == nil {
-				t.Fatal("a payload without a codec was delivered")
+	t.Run("tcp", func(t *testing.T) {
+		s, graph, place, addrs := pairSession(t, "test.nocodec")
+		if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Payload: noCodecPayload{}, Size: 1}, 0); err == nil {
+			t.Fatal("a payload without a codec was delivered")
+		}
+		cause := s.rt.Err()
+		if f := s.failFrame(cause); f.FailNet || f.FailHost != "" {
+			t.Fatalf("failure reply implicates peer %q (FailNet %v): %s", f.FailHost, f.FailNet, f.Err)
+		}
+		namesTypeAndStream := func(what string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "dist.noCodecPayload") || !strings.Contains(err.Error(), "stream s") {
+				t.Fatalf("%s error %v does not name the payload type and the stream", what, err)
 			}
-			cause := s.rt.Err()
-			if f := s.failFrame(cause); f.FailNet || f.FailHost != "" {
-				t.Fatalf("failure reply implicates peer %q (FailNet %v): %s", f.FailHost, f.FailNet, f.Err)
-			}
-			namesTypeAndStream := func(what string, err error) {
-				t.Helper()
-				if err == nil || !strings.Contains(err.Error(), "dist.noCodecPayload") || !strings.Contains(err.Error(), "stream s") {
-					t.Fatalf("%s error %v does not name the payload type and the stream", what, err)
-				}
-			}
-			namesTypeAndStream("session", cause)
+		}
+		namesTypeAndStream("session", cause)
 
-			reg := obs.NewRegistry()
-			_, err := RunObserved(addrs, graph, place, Options{Transport: transport, MaxUOWRetries: 2}, nil, obs.New(nil, reg))
-			namesTypeAndStream("run", err)
-			var he *HostsError
-			if errors.As(err, &he) {
-				t.Fatalf("run error implicates hosts %v", he.Hosts)
-			}
-			if lost, retries := reg.Counter("coord.hosts_lost").Value(), reg.Counter("coord.uow_retries").Value(); lost != 0 || retries != 0 {
-				t.Fatalf("coord.hosts_lost = %d, coord.uow_retries = %d; want 0, 0", lost, retries)
-			}
-		})
+		reg := obs.NewRegistry()
+		_, err := RunObserved(addrs, graph, place, Options{MaxUOWRetries: 2}, nil, obs.New(nil, reg))
+		namesTypeAndStream("run", err)
+		var he *HostsError
+		if errors.As(err, &he) {
+			t.Fatalf("run error implicates hosts %v", he.Hosts)
+		}
+		if lost, retries := reg.Counter("coord.hosts_lost").Value(), reg.Counter("coord.uow_retries").Value(); lost != 0 || retries != 0 {
+			t.Fatalf("coord.hosts_lost = %d, coord.uow_retries = %d; want 0, 0", lost, retries)
+		}
+	})
+}
+
+// So is a nil payload: no codec takes one, and the frame must not reach
+// the peer as a codec id it will refuse to decode.
+func TestNilPayloadIsProducerError(t *testing.T) {
+	s, _, _, _ := pairSession(t, "test.nop")
+	if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Size: 1}, 0); err == nil {
+		t.Fatal("a nil payload was delivered")
+	}
+	cause := s.rt.Err()
+	if f := s.failFrame(cause); f.FailNet || f.FailHost != "" {
+		t.Fatalf("failure reply implicates peer %q (FailNet %v): %s", f.FailHost, f.FailNet, f.Err)
+	}
+	if !strings.Contains(cause.Error(), "stream s: <nil> payload: no payload codec registered") {
+		t.Fatalf("session error %v does not name the stream and the missing codec", cause)
 	}
 }
 
-// A codec's failing Append is the producer's error too. TCP only: a ring
-// hands the value over without encoding it.
+// A codec's failing Append is the producer's error too.
 func TestPayloadAppendErrorIsProducerError(t *testing.T) {
-	s, _, _, _ := pairSession(t, TransportTCP, "test.nop")
+	s, _, _, _ := pairSession(t, "test.nop")
 	if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Payload: refusedPayload{}, Size: 1}, 0); err == nil {
 		t.Fatal("a payload whose codec refused it was delivered")
 	}

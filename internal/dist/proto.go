@@ -74,12 +74,8 @@ type Options struct {
 	QueueCap     int // per-copy-set queue capacity (default 8)
 	BufferBytes  int // default stream buffer size (default 256 KiB)
 
-	// Transport selects the peer data-plane link: "tcp" (the default, also
-	// chosen by "") always dials sockets; "ring" moves frames over
-	// in-process SPSC rings and fails when a peer worker is not in this
-	// process; "auto" uses a ring per edge when the peer is in-process and
-	// TCP otherwise. Control-plane traffic always stays on TCP. Carried to
-	// every worker in the setup frame.
+	// Transport names the peer data plane. TCP is the only one, so it must
+	// be "" or "tcp"; Validate refuses anything else.
 	Transport string
 
 	// ScaleSchedule lists seeded copy-set membership changes applied at
@@ -119,10 +115,16 @@ func (o Options) WithFaults(in *faults.Injector) Options {
 	return o
 }
 
-// validate rejects nonsensical knob values; zero means "use the default".
-func (o Options) validate() error {
+// Validate rejects options no run can use: nonsensical knob values (zero
+// means "use the default"), unknown policy names, and any transport but
+// TCP. Run calls it before dialing any worker; a job server calls it at
+// admission, so a bad job is refused instead of failing every attempt.
+func (o Options) Validate() error {
 	if err := exec.CheckOptions("dist", o.QueueCap, o.BufferBytes); err != nil {
 		return err
+	}
+	if _, err := exec.ParsePolicies(o.Policy, o.StreamPolicy); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
 	if o.DialTimeout < 0 {
 		return fmt.Errorf("dist: Options.DialTimeout must be >= 0, got %v", o.DialTimeout)
@@ -139,11 +141,8 @@ func (o Options) validate() error {
 	if o.MaxUOWRetries < 0 {
 		return fmt.Errorf("dist: Options.MaxUOWRetries must be >= 0, got %d", o.MaxUOWRetries)
 	}
-	switch o.Transport {
-	case "", TransportTCP, TransportRing, TransportAuto:
-	default:
-		return fmt.Errorf("dist: Options.Transport must be %q, %q, or %q, got %q",
-			TransportTCP, TransportRing, TransportAuto, o.Transport)
+	if o.Transport != "" && o.Transport != "tcp" {
+		return fmt.Errorf("dist: Options.Transport must be \"\" or \"tcp\", got %q", o.Transport)
 	}
 	return nil
 }
@@ -250,8 +249,8 @@ type frame struct {
 	Size    int    // buffer's accounted size
 
 	// payloadVal is a tx-side payload value, serialized by appendFrame with
-	// its codec; nil means "use the pre-encoded Payload bytes" (no codec
-	// takes a nil payload).
+	// its codec unless Payload already holds encoded bytes (a received
+	// frame re-encoded). A nil value has no codec, so it fails the send.
 	payloadVal any
 	// rel recycles the pooled wire buffer a received data frame (and its
 	// in-place-decoded payload) lives in; see frame.release.

@@ -138,7 +138,7 @@ func (w *frameWriter) appendFrame(dst []byte, f *frame) ([]byte, error) {
 		dst = appendU32(dst, f.Copy)
 		dst = appendU32(dst, f.AckN)
 		dst = appendU32(dst, f.Size)
-		if f.payloadVal != nil {
+		if f.Payload == nil {
 			var id uint16
 			idAt := len(dst)
 			dst = append(dst, 0, 0, 0, 0, 0, 0) // codec id + payload length

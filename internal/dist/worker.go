@@ -55,7 +55,6 @@ type Worker struct {
 	// crash without actually exiting the test binary.
 	connsMu sync.Mutex
 	conns   map[*conn]struct{}
-	rings   map[*ringLink]struct{}
 	killed  bool
 }
 
@@ -65,7 +64,6 @@ type workerMetrics struct {
 	rxDataFrames *obs.Counter
 	rxDataBytes  *obs.Counter
 	rxAckFrames  *obs.Counter
-	rxRingFrames *obs.Counter // data frames that arrived over in-process rings
 	txDataFrames *obs.Counter
 	txDataBytes  *obs.Counter
 	txAckFrames  *obs.Counter
@@ -86,7 +84,6 @@ func (w *Worker) SetObserver(o *obs.Observer) {
 			rxDataFrames: reg.Counter("dist.rx.data_frames"),
 			rxDataBytes:  reg.Counter("dist.rx.data_bytes"),
 			rxAckFrames:  reg.Counter("dist.rx.ack_frames"),
-			rxRingFrames: reg.Counter("dist.rx.ring_frames"),
 			txDataFrames: reg.Counter("dist.tx.data_frames"),
 			txDataBytes:  reg.Counter("dist.tx.data_bytes"),
 			txAckFrames:  reg.Counter("dist.tx.ack_frames"),
@@ -128,10 +125,7 @@ func NewWorker(addr string) (*Worker, error) {
 		sessions: make(map[uint64]*session),
 		ended:    make(map[uint64]*session),
 		conns:    make(map[*conn]struct{}),
-		rings:    make(map[*ringLink]struct{}),
 	}
-	// Advertise this worker for same-process ring transport selection.
-	registerInproc(w)
 	return w, nil
 }
 
@@ -178,16 +172,9 @@ func (w *Worker) severConns(markKilled bool) {
 	for c := range w.conns {
 		cs = append(cs, c)
 	}
-	rls := make([]*ringLink, 0, len(w.rings))
-	for rl := range w.rings {
-		rls = append(rls, rl)
-	}
 	w.connsMu.Unlock()
 	for _, c := range cs {
 		c.abort()
-	}
-	for _, rl := range rls {
-		rl.close()
 	}
 }
 
@@ -197,7 +184,6 @@ func (w *Worker) Close() { w.stop(false, "dist: worker closed") }
 
 func (w *Worker) stop(kill bool, why string) {
 	w.closed.Store(true)
-	unregisterInproc(w)
 	w.ln.Close()
 	w.severConns(kill)
 	for _, s := range w.liveSessions() {
@@ -532,7 +518,7 @@ type session struct {
 	rt  *exec.Runtime
 
 	peersMu sync.Mutex
-	peers   map[string]peerLink
+	peers   map[string]*conn
 
 	// failHost/failNet attribute the run's failure when it was a transport
 	// error talking to a peer: a dead host's cascade, not an application error.
@@ -542,7 +528,7 @@ type session struct {
 }
 
 func newSession(w *Worker, setup *setupMsg) (*session, error) {
-	s := &session{w: w, setup: setup, job: setup.Opts.JobID, peers: make(map[string]peerLink)}
+	s := &session{w: w, setup: setup, job: setup.Opts.JobID, peers: make(map[string]*conn)}
 	// The policy names were validated coordinator-side before setup shipped;
 	// a name that somehow fails here falls back to Round Robin via the zero
 	// config rather than crashing mid-session.
@@ -614,17 +600,14 @@ func (s *session) closePeers() {
 	}
 }
 
-// peer returns (attaching on demand) the outbound link to a host.
-// Transport selection is per-edge: with Options.Transport "ring" or "auto",
-// a peer whose advertised address is served by a live Worker in this
-// process gets an in-process ring link (no sockets, no codec); otherwise —
-// always, for the default "tcp" — the dial goes through dialRetry, the
-// shared backoff+jitter helper bounded per attempt by Options.DialTimeout,
-// so a peer mid-restart is retried rather than failing the run, and a
-// session being torn down cancels the backoff wait. newConn sets
-// TCP_NODELAY: the connection's vectored batch writer already coalesces
-// small frames, so Nagle would only delay those batches.
-func (s *session) peer(host string) (peerLink, error) {
+// peer returns (dialing on demand) the outbound data connection to a host.
+// The dial goes through dialRetry, the shared backoff+jitter helper bounded
+// per attempt by Options.DialTimeout, so a peer mid-restart is retried
+// rather than failing the run, and a session being torn down cancels the
+// backoff wait. newConn sets TCP_NODELAY: the connection's vectored batch
+// writer already coalesces small frames, so Nagle would only delay those
+// batches.
+func (s *session) peer(host string) (*conn, error) {
 	s.peersMu.Lock()
 	defer s.peersMu.Unlock()
 	if c, ok := s.peers[host]; ok {
@@ -633,23 +616,6 @@ func (s *session) peer(host string) (peerLink, error) {
 	addr, ok := s.setup.Addrs[host]
 	if !ok {
 		return nil, fmt.Errorf("dist: no address for host %q", host)
-	}
-	switch s.setup.Opts.Transport {
-	case TransportRing, TransportAuto:
-		if dst := inprocWorker(addr); dst != nil {
-			rl, err := newRingLink(s.w, dst)
-			if err == nil {
-				s.peers[host] = rl
-				return rl, nil
-			}
-			if s.setup.Opts.Transport == TransportRing {
-				return nil, fmt.Errorf("dist: ring link to peer %s (%s): %w", host, addr, err)
-			}
-			// auto: the in-process worker died between lookup and attach;
-			// fall through to TCP, which will fail or reach a restart.
-		} else if s.setup.Opts.Transport == TransportRing {
-			return nil, fmt.Errorf("dist: transport \"ring\" but peer %s (%s) is not in this process", host, addr)
-		}
 	}
 	var redials *obs.Counter
 	if m := s.w.metrics(); m != nil {
@@ -687,14 +653,10 @@ func (s *session) initUOW(msg *uowMsg) (map[string][2]int, error) {
 
 // Deliver frames the buffer and sends it on the peer's data connection,
 // where blocking is TCP backpressure; the conn encodes the payload outside
-// its write lock. The codec lookup precedes the link choice, so a missing
-// codec fails alike on every transport (a ring never encodes). Encoding
-// failures are the producer's: an application error, no peer implicated.
+// its write lock. Encoding failures — a payload type without a codec, or a
+// codec's failing Append — are the producer's: an application error, no
+// peer implicated.
 func (s *session) Deliver(host string, e exec.Edge, b core.Buffer, ackEvery int) error {
-	if _, _, err := codecFor(e.Stream, b.Payload); err != nil {
-		s.rt.Abort(err)
-		return core.ErrCancelled
-	}
 	c, err := s.peer(host)
 	if err != nil {
 		s.failTransport(host, err)
@@ -750,19 +712,10 @@ func (s *session) dispatchPeer(f *frame) {
 			m.rxDataFrames.Inc()
 			m.rxDataBytes.Add(int64(f.Size))
 		}
-		var payload any
-		var release func()
-		if f.payloadVal != nil {
-			// Ring transport: the producer's value arrived by reference —
-			// no wire encode ever happened, so there is nothing to decode.
-			payload = f.payloadVal
-		} else {
-			var err error
-			payload, release, err = decodePayload(f)
-			if err != nil {
-				s.rt.Abort(fmt.Errorf("dist: decoding buffer on %s: %w", f.Stream, err))
-				return
-			}
+		payload, release, err := decodePayload(f)
+		if err != nil {
+			s.rt.Abort(fmt.Errorf("dist: decoding buffer on %s: %w", f.Stream, err))
+			return
 		}
 		e := exec.Edge{UOW: f.UOWIdx, Stream: f.Stream, From: f.Copy, Target: f.Target}
 		if !s.rt.Inject(e, core.Buffer{Payload: payload, Size: f.Size}, f.AckN, release) && release != nil {

@@ -9,7 +9,7 @@ import (
 // Payload recycling. A frame moves chunk volumes (R->E), triangle batches
 // (E->Ra) and pixel batches or z-buffer chunks (Ra->M). The rule is
 // DataCutter's: a payload is the reading copy's until its next Read, and a
-// producer never touches a buffer after Write — the ring transport and
+// producer never touches a buffer after Write — local copy-set queues and
 // exec.Fuse pass it by reference. So the consumer that has finished a
 // payload hands its storage back here, and the producers and wire decoders
 // draw from these lists instead of allocating. On a dist TCP edge the

@@ -137,7 +137,7 @@ func (p *framePath) distSession(alg Algorithm) *render.ZBuffer {
 		{Filter: "Ra", Host: "w1", Copies: 2},
 		{Filter: "M", Host: "w1", Copies: 1},
 	}
-	if _, err := dist.Run(p.addrs, graph, placement, dist.Options{Policy: "DD", Transport: dist.TransportTCP}, uows); err != nil {
+	if _, err := dist.Run(p.addrs, graph, placement, dist.Options{Policy: "DD"}, uows); err != nil {
 		p.t.Fatal(err)
 	}
 	m, err := MergeResult(p.workers[1].Instances("M"))

@@ -439,6 +439,10 @@ func (s *Server) Submit(spec JobSpec) (uint64, error) {
 		s.m.rejected.Inc()
 		return 0, fmt.Errorf("%w: Deadline must be >= 0, got %v", ErrInvalid, spec.Deadline)
 	}
+	if err := spec.Options.Validate(); err != nil {
+		s.m.rejected.Inc()
+		return 0, fmt.Errorf("%w: %w", ErrInvalid, err)
+	}
 	size := spec.bytes()
 	q := s.cfg.quotaFor(spec.Tenant)
 	if q.MaxCopies > 0 {

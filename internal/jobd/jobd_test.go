@@ -223,6 +223,26 @@ func TestInvalidSpecRejected(t *testing.T) {
 	if _, err := s.Submit(jobd.JobSpec{}); !errors.Is(err, jobd.ErrInvalid) {
 		t.Fatalf("empty spec: err = %v, want ErrInvalid", err)
 	}
+	// Dist options no run can use are refused at admission, not after the
+	// job has burnt its retry budget failing at dispatch.
+	spec := conformance.Generate(5, conformance.GenConfig{MaxHosts: 2})
+	j, err := conformance.NewDistJob(spec, []string{"w0", "w1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for name, bad := range map[string]func(*dist.Options){
+		"unknown policy":    func(o *dist.Options) { o.Policy = "bogus" },
+		"negative QueueCap": func(o *dist.Options) { o.QueueCap = -1 },
+		"ring transport":    func(o *dist.Options) { o.Transport = "ring" },
+	} {
+		js := confJobSpec(j, "", name)
+		js.MaxRetries = 3
+		bad(&js.Options)
+		if id, err := s.Submit(js); !errors.Is(err, jobd.ErrInvalid) {
+			t.Errorf("%s: Submit = (%d, %v), want ErrInvalid", name, id, err)
+		}
+	}
 }
 
 func TestDrainRefusesSubmissions(t *testing.T) {
