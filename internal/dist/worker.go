@@ -333,13 +333,24 @@ func (w *Worker) handle(c *conn) {
 
 // servePeer pumps data/ack/producer-done frames into their job's session:
 // every frame on the binary plane leads with a job id, so one inbound
-// connection may interleave traffic from many concurrent jobs.
+// connection may interleave traffic from many concurrent jobs. Frames are
+// counted as they come off the wire, before the session lookup: a frame
+// that arrives after its session ended was still received.
 func (w *Worker) servePeer(c *conn) {
 	defer c.close()
 	for {
 		f, err := c.recv()
 		if err != nil {
 			return
+		}
+		if m := w.metrics(); m != nil {
+			switch f.Kind {
+			case kindData:
+				m.rxDataFrames.Inc()
+				m.rxDataBytes.Add(int64(f.Size))
+			case kindAck:
+				m.rxAckFrames.Inc()
+			}
 		}
 		w.mu.Lock()
 		s := w.sessions[f.Job]
@@ -708,10 +719,6 @@ func (s *session) Ack(host string, e exec.Edge, n int) {
 func (s *session) dispatchPeer(f *frame) {
 	switch f.Kind {
 	case kindData:
-		if m := s.w.metrics(); m != nil {
-			m.rxDataFrames.Inc()
-			m.rxDataBytes.Add(int64(f.Size))
-		}
 		payload, release, err := decodePayload(f)
 		if err != nil {
 			s.rt.Abort(fmt.Errorf("dist: decoding buffer on %s: %w", f.Stream, err))
@@ -722,9 +729,6 @@ func (s *session) dispatchPeer(f *frame) {
 			release()
 		}
 	case kindAck:
-		if m := s.w.metrics(); m != nil {
-			m.rxAckFrames.Inc()
-		}
 		s.rt.Ack(exec.Edge{UOW: f.UOWIdx, Stream: f.Stream, From: f.Copy, Target: f.Target}, f.AckN)
 	case kindProducerDone:
 		s.rt.ProducerDone(f.UOWIdx, f.Stream)

@@ -131,7 +131,8 @@ func (pixBatchCodec) Decode(body []byte) (any, error) {
 func (pixBatchCodec) ZeroCopy() bool { return false }
 
 // zChunkCodec: u32 off | u32 npix | npix little-endian f32 depths |
-// u32 ncol | ncol × (r g b), with ncol = npix: one color per depth.
+// u32 ncol | ncol × (r g b), with ncol = npix: one color per depth. A body
+// whose pixels break the ZChunk invariant is ErrZChunkBehindClear.
 type zChunkCodec struct{}
 
 func (zChunkCodec) Append(dst []byte, v any) ([]byte, error) {
@@ -173,6 +174,12 @@ func (zChunkCodec) Decode(body []byte) (any, error) {
 	wirebin.Float32s(z.Depth, b[:4*np])
 	z.Color = colors.get(nc)
 	copy(rgbView(z.Color), b[4*np+4:])
+	if i := z.behindClear(); i >= 0 {
+		err := fmt.Errorf("%w: depth %v, color %v at pixel %d", ErrZChunkBehindClear, z.Depth[i], z.Color[i], z.Off+i)
+		depths.put(z.Depth)
+		colors.put(z.Color)
+		return nil, err
+	}
 	return z, nil
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -146,18 +148,57 @@ func TestZChunkCodecRejectsMismatchedPlanes(t *testing.T) {
 	}
 }
 
+// A decoded ZChunk keeps the ZChunk invariant: a pixel behind the cleared
+// pixel — which the merge filter would adopt into the image — is a typed
+// decode error, while every pixel at or in front of it decodes.
+func TestZChunkDecoderRejectsPixelsBehindClear(t *testing.T) {
+	bg, inf := render.Background, render.InfDepth
+	for name, px := range map[string]struct {
+		depth float32
+		color render.RGB
+		ok    bool
+	}{
+		"NaN depth":                  {float32(math.NaN()), bg, false},
+		"+Inf depth":                 {float32(math.Inf(1)), bg, false},
+		"one ulp past InfDepth":      {math.Nextafter32(inf, float32(math.Inf(1))), render.RGB{}, false},
+		"InfDepth, color after bg":   {inf, render.RGB{R: bg.R, G: bg.G, B: bg.B + 1}, false},
+		"InfDepth, white":            {inf, render.RGB{R: 255, G: 255, B: 255}, false},
+		"the cleared pixel":          {inf, bg, true},
+		"InfDepth, color before bg":  {inf, render.RGB{R: bg.R, G: bg.G, B: bg.B - 1}, true},
+		"one ulp before InfDepth":    {math.Nextafter32(inf, 0), render.RGB{R: 255}, true},
+		"-Inf depth":                 {float32(math.Inf(-1)), render.RGB{R: 255}, true},
+		"negative zero":              {float32(math.Copysign(0, -1)), bg, true},
+		"the largest finite float32": {math.MaxFloat32, bg, false},
+	} {
+		in := ZChunk{Off: 3, Depth: []float32{0, px.depth, 1}, Color: []render.RGB{bg, px.color, bg}}
+		body, err := zChunkCodec{}.Append(nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = zChunkCodec{}.Decode(body)
+		if px.ok && err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if !px.ok && !errors.Is(err, ErrZChunkBehindClear) {
+			t.Errorf("%s: decode error %v, want ErrZChunkBehindClear", name, err)
+		}
+	}
+}
+
 // FuzzPayloadCodecs feeds arbitrary bytes — a peer's frame body — to each
 // of the three decoders: none may panic, and a body one accepts must
 // re-encode to exactly the same bytes. Append recycles what it encodes, so
 // the value decoded back from those bytes — possibly into the recycled
 // storage — must match a copy taken before Append. The codecs encode bit
 // for bit (NaNs included, which DeepEqual would not match), so "match" is
-// "re-encodes to the same bytes".
+// "re-encodes to the same bytes". Every ZChunk accepted keeps the ZChunk
+// invariant.
 func FuzzPayloadCodecs(f *testing.F) {
 	tri, _ := triBatchCodec{}.Append(nil, TriBatch{Tris: make([]geom.Triangle, 2)})
 	pix, _ := pixBatchCodec{}.Append(nil, PixBatch{Pixels: make([]render.Pixel, 3)})
 	z, _ := zChunkCodec{}.Append(nil, ZChunk{Off: 9, Depth: make([]float32, 2), Color: make([]render.RGB, 2)})
-	for _, b := range [][]byte{tri, pix, z, nil, {1, 0, 0, 0}, {0, 0, 0, 0, 4, 0, 0, 0}} {
+	nan, _ := zChunkCodec{}.Append(nil, ZChunk{Depth: []float32{float32(math.NaN())}, Color: []render.RGB{render.Background}})
+	for _, b := range [][]byte{tri, pix, z, nan, nil, {1, 0, 0, 0}, {0, 0, 0, 0, 4, 0, 0, 0}} {
 		f.Add(b)
 	}
 	codecs := []interface {
@@ -169,6 +210,13 @@ func FuzzPayloadCodecs(f *testing.F) {
 			v, err := c.Decode(body)
 			if err != nil {
 				continue
+			}
+			if z, ok := v.(ZChunk); ok {
+				for i, d := range z.Depth {
+					if !(d < render.InfDepth || d == render.InfDepth && !render.Background.Less(z.Color[i])) {
+						t.Fatalf("accepted a ZChunk with pixel %d (%v, %v) behind the cleared pixel", i, d, z.Color[i])
+					}
+				}
 			}
 			want := clonePayload(v)
 			again, err := c.Append(nil, v)

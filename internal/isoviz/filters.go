@@ -195,11 +195,18 @@ func (f *RasterZFilter) Init(ctx core.Ctx) error {
 		return err
 	}
 	ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
-	n := view.Width * view.Height
-	f.z = &render.ZBuffer{W: view.Width, H: view.Height, Depth: depths.get(n), Color: colors.get(n)}
-	f.z.Clear()
+	f.z = clearedZBuffer(view)
 	f.rr = render.NewRaster(view.Camera, view.Width, view.Height)
 	return nil
+}
+
+// clearedZBuffer returns a cleared z-buffer for view on planes from the
+// free lists.
+func clearedZBuffer(view View) *render.ZBuffer {
+	n := view.Width * view.Height
+	z := &render.ZBuffer{W: view.Width, H: view.Height, Depth: depths.get(n), Color: colors.get(n)}
+	z.Clear()
+	return z
 }
 
 // Process implements core.Filter.
@@ -316,6 +323,13 @@ func newAPState(ctx core.Ctx, view View, out string) *apState {
 // batches) into the final image. Exactly one copy runs (paper §4.1); it is
 // the combine filter required because raster copies hold accumulator
 // state.
+//
+// The cleared pixel (InfDepth, Background) is the identity of the merge
+// order, and every pixel of a ZChunk lies at or in front of it (see
+// ZChunk). So merging a unit of work's first input, when that is a
+// whole-frame ZChunk, into cleared planes would reproduce the chunk bit for
+// bit: M adopts it as its accumulator instead. Any other first input starts
+// the accumulator on cleared planes.
 type MergeFilter struct {
 	// In is the single input stream of the standard pipelines. The
 	// partitioned pipeline instead sets Ins (one disjoint pixel stream per
@@ -323,7 +337,8 @@ type MergeFilter struct {
 	In  string
 	Ins []string
 
-	z     *render.ZBuffer
+	view  View
+	z     *render.ZBuffer // nil until the unit of work's first input
 	final *render.ZBuffer
 	// Received counts buffers merged, for experiment accounting.
 	Received int64
@@ -336,18 +351,28 @@ func (f *MergeFilter) inputs() []string {
 	return []string{f.In}
 }
 
-// Init implements core.Filter.
+// Init implements core.Filter: the accumulator waits for the first input.
 func (f *MergeFilter) Init(ctx core.Ctx) error {
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
 	}
-	f.z = render.NewZBuffer(view.Width, view.Height)
+	f.view, f.z = view, nil
 	return nil
+}
+
+// acc returns the unit of work's accumulator, starting it on cleared planes
+// if no input has arrived yet.
+func (f *MergeFilter) acc() *render.ZBuffer {
+	if f.z == nil {
+		f.z = clearedZBuffer(f.view)
+	}
+	return f.z
 }
 
 // Process implements core.Filter.
 func (f *MergeFilter) Process(ctx core.Ctx) error {
+	w, h := f.view.Width, f.view.Height
 	for _, in := range f.inputs() {
 		for {
 			b, ok := ctx.Read(in)
@@ -357,15 +382,20 @@ func (f *MergeFilter) Process(ctx core.Ctx) error {
 			f.Received++
 			switch p := b.Payload.(type) {
 			case ZChunk:
-				if n := len(p.Depth); len(p.Color) != n || p.Off < 0 || p.Off > len(f.z.Depth)-n {
+				n := len(p.Depth)
+				if len(p.Color) != n || p.Off < 0 || p.Off > w*h-n {
 					return fmt.Errorf("%w: %d depths and %d colors at pixel %d of a %dx%d frame",
-						ErrZChunkBounds, n, len(p.Color), p.Off, f.z.W, f.z.H)
+						ErrZChunkBounds, n, len(p.Color), p.Off, w, h)
 				}
-				f.z.MergeRange(p.Off, p.Depth, p.Color)
+				if f.z == nil && n == w*h { // a whole frame (so Off is 0) comes first: adopt it
+					f.z = &render.ZBuffer{W: w, H: h, Depth: p.Depth, Color: p.Color}
+					continue
+				}
+				f.acc().MergeRange(p.Off, p.Depth, p.Color)
 				depths.put(p.Depth)
 				colors.put(p.Color)
 			case PixBatch:
-				render.MergePixels(f.z, p.Pixels)
+				render.MergePixels(f.acc(), p.Pixels)
 				pixels.put(p.Pixels)
 			default:
 				return fmt.Errorf("isoviz: merge got %T", b.Payload)
@@ -378,7 +408,7 @@ func (f *MergeFilter) Process(ctx core.Ctx) error {
 // Finalize implements core.Filter: the merged frame becomes the result
 // delivered to the client.
 func (f *MergeFilter) Finalize(core.Ctx) error {
-	f.final = f.z
+	f.final = f.acc()
 	f.z = nil
 	return nil
 }

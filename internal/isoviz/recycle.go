@@ -20,11 +20,14 @@ import (
 //	           TriBatch codec after Append
 //	pixels     M after merging a PixBatch,  -> active-pixel flush, PixBatch decoder
 //	           PixBatch codec after Append
-//	depths,    M after merging a ZChunk,    -> Ra's z-buffer, sendZBuffer,
-//	colors     ZChunk codec after Append       ZChunk decoder
+//	depths,    M after merging a ZChunk,    -> Ra's z-buffer, M's accumulator,
+//	colors     ZChunk codec after Append       sendZBuffer, ZChunk decoder
 //
-// A z-buffer that fits one buffer travels as its own planes, so on the
-// z-buffer path a frame's planes cycle Ra -> M -> Ra without a copy.
+// A z-buffer that fits one buffer travels as its own planes. M adopts the
+// first such frame of a unit of work as its accumulator and keeps those
+// planes as its result; it merges every other chunk and returns its planes,
+// so on the z-buffer path the other copies' planes cycle Ra -> M -> Ra
+// without a copy.
 var (
 	triangles = make(freeList[geom.Triangle], maxFree)
 	pixels    = make(freeList[render.Pixel], maxFree)

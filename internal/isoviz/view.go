@@ -58,6 +58,13 @@ func (t TriBatch) Bytes() int { return len(t.Tris) * geom.TriangleBytes }
 
 // ZChunk is one fixed-size slice of a z-buffer, the Ra->M payload of the
 // z-buffer algorithm. Off is the starting pixel offset in row-major order.
+//
+// Invariant: every pixel lies at or in front of the cleared pixel
+// (render.InfDepth, render.Background) in the merge order — its depth is
+// below InfDepth, or equal to it with a color not after Background. Ra
+// keeps it (its planes start cleared, and Put only takes a sample strictly
+// in front), the decoder enforces it on chunks from a peer, and the merge
+// filter relies on it when it adopts a whole frame.
 type ZChunk struct {
 	Off   int
 	Depth []float32
@@ -67,10 +74,29 @@ type ZChunk struct {
 // Bytes returns the chunk's serialized size.
 func (z ZChunk) Bytes() int { return len(z.Depth) * render.ZPixelBytes }
 
+// behindClear returns the index of the first pixel that breaks the ZChunk
+// invariant — a NaN depth, one above InfDepth, or InfDepth with a color
+// after Background — or -1.
+func (z ZChunk) behindClear() int {
+	for i, d := range z.Depth {
+		if d < render.InfDepth {
+			continue
+		}
+		if d != render.InfDepth || render.Background.Less(z.Color[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // ErrZChunkBounds is the merge filter's error for a ZChunk that does not
 // describe a run of the frame: its planes differ in length, or its pixels
 // run outside the image.
 var ErrZChunkBounds = errors.New("isoviz: z-buffer chunk outside the frame")
+
+// ErrZChunkBehindClear is the ZChunk decoder's error for a chunk that breaks
+// the ZChunk invariant.
+var ErrZChunkBehindClear = errors.New("isoviz: z-buffer chunk pixel behind the cleared pixel")
 
 // PixBatch is one flushed Winning Pixel Array, the Ra->M payload of the
 // active-pixel algorithm.

@@ -1,9 +1,11 @@
 package render
 
-// The reference oracle: Raster.Draw and its helpers exactly as they stood
-// before the per-triangle trims, kept verbatim (renamed only) so the
-// properties below check the production rasterizer against the parent's
-// bits — identical planes, counters, Put sequences and active-pixel flushes.
+// The reference oracles: Raster.Draw and its helpers exactly as they stood
+// before the per-triangle trims, and ZBuffer.Clear and ZBuffer.MergeRange as
+// they stood before the block-copy fill and the packed-colour compare, kept
+// verbatim (renamed only) so the properties below check the production
+// kernels against the parent's bits — identical planes, counters, Put
+// sequences and active-pixel flushes.
 
 import (
 	"encoding/binary"
@@ -148,6 +150,23 @@ func max3Ref(a, b, c float32) float32 {
 		a = c
 	}
 	return a
+}
+
+func clearRef(z *ZBuffer) {
+	for i := range z.Depth {
+		z.Depth[i] = InfDepth
+		z.Color[i] = Background
+	}
+}
+
+func mergeRangeRef(z *ZBuffer, off int, depth []float32, colors []RGB) {
+	for i := range depth {
+		j := off + i
+		if depth[i] < z.Depth[j] || (depth[i] == z.Depth[j] && colors[i].Less(z.Color[j])) {
+			z.Depth[j] = depth[i]
+			z.Color[j] = colors[i]
+		}
+	}
 }
 
 // ---- comparison harness ----
@@ -633,4 +652,187 @@ func TestImageFingerprintPinned(t *testing.T) {
 			t.Errorf("%s: fingerprint %v, pinned %v", name, got, want)
 		}
 	}
+}
+
+// ---- z-buffer kernels against their references ----
+
+// planeBits is a z-buffer's planes by exact representation: a merge only
+// copies samples, so even NaN payloads must match.
+func planeBits(z *ZBuffer) []byte {
+	b := make([]byte, 0, 7*len(z.Depth))
+	for i, d := range z.Depth {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(d))
+		c := z.Color[i]
+		b = append(b, c.R, c.G, c.B)
+	}
+	return b
+}
+
+func cloneZ(z *ZBuffer) *ZBuffer {
+	return &ZBuffer{W: z.W, H: z.H, Depth: append([]float32(nil), z.Depth...), Color: append([]RGB(nil), z.Color...)}
+}
+
+func TestClearMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 1023, 1024, 1025, 512 * 512} {
+		got := &ZBuffer{W: n, H: 1, Depth: make([]float32, n), Color: make([]RGB, n)}
+		for i := range got.Depth {
+			got.Depth[i], got.Color[i] = float32(math.NaN()), RGB{R: 255, B: 255}
+		}
+		want := cloneZ(got)
+		got.Clear()
+		clearRef(want)
+		if string(planeBits(got)) != string(planeBits(want)) {
+			t.Fatalf("%d pixels: Clear differs from the reference", n)
+		}
+	}
+}
+
+// Packed colours order exactly as Less does, over every combination of
+// edge channel values (so ties on one or two channels are covered) and
+// random colours.
+func TestPackOrderMatchesLess(t *testing.T) {
+	edge := []uint8{0, 1, 17, 18, 127, 128, 254, 255}
+	cs := []RGB{Background}
+	for _, r := range edge {
+		for _, g := range edge {
+			for _, b := range edge {
+				cs = append(cs, RGB{r, g, b})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		cs = append(cs, RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))})
+	}
+	for _, a := range cs {
+		for _, b := range cs {
+			if (a.pack() < b.pack()) != a.Less(b) {
+				t.Fatalf("pack(%v) < pack(%v) is %v, Less is %v", a, b, a.pack() < b.pack(), a.Less(b))
+			}
+		}
+	}
+}
+
+// depthPalette holds the depths the merge order treats specially, so that
+// fuzzed planes often tie exactly — at InfDepth, at ±0, beside NaN — with
+// different colours.
+var depthPalette = []float32{
+	InfDepth, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+	0, float32(math.Copysign(0, -1)), 1, math.Nextafter32(InfDepth, float32(math.Inf(1))),
+}
+
+// zPixels decodes fuzzed pixels, 8 bytes each: depth bits, a colour, and a
+// mode byte that may swap in a palette depth (indexed by the first byte)
+// or the background colour.
+func zPixels(data []byte) (depth []float32, colors []RGB) {
+	for ; len(data) >= 8; data = data[8:] {
+		d := math.Float32frombits(binary.LittleEndian.Uint32(data))
+		c := RGB{data[4], data[5], data[6]}
+		if data[7]&1 == 0 {
+			d = depthPalette[int(data[0])%len(depthPalette)]
+		}
+		if data[7]&2 != 0 {
+			c = Background
+		}
+		depth, colors = append(depth, d), append(colors, c)
+	}
+	return depth, colors
+}
+
+// zPixelBytes encodes pixels for zPixels with raw depth bits.
+func zPixelBytes(depth []float32, colors []RGB) []byte {
+	var b []byte
+	for i, d := range depth {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(d))
+		b = append(b, colors[i].R, colors[i].G, colors[i].B, 1)
+	}
+	return b
+}
+
+// compareMerge builds an accumulator of 1+size%64 pixels from the first
+// fuzzed pixels (the rest of it cleared), merges the remaining ones in at
+// pixel off with MergeRange and with the reference, and compares the planes
+// bit for bit. A run covering the whole accumulator also goes through
+// MergeFrom.
+func compareMerge(data []byte, size, off uint8) error {
+	n := 1 + int(size)%64
+	depth, colors := zPixels(data)
+	acc := &ZBuffer{W: n, H: 1, Depth: make([]float32, n), Color: make([]RGB, n)}
+	clearRef(acc)
+	k := copy(acc.Depth, depth)
+	copy(acc.Color, colors)
+	depth, colors = depth[k:], colors[k:]
+	o := int(off) % (n + 1)
+	if len(depth) > n-o {
+		depth, colors = depth[:n-o], colors[:n-o]
+	}
+	in := zPixelBytes(depth, colors)
+	got, want := cloneZ(acc), cloneZ(acc)
+	got.MergeRange(o, depth, colors)
+	mergeRangeRef(want, o, depth, colors)
+	if string(planeBits(got)) != string(planeBits(want)) {
+		return fmt.Errorf("MergeRange of %d pixels at %d into %d differs from the reference", len(depth), o, n)
+	}
+	if string(zPixelBytes(depth, colors)) != string(in) {
+		return fmt.Errorf("MergeRange modified its input")
+	}
+	if o == 0 && len(depth) == n {
+		got = cloneZ(acc)
+		got.MergeFrom(&ZBuffer{W: n, H: 1, Depth: depth, Color: colors})
+		if string(planeBits(got)) != string(planeBits(want)) {
+			return fmt.Errorf("MergeFrom of %d pixels differs from the reference", n)
+		}
+	}
+	return nil
+}
+
+// Property: random planes (special depths and background colours mixed
+// in) merge exactly as the reference merges them. Each case draws up to 128
+// pixels, so the run after the accumulator is long enough to tie often —
+// -0 against +0 with equal colours among them.
+func TestMergeRangeMatchesReferenceProperty(t *testing.T) {
+	f := func(seed int64, size, off uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 8*rng.Intn(129))
+		rng.Read(data)
+		if err := compareMerge(data, size, off); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzMergeRangeMatchesReference merges fuzzed planes — NaN, ±Inf,
+// InfDepth, ±0 and equal depths with different colours — and requires the
+// reference's planes bit for bit.
+func FuzzMergeRangeMatchesReference(f *testing.F) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	bg := Background
+	above, below := RGB{bg.R, bg.G, bg.B + 1}, RGB{bg.R, bg.G, bg.B - 1}
+	// A four-pixel accumulator and a four-pixel run over it.
+	for _, run := range [][]float32{
+		{InfDepth, InfDepth, InfDepth, InfDepth},
+		{nan, inf, -inf, InfDepth},
+		{0, float32(math.Copysign(0, -1)), 1, 1},
+	} {
+		acc := []float32{InfDepth, 1, 0, nan}
+		b := zPixelBytes(append(acc, run...), []RGB{bg, below, above, bg, above, below, bg, {}})
+		f.Add(b, uint8(3), uint8(0))
+		f.Add(b, uint8(5), uint8(2))
+	}
+	// Exact ties, equal colours included: only the sign of zero tells a
+	// merge that takes the run's sample from one that keeps the
+	// accumulator's.
+	negZero := float32(math.Copysign(0, -1))
+	ties := []RGB{bg, above, bg, below}
+	f.Add(zPixelBytes([]float32{0, negZero, InfDepth, 1, negZero, 0, InfDepth, 1}, append(ties, ties...)), uint8(3), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, size, off uint8) {
+		if err := compareMerge(data, size, off); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

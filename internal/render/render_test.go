@@ -386,3 +386,35 @@ func BenchmarkDrawAll(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkZBufferClear clears a 512x512 z-buffer, as each z-buffer Ra
+// copy does once per frame.
+func BenchmarkZBufferClear(b *testing.B) {
+	z := NewZBuffer(512, 512)
+	b.SetBytes(int64(len(z.Depth) * ZPixelBytes))
+	for i := 0; i < b.N; i++ {
+		z.Clear()
+	}
+}
+
+// BenchmarkMergeRange merges one Ra copy's 512x512 z-buffer of the bench's
+// sparse frame (iso 0.9, the chunks dealt alternately to two copies) into
+// the other's, as the merge filter does. After the first merge every pixel
+// is a compare that keeps the accumulator's sample; almost all of them are
+// exact ties at InfDepth.
+func BenchmarkMergeRange(b *testing.B) {
+	full := volume.Rasterize(volume.NewPlumeField(2002, 5), 129, 129, 97, 0)
+	const size = 512
+	zs := [2]*ZBuffer{NewZBuffer(size, size), NewZBuffer(size, size)}
+	r := NewRaster(geom.DefaultCamera(), size, size)
+	for i, blk := range volume.Partition(129, 129, 97, 8, 8, 6) {
+		tris, _ := mcubes.Extract(full.ExtractBlock(blk), 0.9, nil)
+		r.DrawAll(tris, zs[i%2])
+	}
+	acc, in := zs[0], zs[1]
+	b.SetBytes(int64(len(in.Depth) * ZPixelBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.MergeRange(0, in.Depth, in.Color)
+	}
+}

@@ -36,6 +36,10 @@ func (c RGB) Less(o RGB) bool {
 	return c.B < o.B
 }
 
+// pack is c as the 24-bit integer R<<16|G<<8|B, whose integer order is
+// Less's lexicographic order: one compare instead of up to three branches.
+func (c RGB) pack() uint32 { return uint32(c.R)<<16 | uint32(c.G)<<8 | uint32(c.B) }
+
 // Background is the frame background color.
 var Background = RGB{18, 20, 34}
 
@@ -58,9 +62,19 @@ func NewZBuffer(w, h int) *ZBuffer {
 
 // Clear resets every pixel to background at infinite depth.
 func (z *ZBuffer) Clear() {
-	for i := range z.Depth {
-		z.Depth[i] = InfDepth
-		z.Color[i] = Background
+	fill(z.Depth, InfDepth)
+	fill(z.Color, Background)
+}
+
+// fill sets every element of s to v: one store, then the filled prefix
+// copied onto the rest, doubling each time, so the work is memmoves.
+func fill[T any](s []T, v T) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
 	}
 }
 
@@ -82,23 +96,20 @@ func (z *ZBuffer) MergeFrom(o *ZBuffer) {
 	if z.W != o.W || z.H != o.H {
 		panic("render: merging z-buffers of different sizes")
 	}
-	for i := range z.Depth {
-		if o.Depth[i] < z.Depth[i] || (o.Depth[i] == z.Depth[i] && o.Color[i].Less(z.Color[i])) {
-			z.Depth[i] = o.Depth[i]
-			z.Color[i] = o.Color[i]
-		}
-	}
+	z.MergeRange(0, o.Depth, o.Color)
 }
 
 // MergeRange folds a contiguous row-major slice of another buffer's planes,
 // starting at pixel offset off. It is how the merge filter consumes the
-// fixed-size buffers a z-buffer is shipped in.
+// fixed-size buffers a z-buffer is shipped in. colors holds one color per
+// depth, and the run must lie inside z.
 func (z *ZBuffer) MergeRange(off int, depth []float32, colors []RGB) {
-	for i := range depth {
-		j := off + i
-		if depth[i] < z.Depth[j] || (depth[i] == z.Depth[j] && colors[i].Less(z.Color[j])) {
-			z.Depth[j] = depth[i]
-			z.Color[j] = colors[i]
+	n := len(depth)
+	zd, zc, colors := z.Depth[off:][:n], z.Color[off:][:n], colors[:n]
+	for i, d := range depth {
+		if d < zd[i] || (d == zd[i] && colors[i].pack() < zc[i].pack()) {
+			zd[i] = d
+			zc[i] = colors[i]
 		}
 	}
 }
