@@ -40,6 +40,6 @@ func (co *coordinator) rescaleSessions(due []elastic.ScaleStep, uow int) error {
 	co.shutdownAll()
 	co.shut = false
 	co.placement = next
-	elastic.RecordScaleDiff(co.o, old, next, uow, nil)
+	elastic.RecordScaleDiff(co.o, old, next, uow)
 	return co.connectAll()
 }

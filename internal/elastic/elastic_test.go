@@ -116,94 +116,6 @@ func TestEffectivePlacementByBoundary(t *testing.T) {
 	}
 }
 
-// ---- controller: Decide / ReweightByThroughput ----
-
-func TestDecideScalesHotAndIdleSets(t *testing.T) {
-	cfg := Config{MaxCopies: 4}
-	sets := []Signals{
-		{Filter: "F", Host: "a", Copies: 1, QueueLen: 9, QueueCap: 10},               // hot
-		{Filter: "F", Host: "b", Copies: 3, QueueLen: 0, QueueCap: 10, LowStreak: 3}, // idle long enough
-		{Filter: "G", Host: "a", Copies: 2, QueueLen: 5, QueueCap: 10},               // fine
-		{Filter: "G", Host: "b", Copies: 1, QueueLen: 0, QueueCap: 10, LowStreak: 5}, // idle, at floor
-		{Filter: "H", Host: "a", Copies: 4, QueueLen: 10, QueueCap: 10},              // hot, at ceiling
-	}
-	got := Decide(cfg, sets, 11)
-	want := []Decision{
-		{Filter: "F", Host: "b", Copies: 2},
-		{Filter: "F", Host: "a", Copies: 2},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decisions %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i].Filter != want[i].Filter || got[i].Host != want[i].Host || got[i].Copies != want[i].Copies {
-			t.Fatalf("decision %d = %+v, want %+v", i, got[i], want[i])
-		}
-		if got[i].Reason == "" {
-			t.Fatalf("decision %d missing reason", i)
-		}
-	}
-}
-
-func TestDecideRespectsBudget(t *testing.T) {
-	cfg := Config{MaxCopies: 8, Budget: 5}
-	sets := []Signals{
-		{Filter: "F", Host: "a", Copies: 2, QueueLen: 8, QueueCap: 10, P95Service: 0.1},
-		{Filter: "F", Host: "b", Copies: 2, QueueLen: 8, QueueCap: 10, P95Service: 0.9},
-	}
-	got := Decide(cfg, sets, 4)
-	// Budget leaves room for exactly one new copy; the slower set (higher
-	// p95) wins the tie on equal occupancy.
-	if len(got) != 1 || got[0].Host != "b" || got[0].Copies != 3 {
-		t.Fatalf("decisions %v, want one scale-up on b", got)
-	}
-	if got := Decide(cfg, sets, 5); len(got) != 0 {
-		t.Fatalf("at budget, got %v", got)
-	}
-}
-
-// A transiently idle set — low occupancy but a streak shorter than the
-// hysteresis — must not shed a copy, and the budget its down would free
-// must not be spent on an up in the same round.
-func TestDecideScaleDownHysteresis(t *testing.T) {
-	cfg := Config{MaxCopies: 4, Budget: 4}
-	sets := []Signals{
-		{Filter: "F", Host: "a", Copies: 3, QueueLen: 0, QueueCap: 10, LowStreak: 1}, // draining, not idle yet
-		{Filter: "G", Host: "a", Copies: 1, QueueLen: 10, QueueCap: 10},              // hot
-	}
-	if got := Decide(cfg, sets, 4); len(got) != 0 {
-		t.Fatalf("short low streak produced decisions %v, want none (budget full, down debounced)", got)
-	}
-	sets[0].LowStreak = 3
-	got := Decide(cfg, sets, 4)
-	if len(got) != 2 || got[0].Copies != 2 || got[1].Filter != "G" || got[1].Copies != 2 {
-		t.Fatalf("sustained low streak: decisions %v, want F.a down to 2 then G.a up to 2", got)
-	}
-}
-
-func TestDecideWindowFracTriggersScaleUp(t *testing.T) {
-	sets := []Signals{
-		{Filter: "F", Host: "a", Copies: 1, QueueLen: 0, QueueCap: 10, WindowFrac: 0.9},
-	}
-	got := Decide(Config{}, sets, 1)
-	if len(got) != 1 || got[0].Copies != 2 {
-		t.Fatalf("DD window occupancy ignored: %v", got)
-	}
-}
-
-func TestReweightByThroughput(t *testing.T) {
-	got := ReweightByThroughput(map[string]float64{"a": 100, "b": 50, "c": 1}, 4)
-	want := map[string]int{"a": 4, "b": 2, "c": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("weights %v, want %v", got, want)
-	}
-	// No signal, no skew.
-	got = ReweightByThroughput(map[string]float64{"a": 0, "b": 0}, 4)
-	if got["a"] != 1 || got["b"] != 1 {
-		t.Fatalf("zero-throughput weights %v, want all 1", got)
-	}
-}
-
 // ---- metrics / trace events ----
 
 func TestRecordScaleMetricsAndEvents(t *testing.T) {
@@ -237,21 +149,4 @@ func TestRecordScaleMetricsAndEvents(t *testing.T) {
 	}
 	// Nil observer: all no-ops.
 	RecordScale(nil, "F", "a", 1, 2, 0, "")
-	RecordRebalance(nil, "s", "a", 0, "")
-}
-
-func TestRecordRebalance(t *testing.T) {
-	ring := obs.NewRingSink(4)
-	o := obs.New(ring, nil)
-	RecordRebalance(o, "tri", "node0", 3, "a=4 b=1")
-	if got := o.Registry().Counter(MetricRebalances).Value(); got != 1 {
-		t.Fatalf("rebalances = %d", got)
-	}
-	evs := ring.Events()
-	if len(evs) != 1 || evs[0].Kind != obs.KindRebalance || evs[0].Stream != "tri" {
-		t.Fatalf("rebalance event: %+v", evs)
-	}
-	if evs[0].Kind.String() != "rebalance" {
-		t.Fatalf("kind name: %v", evs[0].Kind)
-	}
 }

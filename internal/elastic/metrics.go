@@ -10,14 +10,13 @@ import (
 const (
 	MetricCopiesAdded   = "elastic.copies_added"
 	MetricCopiesRemoved = "elastic.copies_removed"
-	MetricRebalances    = "elastic.rebalances"
 	GaugeCopysetSize    = "elastic.copyset_size"
 )
 
 // RecordScale publishes one applied copy-count change: the copies_added /
 // copies_removed counters, the per-set copyset_size gauge, and a scale-up /
 // scale-down trace event (Filter and Host name the set, Copy carries the
-// new count, Note the controller's reason). Safe on a nil observer.
+// new count, Note the reason). Safe on a nil observer.
 func RecordScale(o *obs.Observer, filter, host string, oldCopies, newCopies, uow int, reason string) {
 	if o == nil || oldCopies == newCopies {
 		return
@@ -42,10 +41,9 @@ func RecordScale(o *obs.Observer, filter, host string, oldCopies, newCopies, uow
 
 // RecordScaleDiff publishes one RecordScale per (filter, host) copy set
 // whose size differs between the old and next placements — next's sets in
-// order, then the sets next retired. reason, when non-nil, explains one
-// change (the autoscale controller's decision); an empty answer means the
-// scale schedule did it.
-func RecordScaleDiff(o *obs.Observer, old, next []Entry, uow int, reason func(filter, host string) string) {
+// order, then the sets next retired. The scale schedule is the one source
+// of such changes.
+func RecordScaleDiff(o *obs.Observer, old, next []Entry, uow int) {
 	if o == nil {
 		return
 	}
@@ -70,28 +68,6 @@ func RecordScaleDiff(o *obs.Observer, old, next []Entry, uow int, reason func(fi
 		}
 	}
 	for _, k := range order {
-		why := ""
-		if reason != nil {
-			why = reason(k.filter, k.host)
-		}
-		if why == "" {
-			why = "scale schedule"
-		}
-		RecordScale(o, k.filter, k.host, before[k], after[k], uow, why)
+		RecordScale(o, k.filter, k.host, before[k], after[k], uow, "scale schedule")
 	}
-}
-
-// RecordRebalance publishes one WRR weight rebalance on a stream: the
-// rebalances counter and a rebalance trace event (Stream names the stream,
-// Host the producer side, Note the new weights). Safe on a nil observer.
-func RecordRebalance(o *obs.Observer, stream, host string, uow int, note string) {
-	if o == nil {
-		return
-	}
-	if reg := o.Registry(); reg != nil {
-		reg.Counter(MetricRebalances).Inc()
-	}
-	o.Emit(obs.Event{
-		Kind: obs.KindRebalance, Stream: stream, Host: host, UOW: uow, Note: note,
-	})
 }

@@ -1,15 +1,18 @@
-// Package elastic makes the paper's transparent-copy sets runtime-mutable:
-// it owns the engine-neutral placement-mutation helpers (fault replanning
-// and seeded scale schedules share one code path), and the autoscale
-// controller that turns live load signals — demand-driven ack-window
-// occupancy, copy-set queue depth, p95 filter service time — into bounded
-// scale-up/scale-down and WRR reweight decisions.
+// Package elastic holds the engine-neutral placement-mutation helpers of
+// the paper's transparent-copy sets. Fault replanning (ReplanDead) and the
+// declarative scale schedule (ScaleStep, Apply, StepsAt, ValidateSchedule)
+// share one code path, and RecordScale/RecordScaleDiff publish what changed.
+// Copy-set membership changes only at work-cycle boundaries, where the
+// runtime is re-placed (exec.Runtime.Place): through the scale schedule on
+// every engine (core and simrt in exec.Runtime.Run, dist by restarting its
+// worker sessions), and on dist also by replanning around a dead host.
+// Between boundaries copy counts are fixed; heterogeneous hosts are
+// absorbed by the demand-driven writer policy, as in the paper.
 //
-// Transparent copies make all of this legal (paper §2): copies of a filter
-// are interchangeable and per-unit-of-work state is rebuilt by Init at each
+// Transparent copies make this legal (paper §2): copies of a filter are
+// interchangeable and per-unit-of-work state is rebuilt by Init at each
 // work-cycle boundary, so membership can change between cycles without any
-// state hand-off, and buffer routing can shift mid-cycle because any copy
-// may process any buffer.
+// state hand-off.
 package elastic
 
 import (

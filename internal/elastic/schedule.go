@@ -4,12 +4,12 @@ import "fmt"
 
 // ScaleStep is one seeded copy-set membership change, applied at a
 // work-cycle boundary: before unit of work BeforeUOW starts, the (Filter,
-// Host) placement entry's copy count becomes Copies. Steps are the
-// deterministic counterpart of the live autoscale controller — the
-// conformance harness seeds them to prove the delivery oracles hold across
-// membership changes, and engines accept them through their Options so a
-// recorded scaling run can be replayed exactly. The zero UOW boundary is
-// the initial plan, so meaningful steps have BeforeUOW >= 1.
+// Host) placement entry's copy count becomes Copies. Short of replanning
+// around a dead host, a schedule is the only way copy counts change during
+// a run, on all three engines: engines accept it through their Options, and
+// the conformance harness seeds one to prove the delivery oracles hold
+// across membership changes. The zero UOW
+// boundary is the initial plan, so meaningful steps have BeforeUOW >= 1.
 //
 // A step with Copies <= 0 retires the entry — unless it is the filter's
 // last, in which case it is clamped to one copy (a filter must run

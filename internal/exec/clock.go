@@ -65,8 +65,6 @@ type Queue interface {
 	Close()
 	// Cancel fails every blocked and future Put and Get. Idempotent.
 	Cancel()
-	// Len is the number of buffered deliveries.
-	Len() int
 }
 
 // AckQueue is a stream writer's AckSource plus its consumer-facing end.
@@ -100,29 +98,25 @@ func (wallClock) Run(n int, _ func(int) string, body func(int, Thread)) error {
 	return nil
 }
 
-func (wallClock) NewQueue(_, _ string, capacity int) Queue { return NewWallQueue(capacity) }
+func (wallClock) NewQueue(_, _ string, capacity int) Queue {
+	return &wallQueue{c: make(chan Delivery, capacity), stop: make(chan struct{})}
+}
 
 func (wallClock) NewAcks(capacity int) AckQueue { return NewAckChan(capacity) }
 
-// WallQueue is the wall clock's Queue. Its channels are exported so an
-// engine can build select-based variants over them (core's work stealing
-// reads sibling copy sets' queues).
-type WallQueue struct {
-	C    chan Delivery
-	Stop chan struct{} // closed by Cancel
+// wallQueue is the wall clock's Queue: a buffered channel plus a stop
+// channel Cancel closes.
+type wallQueue struct {
+	c    chan Delivery
+	stop chan struct{}
 	once sync.Once
 }
 
-// NewWallQueue returns a WallQueue holding up to capacity deliveries.
-func NewWallQueue(capacity int) *WallQueue {
-	return &WallQueue{C: make(chan Delivery, capacity), Stop: make(chan struct{})}
-}
-
-func (q *WallQueue) Put(_ Thread, d Delivery, onBlock func()) (ok, blocked bool) {
+func (q *wallQueue) Put(_ Thread, d Delivery, onBlock func()) (ok, blocked bool) {
 	select {
-	case q.C <- d:
+	case q.c <- d:
 		return true, false
-	case <-q.Stop:
+	case <-q.stop:
 		return false, false
 	default:
 	}
@@ -130,18 +124,18 @@ func (q *WallQueue) Put(_ Thread, d Delivery, onBlock func()) (ok, blocked bool)
 		onBlock()
 	}
 	select {
-	case q.C <- d:
+	case q.c <- d:
 		return true, true
-	case <-q.Stop:
+	case <-q.stop:
 		return false, true
 	}
 }
 
-func (q *WallQueue) Get(_ Thread, onBlock func()) (d Delivery, ok, blocked bool) {
+func (q *wallQueue) Get(_ Thread, onBlock func()) (d Delivery, ok, blocked bool) {
 	select {
-	case d, ok = <-q.C:
+	case d, ok = <-q.c:
 		return d, ok, false
-	case <-q.Stop:
+	case <-q.stop:
 		return Delivery{}, false, false
 	default:
 	}
@@ -149,16 +143,15 @@ func (q *WallQueue) Get(_ Thread, onBlock func()) (d Delivery, ok, blocked bool)
 		onBlock()
 	}
 	select {
-	case d, ok = <-q.C:
+	case d, ok = <-q.c:
 		return d, ok, true
-	case <-q.Stop:
+	case <-q.stop:
 		return Delivery{}, false, true
 	}
 }
 
-func (q *WallQueue) Close()   { close(q.C) }
-func (q *WallQueue) Cancel()  { q.once.Do(func() { close(q.Stop) }) }
-func (q *WallQueue) Len() int { return len(q.C) }
+func (q *wallQueue) Close()  { close(q.c) }
+func (q *wallQueue) Cancel() { q.once.Do(func() { close(q.stop) }) }
 
 // ---- Virtual clock ----
 
@@ -203,6 +196,5 @@ func (q virtualQueue) Get(th Thread, _ func()) (d Delivery, ok, blocked bool) {
 	return d, ok, p.Now() > t0
 }
 
-func (q virtualQueue) Close()   { q.ch.Close() }
-func (q virtualQueue) Cancel()  { q.ch.Abort() }
-func (q virtualQueue) Len() int { return q.ch.Len() }
+func (q virtualQueue) Close()  { q.ch.Close() }
+func (q virtualQueue) Cancel() { q.ch.Abort() }

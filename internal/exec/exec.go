@@ -15,7 +15,6 @@
 package exec
 
 import (
-	"slices"
 	"sync"
 
 	"datacutter/internal/obs"
@@ -143,10 +142,9 @@ type Meta struct {
 // single-producer state — the runtime creates one per producer copy per
 // stream and per unit of work.
 //
-// The target set is fixed for the writer's lifetime: copy-set membership
-// changes only at work-cycle boundaries, where the runtime builds fresh
-// writers. Reweight is the one mid-cycle change; it shifts a target's copy
-// count in place.
+// The target set and its copy counts are fixed for the writer's lifetime:
+// copy-set membership changes only at work-cycle boundaries, where the
+// runtime builds fresh writers.
 type StreamWriter struct {
 	stream   string
 	hosts    []string // target i's host
@@ -197,21 +195,6 @@ func (sw *StreamWriter) AckEvery() int { return sw.ackEvery }
 // WantsAcks is true.
 func (sw *StreamWriter) BindAckSource(src AckSource) { sw.acks = src }
 
-// Reweight changes the copy count of the target on host, shifting WRR
-// proportions and DD/k batch scaling from the next pick on. Policy state
-// carries over: WRR credits and the DD tie-break rotation are untouched. An
-// unknown host or copies < 1 is ignored. Safe to call from any goroutine.
-func (sw *StreamWriter) Reweight(host string, copies int) {
-	r, ok := sw.w.(reweighter)
-	i := slices.Index(sw.hosts, host)
-	if !ok || i < 0 || copies < 1 {
-		return
-	}
-	sw.mu.Lock()
-	r.reweight(i, copies)
-	sw.mu.Unlock()
-}
-
 // Write sends one buffer: drain pending acks into the window, pick a
 // target, deliver, count. The window is incremented at pick time — before
 // the Port runs — so a policy never sees a buffer it already placed as
@@ -251,8 +234,8 @@ func (sw *StreamWriter) Write(b Buffer) error {
 	return nil
 }
 
-// Unacked returns a copy of the sliding window in target order, for the
-// autoscale controller's sampling, tests and debugging.
+// Unacked returns a copy of the sliding window in target order, for tests
+// and debugging.
 func (sw *StreamWriter) Unacked() []int {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()

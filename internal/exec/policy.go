@@ -124,14 +124,6 @@ func (w *wrrWriter) Pick([]int) int {
 }
 func (w *wrrWriter) WantsAcks() bool { return false }
 
-// reweight keeps every target's smooth-WRR credit. Smooth WRR is
-// self-correcting, so the carried credit only smooths the transition —
-// long-run proportions follow the new weights.
-func (w *wrrWriter) reweight(i, copies int) {
-	w.total += copies - w.weight[i]
-	w.weight[i] = copies
-}
-
 // ---- Demand Driven ----
 
 type ddPolicy struct{}
@@ -250,15 +242,6 @@ func (w *ddBatchedWriter) Pick(unacked []int) int {
 		scaled[i] = (u + w.copies[i] - 1) / w.copies[i]
 	}
 	return w.ddWriter.Pick(scaled)
-}
-
-func (w *ddBatchedWriter) reweight(i, copies int) { w.copies[i] = copies }
-
-// reweighter is implemented by the policy writers that read copy counts
-// (WRR, DD/k): reweight sets target i's count (>= 1) in place, keeping the
-// rest of the writer's state. RR and plain DD ignore copy counts.
-type reweighter interface {
-	reweight(i, copies int)
 }
 
 // AckBatchOf returns a writer's coalescing factor (1 when unbatched).

@@ -27,11 +27,14 @@ type Runtime struct {
 	qcap int
 	m    metrics // all nil unless cfg.Obs is set
 
-	// Effective placement per filter, in placement order: every host's
-	// entries, the host of each global copy index, the instances run here.
-	entries map[string][]elastic.Entry
-	hostOf  map[string][]string
-	copies  map[string][]*instance
+	// placement is the effective placement as Place last received it; Run
+	// applies the scale schedule to it. Per filter, in placement order:
+	// every host's entries, the host of each global copy index, the
+	// instances run here.
+	placement []elastic.Entry
+	entries   map[string][]elastic.Entry
+	hostOf    map[string][]string
+	copies    map[string][]*instance
 
 	// cur is the unit of work in flight (the inbound port reads it from the
 	// engine's receive goroutines). phaseMu is held for each phase call: a
@@ -180,9 +183,6 @@ func New(cfg Config) *Runtime {
 // NewStats allocates an empty Stats shaped for the runtime's graph.
 func (rt *Runtime) NewStats() *Stats { return NewStats(rt.cfg.Filters, rt.cfg.Streams) }
 
-// QueueCap returns the effective per-copy-set queue capacity.
-func (rt *Runtime) QueueCap() int { return rt.qcap }
-
 func (rt *Runtime) local(host string) bool { return rt.cfg.Host == "" || rt.cfg.Host == host }
 
 // Place makes entries the effective placement, between units of work:
@@ -241,7 +241,7 @@ func (rt *Runtime) Place(entries []elastic.Entry) error {
 		}
 		rt.copies[name] = next
 	}
-	rt.entries, rt.hostOf = byFilter, hostOf
+	rt.placement, rt.entries, rt.hostOf = entries, byFilter, hostOf
 	return nil
 }
 
@@ -505,6 +505,38 @@ func (rt *Runtime) RunUOW(index int, work any, into *Stats) error {
 	return err
 }
 
+// Run executes the units of work in order (one nil unit when uows is
+// empty), accounting into into. Copy-set membership changes in one way
+// only: before unit i, the schedule's steps due at that boundary
+// (elastic.StepsAt) are applied to the effective placement, the runtime is
+// re-placed and the change is published (elastic.RecordScaleDiff). Each
+// unit's time and the run's total are measured on the Clock. The engine
+// validates the schedule first.
+func (rt *Runtime) Run(uows []any, schedule []elastic.ScaleStep, into *Stats) error {
+	if len(uows) == 0 {
+		uows = []any{nil}
+	}
+	now := rt.cfg.Clock.Now
+	start := now()
+	for i, work := range uows {
+		if due := elastic.StepsAt(schedule, i); len(due) > 0 {
+			old := rt.placement
+			next := elastic.Apply(old, due)
+			if err := rt.Place(next); err != nil {
+				return err
+			}
+			elastic.RecordScaleDiff(rt.cfg.Obs, old, next, i)
+		}
+		t0 := now()
+		if err := rt.RunUOW(i, work, into); err != nil {
+			return err
+		}
+		into.PerUOWSeconds = append(into.PerUOWSeconds, now()-t0)
+	}
+	into.WallSeconds += now() - start
+	return nil
+}
+
 // phase runs one phase of every local copy, each on its own thread, with
 // panic containment and time accounting: wall time in the phase, minus time
 // blocked on streams, is busy time (so Init and Finalize work counts as
@@ -614,43 +646,4 @@ func (rt *Runtime) Ack(e Edge, n int) {
 	if aq := st.acks[e.From]; aq != nil {
 		aq.Offer(e.Target, n)
 	}
-}
-
-// ---- Load sampling ----
-
-// StreamLoad is a live sample of one stream of the unit of work in flight:
-// what an autoscale controller reads (queue depths, delivery counts, writer
-// windows) and mutates (the writers' target weights).
-type StreamLoad struct {
-	Spec     StreamSpec
-	Policy   Policy
-	Hosts    []string // consumer copy sets, placement order
-	Copies   []int
-	QueueLen []int
-	Counts   *Counts
-	Writers  []*StreamWriter
-}
-
-// Sample returns the load of every stream of the unit of work in flight, in
-// graph order.
-func (rt *Runtime) Sample() []StreamLoad {
-	u := rt.cur.Load()
-	if u == nil {
-		return nil
-	}
-	out := make([]StreamLoad, len(u.order))
-	for i, st := range u.order {
-		ql := make([]int, len(st.queues))
-		for j, q := range st.queues {
-			if q != nil {
-				ql[j] = q.Len()
-			}
-		}
-		out[i] = StreamLoad{
-			Spec: st.spec, Policy: rt.cfg.Policies.For(st.spec.Name),
-			Hosts: st.hosts, Copies: st.copies, QueueLen: ql,
-			Counts: st.counts, Writers: st.writers,
-		}
-	}
-	return out
 }

@@ -29,9 +29,9 @@ import (
 // exactly these (-run 'TestJobdChaos') under the race detector and archives
 // the server metrics dumps on failure.
 
-// jobdSrc writes bytes 0..n-1 on stream "ints", optionally sleeping between
-// writes (the slow variant keeps a session running long enough to cancel
-// or deadline it).
+// jobdSrc writes bytes 0..n-1 on stream "ints" (bytes 0, 1, … until a
+// write fails when n < 0), optionally sleeping between writes (the slow
+// variants keep a session running long enough to cancel or deadline it).
 type jobdSrc struct {
 	core.BaseFilter
 	n     int
@@ -39,7 +39,7 @@ type jobdSrc struct {
 }
 
 func (s *jobdSrc) Process(ctx core.Ctx) error {
-	for i := 0; i < s.n; i++ {
+	for i := 0; s.n < 0 || i < s.n; i++ {
 		if s.delay > 0 {
 			time.Sleep(s.delay)
 		}
@@ -73,6 +73,9 @@ func init() {
 	})
 	dist.RegisterFilter("jobdtest.slowsrc", func(p []byte) (core.Filter, error) {
 		return &jobdSrc{n: int(p[0]), delay: 50 * time.Millisecond}, nil
+	})
+	dist.RegisterFilter("jobdtest.endlesssrc", func([]byte) (core.Filter, error) {
+		return &jobdSrc{n: -1, delay: 50 * time.Millisecond}, nil
 	})
 	dist.RegisterFilter("jobdtest.sink", func([]byte) (core.Filter, error) {
 		return &jobdSink{}, nil
@@ -129,7 +132,9 @@ func chaosRegistry(t *testing.T) *obs.Registry {
 
 // intJobSpec is a two-host pipeline with a deterministic frame count: the
 // sink host receives exactly n data frames, so counted fault directives
-// (kill=data:N, wedge=data:N:DUR) trigger mid-job by construction.
+// (kill=data:N, wedge=data:N:DUR) trigger mid-job by construction. It runs
+// on the default heartbeat; a test that asserts failure detection opts into
+// fast beats with detectFast.
 func intJobSpec(srcKind string, n int, srcHost, sinkHost string) jobd.JobSpec {
 	return jobd.JobSpec{
 		Name: "chaos",
@@ -144,11 +149,16 @@ func intJobSpec(srcKind string, n int, srcHost, sinkHost string) jobd.JobSpec {
 			{Filter: "S", Host: srcHost, Copies: 1},
 			{Filter: "K", Host: sinkHost, Copies: 1},
 		},
-		Options: dist.Options{
-			HeartbeatInterval: 100 * time.Millisecond,
-			HeartbeatMisses:   3,
-		},
 	}
+}
+
+// detectFast gives spec 100 ms heartbeats, three missed beats to a dead
+// host: for the tests that kill or wedge a worker and wait for the
+// coordinator to notice.
+func detectFast(spec jobd.JobSpec) jobd.JobSpec {
+	spec.Options.HeartbeatInterval = 100 * time.Millisecond
+	spec.Options.HeartbeatMisses = 3
+	return spec
 }
 
 func waitFor(t *testing.T, what string, d time.Duration, f func() bool) {
@@ -194,7 +204,7 @@ func TestJobdChaosKillQuarantineReinstate(t *testing.T) {
 	s.RegisterWorker("b", wb.Addr(), "")
 
 	const n = 20
-	spec := intJobSpec("jobdtest.src", n, "a", "b")
+	spec := detectFast(intJobSpec("jobdtest.src", n, "a", "b"))
 	spec.MaxRetries = 3
 	id, err := s.Submit(spec)
 	if err != nil {
@@ -264,7 +274,7 @@ func TestJobdChaosWedgeRetrySameWorker(t *testing.T) {
 	s.RegisterWorker("b", wb.Addr(), "")
 
 	const n = 20
-	spec := intJobSpec("jobdtest.src", n, "a", "b")
+	spec := detectFast(intJobSpec("jobdtest.src", n, "a", "b"))
 	spec.MaxRetries = 3
 	id, err := s.Submit(spec)
 	if err != nil {
@@ -431,9 +441,11 @@ func TestJobdChaosDeadlineRunning(t *testing.T) {
 	s.RegisterWorker("a", wa.Addr(), "")
 	s.RegisterWorker("b", wb.Addr(), "")
 
-	// 20 writes x 50ms sleep: the session runs ~1s, the TTL is 400ms.
-	spec := intJobSpec("jobdtest.slowsrc", 20, "a", "b")
-	spec.Deadline = 400 * time.Millisecond
+	// The source writes until the deadline aborts it. The TTL leaves a
+	// loaded host time to dispatch before it passes, so it expires while
+	// the job is running, not while it is queued.
+	spec := intJobSpec("jobdtest.endlesssrc", 0, "a", "b")
+	spec.Deadline = 2 * time.Second
 	spec.MaxRetries = 3
 	id, err := s.Submit(spec)
 	if err != nil {
@@ -600,7 +612,7 @@ func TestJobdChaosRestartMidBackoffResumes(t *testing.T) {
 	s1.RegisterWorker("b", wb.Addr(), "")
 
 	const n = 20
-	spec := intJobSpec("jobdtest.src", n, "a", "b")
+	spec := detectFast(intJobSpec("jobdtest.src", n, "a", "b"))
 	spec.MaxRetries = 2
 	id, err := s1.Submit(spec)
 	if err != nil {

@@ -351,8 +351,8 @@ func TestWorkerDrainTimeoutThenCloseAborts(t *testing.T) {
 	s.RegisterWorker("a", wa.Addr(), "")
 	s.RegisterWorker("b", wb.Addr(), "")
 
-	spec := intJobSpec("jobdtest.slowsrc", 40, "a", "b") // ~2s of writes
-	spec.MaxRetries = -1                                 // keep the failure terminal
+	spec := detectFast(intJobSpec("jobdtest.slowsrc", 40, "a", "b")) // ~2s of writes
+	spec.MaxRetries = -1                                             // keep the failure terminal
 	id, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

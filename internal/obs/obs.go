@@ -34,10 +34,9 @@ type Kind uint8
 // HostDown/UOWRetry are failure-model events from the distributed
 // coordinator: a host declared dead (Note names it) and a unit of work
 // re-dispatched on a shrunk placement.
-// ScaleUp/ScaleDown/Rebalance are elasticity events (internal/elastic):
-// copies added to or retired from a filter's copy set (Filter and Host name
-// the set, Copy carries the new copy count, Note the reason), and a WRR
-// weight rebalance from observed throughput (Stream names the stream).
+// ScaleUp/ScaleDown are elasticity events (internal/elastic): copies added
+// to or retired from a filter's copy set at a work-cycle boundary (Filter
+// and Host name the set, Copy carries the new copy count, Note the reason).
 // Prune is a storage-tier pushdown event (internal/dataset): one predicate
 // evaluation over a chunk list, with N carrying the pruned-chunk count,
 // Bytes the chunk bytes that will never be read, UOW the timestep, and
@@ -55,7 +54,6 @@ const (
 	KindUOWRetry
 	KindScaleUp
 	KindScaleDown
-	KindRebalance
 	KindPrune
 )
 
@@ -72,7 +70,6 @@ var kindNames = [...]string{
 	KindUOWRetry:     "uow-retry",
 	KindScaleUp:      "scale-up",
 	KindScaleDown:    "scale-down",
-	KindRebalance:    "rebalance",
 	KindPrune:        "prune",
 }
 

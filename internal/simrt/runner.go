@@ -79,9 +79,6 @@ type Runner struct {
 	opts  Options
 	rt    *exec.Runtime
 	clock *simClock
-	// cur is the effective placement, mutated by the scale schedule between
-	// units of work.
-	cur   []elastic.Entry
 	stats *core.Stats
 }
 
@@ -108,7 +105,7 @@ func NewRunner(g *core.Graph, pl *core.Placement, cl *cluster.Cluster, opts Opti
 	if opts.PrefetchDepth == 0 {
 		opts.PrefetchDepth = 4
 	}
-	r := &Runner{g: g, cl: cl, opts: opts, cur: pl.Entries(g), stats: core.NewStats(g)}
+	r := &Runner{g: g, cl: cl, opts: opts, stats: core.NewStats(g)}
 	r.clock = &simClock{VirtualClock: &exec.VirtualClock{K: cl.Kernel()}, r: r, disk: make(map[*exec.Copy]*prefetch)}
 	r.rt = exec.New(exec.Config{
 		Engine: "simrt", Clock: r.clock,
@@ -117,7 +114,7 @@ func NewRunner(g *core.Graph, pl *core.Placement, cl *cluster.Cluster, opts Opti
 		Policies: exec.PolicyConfig{Default: opts.Policy, PerStream: opts.StreamPolicy},
 		QueueCap: opts.QueueCap, BufferBytes: opts.BufferBytes, Obs: opts.Obs,
 	})
-	if err := r.rt.Place(r.cur); err != nil {
+	if err := r.rt.Place(pl.Entries(g)); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -132,13 +129,8 @@ func (r *Runner) Stats() *core.Stats { return r.stats }
 // Run executes all units of work sequentially in virtual time. The kernel
 // runs each unit of work to completion in one virtual-time episode, so the
 // scale schedule's due steps apply at work-cycle boundaries, exactly as on
-// the real engine.
+// the real engine (exec.Runtime.Run).
 func (r *Runner) Run() (*core.Stats, error) {
-	k := r.cl.Kernel()
-	uows := r.opts.UOWs
-	if len(uows) == 0 {
-		uows = []any{nil}
-	}
 	// A grown copy set must land on modeled hardware.
 	onCluster := func(host string) bool { return r.cl.Host(host) != nil }
 	if err := elastic.ValidateSchedule("simrt", r.opts.ScaleSchedule, r.g.Filters(), onCluster); err != nil {
@@ -147,24 +139,7 @@ func (r *Runner) Run() (*core.Stats, error) {
 	// This engine's time domain is the kernel's virtual clock: exported
 	// traces show simulated seconds, directly comparable to Stats.
 	r.opts.Obs.SetClock(r.clock)
-	start := k.Now()
-	for i, work := range uows {
-		if due := elastic.StepsAt(r.opts.ScaleSchedule, i); len(due) > 0 {
-			next := elastic.Apply(r.cur, due)
-			if err := r.rt.Place(next); err != nil {
-				return r.stats, err
-			}
-			elastic.RecordScaleDiff(r.opts.Obs, r.cur, next, i, nil)
-			r.cur = next
-		}
-		t0 := k.Now()
-		if err := r.rt.RunUOW(i, work, r.stats); err != nil {
-			return r.stats, err
-		}
-		r.stats.PerUOWSeconds = append(r.stats.PerUOWSeconds, float64(k.Now()-t0))
-	}
-	r.stats.WallSeconds += float64(k.Now() - start)
-	return r.stats, nil
+	return r.stats, r.rt.Run(r.opts.UOWs, r.opts.ScaleSchedule, r.stats)
 }
 
 // simClock is the virtual clock plus this engine's cost model (exec.Cost):
