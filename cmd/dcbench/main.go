@@ -18,13 +18,12 @@
 // built-in quickstart-sized isosurface pipeline on the real engine so there
 // is always something to trace.
 //
-// Data-path fast paths (DESIGN.md §14): -dist runs the same demo on the
-// dist engine over two in-process workers joined by loopback TCP; -dir
-// points the demo at a datagen dataset, where -readahead prefetches chunks
-// along the planned read order and -mmap memory-maps the store:
+// Data path (DESIGN.md §14): -dist runs the same demo on the dist engine
+// over two in-process workers joined by loopback TCP; -dir points the demo
+// at a datagen dataset:
 //
 //	dcbench -dist -metrics
-//	dcbench -dir /data/plume -readahead 4 -mmap -trace out.json
+//	dcbench -dir /data/plume -trace out.json
 package main
 
 import (
@@ -71,23 +70,16 @@ func parseFlags(args []string) (options, error) {
 
 	fs.BoolVar(&f.dist, "dist", false, "run the demo on the dist engine: two in-process workers over loopback TCP")
 	fs.StringVar(&f.demo.dir, "dir", "", "datagen dataset directory for the demo source (default: synthetic field)")
-	fs.IntVar(&f.demo.readahead, "readahead", 0, "chunks the demo prefetches ahead of the planned read order (with -dir)")
-	fs.BoolVar(&f.demo.mmap, "mmap", false, "memory-map the demo dataset instead of pread (with -dir)")
 	if err := fs.Parse(args); err != nil {
 		return f, err
 	}
-	var err error
-	switch {
-	case (f.demo.readahead > 0 || f.demo.mmap) && f.demo.dir == "":
-		err = errors.New("-readahead/-mmap tune on-disk store reads; they need -dir")
-	case !f.all && !f.list && f.exp == "" && f.trace == "" && !f.metrics && !f.dist && f.demo.dir == "":
-		err = errors.New("need -exp <id>, -all, -list, -trace, -metrics, -dist, or -dir")
-	}
-	if err != nil {
+	if !f.all && !f.list && f.exp == "" && f.trace == "" && !f.metrics && !f.dist && f.demo.dir == "" {
+		err := errors.New("need -exp <id>, -all, -list, -trace, -metrics, -dist, or -dir")
 		fmt.Fprintln(fs.Output(), "dcbench:", err)
 		fs.Usage()
+		return f, err
 	}
-	return f, err
+	return f, nil
 }
 
 func main() {
@@ -195,8 +187,6 @@ type demoConfig struct {
 	policy, streams string
 	seed            int64
 	dir             string // datagen dataset; "" = synthetic field
-	readahead       int
-	mmap            bool
 }
 
 // demoView is the unit of work both demo engines render.
@@ -223,9 +213,7 @@ func demoField(seed int64) isoviz.FieldREParams {
 const demoFieldTimestep = 3
 
 // demoSource builds the demo chunk source: the synthetic field, or a
-// datagen store with the selected read fast paths (chunk readahead along
-// the planned order, mmap reads). The returned timestep is one the source
-// actually holds.
+// datagen store. The returned timestep is one the source actually holds.
 func demoSource(d demoConfig) (isoviz.ChunkSource, int, error) {
 	if d.dir == "" {
 		p := demoField(d.seed)
@@ -236,12 +224,7 @@ func demoSource(d demoConfig) (isoviz.ChunkSource, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if d.mmap {
-		if err := st.EnableMmap(); err != nil {
-			return nil, 0, err
-		}
-	}
-	return &isoviz.StoreSource{St: st, Readahead: d.readahead}, 0, nil
+	return &isoviz.StoreSource{St: st}, 0, nil
 }
 
 func printDemoStats(title string, stats *core.Stats) {
@@ -296,8 +279,7 @@ func runDemo(o *obs.Observer, d demoConfig) (*core.Stats, error) {
 // runDemoDist executes the same demo on the distributed engine: two
 // in-process workers ("node0", "node1") joined over TCP loopback. The
 // source is reconstructed worker-side from its params exactly as dcsubmit
-// ships it, so -dir/-readahead/-mmap exercise the store fast paths per RE
-// copy.
+// ships it, so -dir exercises the store read path per RE copy.
 func runDemoDist(o *obs.Observer, d demoConfig) (*core.Stats, error) {
 	perStream, err := exec.ParseStreamPolicies(d.streams)
 	if err != nil {
@@ -306,9 +288,7 @@ func runDemoDist(o *obs.Observer, d demoConfig) (*core.Stats, error) {
 	var spec dist.GraphSpec
 	timestep := 0
 	if d.dir != "" {
-		spec, err = isoviz.DistGraphStore(isoviz.StoreREParams{
-			Dir: d.dir, Readahead: d.readahead, Mmap: d.mmap,
-		}, isoviz.ActivePixel)
+		spec, err = isoviz.DistGraphStore(isoviz.StoreREParams{Dir: d.dir}, isoviz.ActivePixel)
 	} else {
 		spec, err = isoviz.DistGraphField(demoField(d.seed), isoviz.ActivePixel)
 		timestep = demoFieldTimestep

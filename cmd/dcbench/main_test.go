@@ -33,10 +33,10 @@ func TestDemoSameBytesOnCoreAndDist(t *testing.T) {
 	}
 }
 
-// The scenario programs and the transport selector are gone; their flags
-// must not parse.
+// The scenario programs, the transport selector and the readahead and mmap
+// read modes are gone; their flags must not parse.
 func TestScenarioFlagsRejected(t *testing.T) {
-	for _, arg := range []string{"-elastic", "-pushdown", "-bench-out=x.json", "-transport=tcp"} {
+	for _, arg := range []string{"-elastic", "-pushdown", "-bench-out=x.json", "-transport=tcp", "-readahead=4", "-mmap"} {
 		if _, err := parseFlags([]string{arg}); err == nil {
 			t.Errorf("dcbench %s parsed; want a flag error", arg)
 		}

@@ -11,13 +11,12 @@
 // -dir to render a datagen dataset every worker can open, or omit it for
 // the synthetic field (reconstructed worker-side from its seed).
 //
-// Data-path fast paths: workers exchange stream buffers over TCP; with
-// -dir, -readahead overlaps each RE copy's chunk reads with its extraction
-// work (bounded by -readahead-bytes) and -mmap switches the store to
-// memory-mapped reads. See DESIGN.md §14. -pushdown turns on
-// near-storage predicate pruning: each RE copy checks the view's iso-value
-// against the dataset's summary sidecar and skips chunks that provably
-// contribute no triangles, before any byte is read (DESIGN.md §17).
+// Data path: workers exchange stream buffers over TCP, and each RE copy
+// reads its chunks while downstream filters compute (DESIGN.md §14).
+// -pushdown turns on near-storage predicate pruning: each RE copy checks
+// the view's iso-value against the dataset's summary sidecar and skips
+// chunks that provably contribute no triangles, before any byte is read
+// (DESIGN.md §17).
 //
 // Fault tolerance: -uow-retries lets the coordinator replan a failed unit
 // of work onto the surviving workers (dead hosts' filter copies move to
@@ -82,10 +81,7 @@ func main() {
 		policy  = flag.String("policy", "DD", "default writer policy: RR | WRR | DD | DD/<k>")
 		streams = flag.String("stream-policy", "", "per-stream policy overrides, e.g. 'triangles=DD/8,pixels=WRR'")
 
-		readahead = flag.Int("readahead", 0, "chunks each RE copy prefetches ahead of its planned read order (with -dir)")
-		raBytes   = flag.Int64("readahead-bytes", 0, "byte budget for resident prefetched chunks, 0 = unbounded (with -readahead)")
-		mmap      = flag.Bool("mmap", false, "memory-map dataset files instead of pread (with -dir)")
-		pushdown  = flag.Bool("pushdown", false, "prune chunks against the store's summary sidecar on the worker owning the data (with -dir)")
+		pushdown = flag.Bool("pushdown", false, "prune chunks against the store's summary sidecar on the worker owning the data (with -dir)")
 
 		grid    = flag.Int("grid", 65, "synthetic grid samples per axis (without -dir)")
 		debug   = flag.String("debug-addr", "", "serve coordinator /metrics and /debug/pprof on this address during the run")
@@ -150,18 +146,15 @@ func main() {
 		fatal(fmt.Errorf("merge host %q not among workers", mergeHost))
 	}
 
-	if *dir == "" && (*readahead > 0 || *mmap || *pushdown) {
-		fatal(fmt.Errorf("-readahead/-mmap/-pushdown tune on-disk store reads; they need -dir"))
+	if *dir == "" && *pushdown {
+		fatal(fmt.Errorf("-pushdown needs -dir"))
 	}
 	fieldSeed := int64(2002)
 	if *seed != 0 {
 		fieldSeed = *seed
 	}
 	spec, err := pipelineGraph(
-		isoviz.StoreREParams{
-			Dir: *dir, Readahead: *readahead, ReadaheadBytes: *raBytes, Mmap: *mmap,
-			Pushdown: *pushdown,
-		},
+		isoviz.StoreREParams{Dir: *dir, Pushdown: *pushdown},
 		isoviz.FieldREParams{
 			Seed: fieldSeed, Plumes: 5,
 			GX: *grid, GY: *grid, GZ: *grid, BX: 4, BY: 4, BZ: 4,

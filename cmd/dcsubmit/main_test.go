@@ -16,9 +16,7 @@ import (
 // filter-by-filter spec dcsubmit spelled out before it called them, so a
 // server (or journal) from before the change reads the same job.
 func TestPipelineGraphWireCompatible(t *testing.T) {
-	store := isoviz.StoreREParams{
-		Dir: "/data/plume", Readahead: 4, ReadaheadBytes: 1 << 20, Mmap: true, Pushdown: true,
-	}
+	store := isoviz.StoreREParams{Dir: "/data/plume", Pushdown: true}
 	field := isoviz.FieldREParams{Seed: 2002, Plumes: 5, GX: 17, GY: 17, GZ: 17, BX: 4, BY: 4, BZ: 4}
 	for _, tc := range []struct {
 		name   string

@@ -31,12 +31,6 @@ type Store struct {
 	mu      sync.Mutex
 	handles []*os.File
 
-	// mmap read mode (EnableMmap): data files are mapped lazily and chunk
-	// samples decode straight out of the page cache — no read syscall and
-	// no scratch buffer per chunk. maps[f] is nil until first use.
-	useMmap bool
-	maps    [][]byte
-
 	// scratch recycles per-read raw chunk buffers. A sync.Pool (rather than
 	// a single buffer) keeps ReadChunk safe for concurrent readers — each
 	// in-flight read owns its buffer and returns it when done.
@@ -149,46 +143,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// EnableMmap switches the store to mmap read mode: subsequent ReadChunks
-// decode from read-only shared mappings instead of issuing preads. Call it
-// before reading; it errors on platforms without mmap support.
-func (s *Store) EnableMmap() error {
-	if !mmapSupported {
-		return fmt.Errorf("dataset: mmap is not supported on this platform")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.maps == nil {
-		s.maps = make([][]byte, len(s.handles))
-	}
-	s.useMmap = true
-	return nil
-}
-
-// mapping returns (mapping lazily) the read-only mmap of data file f.
-func (s *Store) mapping(f int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.maps[f] != nil {
-		return s.maps[f], nil
-	}
-	fh := s.handles[f]
-	if fh == nil {
-		var err error
-		fh, err = os.Open(filepath.Join(s.Dir, fileName(f)))
-		if err != nil {
-			return nil, err
-		}
-		s.handles[f] = fh
-	}
-	m, err := mmapFile(fh)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: mapping %s: %w", fileName(f), err)
-	}
-	s.maps[f] = m
-	return m, nil
-}
-
 // handle returns the lazily opened file handle for data file f.
 func (s *Store) handle(f int) (*os.File, error) {
 	s.mu.Lock()
@@ -204,19 +158,11 @@ func (s *Store) handle(f int) (*os.File, error) {
 	return fh, nil
 }
 
-// Close releases the store's open file handles and mappings.
+// Close releases the store's open file handles.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for i, m := range s.maps {
-		if m != nil {
-			if err := munmapFile(m); err != nil && first == nil {
-				first = err
-			}
-			s.maps[i] = nil
-		}
-	}
 	for i, fh := range s.handles {
 		if fh != nil {
 			if err := fh.Close(); err != nil && first == nil {
@@ -249,22 +195,6 @@ func (s *Store) ReadChunk(chunk, timestep int) (*volume.Volume, error) {
 	off := s.offsets[f][idx]
 	size := s.DS.ChunkBytes(chunk)
 
-	s.mu.Lock()
-	mm := s.useMmap
-	s.mu.Unlock()
-	v := volume.Borrow(s.DS.Block(chunk)) // every sample is overwritten below
-	if mm {
-		m, err := s.mapping(f)
-		if err != nil {
-			return nil, err
-		}
-		if off+int64(size) > int64(len(m)) {
-			return nil, fmt.Errorf("dataset: chunk %d extends past mapped file %d", chunk, f)
-		}
-		wirebin.Float32s(v.Data, m[off:off+int64(size)])
-		return v, nil
-	}
-
 	fh, err := s.handle(f)
 	if err != nil {
 		return nil, err
@@ -274,6 +204,7 @@ func (s *Store) ReadChunk(chunk, timestep int) (*volume.Volume, error) {
 	if _, err := fh.ReadAt(*raw, off); err != nil {
 		return nil, fmt.Errorf("dataset: reading chunk %d: %w", chunk, err)
 	}
+	v := volume.Borrow(s.DS.Block(chunk)) // every sample is overwritten below
 	wirebin.Float32s(v.Data, *raw)
 	return v, nil
 }

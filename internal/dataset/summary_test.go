@@ -272,10 +272,10 @@ func TestPruneObservability(t *testing.T) {
 	}
 }
 
-// Concurrent readers (pooled scratch buffers) racing an EnableMmap switch
-// must each decode exactly the chunk they asked for. Run under -race this
-// also proves the mode switch and the lazy summary load are data-race free.
-func TestConcurrentReadChunkEnableMmapAndPrune(t *testing.T) {
+// Concurrent readers (pooled scratch buffers) must each decode exactly the
+// chunk they asked for. Run under -race this also proves the lazy summary
+// load is data-race free.
+func TestConcurrentReadChunkAndPrune(t *testing.T) {
 	st, err := Create(t.TempDir(), sumTestMeta())
 	if err != nil {
 		t.Fatal(err)
@@ -317,50 +317,10 @@ func TestConcurrentReadChunkEnableMmapAndPrune(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := st.EnableMmap(); err != nil {
-			t.Logf("mmap unavailable: %v", err) // reads stay on pread; still a valid race test
-		}
-	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// Mmap reads must serve the same chunk bytes as pread reads.
-func TestMmapMatchesPread(t *testing.T) {
-	dir := t.TempDir()
-	created, err := Create(dir, sumTestMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer created.Close()
-	mm, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mm.Close()
-	if err := mm.EnableMmap(); err != nil {
-		t.Skipf("mmap unavailable: %v", err)
-	}
-	for _, c := range []int{0, created.DS.Chunks() / 2, created.DS.Chunks() - 1} {
-		a, err := created.ReadChunk(c, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := mm.ReadChunk(c, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("chunk %d sample %d differs between pread and mmap", c, i)
-			}
-		}
 	}
 }
 

@@ -26,18 +26,13 @@ type FieldREParams struct {
 }
 
 // StoreREParams parameterizes an RE filter over an on-disk store.
-// Readahead/ReadaheadBytes configure chunk prefetching along the copy's
-// planned read order; Mmap switches the store to memory-mapped reads.
 // Pushdown/Pred enable near-storage predicate pruning: the params travel in
 // the session setup frame, so the pruning decision executes on the worker
 // that owns the store and pruned chunks never cross the network.
 type StoreREParams struct {
-	Dir            string
-	Readahead      int
-	ReadaheadBytes int64
-	Mmap           bool
-	Pushdown       bool              `json:",omitempty"`
-	Pred           dataset.Predicate `json:",omitempty"`
+	Dir      string
+	Pushdown bool              `json:",omitempty"`
+	Pred     dataset.Predicate `json:",omitempty"`
 }
 
 // Distributed filter kind names.
@@ -75,13 +70,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		if p.Mmap {
-			if err := st.EnableMmap(); err != nil {
-				st.Close()
-				return nil, err
-			}
-		}
-		src := &StoreSource{St: st, Readahead: p.Readahead, ReadaheadBytes: p.ReadaheadBytes}
+		src := &StoreSource{St: st}
 		return fuseRE(&storeRE{st: st, ReadFilter: &ReadFilter{
 			Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamVoxels,
 			Pushdown: p.Pushdown, Pred: p.Pred,

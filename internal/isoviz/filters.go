@@ -45,10 +45,8 @@ func (f *ReadFilter) Process(ctx core.Ctx) error {
 		return err
 	}
 	chunks := pruneChunks(f.Source, f.Assign(ctx), view, f.Pred, f.Pushdown)
-	load, stop := planLoad(f.Source, chunks, view.Timestep)
-	defer stop()
 	for _, chunk := range chunks {
-		v, err := load(chunk, view.Timestep)
+		v, err := f.Source.Load(chunk, view.Timestep)
 		if err != nil {
 			return fmt.Errorf("isoviz: read chunk %d: %w", chunk, err)
 		}

@@ -100,10 +100,8 @@ func (f *ReadExtractRouteFilter) Process(ctx core.Ctx) error {
 	}
 
 	chunks := f.Assign(ctx)
-	load, stop := planLoad(f.Source, chunks, view.Timestep)
-	defer stop()
 	for _, chunk := range chunks {
-		v, err := load(chunk, view.Timestep)
+		v, err := f.Source.Load(chunk, view.Timestep)
 		if err != nil {
 			return fmt.Errorf("isoviz: read chunk %d: %w", chunk, err)
 		}

@@ -44,14 +44,11 @@ func (s *FieldSource) Load(i, timestep int) (*volume.Volume, error) {
 	return v, nil
 }
 
-// StoreSource reads chunks from an on-disk dataset store. With Readahead
-// set, read filters that know their chunk order up front overlap storage
-// latency with compute through a dataset.Prefetcher (see PlanLoad);
-// ReadaheadBytes optionally bounds the prefetched-but-unconsumed bytes.
+// StoreSource reads chunks from an on-disk dataset store. Reads are
+// synchronous: storage overlaps compute through the pipeline itself, as a
+// read copy runs ahead of its consumers by its queue capacity.
 type StoreSource struct {
-	St             *dataset.Store
-	Readahead      int   // chunks to prefetch ahead; 0 = synchronous reads
-	ReadaheadBytes int64 // byte budget for prefetched chunks; 0 = unbounded
+	St *dataset.Store
 }
 
 // Chunks implements ChunkSource.
@@ -77,7 +74,7 @@ func (s *StoreSource) SetObserver(o *obs.Observer) { s.St.SetObserver(o) }
 
 // PrunableSource is a ChunkSource whose storage tier can evaluate a
 // predicate over chunk ids without reading chunk data. Read filters with
-// Pushdown enabled consult it before planning loads; sources that cannot
+// Pushdown enabled consult it before reading any chunk; sources that cannot
 // prune (e.g. FieldSource) simply don't implement it and every chunk is
 // read, which is always correct.
 type PrunableSource interface {
@@ -107,49 +104,6 @@ func pruneChunks(src ChunkSource, chunks []int, view View, extra dataset.Predica
 		return chunks
 	}
 	return ps.Prune(chunks, view.Timestep, dataset.IsoPredicate(view.Iso).And(extra))
-}
-
-// PlannedSource is a ChunkSource that can exploit an announced read order.
-// PlanLoad returns a load function equivalent to Load for exactly that
-// sequence of requests, plus a stop that releases prefetch resources (call
-// it even after completing the plan).
-type PlannedSource interface {
-	ChunkSource
-	PlanLoad(plan []dataset.ChunkRef) (load func(chunk, timestep int) (*volume.Volume, error), stop func())
-}
-
-// PlanLoad implements PlannedSource: requests following the plan are served
-// from a bounded prefetcher that reads ahead while the caller computes;
-// out-of-plan requests fall back to a synchronous read.
-func (s *StoreSource) PlanLoad(plan []dataset.ChunkRef) (func(chunk, timestep int) (*volume.Volume, error), func()) {
-	if s.Readahead <= 0 {
-		return s.Load, func() {}
-	}
-	p := dataset.NewPrefetcher(s.St, plan, s.Readahead, s.ReadaheadBytes)
-	load := func(chunk, timestep int) (*volume.Volume, error) {
-		ref, v, err, ok := p.Next()
-		if ok && ref.Chunk == chunk && ref.Timestep == timestep {
-			return v, err
-		}
-		// Caller deviated from the plan (or outran it): serve directly.
-		return s.St.ReadChunk(chunk, timestep)
-	}
-	return load, p.Close
-}
-
-// planLoad resolves the load function a read filter should use for visiting
-// chunks at timestep in order: prefetching when src announces PlanLoad
-// support, plain Load otherwise. Callers must invoke stop when done.
-func planLoad(src ChunkSource, chunks []int, timestep int) (func(chunk, timestep int) (*volume.Volume, error), func()) {
-	ps, ok := src.(PlannedSource)
-	if !ok {
-		return src.Load, func() {}
-	}
-	plan := make([]dataset.ChunkRef, len(chunks))
-	for i, c := range chunks {
-		plan[i] = dataset.ChunkRef{Chunk: c, Timestep: timestep}
-	}
-	return ps.PlanLoad(plan)
 }
 
 // Assign decides which chunks a given read-filter copy retrieves. The

@@ -1,6 +1,8 @@
 package isoviz
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"testing"
 	"time"
@@ -40,24 +42,6 @@ func TestStoreSourceMatchesFieldSource(t *testing.T) {
 	mem := run(NewFieldSource(st.DS.Field(), 33, 33, 33, 3, 3, 3))
 	if disk != mem {
 		t.Fatal("disk-backed pipeline renders differently from in-memory pipeline")
-	}
-
-	// The read-path fast modes must not change the image: chunk readahead
-	// (bounded prefetcher along the planned order) and mmap reads.
-	ra := run(&StoreSource{St: st, Readahead: 3, ReadaheadBytes: 64 << 10})
-	if ra != mem {
-		t.Fatal("readahead pipeline renders differently")
-	}
-	mmSt, err := dataset.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mmSt.Close()
-	if err := mmSt.EnableMmap(); err != nil {
-		t.Skipf("mmap unavailable: %v", err)
-	}
-	if mm := run(&StoreSource{St: mmSt, Readahead: 2}); mm != mem {
-		t.Fatal("mmap+readahead pipeline renders differently")
 	}
 }
 
@@ -197,5 +181,72 @@ func TestDistStoreHandlesClosedPerSession(t *testing.T) {
 	img := ms[0].(*MergeFilter).Result()
 	if img == nil || img.ActiveCount() == 0 {
 		t.Fatal("merged image missing after the session's copies were retired")
+	}
+}
+
+// A jobd journal or an older dcsubmit can still ship RE-store params that
+// carry the readahead and mmap fields the store read path no longer has.
+// The worker must decode them (encoding/json skips unknown fields) and
+// render exactly the image the current params render.
+func TestDistStoreAcceptsRetiredReadParams(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	st, err := dataset.Create(dir, dataset.Meta{
+		GX: 33, GY: 33, GZ: 33, BX: 3, BY: 3, BZ: 3,
+		Timesteps: 1, Files: 4, Seed: 17, Plumes: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	current, err := DistGraphStore(StoreREParams{Dir: dir}, ActivePixel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quotedDir, err := json.Marshal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired, err := DistGraphStore(StoreREParams{Dir: dir}, ActivePixel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired.Filters[0].Params = []byte(`{"Dir":` + string(quotedDir) + `,"Readahead":4,"ReadaheadBytes":1048576,"Mmap":true}`)
+
+	view := testView(64)
+	view.Timestep = 0
+	image := func(graph dist.GraphSpec) []byte {
+		workers := map[string]*dist.Worker{}
+		addrs := map[string]string{}
+		for _, host := range []string{"w0", "w1"} {
+			w, err := dist.NewWorker("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go w.Serve()
+			defer w.Close()
+			workers[host], addrs[host] = w, w.Addr()
+		}
+		placement := []dist.PlacementEntry{
+			{Filter: "RE", Host: "w0", Copies: 1},
+			{Filter: "RE", Host: "w1", Copies: 1},
+			{Filter: "Ra", Host: "w1", Copies: 2},
+			{Filter: "M", Host: "w0", Copies: 1},
+		}
+		if _, err := dist.Run(addrs, graph, placement, dist.Options{JobID: 1}, []any{view}); err != nil {
+			t.Fatal(err)
+		}
+		ms := workers["w0"].InstancesJob(1, "M")
+		if len(ms) != 1 {
+			t.Fatalf("InstancesJob(1, M) = %d instances, want 1", len(ms))
+		}
+		img := ms[0].(*MergeFilter).Result()
+		if img == nil || img.ActiveCount() == 0 {
+			t.Fatal("merge produced no image")
+		}
+		return zBits(img)
+	}
+	if !bytes.Equal(image(retired), image(current)) {
+		t.Fatal("params with the retired readahead and mmap fields render a different image")
 	}
 }
