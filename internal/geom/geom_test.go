@@ -160,3 +160,22 @@ func TestBehindCameraHasNegativeW(t *testing.T) {
 		t.Fatalf("point behind camera got w=%v", w)
 	}
 }
+
+func TestMeshExpandsByIndex(t *testing.T) {
+	m := Mesh{
+		P:   []Vec3{V(0, 0, 0), V(1, 0, 0), V(0, 1, 0), V(1, 1, 0)},
+		N:   []Vec3{V(0, 0, 1), V(0, 1, 0), V(1, 0, 0), V(0, 0, -1)},
+		Idx: []uint32{0, 1, 2, 2, 1, 3},
+	}
+	if m.Triangles() != 2 {
+		t.Fatalf("Triangles = %d", m.Triangles())
+	}
+	want := Triangle{P: [3]Vec3{m.P[2], m.P[1], m.P[3]}, N: [3]Vec3{m.N[2], m.N[1], m.N[3]}}
+	if got := m.Triangle(1); got != want {
+		t.Fatalf("Triangle(1) = %v, want %v", got, want)
+	}
+	m.Reset()
+	if len(m.P)+len(m.N)+len(m.Idx) != 0 || cap(m.P) != 4 {
+		t.Fatalf("Reset left %d/%d/%d elements, capacity %d", len(m.P), len(m.N), len(m.Idx), cap(m.P))
+	}
+}

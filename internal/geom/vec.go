@@ -70,3 +70,23 @@ func (t Triangle) Area() float32 {
 // TriangleBytes is the serialized size of one Triangle (6 Vec3 of 3
 // float32), used for stream buffer accounting.
 const TriangleBytes = 6 * 3 * 4
+
+// Mesh is an indexed triangle mesh: vertex i has position P[i] and unit
+// normal N[i], and triangle t is the vertices Idx[3t], Idx[3t+1], Idx[3t+2].
+// A vertex shared by several triangles is stored once.
+type Mesh struct {
+	P, N []Vec3
+	Idx  []uint32
+}
+
+// Reset empties m, keeping its storage.
+func (m *Mesh) Reset() { m.P, m.N, m.Idx = m.P[:0], m.N[:0], m.Idx[:0] }
+
+// Triangles returns the number of triangles.
+func (m *Mesh) Triangles() int { return len(m.Idx) / 3 }
+
+// Triangle returns triangle t with its vertices expanded.
+func (m *Mesh) Triangle(t int) Triangle {
+	i, j, k := m.Idx[3*t], m.Idx[3*t+1], m.Idx[3*t+2]
+	return Triangle{P: [3]Vec3{m.P[i], m.P[j], m.P[k]}, N: [3]Vec3{m.N[i], m.N[j], m.N[k]}}
+}

@@ -11,9 +11,9 @@ import (
 	"datacutter/internal/wirebin"
 )
 
-// Wire codecs for the dist payloads that cross hosts: triangle batches
-// (E->Ra) and the two pixel-run shapes (Ra->M). Each is a count header
-// plus bulk little-endian field data, encoded straight into the
+// Wire codecs for the dist payloads that cross hosts: indexed triangle
+// batches (E->Ra) and the two pixel-run shapes (Ra->M). Each is a count
+// header plus bulk little-endian field data, encoded straight into the
 // connection's pooled frame buffer. Append is the sender's last use of a
 // payload (dist.PayloadCodec), so each encoder hands the storage it has
 // just copied out back to the free lists (recycle.go). Registered in
@@ -27,25 +27,26 @@ const (
 	codecZChunk   uint16 = 258
 )
 
-// The bulk encoders view []Triangle as the flat []float32 it is in memory
-// (18 float32 per triangle: 3 positions + 3 normals) and []RGB as raw
+// The bulk encoders view a mesh's vertex and index planes as the flat
+// []float32 of 4-byte words they are in memory (wirebin moves words bit
+// for bit, so a uint32 index survives the float32 view) and []RGB as raw
 // bytes. Guard the layout assumptions the views rely on.
 func init() {
-	if unsafe.Sizeof(geom.Triangle{}) != geom.TriangleBytes {
-		panic("isoviz: geom.Triangle layout is padded; bulk codec invalid")
+	if unsafe.Sizeof(geom.Vec3{}) != 12 {
+		panic("isoviz: geom.Vec3 layout is padded; bulk codec invalid")
 	}
 	if unsafe.Sizeof(render.RGB{}) != 3 {
 		panic("isoviz: render.RGB layout is padded; bulk codec invalid")
 	}
 }
 
-const triFloats = geom.TriangleBytes / 4 // float32s per triangle
-
-func triView(t []geom.Triangle) []float32 {
-	if len(t) == 0 {
+// words views a vertex or index plane as its 4-byte words.
+func words[T geom.Vec3 | uint32](s []T) []float32 {
+	if len(s) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&t[0])), triFloats*len(t))
+	var zero T
+	return unsafe.Slice((*float32)(unsafe.Pointer(&s[0])), int(unsafe.Sizeof(zero))/4*len(s))
 }
 
 func rgbView(c []render.RGB) []byte {
@@ -55,7 +56,12 @@ func rgbView(c []render.RGB) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&c[0])), 3*len(c))
 }
 
-// triBatchCodec: u32 count | count×18 little-endian float32s.
+// triBatchCodec: u32 nverts | u32 nidx | nverts×3 f32 positions |
+// nverts×3 f32 normals | nidx × u32 indices, all little-endian. A body
+// whose length disagrees with its counts, whose nidx is not a multiple of
+// 3, or with an index >= nverts is a decode error, so Ra never indexes out
+// of range. The counts are checked against the body before anything is
+// allocated.
 type triBatchCodec struct{}
 
 func (triBatchCodec) Append(dst []byte, v any) ([]byte, error) {
@@ -63,23 +69,42 @@ func (triBatchCodec) Append(dst []byte, v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("isoviz: TriBatch codec got %T", v)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Tris)))
-	dst = wirebin.AppendFloat32s(dst, triView(b.Tris))
-	triangles.put(b.Tris)
+	if len(b.N) != len(b.P) || len(b.Idx)%3 != 0 {
+		return nil, fmt.Errorf("isoviz: TriBatch has %d positions, %d normals, %d indices", len(b.P), len(b.N), len(b.Idx))
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.P)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Idx)))
+	dst = wirebin.AppendFloat32s(dst, words(b.P))
+	dst = wirebin.AppendFloat32s(dst, words(b.N))
+	dst = wirebin.AppendFloat32s(dst, words(b.Idx))
+	recycleMesh(b.Mesh)
 	return dst, nil
 }
 
 func (triBatchCodec) Decode(body []byte) (any, error) {
-	if len(body) < 4 {
+	if len(body) < 8 {
 		return nil, fmt.Errorf("isoviz: TriBatch payload truncated")
 	}
-	n := int(binary.LittleEndian.Uint32(body))
-	if len(body)-4 != n*geom.TriangleBytes {
-		return nil, fmt.Errorf("isoviz: TriBatch payload: %d bytes for %d triangles", len(body)-4, n)
+	nv := uint64(binary.LittleEndian.Uint32(body))
+	ni := uint64(binary.LittleEndian.Uint32(body[4:]))
+	if uint64(len(body)-8) != 24*nv+4*ni {
+		return nil, fmt.Errorf("isoviz: TriBatch payload: %d bytes for %d vertices and %d indices", len(body)-8, nv, ni)
 	}
-	tris := triangles.get(n)
-	wirebin.Float32s(triView(tris), body[4:])
-	return TriBatch{Tris: tris}, nil
+	if ni%3 != 0 {
+		return nil, fmt.Errorf("isoviz: TriBatch payload: %d indices, not whole triangles", ni)
+	}
+	b := TriBatch{geom.Mesh{P: vertices.get(int(nv)), N: vertices.get(int(nv)), Idx: indices.get(int(ni))}}
+	body = body[8:]
+	body = body[4*wirebin.Float32s(words(b.P), body):]
+	body = body[4*wirebin.Float32s(words(b.N), body):]
+	wirebin.Float32s(words(b.Idx), body)
+	for i, x := range b.Idx {
+		if uint64(x) >= nv {
+			recycleMesh(b.Mesh)
+			return nil, fmt.Errorf("isoviz: TriBatch payload: index %d is %d, past %d vertices", i, x, nv)
+		}
+	}
+	return b, nil
 }
 
 func (triBatchCodec) ZeroCopy() bool { return false }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -21,7 +22,7 @@ import (
 func clonePayload(v any) any {
 	switch p := v.(type) {
 	case TriBatch:
-		return TriBatch{Tris: slices.Clone(p.Tris)}
+		return TriBatch{geom.Mesh{P: slices.Clone(p.P), N: slices.Clone(p.N), Idx: slices.Clone(p.Idx)}}
 	case PixBatch:
 		return PixBatch{Pixels: slices.Clone(p.Pixels)}
 	case ZChunk:
@@ -31,36 +32,108 @@ func clonePayload(v any) any {
 }
 
 func TestTriBatchCodecRoundTrip(t *testing.T) {
-	in := TriBatch{Tris: []geom.Triangle{
-		{
-			P: [3]geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}, {X: 7, Y: 8, Z: 9}},
-			N: [3]geom.Vec3{{X: 0, Y: 0, Z: 1}, {X: 0, Y: 1, Z: 0}, {X: 1, Y: 0, Z: 0}},
-		},
-		{
-			P: [3]geom.Vec3{{X: -1, Y: -2, Z: -3}, {X: 0.5, Y: 0.25, Z: 0.125}, {}},
-			N: [3]geom.Vec3{{X: 0, Y: 0, Z: -1}, {}, {}},
-		},
+	// Two triangles sharing the edge 1-2, and a triangle on a NaN vertex.
+	nan := float32(math.NaN())
+	in := TriBatch{geom.Mesh{
+		P:   []geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}, {X: 7, Y: 8, Z: 9}, {X: -1, Y: 0.5, Z: 0.125}, {X: nan}},
+		N:   []geom.Vec3{{Z: 1}, {Y: 1}, {X: 1}, {Z: -1}, {Y: nan}},
+		Idx: []uint32{0, 1, 2, 2, 1, 3, 4, 0, 3},
 	}}
-	want := clonePayload(in)
-	body, err := triBatchCodec{}.Append(nil, in)
+	want, err := triBatchCodec{}.Append(nil, clonePayload(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 4 + 2*geom.TriangleBytes; len(body) != want {
-		t.Fatalf("encoded %d bytes, want %d", len(body), want)
+	if n := 8 + 5*24 + 9*4; len(want) != n {
+		t.Fatalf("encoded %d bytes, want %d", len(want), n)
 	}
+	body := slices.Clone(want)
 	out, err := triBatchCodec{}.Decode(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatalf("round trip mangled:\n got  %+v\n want %+v", out, want)
+	if got, _ := (triBatchCodec{}).Append(nil, out); !bytes.Equal(got, want) {
+		t.Fatalf("round trip mangled:\n got  %x\n want %x", got, want)
 	}
-	if _, err := (triBatchCodec{}).Decode(body[:len(body)-1]); err == nil {
-		t.Fatal("truncated payload accepted")
+	if b := out.(TriBatch); b.Bytes() != 3*geom.TriangleBytes || b.Triangles() != 3 {
+		t.Fatalf("decoded batch counts %d triangles, %d bytes", b.Triangles(), b.Bytes())
 	}
-	if _, err := (triBatchCodec{}).Decode([]byte{1, 2}); err == nil {
-		t.Fatal("short payload accepted")
+	for cut := 0; cut < len(body); cut++ {
+		if _, err := (triBatchCodec{}).Decode(body[:cut]); err == nil {
+			t.Fatalf("truncation at %d bytes decoded successfully", cut)
+		}
+	}
+	if _, err := (triBatchCodec{}).Append(nil, TriBatch{geom.Mesh{P: make([]geom.Vec3, 2), N: make([]geom.Vec3, 1)}}); err == nil {
+		t.Fatal("encoded 1 normal for 2 positions")
+	}
+	if _, err := (triBatchCodec{}).Append(nil, TriBatch{geom.Mesh{P: make([]geom.Vec3, 1), N: make([]geom.Vec3, 1), Idx: []uint32{0, 0}}}); err == nil {
+		t.Fatal("encoded 2 indices")
+	}
+}
+
+// The TriBatch wire layout: counts, positions, normals, indices; pin it.
+func TestTriBatchCodecGoldenBytes(t *testing.T) {
+	in := TriBatch{geom.Mesh{
+		P:   []geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: -1}},
+		N:   []geom.Vec3{{Z: 1}, {Y: -2}},
+		Idx: []uint32{1, 0, 1},
+	}}
+	body, err := triBatchCodec{}.Append(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "02000000" + "03000000" + // nverts, nidx
+		"0000803f" + "00000040" + "00004040" + "000080bf" + "00000000" + "00000000" + // positions
+		"00000000" + "00000000" + "0000803f" + "00000000" + "000000c0" + "00000000" + // normals
+		"01000000" + "00000000" + "01000000" // indices
+	if got := hex.EncodeToString(body); got != want {
+		t.Fatalf("wire bytes changed:\n got  %s\n want %s", got, want)
+	}
+}
+
+// triBody encodes a TriBatch body from raw counts and words, whether or
+// not they agree.
+func triBody(nverts, nidx uint32, words ...uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, nverts)
+	b = binary.LittleEndian.AppendUint32(b, nidx)
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// hostileTriBodies are TriBatch bodies a peer must not get past the
+// decoder: Ra would index out of range, or the decoder allocate for counts
+// the body does not hold.
+func hostileTriBodies() map[string][]byte {
+	vert := make([]uint32, 6) // one vertex: position and normal
+	return map[string][]byte{
+		"index past the vertices":  triBody(1, 3, append(vert, 0, 1, 0)...),
+		"index 2^32-1":             triBody(1, 3, append(vert, 0, 0, math.MaxUint32)...),
+		"indices not whole":        triBody(1, 2, append(vert, 0, 0)...),
+		"one index":                triBody(1, 1, append(vert, 0)...),
+		"header counts one more":   triBody(2, 3, append(vert, 0, 0, 0)...),
+		"header counts one fewer":  triBody(1, 0, append(vert, 0, 0, 0)...),
+		"2^32-1 vertices":          triBody(math.MaxUint32, 3, append(vert, 0, 0, 0)...),
+		"2^32-3 indices":           triBody(1, math.MaxUint32-2, append(vert, 0, 0, 0)...),
+		"both counts near 2^32":    triBody(math.MaxUint32, math.MaxUint32, vert...),
+		"counts that wrap 32 bits": triBody(1<<30, 1<<30, append(vert, 0, 0, 0)...),
+	}
+}
+
+// Each hostile body is a decode error, and a count the body does not hold
+// fails the size check before anything is allocated for it.
+func TestTriBatchCodecRejectsHostileBodies(t *testing.T) {
+	for name, body := range hostileTriBodies() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := triBatchCodec{}.Decode(body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: allocated %d bytes to reject %d", name, n, len(body))
+		}
 	}
 }
 
@@ -191,14 +264,17 @@ func TestZChunkDecoderRejectsPixelsBehindClear(t *testing.T) {
 // the value decoded back from those bytes — possibly into the recycled
 // storage — must match a copy taken before Append. The codecs encode bit
 // for bit (NaNs included, which DeepEqual would not match), so "match" is
-// "re-encodes to the same bytes". Every ZChunk accepted keeps the ZChunk
-// invariant.
+// "re-encodes to the same bytes". Every TriBatch accepted indexes only its
+// own vertices, and every ZChunk accepted keeps the ZChunk invariant.
 func FuzzPayloadCodecs(f *testing.F) {
-	tri, _ := triBatchCodec{}.Append(nil, TriBatch{Tris: make([]geom.Triangle, 2)})
+	tri, _ := triBatchCodec{}.Append(nil, TriBatch{geom.Mesh{P: make([]geom.Vec3, 4), N: make([]geom.Vec3, 4), Idx: []uint32{0, 1, 2, 2, 1, 3}}})
 	pix, _ := pixBatchCodec{}.Append(nil, PixBatch{Pixels: make([]render.Pixel, 3)})
 	z, _ := zChunkCodec{}.Append(nil, ZChunk{Off: 9, Depth: make([]float32, 2), Color: make([]render.RGB, 2)})
 	nan, _ := zChunkCodec{}.Append(nil, ZChunk{Depth: []float32{float32(math.NaN())}, Color: []render.RGB{render.Background}})
 	for _, b := range [][]byte{tri, pix, z, nan, nil, {1, 0, 0, 0}, {0, 0, 0, 0, 4, 0, 0, 0}} {
+		f.Add(b)
+	}
+	for _, b := range hostileTriBodies() {
 		f.Add(b)
 	}
 	codecs := []interface {
@@ -210,6 +286,14 @@ func FuzzPayloadCodecs(f *testing.F) {
 			v, err := c.Decode(body)
 			if err != nil {
 				continue
+			}
+			if b, ok := v.(TriBatch); ok {
+				for i, x := range b.Idx {
+					if int(x) >= len(b.P) || len(b.N) != len(b.P) || len(b.Idx)%3 != 0 {
+						t.Fatalf("accepted a TriBatch with index %d = %d of %d vertices (%d normals, %d indices)",
+							i, x, len(b.P), len(b.N), len(b.Idx))
+					}
+				}
 			}
 			if z, ok := v.(ZChunk); ok {
 				for i, d := range z.Depth {
@@ -261,7 +345,7 @@ func TestEmptyBatches(t *testing.T) {
 		{
 			name:  "tri",
 			enc:   func() ([]byte, error) { return triBatchCodec{}.Append(nil, TriBatch{}) },
-			check: func(v any) bool { return len(v.(TriBatch).Tris) == 0 },
+			check: func(v any) bool { b := v.(TriBatch); return len(b.P) == 0 && len(b.N) == 0 && len(b.Idx) == 0 },
 			dec:   triBatchCodec{}.Decode,
 		},
 		{

@@ -59,51 +59,113 @@ func (f *ReadFilter) Process(ctx core.Ctx) error {
 
 // ---- Extract filter (E) ----
 
-// triPacker accumulates extracted triangles and emits fixed-size buffers:
-// when the batch reaches the stream's buffer size or an input buffer has
-// been fully processed, the batch is sent (paper §3.1.1). The batch grows
-// on demand — a fused output stream has no size bound to preallocate — so
-// a caller that runs every unit of work hands the grown batch back in.
-type triPacker struct {
-	out   string
-	cap   int
-	batch []geom.Triangle
+// meshPacker cuts the triangles a chunk yields on one output stream into
+// buffers: a buffer is sent when it holds the stream's buffer size in
+// triangles (geom.TriangleBytes each) or when the input chunk has been
+// fully processed (paper §3.1.1). Each buffer is an indexed mesh with only
+// the vertices its triangles use, renumbered in first use order, on planes
+// from the free lists. The packer is kept across units of work for its
+// scratch.
+type meshPacker struct {
+	out  string
+	cap  int       // triangles per buffer
+	part geom.Mesh // the buffer being filled; P is nil when none is
+	// remap maps a vertex of the chunk's mesh to its index in part; an
+	// entry is valid when its gen is gen, which moves on with every part
+	// and every chunk.
+	remap []remapSlot
+	gen   uint32
 }
 
-func newTriPacker(ctx core.Ctx, out string) *triPacker {
-	capTris := ctx.BufferBytes(out) / geom.TriangleBytes
-	if capTris < 1 {
-		capTris = 1
+type remapSlot struct{ gen, idx uint32 }
+
+// reset aims the packer at stream out for one unit of work.
+func (p *meshPacker) reset(ctx core.Ctx, out string) {
+	p.out, p.cap = out, max(ctx.BufferBytes(out)/geom.TriangleBytes, 1)
+}
+
+// pack sends all of src's triangles: src itself, copied to planes from the
+// free lists, when they fit one buffer.
+func (p *meshPacker) pack(ctx core.Ctx, src *geom.Mesh) error {
+	n := src.Triangles()
+	if n == 0 {
+		return nil
 	}
-	return &triPacker{out: out, cap: capTris}
+	if n > p.cap {
+		p.begin(src)
+		for t := range n {
+			if err := p.add(ctx, src, t); err != nil {
+				return err
+			}
+		}
+		return p.flush(ctx)
+	}
+	b := TriBatch{geom.Mesh{P: vertices.get(len(src.P)), N: vertices.get(len(src.N)), Idx: indices.get(len(src.Idx))}}
+	copy(b.P, src.P)
+	copy(b.N, src.N)
+	copy(b.Idx, src.Idx)
+	return ctx.Write(p.out, core.Buffer{Payload: b, Size: b.Bytes()})
 }
 
-func (p *triPacker) add(ctx core.Ctx, t geom.Triangle) error {
-	p.batch = append(p.batch, t)
-	if len(p.batch) >= p.cap {
+// begin starts a chunk whose triangles add will pick from src.
+func (p *meshPacker) begin(src *geom.Mesh) {
+	if len(p.remap) < len(src.P) {
+		p.remap = make([]remapSlot, len(src.P))
+	}
+	p.next()
+}
+
+// next invalidates every remap entry.
+func (p *meshPacker) next() {
+	if p.gen++; p.gen == 0 {
+		clear(p.remap)
+		p.gen = 1
+	}
+}
+
+// add appends triangle t of src to the buffer, and sends the buffer when
+// it is full.
+func (p *meshPacker) add(ctx core.Ctx, src *geom.Mesh, t int) error {
+	if p.part.P == nil {
+		n := min(p.cap, src.Triangles())
+		nv := min(len(src.P), 3*n)
+		p.part = geom.Mesh{P: vertices.get(nv)[:0], N: vertices.get(nv)[:0], Idx: indices.get(3 * n)[:0]}
+	}
+	for _, i := range src.Idx[3*t : 3*t+3] {
+		r := &p.remap[i]
+		if r.gen != p.gen {
+			*r = remapSlot{p.gen, uint32(len(p.part.P))}
+			p.part.P = append(p.part.P, src.P[i])
+			p.part.N = append(p.part.N, src.N[i])
+		}
+		p.part.Idx = append(p.part.Idx, r.idx)
+	}
+	if p.part.Triangles() >= p.cap {
 		return p.flush(ctx)
 	}
 	return nil
 }
 
-func (p *triPacker) flush(ctx core.Ctx) error {
-	if len(p.batch) == 0 {
+// flush sends the buffer being filled, if it holds any triangle.
+func (p *meshPacker) flush(ctx core.Ctx) error {
+	if p.part.P == nil {
 		return nil
 	}
-	tris := triangles.get(len(p.batch))
-	copy(tris, p.batch)
-	p.batch = p.batch[:0]
-	b := TriBatch{Tris: tris}
+	b := TriBatch{p.part}
+	p.part = geom.Mesh{}
+	p.next()
 	return ctx.Write(p.out, core.Buffer{Payload: b, Size: b.Bytes()})
 }
 
-// ExtractFilter turns voxel chunks into triangle batches via marching
-// cubes. Voxels are independent, so any number of transparent copies may
-// run (paper §3.1.1).
+// ExtractFilter turns voxel chunks into indexed triangle batches via
+// marching cubes, one batch per chunk unless the chunk's triangles overrun
+// a buffer. Voxels are independent, so any number of transparent copies
+// may run (paper §3.1.1).
 type ExtractFilter struct {
 	core.BaseFilter
 	In, Out string
-	scratch []geom.Triangle // the packer's batch, kept across units of work
+	mesh    geom.Mesh // the chunk's mesh, kept across units of work
+	pack    meshPacker
 }
 
 // Process implements core.Filter.
@@ -112,9 +174,7 @@ func (f *ExtractFilter) Process(ctx core.Ctx) error {
 	if err != nil {
 		return err
 	}
-	packer := newTriPacker(ctx, f.Out)
-	packer.batch = f.scratch[:0]
-	defer func() { f.scratch = packer.batch }()
+	f.pack.reset(ctx, f.Out)
 	for {
 		b, ok := ctx.Read(f.In)
 		if !ok {
@@ -124,18 +184,12 @@ func (f *ExtractFilter) Process(ctx core.Ctx) error {
 		if !ok {
 			return fmt.Errorf("isoviz: extract got %T", b.Payload)
 		}
-		var werr error
-		mcubes.Walk(vb.V, view.Iso, func(t geom.Triangle) {
-			if werr == nil {
-				werr = packer.add(ctx, t)
-			}
-		})
+		f.mesh.Reset()
+		mcubes.ExtractMesh(vb.V, view.Iso, &f.mesh)
 		recycleVolume(vb.V)
-		if werr != nil {
-			return werr
-		}
-		// End of input buffer: send what we have (keeps the pipeline busy).
-		if err := packer.flush(ctx); err != nil {
+		// The whole input buffer is extracted: send it (keeps the pipeline
+		// busy).
+		if err := f.pack.pack(ctx, &f.mesh); err != nil {
 			return err
 		}
 	}
@@ -178,7 +232,7 @@ func sendZBuffer(ctx core.Ctx, z *render.ZBuffer, out string) error {
 type RasterZFilter struct {
 	In, Out string
 	z       *render.ZBuffer // the per-unit-of-work accumulator
-	rr      *render.Raster
+	rr      render.Raster   // reset every unit of work, keeping its scratch
 }
 
 // Init implements core.Filter: the z-buffer is initialized per unit of work
@@ -194,7 +248,7 @@ func (f *RasterZFilter) Init(ctx core.Ctx) error {
 	}
 	ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
 	f.z = clearedZBuffer(view)
-	f.rr = render.NewRaster(view.Camera, view.Width, view.Height)
+	f.rr.Reset(view.Camera, view.Width, view.Height)
 	return nil
 }
 
@@ -219,14 +273,14 @@ func (f *RasterZFilter) Process(ctx core.Ctx) error {
 		if !ok {
 			return fmt.Errorf("isoviz: raster got %T", b.Payload)
 		}
-		f.rr.DrawAll(tb.Tris, f.z)
-		triangles.put(tb.Tris)
+		f.rr.DrawMesh(&tb.Mesh, f.z)
+		recycleMesh(tb.Mesh)
 	}
 }
 
 // Finalize implements core.Filter.
 func (f *RasterZFilter) Finalize(core.Ctx) error {
-	f.z, f.rr = nil, nil // the planes left with the frame (sendZBuffer)
+	f.z = nil // the planes left with the frame (sendZBuffer)
 	return nil
 }
 
@@ -240,6 +294,7 @@ type RasterAPFilter struct {
 	In, Out string
 
 	view View
+	rr   render.Raster // reset every unit of work, keeping its scratch
 	st   *apState
 }
 
@@ -257,7 +312,7 @@ func (f *RasterAPFilter) Init(ctx core.Ctx) error {
 
 // Process implements core.Filter.
 func (f *RasterAPFilter) Process(ctx core.Ctx) error {
-	f.st = newAPState(ctx, f.view, f.Out)
+	f.st = newAPState(ctx, f.view, f.Out, &f.rr)
 	f.st.ctx = ctx
 	defer func() { f.st.ctx = nil }()
 	for {
@@ -270,8 +325,8 @@ func (f *RasterAPFilter) Process(ctx core.Ctx) error {
 		if !ok {
 			return fmt.Errorf("isoviz: raster got %T", b.Payload)
 		}
-		f.st.rr.DrawAll(tb.Tris, f.st.ap)
-		triangles.put(tb.Tris)
+		f.st.rr.DrawMesh(&tb.Mesh, f.st.ap)
+		recycleMesh(tb.Mesh)
 		// All triangles of this input buffer processed: ship the WPA
 		// (paper §3.1.2).
 		f.st.ap.FlushRemaining()
@@ -297,13 +352,14 @@ type apState struct {
 }
 
 // newAPState must run in Process (buffer sizes are resolved after Init).
-func newAPState(ctx core.Ctx, view View, out string) *apState {
-	s := &apState{out: out}
+// It resets rr for view.
+func newAPState(ctx core.Ctx, view View, out string, rr *render.Raster) *apState {
+	s := &apState{out: out, rr: rr}
 	capPixels := ctx.BufferBytes(out) / render.PixelBytes
 	if capPixels < 1 {
 		capPixels = 1
 	}
-	s.rr = render.NewRaster(view.Camera, view.Width, view.Height)
+	rr.Reset(view.Camera, view.Width, view.Height)
 	s.ap = render.NewActivePixels(view.Width, view.Height, capPixels, func(px []render.Pixel) {
 		if s.werr != nil {
 			return

@@ -71,7 +71,7 @@ func (f *ModelRead) Process(ctx core.Ctx) error {
 }
 
 // modelTriEmitter packs modeled triangles into stream buffers with the
-// same policy as the real triPacker: emit when full, flush at the end of
+// same policy as the real meshPacker: emit when full, flush at the end of
 // each input chunk.
 type modelTriEmitter struct {
 	out     string

@@ -7,6 +7,7 @@ import (
 	"datacutter/internal/cluster"
 	"datacutter/internal/core"
 	"datacutter/internal/dataset"
+	"datacutter/internal/geom"
 	"datacutter/internal/leakcheck"
 	"datacutter/internal/sim"
 	"datacutter/internal/simrt"
@@ -265,5 +266,77 @@ func TestModelBufferCountsTrackRealPipeline(t *testing.T) {
 	mt := modelStats.Streams[StreamTriangles].Buffers
 	if mt < rt/3 || mt > rt*3 {
 		t.Fatalf("model E->Ra buffers (%d) far from real (%d)", mt, rt)
+	}
+}
+
+// batchCheck is a sink for the triangle stream: it counts the batches and
+// triangles it receives and fails on a batch over cap triangles or with an
+// index past its own vertices.
+type batchCheck struct {
+	core.BaseFilter
+	cap           int
+	batches, tris int
+	full          int // batches of exactly cap triangles
+}
+
+func (f *batchCheck) Process(ctx core.Ctx) error {
+	for {
+		b, ok := ctx.Read(StreamTriangles)
+		if !ok {
+			return nil
+		}
+		tb := b.Payload.(TriBatch)
+		n := tb.Triangles()
+		if n == 0 || n > f.cap || len(tb.N) != len(tb.P) || len(tb.Idx) != 3*n || b.Size != n*geom.TriangleBytes {
+			return fmt.Errorf("batch of %d triangles (cap %d), %d positions, %d normals, %d indices, size %d",
+				n, f.cap, len(tb.P), len(tb.N), len(tb.Idx), b.Size)
+		}
+		for i, x := range tb.Idx {
+			if int(x) >= len(tb.P) {
+				return fmt.Errorf("index %d = %d of %d vertices", i, x, len(tb.P))
+			}
+		}
+		f.batches++
+		f.tris += n
+		if n == f.cap {
+			f.full++
+		}
+		recycleMesh(tb.Mesh)
+	}
+}
+
+// Indexed batches keep the triangle-list batch boundaries: on the 65³
+// field at 24 KiB buffers (341 triangles each) the triangles stream sends
+// the 122 buffers and 2,738,160 bytes (38,030 triangles × 72 B) it sent as
+// []geom.Triangle, cutting chunks that overrun a buffer into full buffers,
+// and every batch indexes only its own vertices.
+func TestTriangleBatchBoundariesPinned(t *testing.T) {
+	leakcheck.Check(t)
+	ds := testDataset(t)
+	src := NewFieldSource(ds.Field(), 65, 65, 65, 4, 4, 4)
+	view := View{Timestep: 0, Iso: 0.35, Width: 256, Height: 256, Camera: DefaultView(0.35).Camera}
+	sink := &batchCheck{cap: (24 << 10) / geom.TriangleBytes}
+	g := core.NewGraph()
+	g.AddFilter("RE", func() core.Filter {
+		return fuseRE(&ReadFilter{Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamVoxels})
+	})
+	g.AddFilter("Ra", func() core.Filter { return sink })
+	g.Connect("RE", "Ra", StreamTriangles)
+	pl := core.NewPlacement().Place("RE", "h0", 1).Place("Ra", "h0", 1)
+	runner, err := core.NewRunner(g, pl, core.Options{UOWs: []any{view}, BufferBytes: 24 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := runner.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := st.Streams[StreamTriangles]
+	if s.Buffers != 122 || s.Bytes != 2738160 || sink.batches != 122 || sink.tris != 38030 {
+		t.Fatalf("triangles stream: %d buffers, %d bytes; sink saw %d batches, %d triangles; want 122, 2738160, 122, 38030",
+			s.Buffers, s.Bytes, sink.batches, sink.tris)
+	}
+	if sink.full == 0 {
+		t.Fatal("no chunk overran a buffer: the split path did not run")
 	}
 }

@@ -30,14 +30,27 @@ func PixBandStream(i int) string { return fmt.Sprintf("pix%d", i) }
 func BandFilterName(i int) string { return fmt.Sprintf("Ra%d", i) }
 
 // ReadExtractRouteFilter is the RE stage of the partitioned pipeline: it
-// reads chunks, extracts triangles, and routes each triangle to the bands
-// its screen-space bounding box overlaps (triangles spanning a band border
-// go to both; scissoring keeps the result exact).
+// reads chunks, extracts their meshes, and routes each triangle to the
+// bands its screen-space bounding box overlaps (triangles spanning a band
+// border go to both; scissoring keeps the result exact). Each vertex is
+// projected once.
 type ReadExtractRouteFilter struct {
 	core.BaseFilter
 	Source ChunkSource
 	Assign Assign
 	Bands  int
+
+	// Scratch kept across units of work: the chunk's mesh, its vertices'
+	// projections, and one packer per band.
+	mesh  geom.Mesh
+	proj  []projY
+	packs []meshPacker
+}
+
+// projY is a vertex's screen y, and whether it lies in front of the eye.
+type projY struct {
+	y     float32
+	front bool
 }
 
 // Process implements core.Filter.
@@ -50,75 +63,76 @@ func (f *ReadExtractRouteFilter) Process(ctx core.Ctx) error {
 		return fmt.Errorf("isoviz: partitioned pipeline needs >= 1 band")
 	}
 	m := view.Camera.Matrix(view.Width, view.Height)
-	packers := make([]*triPacker, f.Bands)
-	for i := range packers {
-		packers[i] = newTriPacker(ctx, TriBandStream(i))
+	if len(f.packs) != f.Bands {
+		f.packs = make([]meshPacker, f.Bands)
+	}
+	for i := range f.packs {
+		f.packs[i].reset(ctx, TriBandStream(i))
 	}
 
-	route := func(t geom.Triangle) error {
-		minY, maxY := float32(0), float32(0)
-		first := true
-		for _, p := range t.P {
-			sp, w := m.Apply(p)
-			if w <= 0 {
-				return nil // behind the eye: the rasterizer would cull it
-			}
-			if first {
-				minY, maxY = sp.Y, sp.Y
-				first = false
-				continue
-			}
-			if sp.Y < minY {
-				minY = sp.Y
-			}
-			if sp.Y > maxY {
-				maxY = sp.Y
-			}
-		}
-		// Generous one-pixel margin: routing a triangle to an extra band
-		// is harmless (its scissor discards it); missing a band would drop
-		// pixels.
-		y0 := int(minY) - 1
-		y1 := int(maxY) + 1
-		if y1 < 0 || y0 > view.Height-1 {
-			return nil // fully off screen: early cull
-		}
-		if y0 < 0 {
-			y0 = 0
-		}
-		if y1 > view.Height-1 {
-			y1 = view.Height - 1
-		}
-		b0 := render.BandOf(view.Height, f.Bands, y0)
-		b1 := render.BandOf(view.Height, f.Bands, y1)
-		for b := b0; b <= b1; b++ {
-			if err := packers[b].add(ctx, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	chunks := f.Assign(ctx)
-	for _, chunk := range chunks {
+	for _, chunk := range f.Assign(ctx) {
 		v, err := f.Source.Load(chunk, view.Timestep)
 		if err != nil {
 			return fmt.Errorf("isoviz: read chunk %d: %w", chunk, err)
 		}
-		var werr error
-		mcubes.Walk(v, view.Iso, func(t geom.Triangle) {
-			if werr == nil {
-				werr = route(t)
-			}
-		})
+		f.mesh.Reset()
+		mcubes.ExtractMesh(v, view.Iso, &f.mesh)
 		recycleVolume(v)
-		if werr != nil {
-			return werr
+		f.proj = f.proj[:0]
+		for _, p := range f.mesh.P {
+			sp, w := m.Apply(p)
+			f.proj = append(f.proj, projY{sp.Y, !(w <= 0)}) // a NaN w is not culled
 		}
-		for _, p := range packers {
-			if err := p.flush(ctx); err != nil {
+		for i := range f.packs {
+			f.packs[i].begin(&f.mesh)
+		}
+		for t := range f.mesh.Triangles() {
+			if err := f.route(ctx, view.Height, t); err != nil {
 				return err
 			}
+		}
+		for i := range f.packs {
+			if err := f.packs[i].flush(ctx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// route adds triangle t of the chunk's mesh to every band its projection
+// may cover, on an image h pixels tall.
+func (f *ReadExtractRouteFilter) route(ctx core.Ctx, h, t int) error {
+	idx := f.mesh.Idx[3*t : 3*t+3]
+	a, b, c := f.proj[idx[0]], f.proj[idx[1]], f.proj[idx[2]]
+	if !a.front || !b.front || !c.front {
+		return nil // behind the eye: the rasterizer would cull it
+	}
+	minY, maxY := a.y, a.y
+	for _, y := range [2]float32{b.y, c.y} {
+		if y < minY {
+			minY = y
+		}
+		if y > maxY {
+			maxY = y
+		}
+	}
+	// Generous one-pixel margin: routing a triangle to an extra band is
+	// harmless (its scissor discards it); missing a band would drop pixels.
+	y0 := int(minY) - 1
+	y1 := int(maxY) + 1
+	if y1 < 0 || y0 > h-1 {
+		return nil // fully off screen: early cull
+	}
+	if y0 < 0 {
+		y0 = 0
+	}
+	if y1 > h-1 {
+		y1 = h - 1
+	}
+	for band := render.BandOf(h, f.Bands, y0); band <= render.BandOf(h, f.Bands, y1); band++ {
+		if err := f.packs[band].add(ctx, &f.mesh, t); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -131,6 +145,7 @@ type RasterBandAPFilter struct {
 	In, Out     string
 	Band, Bands int
 	view        View
+	rr          render.Raster // reset every unit of work, keeping its scratch
 	st          *apState
 }
 
@@ -147,7 +162,7 @@ func (f *RasterBandAPFilter) Init(ctx core.Ctx) error {
 
 // Process implements core.Filter.
 func (f *RasterBandAPFilter) Process(ctx core.Ctx) error {
-	f.st = newAPState(ctx, f.view, f.Out)
+	f.st = newAPState(ctx, f.view, f.Out, &f.rr)
 	y0, y1 := render.Band(f.view.Height, f.Bands, f.Band)
 	f.st.rr.SetScissor(y0, y1)
 	f.st.ctx = ctx
@@ -162,8 +177,8 @@ func (f *RasterBandAPFilter) Process(ctx core.Ctx) error {
 		if !ok {
 			return fmt.Errorf("isoviz: band raster got %T", b.Payload)
 		}
-		f.st.rr.DrawAll(tb.Tris, f.st.ap)
-		triangles.put(tb.Tris)
+		f.st.rr.DrawMesh(&tb.Mesh, f.st.ap)
+		recycleMesh(tb.Mesh)
 		f.st.ap.FlushRemaining()
 		if f.st.werr != nil {
 			return f.st.werr

@@ -7,7 +7,8 @@ import (
 )
 
 // Payload recycling. A frame moves chunk volumes (R->E), triangle batches
-// (E->Ra) and pixel batches or z-buffer chunks (Ra->M). The rule is
+// (E->Ra: a vertex plane each for positions and normals, and an index
+// plane) and pixel batches or z-buffer chunks (Ra->M). The rule is
 // DataCutter's: a payload is the reading copy's until its next Read, and a
 // producer never touches a buffer after Write — local copy-set queues and
 // exec.Fuse pass it by reference. So the consumer that has finished a
@@ -15,9 +16,9 @@ import (
 // draw from these lists instead of allocating. On a dist TCP edge the
 // consumer is the sender's codec: Append is a payload's last use there.
 //
-//	volumes    E after mcubes.Walk          -> Store.ReadChunk, FieldSource.Load
-//	triangles  Ra after DrawAll,            -> triPacker, TriBatch decoder
-//	           TriBatch codec after Append
+//	volumes    E after mcubes.ExtractMesh   -> Store.ReadChunk, FieldSource.Load
+//	vertices,  Ra after DrawMesh,           -> meshPacker, TriBatch decoder
+//	indices    TriBatch codec after Append
 //	pixels     M after merging a PixBatch,  -> active-pixel flush, PixBatch decoder
 //	           PixBatch codec after Append
 //	depths,    M after merging a ZChunk,    -> Ra's z-buffer, M's accumulator,
@@ -29,10 +30,11 @@ import (
 // so on the z-buffer path the other copies' planes cycle Ra -> M -> Ra
 // without a copy.
 var (
-	triangles = make(freeList[geom.Triangle], maxFree)
-	pixels    = make(freeList[render.Pixel], maxFree)
-	depths    = make(freeList[float32], maxFree)
-	colors    = make(freeList[render.RGB], maxFree)
+	vertices = make(freeList[geom.Vec3], 2*maxFree) // two planes per batch
+	indices  = make(freeList[uint32], maxFree)
+	pixels   = make(freeList[render.Pixel], maxFree)
+	depths   = make(freeList[float32], maxFree)
+	colors   = make(freeList[render.RGB], maxFree)
 )
 
 // maxFree bounds what each list pins; a full list drops what it is handed.
@@ -71,6 +73,13 @@ func (l freeList[T]) put(s []T) {
 	case l <- s:
 	default:
 	}
+}
+
+// recycleMesh hands a triangle batch's planes back to the free lists.
+func recycleMesh(m geom.Mesh) {
+	vertices.put(m.P)
+	vertices.put(m.N)
+	indices.put(m.Idx)
 }
 
 // recycleVolume hands a chunk volume back to volume.Borrow.

@@ -142,17 +142,18 @@ func (p *framePath) bytesPerFrame(alg Algorithm) float64 {
 }
 
 // poison fills recycled storage, to its capacity, with values that would
-// show in the image if anything read them: NaN samples and triangles, and
-// pixels that win every depth test.
+// show in the image if anything read them: NaN samples and vertices,
+// indices that would panic, and pixels that win every depth test.
 func poison(s any) bool {
 	nan, closest := float32(math.NaN()), float32(math.Inf(-1))
 	magenta := render.RGB{R: 255, B: 255}
 	switch s := s.(type) {
 	case *volume.Volume:
 		fill(s.Data, nan)
-	case []geom.Triangle:
-		bad := geom.V(nan, nan, nan)
-		fill(s, geom.Triangle{P: [3]geom.Vec3{bad, bad, bad}, N: [3]geom.Vec3{bad, bad, bad}})
+	case []geom.Vec3:
+		fill(s, geom.V(nan, nan, nan))
+	case []uint32:
+		fill(s, math.MaxUint32) // an index past any vertex plane
 	case []render.Pixel:
 		s = s[:cap(s)]
 		for i := range s {

@@ -48,13 +48,17 @@ const (
 	StreamPixels    = "pixels"    // Ra -> M: z-buffer chunks or pixel batches
 )
 
-// TriBatch is the payload of one E->Ra buffer.
+// TriBatch is the payload of one E->Ra buffer: triangles of one chunk as
+// an indexed mesh, each vertex stored once.
 type TriBatch struct {
-	Tris []geom.Triangle
+	geom.Mesh
 }
 
-// Bytes returns the batch's serialized size.
-func (t TriBatch) Bytes() int { return len(t.Tris) * geom.TriangleBytes }
+// Bytes returns the batch's size in the stream accounting unit, a
+// triangle list's geom.TriangleBytes per triangle — the unit the simulated
+// engine charges and the buffer size is counted in. The mesh itself is
+// smaller on the wire: 24 B per vertex and 12 B per triangle.
+func (t TriBatch) Bytes() int { return t.Triangles() * geom.TriangleBytes }
 
 // ZChunk is one fixed-size slice of a z-buffer, the Ra->M payload of the
 // z-buffer algorithm. Off is the starting pixel offset in row-major order.

@@ -15,10 +15,11 @@
 //
 // The walk is slab-wise: cells are classified from flat sample rows, each
 // reusing its left neighbor's four +x corners, and each edge crossing is
-// interpolated once per call and cached over the two sample slabs the
-// current cell layer touches. A crossing is a pure function of its two
-// samples and the isovalue, so the output is bit-identical to evaluating
-// each tetrahedron independently (ref_test.go keeps that evaluation as the
+// interpolated once per call, appended to an indexed mesh, and its index
+// cached over the two sample slabs the current cell layer touches. A
+// crossing is a pure function of its two samples and the isovalue, so the
+// triangles, expanded by index, are bit-identical to evaluating each
+// tetrahedron independently (ref_test.go keeps that evaluation as the
 // oracle).
 package mcubes
 
@@ -104,32 +105,53 @@ type Stats struct {
 	Triangles   int
 }
 
+// ExtractMesh appends the isosurface of v at isovalue iso to m as an
+// indexed mesh: each crossing is interpolated once and appended in
+// first-use order, and every triangle refers to it by index (a crossing
+// whose edge cannot be cached is appended again for each use). Vertices are
+// in the global normalized coordinates of v's block; normals derive from
+// the sampled field's gradient and point toward decreasing values.
+// Expanded by index, the triangles are Walk's, in Walk's order.
+func ExtractMesh(v *volume.Volume, iso float32, m *geom.Mesh) Stats {
+	return run(v, iso, m, nil)
+}
+
 // Walk extracts the isosurface of v at isovalue iso, invoking emit for
-// every triangle. Triangle vertices are in the global normalized
-// coordinates of v's block; normals derive from the sampled field's
-// gradient and point toward decreasing values.
+// every triangle, each expanded from the indexed mesh ExtractMesh builds.
 func Walk(v *volume.Volume, iso float32, emit func(geom.Triangle)) Stats {
-	_, st := run(v, iso, emit, nil)
-	return st
+	return run(v, iso, nil, func(m *geom.Mesh) {
+		for t := range m.Triangles() {
+			emit(m.Triangle(t))
+		}
+	})
 }
 
 // Extract appends the isosurface triangles of v at iso to out.
 func Extract(v *volume.Volume, iso float32, out []geom.Triangle) ([]geom.Triangle, Stats) {
-	return run(v, iso, nil, out)
+	st := run(v, iso, nil, func(m *geom.Mesh) {
+		for t := range m.Triangles() {
+			out = append(out, m.Triangle(t))
+		}
+	})
+	return out, st
 }
 
 // idle recycles walkers between calls: transparent copies of the extract
 // filter run concurrently, each call borrowing its own. Unlike a sync.Pool
 // it survives garbage collections, so a steady stream of calls allocates
 // nothing. It holds one walker per P, as extraction is CPU-bound, and drops
-// walkers whose edge ring outgrew maxIdleEdges (whole-volume calls).
+// walkers whose edge ring outgrew maxIdleEdges (whole-volume calls), and
+// the scratch mesh of Walk and Extract once it outgrew 3·maxIdleEdges
+// indices.
 var idle = make(chan *walker, runtime.GOMAXPROCS(0))
 
 const maxIdleEdges = 1 << 16
 
-func run(v *volume.Volume, iso float32, emit func(geom.Triangle), out []geom.Triangle) ([]geom.Triangle, Stats) {
+// run extracts v into m, or, when m is nil, into the walker's scratch mesh
+// and hands that to expand.
+func run(v *volume.Volume, iso float32, m *geom.Mesh, expand func(*geom.Mesh)) Stats {
 	if v.NX < 2 || v.NY < 2 || v.NZ < 2 {
-		return out, Stats{}
+		return Stats{}
 	}
 	var w *walker
 	select {
@@ -137,17 +159,28 @@ func run(v *volume.Volume, iso float32, emit func(geom.Triangle), out []geom.Tri
 	default:
 		w = new(walker)
 	}
-	w.emit, w.out = emit, out
+	if m == nil {
+		w.scratch.Reset()
+		w.m = &w.scratch
+	} else {
+		w.m = m
+	}
 	w.walk(v, iso)
-	out, st := w.out, w.st
-	w.emit, w.out, w.data = nil, nil, nil
+	st := w.st
+	if expand != nil {
+		expand(w.m)
+	}
+	w.m, w.data = nil, nil
+	if cap(w.scratch.Idx) > 3*maxIdleEdges {
+		w.scratch = geom.Mesh{}
+	}
 	if len(w.edges) <= maxIdleEdges {
 		select {
 		case idle <- w:
 		default:
 		}
 	}
-	return out, st
+	return st
 }
 
 // walker is one extraction pass's state and its reusable scratch.
@@ -157,8 +190,8 @@ type walker struct {
 	nx, ny, nz int
 	nxy        int
 	st         Stats
-	emit       func(geom.Triangle) // nil: append to out
-	out        []geom.Triangle
+	m          *geom.Mesh // the call's output
+	scratch    geom.Mesh  // the output of Walk and Extract
 
 	// Per-axis sample positions (PosOf) and global-id terms.
 	posX, posY, posZ []float32
@@ -167,17 +200,17 @@ type walker struct {
 	// a global id, so interp's result depends on argument order.
 	cacheable [8]bool
 
-	// Edge crossings keyed by lower sample and direction, in a ring over
-	// the two sample slabs (z&1) a cell layer touches. An entry is valid
-	// when its stamp is its slab's stamp for this call, stamp(z).
+	// Edge crossings' vertex indices in m, keyed by lower sample and
+	// direction, in a ring over the two sample slabs (z&1) a cell layer
+	// touches. An entry is valid when its stamp is its slab's stamp for
+	// this call, stamp(z).
 	edges []edgeSlot
 	base  uint32 // stamp(z) = base + 1 + z
 	gen   uint32 // first unused stamp
 }
 
 type edgeSlot struct {
-	stamp uint32
-	p, n  geom.Vec3
+	stamp, idx uint32
 }
 
 func (w *walker) walk(v *volume.Volume, iso float32) {
@@ -262,42 +295,48 @@ func axis(pos []float32, ids []int64, o, n, g int, stride int64) ([]float32, []i
 
 func (w *walker) stamp(z int) uint32 { return w.base + 1 + uint32(z) }
 
-// cell polygonizes the active cell at (x,y,z) with cube mask m.
+// cell polygonizes the active cell at (x,y,z) with cube mask m. A
+// triangle is degenerate when two of its vertices have equal positions:
+// two edges that clamp onto the same sample give equal points under
+// different indices.
 func (w *walker) cell(x, y, z int, m uint8) {
 	for _, es := range cubeTris[m] {
-		var t geom.Triangle
-		t.P[0], t.N[0] = w.vertex(x, y, z, es[0])
-		t.P[1], t.N[1] = w.vertex(x, y, z, es[1])
-		t.P[2], t.N[2] = w.vertex(x, y, z, es[2])
-		if degenerate(t) {
+		i0 := w.vertex(x, y, z, es[0])
+		i1 := w.vertex(x, y, z, es[1])
+		i2 := w.vertex(x, y, z, es[2])
+		if p := w.m.P; p[i0] == p[i1] || p[i1] == p[i2] || p[i0] == p[i2] {
 			continue
 		}
-		if w.emit != nil {
-			w.emit(t)
-		} else {
-			w.out = append(w.out, t)
-		}
+		w.m.Idx = append(w.m.Idx, i0, i1, i2)
 		w.st.Triangles++
 	}
 }
 
-// vertex returns the crossing on edge e of the cell at (x,y,z), from the
-// edge cache when an earlier tetrahedron or cell already interpolated it.
-func (w *walker) vertex(x, y, z int, e edge) (geom.Vec3, geom.Vec3) {
+// vertex returns the index of the crossing on edge e of the cell at
+// (x,y,z), from the edge cache when an earlier tetrahedron or cell already
+// interpolated it, else appending it to the mesh.
+func (w *walker) vertex(x, y, z int, e edge) uint32 {
 	a, b := int(e[0]), int(e[1])
 	if !w.cacheable[a^b] {
-		return interp(w.corner(x, y, z, a), w.corner(x, y, z, b), w.iso)
+		return w.add(interp(w.corner(x, y, z, a), w.corner(x, y, z, b), w.iso))
 	}
 	lo, hi := min(a, b), max(a, b)
 	sx, sy, sz := x+lo&1, y+lo>>1&1, z+lo>>2
 	slot := &w.edges[(((sz&1)*w.ny+sy)*w.nx+sx)*7+(lo^hi)-1]
 	st := w.stamp(sz)
 	if slot.stamp == st {
-		return slot.p, slot.n
+		return slot.idx
 	}
-	p, n := interp(w.corner(x, y, z, lo), w.corner(x, y, z, hi), w.iso)
-	*slot = edgeSlot{st, p, n}
-	return p, n
+	i := w.add(interp(w.corner(x, y, z, lo), w.corner(x, y, z, hi), w.iso))
+	*slot = edgeSlot{st, i}
+	return i
+}
+
+// add appends a vertex to the mesh and returns its index.
+func (w *walker) add(p, n geom.Vec3) uint32 {
+	w.m.P = append(w.m.P, p)
+	w.m.N = append(w.m.N, n)
+	return uint32(len(w.m.P) - 1)
 }
 
 // corner gathers cube corner c of the cell at (x,y,z).
@@ -354,10 +393,4 @@ func interp(a, b corner, iso float32) (geom.Vec3, geom.Vec3) {
 	p := geom.Lerp(a.p, b.p, t)
 	n := geom.Lerp(a.g, b.g, t).Scale(-1).Normalize()
 	return p, n
-}
-
-// degenerate reports a zero-area triangle (coincident vertices), which can
-// arise when the isovalue grazes a sample exactly.
-func degenerate(t geom.Triangle) bool {
-	return t.P[0] == t.P[1] || t.P[1] == t.P[2] || t.P[0] == t.P[2]
 }

@@ -281,8 +281,9 @@ func benchChunks() []*volume.Volume {
 }
 
 // BenchmarkExtractChunks extracts every chunk of the bench frame the way
-// the bench replay and the E filter do, reusing one output slice; the two
-// iso-values are the dense and sparse workloads'.
+// the bench replay does (Extract, reusing one output slice) and the way the
+// E filter does (ExtractMesh, reusing one mesh); the two iso-values are the
+// dense and sparse workloads'.
 func BenchmarkExtractChunks(b *testing.B) {
 	chunks := benchChunks()
 	for _, iso := range []float32{0.15, 0.9} {
@@ -295,5 +296,42 @@ func BenchmarkExtractChunks(b *testing.B) {
 				}
 			}
 		})
+		b.Run(fmt.Sprintf("mesh/iso=%v", iso), func(b *testing.B) {
+			b.ReportAllocs()
+			var m geom.Mesh
+			for i := 0; i < b.N; i++ {
+				for _, v := range chunks {
+					m.Reset()
+					ExtractMesh(v, iso, &m)
+				}
+			}
+		})
+	}
+}
+
+// On an ordinary block every edge is cacheable, so ExtractMesh stores each
+// crossing once: no two vertices are equal in position and normal, and
+// the bench's dense chunks share each vertex among about two triangles.
+func TestExtractMeshStoresEachVertexOnce(t *testing.T) {
+	var verts, tris int
+	for i, v := range benchChunks() {
+		if i%7 != 0 {
+			continue
+		}
+		var m geom.Mesh
+		ExtractMesh(v, 0.15, &m)
+		seen := map[[2]geom.Vec3]bool{}
+		for j := range m.P {
+			k := [2]geom.Vec3{m.P[j], m.N[j]}
+			if seen[k] {
+				t.Fatalf("chunk %d: vertex %d stored twice", i, j)
+			}
+			seen[k] = true
+		}
+		verts += len(m.P)
+		tris += m.Triangles()
+	}
+	if tris == 0 || float64(tris) < 1.5*float64(verts) {
+		t.Fatalf("%d vertices for %d triangles", verts, tris)
 	}
 }

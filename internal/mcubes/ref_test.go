@@ -2,8 +2,9 @@ package mcubes
 
 // The reference oracle: the extraction kernel exactly as it stood before
 // the slab-wise rewrite, kept verbatim (renamed only) so every property and
-// fuzz test below checks the production Walk against the parent's bits —
-// the same triangles, in the same order, with the same Stats.
+// fuzz test below checks the production Walk, Extract and ExtractMesh
+// (expanded by index) against the parent's bits — the same triangles, in
+// the same order, with the same Stats.
 
 import (
 	"encoding/binary"
@@ -210,8 +211,11 @@ func triBitsEqual(a, b geom.Triangle) bool {
 	return string(appendTriBits(nil, a)) == string(appendTriBits(nil, b))
 }
 
-// matchesRef extracts v at iso with both kernels and reports the first
-// difference: stats, triangle count, or the index of a differing triangle.
+// matchesRef extracts v at iso with the reference, Extract and ExtractMesh
+// and reports the first difference: stats, triangle count, an index out of
+// range, or the index of a differing triangle. ExtractMesh appends to a
+// mesh that already holds a triangle, so its indices must count from the
+// vertices already there.
 func matchesRef(v *volume.Volume, iso float32) error {
 	var want []geom.Triangle
 	wst := walkRef(v, iso, func(t geom.Triangle) { want = append(want, t) })
@@ -225,6 +229,26 @@ func matchesRef(v *volume.Volume, iso float32) error {
 	for i := range got {
 		if !triBitsEqual(got[i], want[i]) {
 			return fmt.Errorf("triangle %d = %v, reference %v", i, got[i], want[i])
+		}
+	}
+
+	one := geom.V(1, 1, 1)
+	m := geom.Mesh{P: []geom.Vec3{{}, one, one}, N: make([]geom.Vec3, 3), Idx: []uint32{0, 1, 2}}
+	if mst := ExtractMesh(v, iso, &m); mst != wst {
+		return fmt.Errorf("mesh stats %+v, reference %+v", mst, wst)
+	}
+	if len(m.P) != len(m.N) || len(m.Idx)%3 != 0 || m.Triangles()-1 != len(want) {
+		return fmt.Errorf("mesh of %d positions, %d normals, %d indices; reference %d triangles",
+			len(m.P), len(m.N), len(m.Idx), len(want))
+	}
+	for i, x := range m.Idx {
+		if int(x) >= len(m.P) || i >= 3 && x < 3 {
+			return fmt.Errorf("mesh index %d = %d of %d vertices", i, x, len(m.P))
+		}
+	}
+	for i := range want {
+		if t := m.Triangle(i + 1); !triBitsEqual(t, want[i]) {
+			return fmt.Errorf("mesh triangle %d = %v, reference %v", i, t, want[i])
 		}
 	}
 	return nil
@@ -386,7 +410,8 @@ func TestSceneFingerprintPinned(t *testing.T) {
 
 // FuzzWalkMatchesReference decodes bytes into a volume of up to 6^3
 // arbitrary float32 samples (NaN and ±Inf included), optionally placed as a
-// block of a larger grid, and an iso-value, and checks Walk against walkRef.
+// block of a larger grid, and an iso-value, and checks Extract and
+// ExtractMesh against walkRef.
 func FuzzWalkMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 0, 0, 0, 0, 0})
 	f.Add(append([]byte{3, 4, 5, 1, 0, 0, 0, 0x3f}, make([]byte, 64)...))

@@ -39,6 +39,10 @@ type Raster struct {
 	// when scissorY1 > 0 — the image-space partitioning of the paper's
 	// proposed hybrid strategy (§6): each raster copy owns a screen band.
 	scissorY0, scissorY1 int
+
+	// verts is DrawMesh's per-vertex scratch. It is the Raster's own, so
+	// rasters drawing concurrently never share it.
+	verts []vert
 }
 
 // SetScissor restricts output to scanlines y0 <= y < y1.
@@ -85,6 +89,15 @@ func NewRaster(cam geom.Camera, w, h int) *Raster {
 	}
 }
 
+// Reset returns r to the Raster NewRaster(cam, w, h) builds, keeping
+// DrawMesh's scratch, so one Raster can serve frame after frame without
+// growing it anew.
+func (r *Raster) Reset(cam geom.Camera, w, h int) {
+	verts := r.verts
+	*r = *NewRaster(cam, w, h)
+	r.verts = verts
+}
+
 // shadeVertex computes a Gouraud vertex color from its normal (two-sided
 // Lambert: isosurfaces have no intrinsic orientation toward the camera).
 func (r *Raster) shadeVertex(n geom.Vec3) RGB {
@@ -120,14 +133,75 @@ func (r *Raster) DrawAll(ts []geom.Triangle, out Target) {
 	}
 }
 
-// margin widens the pixel-centre box on each side; see draw.
+// DrawMesh rasterizes an indexed mesh exactly as DrawAll would its
+// triangles expanded by index, with each vertex transformed once and shaded
+// at most once: when it first colors a pixel of any triangle that uses it.
+// Every index must be below len(m.P), and len(m.N) must equal len(m.P).
+func (r *Raster) DrawMesh(m *geom.Mesh, out Target) {
+	if cap(r.verts) < len(m.P) {
+		r.verts = make([]vert, len(m.P))
+	}
+	vs := r.verts[:len(m.P)]
+	r.project(vs, m.P, m.N)
+	idx := m.Idx
+	for t := 0; t+3 <= len(idx); t += 3 {
+		v0, v1, v2 := &vs[idx[t]], &vs[idx[t+1]], &vs[idx[t+2]]
+		if v0.front && v1.front && v2.front {
+			r.fill(v0, v1, v2, out)
+		}
+	}
+}
+
+// vert is one vertex in screen space. Its color waits until a pixel needs
+// it: shading costs more than most triangles' fill.
+type vert struct {
+	x, y   float32 // screen position
+	z      float64 // depth, rounded to float32
+	n      geom.Vec3
+	front  bool // in front of the eye plane (w > 0)
+	shaded bool // c holds the vertex color
+	c      RGB
+}
+
+// project sets vs[i] to vertex (ps[i], ns[i]) in screen space, unshaded:
+// it is geom.Mat4.Apply, except that a vertex behind the eye plane
+// (w <= 0) only clears front.
+func (r *Raster) project(vs []vert, ps, ns []geom.Vec3) {
+	m := &r.M
+	for i, p := range ps {
+		v := &vs[i]
+		x, y, z := float64(p.X), float64(p.Y), float64(p.Z)
+		w := m[12]*x + m[13]*y + m[14]*z + m[15]
+		v.front, v.shaded = !(w <= 0), false
+		if !v.front {
+			continue
+		}
+		v.x = float32((m[0]*x + m[1]*y + m[2]*z + m[3]) / w)
+		v.y = float32((m[4]*x + m[5]*y + m[6]*z + m[7]) / w)
+		v.z = float64(float32((m[8]*x + m[9]*y + m[10]*z + m[11]) / w))
+		v.n = ns[i]
+	}
+}
+
+// margin widens the pixel-centre box on each side; see fill.
 const margin = 1.0 / 64
 
-// draw is Draw without the 72-byte triangle copy. Isosurface triangles are
-// about a pixel in size, so per-triangle work dominates: the depth divide
-// and shading wait until a pixel center may be covered, and the three edge
-// tests of a visited pixel join into one branch, because which of them
-// fails is unpredictable.
+// draw is Draw without the 72-byte triangle copy: a triangle with any
+// vertex behind the eye plane is culled.
+func (r *Raster) draw(t *geom.Triangle, out Target) {
+	var v [3]vert
+	r.project(v[:], t.P[:], t.N[:])
+	if v[0].front && v[1].front && v[2].front {
+		r.fill(&v[0], &v[1], &v[2], out)
+	}
+}
+
+// fill scan-converts one triangle whose vertices are in front of the eye
+// plane; Draw, DrawAll and DrawMesh all fill here. Isosurface triangles are
+// about a pixel in size, so per-triangle work dominates: shading waits
+// until a pixel center is covered, and the three edge tests of a visited
+// pixel join into one branch, because which of them fails is
+// unpredictable.
 //
 // The loop visits only the pixel centers within margin m of the projected
 // extent, ceil(min-0.5-m) … floor(max-0.5+m) per axis — on average one
@@ -147,32 +221,18 @@ const margin = 1.0 / 64
 // any non-finite screen x or y: the
 // area or the bound is then NaN or +Inf and the test is false — which
 // matters, because NaN weights pass the < 0 tests and fill that whole box.
-func (r *Raster) draw(t *geom.Triangle, out Target) {
-	var sx, sy [3]float32
-	var oz, ow [3]float64
-	m := &r.M
-	for i := range t.P {
-		// geom.Mat4.Apply with the depth divide held back.
-		x, y, z := float64(t.P[i].X), float64(t.P[i].Y), float64(t.P[i].Z)
-		w := m[12]*x + m[13]*y + m[14]*z + m[15]
-		if w <= 0 {
-			return // behind the eye plane
-		}
-		sx[i] = float32((m[0]*x + m[1]*y + m[2]*z + m[3]) / w)
-		sy[i] = float32((m[4]*x + m[5]*y + m[6]*z + m[7]) / w)
-		oz[i], ow[i] = m[8]*x+m[9]*y+m[10]*z+m[11], w
-	}
+func (r *Raster) fill(v0, v1, v2 *vert, out Target) {
 	r.Triangles++
 
 	// Barycentric fill in float64 for watertight edge behavior.
-	x0, y0 := float64(sx[0]), float64(sy[0])
-	x1, y1 := float64(sx[1]), float64(sy[1])
-	x2, y2 := float64(sx[2]), float64(sy[2])
+	x0, y0 := float64(v0.x), float64(v0.y)
+	x1, y1 := float64(v1.x), float64(v1.y)
+	x2, y2 := float64(v2.x), float64(v2.y)
 	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
 
 	// Screen bounding box, clipped to the viewport.
-	lx, hx := float64(min3(sx[0], sx[1], sx[2])), float64(max3(sx[0], sx[1], sx[2]))
-	ly, hy := float64(min3(sy[0], sy[1], sy[2])), float64(max3(sy[0], sy[1], sy[2]))
+	lx, hx := float64(min3(v0.x, v1.x, v2.x)), float64(max3(v0.x, v1.x, v2.x))
+	ly, hy := float64(min3(v0.y, v1.y, v2.y)), float64(max3(v0.y, v1.y, v2.y))
 	var minX, maxX, minY, maxY int
 	if wx, wy := hx-lx, hy-ly; area*area > 0x1p-37*max(wx, wy)*(wx+1.5)*(wx+1.5)*(wy+1.5)*(wy+1.5) {
 		minX, maxX = int(math.Ceil(lx-(0.5+margin))), int(math.Floor(hx-(0.5-margin)))
@@ -204,9 +264,7 @@ func (r *Raster) draw(t *geom.Triangle, out Target) {
 	if minX > maxX || minY > maxY || area == 0 {
 		return
 	}
-	z0 := float64(float32(oz[0] / ow[0]))
-	z1 := float64(float32(oz[1] / ow[1]))
-	z2 := float64(float32(oz[2] / ow[2]))
+	z0, z1, z2 := v0.z, v1.z, v2.z
 	inv := 1 / area
 	var sc [3]RGB
 	shaded := false
@@ -222,7 +280,7 @@ func (r *Raster) draw(t *geom.Triangle, out Target) {
 				continue
 			}
 			if !shaded {
-				sc = [3]RGB{r.shadeVertex(t.N[0]), r.shadeVertex(t.N[1]), r.shadeVertex(t.N[2])}
+				sc = [3]RGB{r.shade(v0), r.shade(v1), r.shade(v2)}
 				shaded = true
 			}
 			depth := float32(w0*z0 + w1*z1 + w2*z2)
@@ -235,6 +293,14 @@ func (r *Raster) draw(t *geom.Triangle, out Target) {
 			r.Pixels++
 		}
 	}
+}
+
+// shade returns v's color, shading it on first use.
+func (r *Raster) shade(v *vert) RGB {
+	if !v.shaded {
+		v.c, v.shaded = r.shadeVertex(v.n), true
+	}
+	return v.c
 }
 
 // negative is w < 0 as a bit (a SETcc, not a branch).

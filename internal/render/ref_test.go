@@ -233,35 +233,29 @@ func (c rasterCase) raster() *Raster {
 	return r
 }
 
-// compareDraw rasterizes tris with the production kernel and the reference
-// into each target kind and reports the first difference.
-func compareDraw(tris []geom.Triangle, c rasterCase) error {
-	type run struct {
-		r     *Raster
-		log   putLog
-		zb    *ZBuffer
-		ap    *ActivePixels
-		flush [][]Pixel
+// drawRun is one rasterization into each target kind.
+type drawRun struct {
+	r     *Raster
+	log   putLog
+	zb    *ZBuffer
+	ap    *ActivePixels
+	flush [][]Pixel
+}
+
+func newDrawRun(c rasterCase, draw func(*Raster, Target)) *drawRun {
+	out := &drawRun{r: c.raster(), zb: NewZBuffer(c.w, c.h)}
+	out.ap = NewActivePixels(c.w, c.h, c.capacity, func(px []Pixel) {
+		out.flush = append(out.flush, append([]Pixel(nil), px...))
+	})
+	for _, t := range []Target{&out.log, out.zb, out.ap} {
+		draw(out.r, t)
 	}
-	do := func(draw func(*Raster, geom.Triangle, Target), drawAll func(*Raster, []geom.Triangle, Target)) *run {
-		out := &run{r: c.raster(), zb: NewZBuffer(c.w, c.h)}
-		out.ap = NewActivePixels(c.w, c.h, c.capacity, func(px []Pixel) {
-			out.flush = append(out.flush, append([]Pixel(nil), px...))
-		})
-		for _, t := range []Target{&out.log, out.zb, out.ap} {
-			if c.oneByOne {
-				for _, tr := range tris {
-					draw(out.r, tr, t)
-				}
-			} else {
-				drawAll(out.r, tris, t)
-			}
-		}
-		out.ap.FlushRemaining()
-		return out
-	}
-	got := do((*Raster).Draw, (*Raster).DrawAll)
-	want := do(drawRef, drawAllRef)
+	out.ap.FlushRemaining()
+	return out
+}
+
+// diff reports the first difference from the reference run.
+func (got *drawRun) diff(want *drawRun) error {
 	switch {
 	case got.r.Triangles != want.r.Triangles || got.r.Pixels != want.r.Pixels:
 		return fmt.Errorf("counters %d tris %d px, reference %d tris %d px",
@@ -279,6 +273,53 @@ func compareDraw(tris []geom.Triangle, c rasterCase) error {
 		}
 	}
 	return nil
+}
+
+// compareDraw rasterizes tris with the production kernels — Draw or
+// DrawAll, and DrawMesh on the deduplicated mesh — and the reference into
+// each target kind and reports the first difference.
+func compareDraw(tris []geom.Triangle, c rasterCase) error {
+	want := newDrawRun(c, func(r *Raster, t Target) { drawAllRef(r, tris, t) })
+	got := newDrawRun(c, func(r *Raster, t Target) {
+		if c.oneByOne {
+			for _, tr := range tris {
+				r.Draw(tr, t)
+			}
+		} else {
+			r.DrawAll(tris, t)
+		}
+	})
+	if err := got.diff(want); err != nil {
+		return err
+	}
+	mesh := dedup(tris)
+	if err := newDrawRun(c, func(r *Raster, t Target) { r.DrawMesh(&mesh, t) }).diff(want); err != nil {
+		return fmt.Errorf("DrawMesh: %w", err)
+	}
+	return nil
+}
+
+// dedup indexes tris, storing once each vertex whose position and normal
+// are bit-identical to an earlier one's, as the edge cache of
+// mcubes.ExtractMesh does.
+func dedup(tris []geom.Triangle) geom.Mesh {
+	var m geom.Mesh
+	seen := map[[6]uint32]uint32{}
+	for _, t := range tris {
+		for i := range t.P {
+			p, n := t.P[i], t.N[i]
+			k := [6]uint32{math.Float32bits(p.X), math.Float32bits(p.Y), math.Float32bits(p.Z),
+				math.Float32bits(n.X), math.Float32bits(n.Y), math.Float32bits(n.Z)}
+			j, ok := seen[k]
+			if !ok {
+				j = uint32(len(m.P))
+				seen[k] = j
+				m.P, m.N = append(m.P, p), append(m.N, n)
+			}
+			m.Idx = append(m.Idx, j)
+		}
+	}
+	return m
 }
 
 // randomTriangles mixes a marching-cubes scene (pixel-sized, vertex-sharing
@@ -496,6 +537,26 @@ func nearW0() []geom.Triangle {
 	return ts
 }
 
+// sharedBehindEye is a fan of triangles around one vertex behind the eye
+// plane of the transform w = z, and two triangles clear of it: every
+// triangle of the fan is culled, the other two are drawn.
+func sharedBehindEye() []geom.Triangle {
+	hub := geom.Vec3{X: 6, Y: 6, Z: -0.5}
+	ring := []geom.Vec3{{X: 2, Y: 2, Z: 1}, {X: 10, Y: 2, Z: 1}, {X: 14, Y: 8, Z: 1}, {X: 8, Y: 11, Z: 2}, {X: 1, Y: 9, Z: 1}}
+	tri := func(a, b, c geom.Vec3) geom.Triangle {
+		t := geom.Triangle{P: [3]geom.Vec3{a, b, c}}
+		for i, p := range t.P {
+			t.N[i] = geom.V(p.X, p.Y, 3).Normalize()
+		}
+		return t
+	}
+	var ts []geom.Triangle
+	for i := range ring {
+		ts = append(ts, tri(hub, ring[i], ring[(i+1)%len(ring)]))
+	}
+	return append(ts, tri(ring[0], ring[1], ring[2]), tri(ring[2], ring[3], ring[4]))
+}
+
 // permutations returns t under all six vertex orders (both windings).
 func permutations(t geom.Triangle) []geom.Triangle {
 	var out []geom.Triangle
@@ -510,8 +571,9 @@ func permutations(t geom.Triangle) []geom.Triangle {
 }
 
 // Each adversarial triangle, in every vertex order, on its own and as one
-// batch, must match the reference exactly (planes, counters, Put sequence,
-// active-pixel flushes). The property seed that caught a pixel-centre box
+// batch (through DrawMesh, too, with shared vertices stored once), must
+// match the reference exactly (planes, counters, Put sequence, active-pixel
+// flushes). The property seed that caught a pixel-centre box
 // filling less than the floor/ceil box for NaN weights rides along.
 func TestDrawMatchesReferenceAdversarial(t *testing.T) {
 	id := geom.Identity()
@@ -527,9 +589,10 @@ func TestDrawMatchesReferenceAdversarial(t *testing.T) {
 	}
 	cases := adversarialCases()
 	cases["w just above 0"] = nearW0()
+	cases["a shared vertex behind the eye"] = sharedBehindEye()
 	for name, tris := range cases {
 		m := &id
-		if name == "w just above 0" {
+		if name == "w just above 0" || name == "a shared vertex behind the eye" {
 			m = &wz
 		}
 		var all []geom.Triangle
@@ -555,7 +618,8 @@ func TestDrawMatchesReferenceAdversarial(t *testing.T) {
 // FuzzDrawMatchesReference draws one triangle from raw float32 bits — any
 // NaN payload, infinity, denormal or magnitude — on a fuzzed viewport,
 // under the identity transform (the bits are screen coordinates) or the
-// default camera, and requires the reference's output bit for bit.
+// default camera, and requires the reference's output bit for bit, from
+// Draw and from DrawMesh.
 func FuzzDrawMatchesReference(f *testing.F) {
 	bits := func(t geom.Triangle) (b [9]uint32) {
 		for k, p := range coords(&t) {
@@ -620,6 +684,23 @@ func TestDrawAllAfterSettingsChangeMatchesReference(t *testing.T) {
 	}
 	if !got.Equal(want) || gr.Triangles != wr.Triangles || gr.Pixels != wr.Pixels {
 		t.Fatal("render after a settings change differs from the reference")
+	}
+}
+
+// Nor may DrawMesh reuse a vertex transformed or shaded by an earlier call.
+func TestDrawMeshAfterSettingsChangeMatchesReference(t *testing.T) {
+	tris := testScene(t, 16)
+	mesh := dedup(tris)
+	got, want := NewZBuffer(64, 64), NewZBuffer(64, 64)
+	gr, wr := NewRaster(geom.DefaultCamera(), 64, 64), NewRaster(geom.DefaultCamera(), 64, 64)
+	for i, cam := range []geom.Camera{geom.DefaultCamera(), {Eye: geom.V(-1, 2, 0.5), Center: geom.V(0.5, 0.5, 0.5), Up: geom.V(0, 1, 0), FovY: 1, Near: 0.1, Far: 10}} {
+		gr.M, wr.M = cam.Matrix(64, 64), cam.Matrix(64, 64)
+		gr.Light, wr.Light = geom.V(float32(i), 1, 0).Normalize(), geom.V(float32(i), 1, 0).Normalize()
+		gr.DrawMesh(&mesh, got)
+		drawAllRef(wr, tris, want)
+	}
+	if !got.Equal(want) || gr.Triangles != wr.Triangles || gr.Pixels != wr.Pixels {
+		t.Fatal("mesh render after a settings change differs from the reference")
 	}
 }
 

@@ -2,6 +2,7 @@ package render
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -365,6 +366,69 @@ func TestBandedRasterizationExact(t *testing.T) {
 // BenchmarkDrawAll rasterizes the bench's dense frame (the 129x129x97 plume
 // grid at iso 0.15, extracted chunk by chunk) into a 512x512 active-pixel
 // target, flushing after every chunk as the Ra filter does.
+// Every triangle of a fan around a vertex behind the eye is culled, and
+// only those: the vertex is transformed once for all of them.
+func TestDrawMeshCullsSharedVertexBehindEye(t *testing.T) {
+	tris := sharedBehindEye()
+	mesh := dedup(tris)
+	if len(mesh.P) != 6 {
+		t.Fatalf("fan mesh has %d vertices, want 6", len(mesh.P))
+	}
+	wz := geom.Identity()
+	wz[14], wz[15] = 1, 0 // w = z
+	r := NewRaster(geom.DefaultCamera(), 16, 12)
+	r.M = wz
+	z := NewZBuffer(16, 12)
+	r.DrawMesh(&mesh, z)
+	if r.Triangles != 2 || r.Pixels == 0 {
+		t.Fatalf("drew %d triangles (%d pixels), want the 2 clear of the hidden vertex", r.Triangles, r.Pixels)
+	}
+}
+
+// Rasters own their per-vertex scratch: two drawing different meshes at
+// once (run it under -race) each render their serial image.
+func TestDrawMeshConcurrentRasters(t *testing.T) {
+	const size = 96
+	full := volume.Rasterize(volume.NewPlumeField(2002, 5), 33, 33, 25, 1)
+	blocks := volume.Partition(33, 33, 25, 4, 4, 3)
+	scenes := make([][]geom.Mesh, 2)
+	serial := make([]*ZBuffer, 2)
+	for i := range scenes {
+		for j := i; j < len(blocks); j += 2 {
+			var m geom.Mesh
+			mcubes.ExtractMesh(full.ExtractBlock(blocks[j]), 0.15, &m)
+			scenes[i] = append(scenes[i], m)
+		}
+		serial[i] = NewZBuffer(size, size)
+		r := NewRaster(geom.DefaultCamera(), size, size)
+		for j := range scenes[i] {
+			r.DrawMesh(&scenes[i][j], serial[i])
+		}
+	}
+	if serial[0].Equal(serial[1]) {
+		t.Fatal("the two scenes render alike; the test cannot tell them apart")
+	}
+	var wg sync.WaitGroup
+	for i := range scenes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r := NewRaster(geom.DefaultCamera(), size, size)
+			for round := 0; round < 4; round++ {
+				z := NewZBuffer(size, size)
+				for j := range scenes[i] {
+					r.DrawMesh(&scenes[i][j], z)
+				}
+				if !z.Equal(serial[i]) {
+					t.Errorf("scene %d, round %d: concurrent image differs from the serial one", i, round)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
 func BenchmarkDrawAll(b *testing.B) {
 	full := volume.Rasterize(volume.NewPlumeField(2002, 5), 129, 129, 97, 0)
 	var scene [][]geom.Triangle
@@ -382,6 +446,30 @@ func BenchmarkDrawAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, tris := range scene {
 			r.DrawAll(tris, ap)
+			ap.FlushRemaining()
+		}
+	}
+}
+
+// BenchmarkDrawMesh is BenchmarkDrawAll on the indexed meshes the E filter
+// ships: one per chunk.
+func BenchmarkDrawMesh(b *testing.B) {
+	full := volume.Rasterize(volume.NewPlumeField(2002, 5), 129, 129, 97, 0)
+	var scene []geom.Mesh
+	for _, blk := range volume.Partition(129, 129, 97, 8, 8, 6) {
+		var m geom.Mesh
+		mcubes.ExtractMesh(full.ExtractBlock(blk), 0.15, &m)
+		scene = append(scene, m)
+	}
+	const size = 512
+	r := NewRaster(geom.DefaultCamera(), size, size)
+	merged := 0
+	ap := NewActivePixels(size, size, (64<<10)/PixelBytes, func(px []Pixel) { merged += len(px) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range scene {
+			r.DrawMesh(&scene[j], ap)
 			ap.FlushRemaining()
 		}
 	}
