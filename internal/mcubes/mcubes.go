@@ -13,34 +13,31 @@
 // Each voxel is processed independently, so extraction pipelines buffer by
 // buffer and parallelizes across transparent filter copies (paper §3.1.1).
 //
-// The walk is slab-wise: cells are classified from flat sample rows, each
-// reusing its left neighbor's four +x corners, and each edge crossing is
-// interpolated once per call, appended to an indexed mesh, and its index
-// cached over the two sample slabs the current cell layer touches. A
-// crossing is a pure function of its two samples and the isovalue, so the
-// triangles, expanded by index, are bit-identical to evaluating each
-// tetrahedron independently (ref_test.go keeps that evaluation as the
-// oracle).
+// The walk does work in proportion to the surface, not the volume. Each
+// sample is classified once: a sample row becomes a row of bit words (bit x
+// set when sample x is above the isovalue) in a ring over the two sample
+// slabs a cell layer touches, and a few word operations over a cell row's
+// four sample rows yield its active cells, those whose corners are neither
+// all above nor all below. Only active cells are visited, in the scan order.
+// Each resolves every distinct edge its case crosses once, from an edge
+// cache over the same two slabs that holds each crossing's index in an
+// indexed mesh, or on a miss by interpolating the crossing straight from its
+// two samples and appending it; its triangles are then index triples into
+// the cell's resolved edges. A crossing is a pure function of its two
+// samples and the isovalue, so the triangles, expanded by index, are
+// bit-identical to evaluating each tetrahedron independently (ref_test.go
+// keeps that evaluation as the oracle).
 package mcubes
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 
 	"datacutter/internal/geom"
 	"datacutter/internal/volume"
 )
-
-// corner is one cell corner with everything interpolation needs. The id is
-// the corner's global sample index, used to orient edge interpolation
-// deterministically so shared edges produce bit-identical vertices no
-// matter which cell or tetrahedron generates them.
-type corner struct {
-	p  geom.Vec3
-	g  geom.Vec3
-	v  float32
-	id int64
-}
 
 // The six tetrahedra of the Freudenthal decomposition, as cube-corner
 // indices (corner c = dx + 2*dy + 4*dz). Each is a monotone path
@@ -69,31 +66,52 @@ var tetTris = [8][][3][2]int{
 	0x7: {{{3, 0}, {3, 2}, {3, 1}}},                           // 0,1,2 inside == vertex 3 outside
 }
 
-// edge is a tetrahedron edge as a pair of cube corners.
+// edge is a tetrahedron edge as a pair of cube corners, in interpolation
+// argument order.
 type edge [2]uint8
 
-// cubeTris is the whole cell's case table: for each cube mask (bit c set
-// when corner c is above the isovalue), the triangles of its six
-// tetrahedra in emission order.
-var cubeTris [256][][3]edge
+// cases is the cell case table: for each cube mask (bit c set when corner
+// c is above the isovalue), the distinct edges its six tetrahedra's
+// triangles cross, in first-use order, and those triangles in emission
+// order as indices into that list. Edges are distinct as ordered pairs:
+// the crossing on an edge whose ends share a global id depends on argument
+// order, so a cell shares it only among the triangles that use the edge
+// the same way round.
+var cases [256]struct {
+	edges []edge
+	tris  [][3]uint8
+}
+
+// maxCaseEdges is the longest edge list in cases.
+const maxCaseEdges = 16
 
 func init() {
-	for m := range cubeTris {
+	for m := range cases {
+		c := &cases[m]
 		for _, t := range tets {
 			mask := 0
-			for i, c := range t {
-				mask |= (m >> c & 1) << i
+			for i, k := range t {
+				mask |= (m >> k & 1) << i
 			}
 			if mask > 7 {
 				mask ^= 0xF
 			}
 			for _, tri := range tetTris[mask] {
-				var es [3]edge
-				for k, e := range tri {
-					es[k] = edge{uint8(t[e[0]]), uint8(t[e[1]])}
+				var local [3]uint8
+				for j, e := range tri {
+					es := edge{uint8(t[e[0]]), uint8(t[e[1]])}
+					k := slices.Index(c.edges, es)
+					if k < 0 {
+						k = len(c.edges)
+						c.edges = append(c.edges, es)
+					}
+					local[j] = uint8(k)
 				}
-				cubeTris[m] = append(cubeTris[m], es)
+				c.tris = append(c.tris, local)
 			}
+		}
+		if len(c.edges) > maxCaseEdges {
+			panic("mcubes: a case crosses more than maxCaseEdges edges")
 		}
 	}
 }
@@ -193,20 +211,30 @@ type walker struct {
 	m          *geom.Mesh // the call's output
 	scratch    geom.Mesh  // the output of Walk and Extract
 
+	// The classification of the two sample slabs a cell layer touches, in
+	// a ring (slab z in half z&1): row y of a slab is rowWords words, bit
+	// x of word x/64 set when sample x is above the isovalue (NaN never
+	// is). Each row has a word more than its samples need, so the word
+	// after the one holding a row's last cell is in the row.
+	above    []uint64
+	rowWords int
+
 	// Per-axis sample positions (PosOf) and global-id terms.
 	posX, posY, posZ []float32
 	idX, idY, idZ    []int64
 	// cacheable[d] is false when the two ends of a direction-d edge share
-	// a global id, so interp's result depends on argument order.
+	// a global id, so the crossing depends on argument order.
 	cacheable [8]bool
 
 	// Edge crossings' vertex indices in m, keyed by lower sample and
 	// direction, in a ring over the two sample slabs (z&1) a cell layer
 	// touches. An entry is valid when its stamp is its slab's stamp for
-	// this call, stamp(z).
-	edges []edgeSlot
-	base  uint32 // stamp(z) = base + 1 + z
-	gen   uint32 // first unused stamp
+	// this call, stamp(z). The edge from lower corner c in direction d of
+	// cell (x,y,z) has slot (y*nx+x)*7 + slotOff[z&1][c] + d.
+	edges   []edgeSlot
+	slotOff [2][8]int
+	base    uint32 // stamp(z) = base + 1 + z
+	gen     uint32 // first unused stamp
 }
 
 type edgeSlot struct {
@@ -220,39 +248,68 @@ func (w *walker) walk(v *volume.Volume, iso float32) {
 	w.st = Stats{Cells: (v.NX - 1) * (v.NY - 1) * (v.NZ - 1)}
 	w.tables(v)
 
-	nx, nxy, data := w.nx, w.nxy, w.data
+	// A row's cells x < nx-1 take cellWords words, the last masked by tail.
+	cellWords := (w.nx + 62) / 64
+	tail := ^uint64(0) >> (uint(1-w.nx) & 63)
+	rw, slab := w.rowWords, w.ny*w.rowWords
+	w.classify(0)
 	for z := 0; z < w.nz-1; z++ {
+		w.classify(z + 1)
+		lo, hi := w.above[z&1*slab:][:slab], w.above[(z+1)&1*slab:][:slab]
 		for y := 0; y < w.ny-1; y++ {
 			// The cell row's four sample rows: (y,z), (y+1,z), (y,z+1),
 			// (y+1,z+1) — cube corners 0, 2, 4, 6 at dx = 0.
-			r0 := y*nx + z*nxy
-			r2 := r0 + nxy
-			s0, s2 := data[r0:r0+nx], data[r0+nx:r0+2*nx]
-			s4, s6 := data[r2:r2+nx], data[r2+nx:r2+2*nx]
-			left := above(s0[0], iso) | above(s2[0], iso)<<2 | above(s4[0], iso)<<4 | above(s6[0], iso)<<6
-			for x := 1; x < nx; x++ {
-				right := above(s0[x], iso) | above(s2[x], iso)<<2 | above(s4[x], iso)<<4 | above(s6[x], iso)<<6
-				m := left | right<<1
-				left = right
-				if m != 0 && m != 0xFF {
-					w.st.ActiveCells++
-					w.cell(x-1, y, z, m)
+			s0, s2 := lo[y*rw:][:rw], lo[(y+1)*rw:][:rw]
+			s4, s6 := hi[y*rw:][:rw], hi[(y+1)*rw:][:rw]
+			for i := 0; i < cellWords; i++ {
+				// A cell is active unless its corners at x and x+1 are
+				// all above or all below.
+				some := s0[i] | s2[i] | s4[i] | s6[i]
+				all := s0[i] & s2[i] & s4[i] & s6[i]
+				someNext := s0[i+1] | s2[i+1] | s4[i+1] | s6[i+1]
+				allNext := s0[i+1] & s2[i+1] & s4[i+1] & s6[i+1]
+				act := (some | some>>1 | someNext<<63) &^ (all & (all>>1 | allNext<<63))
+				if i == cellWords-1 {
+					act &= tail
+				}
+				w.st.ActiveCells += bits.OnesCount64(act)
+				for ; act != 0; act &= act - 1 {
+					k := uint(bits.TrailingZeros64(act))
+					m := pair(s0, i, k) | pair(s2, i, k)<<2 | pair(s4, i, k)<<4 | pair(s6, i, k)<<6
+					w.cell(i*64+int(k), y, z, uint8(m))
 				}
 			}
 		}
 	}
 }
 
-// above is the classification bit of one sample (NaN is never above).
-func above(s, iso float32) uint8 {
-	if s > iso {
-		return 1
-	}
-	return 0
+// pair returns the classification bits of samples 64i+k and 64i+k+1 of a
+// row.
+func pair(row []uint64, i int, k uint) uint64 {
+	return (row[i]>>k | row[i+1]<<(63-k)<<1) & 3
 }
 
-// tables builds the per-call axis tables, sizes the edge ring and reserves
-// this call's slab stamps.
+// classify packs slab z's samples into its half of the ring.
+func (w *walker) classify(z int) {
+	iso, nx, slab := w.iso, w.nx, w.ny*w.rowWords
+	out := w.above[z&1*slab:][:slab]
+	samples := w.data[z*w.nxy:][:w.nxy]
+	for y := 0; y < w.ny; y++ {
+		row, words := samples[y*nx:][:nx], out[y*w.rowWords:][:w.rowWords]
+		for i := range words {
+			var word uint64
+			for k, s := range row[min(64*i, nx):min(64*i+64, nx)] {
+				if s > iso {
+					word |= 1 << k
+				}
+			}
+			words[i] = word
+		}
+	}
+}
+
+// tables builds the per-call axis tables, sizes the classification and
+// edge rings and reserves this call's slab stamps.
 func (w *walker) tables(v *volume.Volume) {
 	b := v.Block
 	gx, gy, gz := b.GX, b.GY, b.GZ
@@ -267,8 +324,17 @@ func (w *walker) tables(v *volume.Volume) {
 		w.cacheable[d] = diff != 0
 	}
 
+	w.rowWords = (w.nx+63)/64 + 1
+	if n := 2 * w.ny * w.rowWords; len(w.above) < n {
+		w.above = make([]uint64, n)
+	}
 	if n := 7 * 2 * w.nxy; len(w.edges) < n {
 		w.edges = make([]edgeSlot, n)
+	}
+	for zp := range w.slotOff {
+		for c := range w.slotOff[zp] {
+			w.slotOff[zp][c] = ((((zp+c>>2)&1)*w.ny+c>>1&1)*w.nx+c&1)*7 - 1
+		}
 	}
 	if uint64(w.gen)+uint64(w.nz) >= math.MaxUint32 {
 		clear(w.edges)
@@ -295,16 +361,32 @@ func axis(pos []float32, ids []int64, o, n, g int, stride int64) ([]float32, []i
 
 func (w *walker) stamp(z int) uint32 { return w.base + 1 + uint32(z) }
 
-// cell polygonizes the active cell at (x,y,z) with cube mask m. A
-// triangle is degenerate when two of its vertices have equal positions:
-// two edges that clamp onto the same sample give equal points under
-// different indices.
+// cell polygonizes the active cell at (x,y,z) with cube mask m: it
+// resolves each edge of its case once, from the edge cache or as a new
+// crossing, then emits the case's triangles. A triangle is degenerate
+// when two of its vertices have equal positions: two edges that clamp onto
+// the same sample give equal points under different indices.
 func (w *walker) cell(x, y, z int, m uint8) {
-	for _, es := range cubeTris[m] {
-		i0 := w.vertex(x, y, z, es[0])
-		i1 := w.vertex(x, y, z, es[1])
-		i2 := w.vertex(x, y, z, es[2])
-		if p := w.m.P; p[i0] == p[i1] || p[i1] == p[i2] || p[i0] == p[i2] {
+	c := &cases[m]
+	var idx [maxCaseEdges]uint32
+	row := (y*w.nx + x) * 7
+	off := &w.slotOff[z&1]
+	for k, e := range c.edges {
+		lo, d := min(e[0], e[1]), e[0]^e[1]
+		if !w.cacheable[d] {
+			idx[k] = w.crossing(x, y, z, e)
+			continue
+		}
+		slot := &w.edges[row+off[lo]+int(d)]
+		if st := w.stamp(z + int(lo>>2)); slot.stamp != st {
+			*slot = edgeSlot{st, w.crossing(x, y, z, e)}
+		}
+		idx[k] = slot.idx
+	}
+	p := w.m.P
+	for _, t := range c.tris {
+		i0, i1, i2 := idx[t[0]], idx[t[1]], idx[t[2]]
+		if p[i0] == p[i1] || p[i1] == p[i2] || p[i0] == p[i2] {
 			continue
 		}
 		w.m.Idx = append(w.m.Idx, i0, i1, i2)
@@ -312,42 +394,32 @@ func (w *walker) cell(x, y, z int, m uint8) {
 	}
 }
 
-// vertex returns the index of the crossing on edge e of the cell at
-// (x,y,z), from the edge cache when an earlier tetrahedron or cell already
-// interpolated it, else appending it to the mesh.
-func (w *walker) vertex(x, y, z int, e edge) uint32 {
-	a, b := int(e[0]), int(e[1])
-	if !w.cacheable[a^b] {
-		return w.add(interp(w.corner(x, y, z, a), w.corner(x, y, z, b), w.iso))
+// crossing appends the isosurface crossing on edge e of the cell at
+// (x,y,z) to the mesh and returns its index. The end with the smaller
+// global sample id is the interpolation origin, so every cell sharing the
+// edge produces the identical vertex; ends of equal id keep e's order.
+func (w *walker) crossing(x, y, z int, e edge) uint32 {
+	ax, ay, az := x+int(e[0]&1), y+int(e[0]>>1&1), z+int(e[0]>>2)
+	bx, by, bz := x+int(e[1]&1), y+int(e[1]>>1&1), z+int(e[1]>>2)
+	if w.idX[ax]+w.idY[ay]+w.idZ[az] > w.idX[bx]+w.idY[by]+w.idZ[bz] {
+		ax, ay, az, bx, by, bz = bx, by, bz, ax, ay, az
 	}
-	lo, hi := min(a, b), max(a, b)
-	sx, sy, sz := x+lo&1, y+lo>>1&1, z+lo>>2
-	slot := &w.edges[(((sz&1)*w.ny+sy)*w.nx+sx)*7+(lo^hi)-1]
-	st := w.stamp(sz)
-	if slot.stamp == st {
-		return slot.idx
+	va, vb := w.data[ax+ay*w.nx+az*w.nxy], w.data[bx+by*w.nx+bz*w.nxy]
+	d := vb - va
+	t := float32(0.5)
+	if d != 0 {
+		t = (w.iso - va) / d
 	}
-	i := w.add(interp(w.corner(x, y, z, lo), w.corner(x, y, z, hi), w.iso))
-	*slot = edgeSlot{st, i}
-	return i
-}
-
-// add appends a vertex to the mesh and returns its index.
-func (w *walker) add(p, n geom.Vec3) uint32 {
-	w.m.P = append(w.m.P, p)
-	w.m.N = append(w.m.N, n)
+	if t < 0 {
+		t = 0
+	}
+	if t > 1 {
+		t = 1
+	}
+	pa, pb := geom.V(w.posX[ax], w.posY[ay], w.posZ[az]), geom.V(w.posX[bx], w.posY[by], w.posZ[bz])
+	w.m.P = append(w.m.P, geom.Lerp(pa, pb, t))
+	w.m.N = append(w.m.N, geom.Lerp(w.gradient(ax, ay, az), w.gradient(bx, by, bz), t).Scale(-1).Normalize())
 	return uint32(len(w.m.P) - 1)
-}
-
-// corner gathers cube corner c of the cell at (x,y,z).
-func (w *walker) corner(x, y, z, c int) corner {
-	x, y, z = x+c&1, y+c>>1&1, z+c>>2
-	return corner{
-		p:  geom.V(w.posX[x], w.posY[y], w.posZ[z]),
-		g:  w.gradient(x, y, z),
-		v:  w.data[x+y*w.nx+z*w.nxy],
-		id: w.idX[x] + w.idY[y] + w.idZ[z],
-	}
 }
 
 // gradient computes the sampled field's gradient at a sample point via
@@ -369,28 +441,4 @@ func diff(d []float32, i, s, k, n int) float32 {
 	default:
 		return (d[i+s] - d[i-s]) / 2
 	}
-}
-
-// interp returns the isosurface crossing on edge (a,b) with deterministic
-// endpoint orientation: the corner with the smaller global sample id is
-// always the interpolation origin, so every cell that shares the edge
-// produces the identical vertex.
-func interp(a, b corner, iso float32) (geom.Vec3, geom.Vec3) {
-	if a.id > b.id {
-		a, b = b, a
-	}
-	d := b.v - a.v
-	t := float32(0.5)
-	if d != 0 {
-		t = (iso - a.v) / d
-	}
-	if t < 0 {
-		t = 0
-	}
-	if t > 1 {
-		t = 1
-	}
-	p := geom.Lerp(a.p, b.p, t)
-	n := geom.Lerp(a.g, b.g, t).Scale(-1).Normalize()
-	return p, n
 }

@@ -1,7 +1,9 @@
 package mcubes
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -283,7 +285,9 @@ func benchChunks() []*volume.Volume {
 // BenchmarkExtractChunks extracts every chunk of the bench frame the way
 // the bench replay does (Extract, reusing one output slice) and the way the
 // E filter does (ExtractMesh, reusing one mesh); the two iso-values are the
-// dense and sparse workloads'.
+// dense and sparse workloads'. The scan case walks every chunk at an
+// iso-value above the field, which only classifies samples: what
+// cmd/calibrate times as CellSeconds.
 func BenchmarkExtractChunks(b *testing.B) {
 	chunks := benchChunks()
 	for _, iso := range []float32{0.15, 0.9} {
@@ -306,6 +310,59 @@ func BenchmarkExtractChunks(b *testing.B) {
 				}
 			}
 		})
+	}
+	b.Run("scan", func(b *testing.B) {
+		var top float32
+		for _, v := range chunks {
+			_, hi := v.MinMax()
+			top = max(top, hi)
+		}
+		for i := 0; i < b.N; i++ {
+			for _, v := range chunks {
+				Walk(v, top+1, func(geom.Triangle) {})
+			}
+		}
+	})
+}
+
+// meshLayout hashes ExtractMesh's output on every chunk at iso: the bits
+// of each chunk's positions, normals and indices, in order. E's batches,
+// their codec bytes and the dist engine's traffic carry this layout, which
+// the expanded triangles do not pin.
+func meshLayout(chunks []*volume.Volume, iso float32) string {
+	h := fnv.New64a()
+	var m geom.Mesh
+	var buf []byte
+	for _, v := range chunks {
+		m.Reset()
+		ExtractMesh(v, iso, &m)
+		buf = buf[:0]
+		for _, vs := range [2][]geom.Vec3{m.P, m.N} {
+			for _, p := range vs {
+				buf = binary.LittleEndian.AppendUint32(buf, f32bits(p.X))
+				buf = binary.LittleEndian.AppendUint32(buf, f32bits(p.Y))
+				buf = binary.LittleEndian.AppendUint32(buf, f32bits(p.Z))
+			}
+		}
+		for _, i := range m.Idx {
+			buf = binary.LittleEndian.AppendUint32(buf, i)
+		}
+		h.Write(buf)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// The layouts were recorded with the walk that looked up every
+// triangle's edges in turn, so they pin its vertex order independently of
+// the current walk.
+var meshLayouts = map[float32]string{0.15: "b183a4964a6b3d0b", 0.9: "97ac576be87895e4"}
+
+func TestExtractMeshLayoutPinned(t *testing.T) {
+	chunks := benchChunks()
+	for iso, want := range meshLayouts {
+		if got := meshLayout(chunks, iso); got != want {
+			t.Errorf("iso %v: layout %s, pinned %s", iso, got, want)
+		}
 	}
 }
 

@@ -326,6 +326,37 @@ func TestWalkMatchesReferenceOnEdgeCasesProperty(t *testing.T) {
 	}
 }
 
+// Rows wider than one classification word: widths on both sides of 64 and
+// 128 samples, random lattice samples (so some sit on the iso-value) with
+// NaN and ±Inf at x = 63, 64 and nx-1, as whole volumes and Partition
+// blocks.
+func TestWalkMatchesReferenceOnWideRows(t *testing.T) {
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	rng := rand.New(rand.NewSource(64))
+	for _, nx := range []int{2, 63, 64, 65, 127, 128, 129, 130} {
+		ny, nz := 2+rng.Intn(3), 2+rng.Intn(3)
+		v := volume.New(nx, ny, nz)
+		for i := range v.Data {
+			v.Data[i] = float32(rng.Intn(9)) / 8
+		}
+		for _, x := range []int{63, 64, nx - 1} {
+			for k := 0; x < nx && k < 3; k++ {
+				v.Set(x, rng.Intn(ny), rng.Intn(nz), specials[rng.Intn(len(specials))])
+			}
+		}
+		for _, iso := range []float32{0.5, 0.95} {
+			if err := matchesRef(v, iso); err != nil {
+				t.Errorf("whole %dx%dx%d iso %v: %v", nx, ny, nz, iso, err)
+			}
+			for _, b := range volume.Partition(nx, ny, nz, 1+rng.Intn(min(3, nx-1)), 1+rng.Intn(ny-1), 1) {
+				if err := matchesRef(v.ExtractBlock(b), iso); err != nil {
+					t.Errorf("%v iso %v: %v", b, iso, err)
+				}
+			}
+		}
+	}
+}
+
 // Concurrent calls share the idle walkers: blocks of different shapes
 // extracted from several goroutines at once must each match the reference.
 func TestConcurrentWalksMatchReference(t *testing.T) {
@@ -408,10 +439,11 @@ func TestSceneFingerprintPinned(t *testing.T) {
 	}
 }
 
-// FuzzWalkMatchesReference decodes bytes into a volume of up to 6^3
+// FuzzWalkMatchesReference decodes bytes into a volume of up to 130×6×6
 // arbitrary float32 samples (NaN and ±Inf included), optionally placed as a
 // block of a larger grid, and an iso-value, and checks Extract and
-// ExtractMesh against walkRef.
+// ExtractMesh against walkRef. Rows wider than 64 samples span several
+// classification words.
 func FuzzWalkMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 0, 0, 0, 0, 0})
 	f.Add(append([]byte{3, 4, 5, 1, 0, 0, 0, 0x3f}, make([]byte, 64)...))
@@ -421,11 +453,23 @@ func FuzzWalkMatchesReference(f *testing.F) {
 		seed = binary.LittleEndian.AppendUint32(seed, f32bits(s))
 	}
 	f.Add(seed)
+	// Rows wider than one classification word with NaN and ±Inf at x = 63,
+	// 64 and nx-1: a whole volume, and a block at offset (1,2,0).
+	for i, nx := range []int{65, 129} {
+		wide := volume.Rasterize(volume.NewPlumeField(1, 2), nx, 2, 2, 0)
+		lo, hi := wide.MinMax()
+		wide.Data[63], wide.Data[nx+64], wide.Data[4*nx-1] = float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))
+		seed := binary.LittleEndian.AppendUint32([]byte{byte(nx - 1), 1, 1, []byte{0, 0x93}[i]}, math.Float32bits((lo+hi)/2))
+		for _, s := range wide.Data {
+			seed = binary.LittleEndian.AppendUint32(seed, f32bits(s))
+		}
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			return
 		}
-		nx, ny, nz := 1+int(data[0])%6, 1+int(data[1])%6, 1+int(data[2])%6
+		nx, ny, nz := 1+int(data[0])%130, 1+int(data[1])%6, 1+int(data[2])%6
 		v := volume.New(nx, ny, nz)
 		if place := data[3]; place&1 != 0 {
 			// A block at offset (ox,oy,oz) of a grid up to 3 samples wider.
