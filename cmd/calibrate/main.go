@@ -55,44 +55,52 @@ func measure(grid, size int, iso float32) isoviz.CostModel {
 	v := volume.Rasterize(volume.NewPlumeField(7, 5), grid, grid, grid, 0)
 
 	// Extraction: split cell scanning from triangle generation by running
-	// once at an isovalue above the maximum (pure scan) and once for real.
+	// once at an isovalue above the maximum (pure scan) and once for real,
+	// both into one reused mesh.
 	_, hi := v.MinMax()
-	var scan mcubes.Stats
-	scanSecs := seconds(func() { scan = mcubes.Walk(v, hi+1, func(geom.Triangle) {}) })
+	var mesh geom.Mesh
+	extract := func(iso float32) (secs float64, st mcubes.Stats) {
+		secs = seconds(func() {
+			mesh.Reset()
+			st = mcubes.ExtractMesh(v, iso, &mesh)
+		})
+		return secs, st
+	}
+	scanSecs, scan := extract(hi + 1)
 	c.CellSeconds = scanSecs / float64(scan.Cells)
-
-	var tris []geom.Triangle
-	extractSecs := seconds(func() { tris, _ = mcubes.Extract(v, iso, tris[:0]) })
-	c.TriGenSeconds = math.Max(0, (extractSecs-scanSecs)/float64(max(len(tris), 1)))
+	extractSecs, st := extract(iso)
+	tris := float64(max(st.Triangles, 1))
+	c.TriGenSeconds = math.Max(0, (extractSecs-scanSecs)/tris)
 
 	// Rasterization: per-pixel fill from two triangles covering the whole
 	// image, then per-triangle setup from the scene less its fill. (Fitting
 	// both from one scene at two image sizes leaves the per-pixel term
 	// inside the timing noise on small scenes.)
 	cam := geom.DefaultCamera()
-	raster := func(rr *render.Raster, ts []geom.Triangle) (secs float64, pixels int64) {
+	raster := func(rr *render.Raster, m *geom.Mesh) (secs float64, pixels int64) {
 		z := render.NewZBuffer(size, size)
 		secs = seconds(func() {
 			rr.Pixels = 0
-			rr.DrawAll(ts, z)
+			rr.DrawMesh(m, z)
 		})
 		return secs, rr.Pixels
 	}
 	screen := render.NewRaster(cam, size, size)
 	screen.M = geom.Identity()
 	screen.M[0], screen.M[5] = float64(size), float64(size) // the unit square onto the image
-	quad := []geom.Triangle{
-		{P: [3]geom.Vec3{geom.V(0, 0, 0.5), geom.V(1, 0, 0.5), geom.V(0, 1, 0.5)}},
-		{P: [3]geom.Vec3{geom.V(1, 0, 0.5), geom.V(1, 1, 0.5), geom.V(0, 1, 0.5)}},
+	quad := geom.Mesh{
+		P:   []geom.Vec3{geom.V(0, 0, 0.5), geom.V(1, 0, 0.5), geom.V(0, 1, 0.5), geom.V(1, 1, 0.5)},
+		N:   make([]geom.Vec3, 4),
+		Idx: []uint32{0, 1, 2, 1, 3, 2},
 	}
-	fillSecs, fillPx := raster(screen, quad)
+	fillSecs, fillPx := raster(screen, &quad)
 	c.PixelSeconds = fillSecs / float64(fillPx)
-	sceneSecs, scenePx := raster(render.NewRaster(cam, size, size), tris)
-	c.TriRasterSeconds = math.Max(0, (sceneSecs-c.PixelSeconds*float64(scenePx))/float64(max(len(tris), 1)))
+	sceneSecs, scenePx := raster(render.NewRaster(cam, size, size), &mesh)
+	c.TriRasterSeconds = math.Max(0, (sceneSecs-c.PixelSeconds*float64(scenePx))/tris)
 
 	// Merging.
 	full := render.NewZBuffer(size, size)
-	render.NewRaster(cam, size, size).DrawAll(tris, full)
+	render.NewRaster(cam, size, size).DrawMesh(&mesh, full)
 	acc := render.NewZBuffer(size, size)
 	c.MergePixelSeconds = seconds(func() { acc.MergeFrom(full) }) / float64(size*size)
 	c.ImageGenSeconds = seconds(func() { acc.Image() }) / float64(size*size)

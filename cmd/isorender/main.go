@@ -12,9 +12,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"image/png"
+	"io"
 	"os"
 	"time"
 
@@ -24,102 +26,136 @@ import (
 	"datacutter/internal/volume"
 )
 
-func main() {
-	var (
-		out      = flag.String("o", "iso.png", "output PNG path")
-		dir      = flag.String("dir", "", "datagen dataset directory (empty: synthetic in-memory volume)")
-		size     = flag.Int("size", 512, "output image width and height")
-		iso      = flag.Float64("iso", 0.5, "isosurface value")
-		timestep = flag.Int("timestep", 0, "timestep to render")
-		copies   = flag.Int("copies", 2, "transparent copies of the raster filter")
-		policy   = flag.String("policy", "DD", "writer policy: RR | WRR | DD")
-		alg      = flag.String("alg", "ap", "hidden-surface removal: ap (active pixel) | zb (z-buffer)")
-		grid     = flag.Int("grid", 97, "synthetic grid samples per axis (without -dir)")
-		verbose  = flag.Bool("v", false, "print pipeline statistics")
-	)
-	flag.Parse()
+// options are the parsed command-line flags.
+type options struct {
+	out, dir, policy             string
+	size, timestep, copies, grid int
+	iso                          float64
+	alg                          isoviz.Algorithm
+	verbose                      bool
+}
 
+// parseFlags parses args; on an error it has printed the reason and the
+// usage.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("isorender", flag.ContinueOnError)
+	fs.StringVar(&o.out, "o", "iso.png", "output PNG path")
+	fs.StringVar(&o.dir, "dir", "", "datagen dataset directory (empty: synthetic in-memory volume)")
+	fs.IntVar(&o.size, "size", 512, "output image width and height")
+	fs.Float64Var(&o.iso, "iso", 0.5, "isosurface value")
+	fs.IntVar(&o.timestep, "timestep", 0, "timestep to render")
+	fs.IntVar(&o.copies, "copies", 2, "transparent copies of the raster filter")
+	fs.StringVar(&o.policy, "policy", "DD", "writer policy: RR | WRR | DD")
+	alg := fs.String("alg", "ap", "hidden-surface removal: ap (active pixel) | zb (z-buffer)")
+	fs.IntVar(&o.grid, "grid", 97, "synthetic grid samples per axis (without -dir)")
+	fs.BoolVar(&o.verbose, "v", false, "print pipeline statistics")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	switch *alg {
+	case "ap":
+		o.alg = isoviz.ActivePixel
+	case "zb":
+		o.alg = isoviz.ZBuffer
+	default:
+		err := fmt.Errorf("unknown -alg %q: want ap or zb", *alg)
+		fmt.Fprintln(fs.Output(), "isorender:", err)
+		fs.Usage()
+		return o, err
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if err := run(o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "isorender:", err)
+		os.Exit(1)
+	}
+}
+
+// run renders the view o describes into the PNG at o.out and reports on w.
+func run(o options, w io.Writer) error {
 	var src isoviz.ChunkSource
-	if *dir != "" {
-		st, err := dataset.Open(*dir)
+	if o.dir != "" {
+		st, err := dataset.Open(o.dir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer st.Close()
 		src = &isoviz.StoreSource{St: st}
 	} else {
-		n := *grid
+		n := o.grid
 		src = isoviz.NewFieldSource(volume.NewPlumeField(2002, 5), n, n, n, 4, 4, 4)
 	}
 
-	pol := core.PolicyByName(*policy)
+	pol := core.PolicyByName(o.policy)
 	if pol == nil {
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+		return fmt.Errorf("unknown policy %q", o.policy)
 	}
-	algorithm := isoviz.ActivePixel
-	if *alg == "zb" {
-		algorithm = isoviz.ZBuffer
-	}
-
 	view := isoviz.View{
-		Timestep: *timestep,
-		Iso:      float32(*iso),
-		Width:    *size, Height: *size,
+		Timestep: o.timestep,
+		Iso:      float32(o.iso),
+		Width:    o.size, Height: o.size,
 		Camera: isoviz.DefaultView(0).Camera,
 	}
 	spec := isoviz.PipelineSpec{
 		Config: isoviz.ReadExtract,
-		Alg:    algorithm,
+		Alg:    o.alg,
 		Source: src,
 		Assign: isoviz.AssignByCopy(src.Chunks()),
 	}
 	pl := core.NewPlacement().
 		Place("RE", "local", 2).
-		Place("Ra", "local", *copies).
+		Place("Ra", "local", o.copies).
 		Place("M", "local", 1)
 
 	r, err := core.NewRunner(spec.Build(), pl, core.Options{Policy: pol, UOWs: []any{view}})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	t0 := time.Now()
 	stats, err := r.Run()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m, err := isoviz.MergeResult(r.Instances("M"))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	img := m.Result().Image()
 
-	f, err := os.Create(*out)
+	f, err := os.Create(o.out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := png.Encode(f, img); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("rendered %d chunks -> %s (%dx%d, %s, %s policy, %d raster copies) in %.2fs\n",
-		src.Chunks(), *out, *size, *size, algorithm, pol.Name(), *copies, time.Since(t0).Seconds())
-	if *verbose {
+	fmt.Fprintf(w, "rendered %d chunks -> %s (%dx%d, %s, %s policy, %d raster copies) in %.2fs\n",
+		src.Chunks(), o.out, o.size, o.size, o.alg, pol.Name(), o.copies, time.Since(t0).Seconds())
+	if o.verbose {
 		for _, name := range stats.StreamNames() {
 			ss := stats.Streams[name]
-			fmt.Printf("  stream %-10s %6d buffers  %8.2f MB  %d acks\n",
+			fmt.Fprintf(w, "  stream %-10s %6d buffers  %8.2f MB  %d acks\n",
 				name, ss.Buffers, float64(ss.Bytes)/1e6, ss.Acks)
 		}
 		for _, fn := range []string{"RE", "Ra", "M"} {
 			fs := stats.Filters[fn]
 			_, busy, _ := core.MinAvgMax(fs.BusySeconds)
-			fmt.Printf("  filter %-3s x%d  avg busy %.3fs\n", fn, fs.Copies, busy)
+			fmt.Fprintf(w, "  filter %-3s x%d  avg busy %.3fs\n", fn, fs.Copies, busy)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "isorender:", err)
-	os.Exit(1)
+	return nil
 }

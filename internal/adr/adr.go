@@ -51,6 +51,7 @@ func RunLocal(opts LocalOptions) (*render.ZBuffer, error) {
 			defer wg.Done()
 			z := render.NewZBuffer(opts.View.Width, opts.View.Height)
 			rr := render.NewRaster(opts.View.Camera, opts.View.Width, opts.View.Height)
+			var mesh geom.Mesh
 			// Static partition: worker i owns chunks i, i+w, i+2w, ...
 			for c := i; c < n; c += w {
 				v, err := opts.Source.Load(c, opts.View.Timestep)
@@ -58,7 +59,9 @@ func RunLocal(opts LocalOptions) (*render.ZBuffer, error) {
 					errs[i] = fmt.Errorf("adr: chunk %d: %w", c, err)
 					return
 				}
-				mcubes.Walk(v, opts.View.Iso, func(t geom.Triangle) { rr.Draw(t, z) })
+				mesh.Reset()
+				mcubes.ExtractMesh(v, opts.View.Iso, &mesh)
+				rr.DrawMesh(&mesh, z)
 			}
 			partials[i] = z
 		}(i)

@@ -35,7 +35,9 @@ func TestRunLocalMatchesDirectRender(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mcubes.Walk(v, view.Iso, func(tr geom.Triangle) { rr.Draw(tr, want) })
+		var mesh geom.Mesh
+		mcubes.ExtractMesh(v, view.Iso, &mesh)
+		rr.DrawMesh(&mesh, want)
 	}
 	for _, workers := range []int{1, 2, 5} {
 		got, err := RunLocal(LocalOptions{Source: src, View: view, Workers: workers})

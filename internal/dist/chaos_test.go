@@ -216,7 +216,9 @@ func TestChaosKillMidUOWRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mcubes.Walk(v, view.Iso, func(tr geom.Triangle) { rr.Draw(tr, want) })
+		var mesh geom.Mesh
+		mcubes.ExtractMesh(v, view.Iso, &mesh)
+		rr.DrawMesh(&mesh, want)
 	}
 
 	// host1 (raster copies only) dies after receiving its 5th data frame.

@@ -289,7 +289,9 @@ func TestDistributedIsosurfaceRender(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mcubes.Walk(v, view.Iso, func(tr geom.Triangle) { rr.Draw(tr, want) })
+		var mesh geom.Mesh
+		mcubes.ExtractMesh(v, view.Iso, &mesh)
+		rr.DrawMesh(&mesh, want)
 	}
 
 	for _, alg := range []isoviz.Algorithm{isoviz.ActivePixel, isoviz.ZBuffer} {

@@ -83,7 +83,7 @@ func init() {
 		return &RasterZFilter{In: StreamTriangles, Out: StreamPixels}, nil
 	})
 	dist.RegisterFilter(KindMerge, func([]byte) (core.Filter, error) {
-		return &MergeFilter{In: StreamPixels}, nil
+		return &MergeFilter{Ins: []string{StreamPixels}}, nil
 	})
 }
 

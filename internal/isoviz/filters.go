@@ -292,14 +292,20 @@ func (f *RasterZFilter) Finalize(core.Ctx) error {
 // no synchronization point (paper §3.1.2).
 type RasterAPFilter struct {
 	In, Out string
+	// Band and Bands, when Bands > 0, restrict the filter to band Band of
+	// Bands equal horizontal strips of the image: the band rasterizers of
+	// the partitioned pipeline.
+	Band, Bands int
 
 	view View
 	rr   render.Raster // reset every unit of work, keeping its scratch
-	st   *apState
+	ap   *render.ActivePixels
+	ctx  core.Ctx // the running Process call's, which the WPA's flushes write to
+	werr error    // the unit of work's first failed write
 }
 
 // Init implements core.Filter. Buffer sizes resolve after the init phase,
-// so the WPA itself is sized lazily on the first Process call.
+// so the WPA itself is sized on each Process call.
 func (f *RasterAPFilter) Init(ctx core.Ctx) error {
 	view, err := viewOf(ctx)
 	if err != nil {
@@ -312,63 +318,49 @@ func (f *RasterAPFilter) Init(ctx core.Ctx) error {
 
 // Process implements core.Filter.
 func (f *RasterAPFilter) Process(ctx core.Ctx) error {
-	f.st = newAPState(ctx, f.view, f.Out, &f.rr)
-	f.st.ctx = ctx
-	defer func() { f.st.ctx = nil }()
+	f.rr.Reset(f.view.Camera, f.view.Width, f.view.Height)
+	if f.Bands > 0 {
+		f.rr.SetScissor(render.Band(f.view.Height, f.Bands, f.Band))
+	}
+	capPixels := max(ctx.BufferBytes(f.Out)/render.PixelBytes, 1)
+	f.ap = render.NewActivePixels(f.view.Width, f.view.Height, capPixels, f.send)
+	f.ctx, f.werr = ctx, nil
+	defer func() { f.ctx = nil }()
 	for {
 		b, ok := ctx.Read(f.In)
 		if !ok {
-			f.st.ap.FlushRemaining()
-			return f.st.werr
+			f.ap.FlushRemaining()
+			return f.werr
 		}
 		tb, ok := b.Payload.(TriBatch)
 		if !ok {
 			return fmt.Errorf("isoviz: raster got %T", b.Payload)
 		}
-		f.st.rr.DrawMesh(&tb.Mesh, f.st.ap)
+		f.rr.DrawMesh(&tb.Mesh, f.ap)
 		recycleMesh(tb.Mesh)
 		// All triangles of this input buffer processed: ship the WPA
 		// (paper §3.1.2).
-		f.st.ap.FlushRemaining()
-		if f.st.werr != nil {
-			return f.st.werr
+		f.ap.FlushRemaining()
+		if f.werr != nil {
+			return f.werr
 		}
 	}
+}
+
+// send writes a WPA flush's winning pixels as one buffer.
+func (f *RasterAPFilter) send(px []render.Pixel) {
+	if f.werr != nil {
+		return
+	}
+	batch := PixBatch{Pixels: pixels.get(len(px))}
+	copy(batch.Pixels, px)
+	f.werr = f.ctx.Write(f.Out, core.Buffer{Payload: batch, Size: batch.Bytes()})
 }
 
 // Finalize implements core.Filter.
 func (f *RasterAPFilter) Finalize(core.Ctx) error {
-	f.st = nil
+	f.ap = nil
 	return nil
-}
-
-// apState bundles an active-pixel rasterizer whose flushes write buffers.
-type apState struct {
-	rr   *render.Raster
-	ap   *render.ActivePixels
-	out  string
-	ctx  core.Ctx
-	werr error
-}
-
-// newAPState must run in Process (buffer sizes are resolved after Init).
-// It resets rr for view.
-func newAPState(ctx core.Ctx, view View, out string, rr *render.Raster) *apState {
-	s := &apState{out: out, rr: rr}
-	capPixels := ctx.BufferBytes(out) / render.PixelBytes
-	if capPixels < 1 {
-		capPixels = 1
-	}
-	rr.Reset(view.Camera, view.Width, view.Height)
-	s.ap = render.NewActivePixels(view.Width, view.Height, capPixels, func(px []render.Pixel) {
-		if s.werr != nil {
-			return
-		}
-		batch := PixBatch{Pixels: pixels.get(len(px))}
-		copy(batch.Pixels, px)
-		s.werr = s.ctx.Write(s.out, core.Buffer{Payload: batch, Size: batch.Bytes()})
-	})
-	return s
 }
 
 // ---- Merge filter (M) ----
@@ -385,10 +377,8 @@ func newAPState(ctx core.Ctx, view View, out string, rr *render.Raster) *apState
 // bit: M adopts it as its accumulator instead. Any other first input starts
 // the accumulator on cleared planes.
 type MergeFilter struct {
-	// In is the single input stream of the standard pipelines. The
-	// partitioned pipeline instead sets Ins (one disjoint pixel stream per
-	// screen band); when Ins is non-empty it takes precedence.
-	In  string
+	// Ins are the input streams, read in order: the standard pipelines'
+	// one pixel stream, or the partitioned pipeline's one per screen band.
 	Ins []string
 
 	view  View
@@ -396,13 +386,6 @@ type MergeFilter struct {
 	final *render.ZBuffer
 	// Received counts buffers merged, for experiment accounting.
 	Received int64
-}
-
-func (f *MergeFilter) inputs() []string {
-	if len(f.Ins) > 0 {
-		return f.Ins
-	}
-	return []string{f.In}
 }
 
 // Init implements core.Filter: the accumulator waits for the first input.
@@ -427,7 +410,7 @@ func (f *MergeFilter) acc() *render.ZBuffer {
 // Process implements core.Filter.
 func (f *MergeFilter) Process(ctx core.Ctx) error {
 	w, h := f.view.Width, f.view.Height
-	for _, in := range f.inputs() {
+	for _, in := range f.Ins {
 		for {
 			b, ok := ctx.Read(in)
 			if !ok {

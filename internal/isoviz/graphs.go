@@ -167,7 +167,7 @@ func (s PipelineSpec) Build() *core.Graph {
 			}
 			return &RasterAPFilter{In: StreamTriangles, Out: StreamPixels}
 		},
-	}, func() core.Filter { return &MergeFilter{In: StreamPixels} })
+	}, func() core.Filter { return &MergeFilter{Ins: []string{StreamPixels}} })
 }
 
 // MergeResult retrieves the merge filter (and so the final image) from a

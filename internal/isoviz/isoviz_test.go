@@ -33,7 +33,9 @@ func renderReference(t *testing.T, src ChunkSource, view View) *render.ZBuffer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mcubes.Walk(v, view.Iso, func(tr geom.Triangle) { rr.Draw(tr, z) })
+		var mesh geom.Mesh
+		mcubes.ExtractMesh(v, view.Iso, &mesh)
+		rr.DrawMesh(&mesh, z)
 	}
 	if z.ActiveCount() == 0 {
 		t.Fatal("reference image empty; bad test scene")

@@ -1,6 +1,7 @@
 package isoviz
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"math"
@@ -41,11 +42,12 @@ func zBits(z *render.ZBuffer) []byte {
 	return b
 }
 
-// payloadSender writes to M, in each unit of work, what its payloads
-// function returns. The function runs once per unit of work: M keeps or
-// recycles what it is handed.
+// payloadSender writes on out (StreamPixels when empty), in each unit of
+// work, what its payloads function returns. The function runs once per
+// unit of work: consumers keep or recycle what they are handed.
 type payloadSender struct {
 	core.BaseFilter
+	out      string
 	payloads func() []any
 }
 
@@ -57,8 +59,10 @@ func (f *payloadSender) Process(ctx core.Ctx) error {
 			size = p.Bytes()
 		case PixBatch:
 			size = p.Bytes()
+		case TriBatch:
+			size = p.Bytes()
 		}
-		if err := ctx.Write(StreamPixels, core.Buffer{Payload: p, Size: size}); err != nil {
+		if err := ctx.Write(cmp.Or(f.out, StreamPixels), core.Buffer{Payload: p, Size: size}); err != nil {
 			return err
 		}
 	}
@@ -70,7 +74,7 @@ func (f *payloadSender) Process(ctx core.Ctx) error {
 func runMerge(view View, uows int, payloads func() []any) (*render.ZBuffer, *core.Stats, error) {
 	g := core.NewGraph()
 	g.AddFilter("P", func() core.Filter { return &payloadSender{payloads: payloads} })
-	g.AddFilter("M", func() core.Filter { return &MergeFilter{In: StreamPixels} })
+	g.AddFilter("M", func() core.Filter { return &MergeFilter{Ins: []string{StreamPixels}} })
 	g.Connect("P", "M", StreamPixels)
 	work := make([]any, uows)
 	for i := range work {

@@ -5,7 +5,6 @@ import (
 
 	"datacutter/internal/core"
 	"datacutter/internal/geom"
-	"datacutter/internal/mcubes"
 	"datacutter/internal/render"
 )
 
@@ -29,20 +28,19 @@ func PixBandStream(i int) string { return fmt.Sprintf("pix%d", i) }
 // BandFilterName names band i's raster filter.
 func BandFilterName(i int) string { return fmt.Sprintf("Ra%d", i) }
 
-// ReadExtractRouteFilter is the RE stage of the partitioned pipeline: it
-// reads chunks, extracts their meshes, and routes each triangle to the
-// bands its screen-space bounding box overlaps (triangles spanning a band
-// border go to both; scissoring keeps the result exact). Each vertex is
-// projected once.
-type ReadExtractRouteFilter struct {
+// RouteFilter is the routing stage of the partitioned pipeline: it sends
+// each triangle of its input batches to every band its screen-space
+// bounding box overlaps (triangles spanning a band border go to both;
+// scissoring keeps the result exact), one batch per band and input batch
+// unless a band's triangles overrun a buffer. Each vertex is projected
+// once.
+type RouteFilter struct {
 	core.BaseFilter
-	Source ChunkSource
-	Assign Assign
-	Bands  int
+	In    string
+	Bands int
 
-	// Scratch kept across units of work: the chunk's mesh, its vertices'
+	// Scratch kept across units of work: the batch's vertices'
 	// projections, and one packer per band.
-	mesh  geom.Mesh
 	proj  []projY
 	packs []meshPacker
 }
@@ -54,7 +52,7 @@ type projY struct {
 }
 
 // Process implements core.Filter.
-func (f *ReadExtractRouteFilter) Process(ctx core.Ctx) error {
+func (f *RouteFilter) Process(ctx core.Ctx) error {
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
@@ -69,41 +67,41 @@ func (f *ReadExtractRouteFilter) Process(ctx core.Ctx) error {
 	for i := range f.packs {
 		f.packs[i].reset(ctx, TriBandStream(i))
 	}
-
-	for _, chunk := range f.Assign(ctx) {
-		v, err := f.Source.Load(chunk, view.Timestep)
-		if err != nil {
-			return fmt.Errorf("isoviz: read chunk %d: %w", chunk, err)
+	for {
+		b, ok := ctx.Read(f.In)
+		if !ok {
+			return nil
 		}
-		f.mesh.Reset()
-		mcubes.ExtractMesh(v, view.Iso, &f.mesh)
-		recycleVolume(v)
+		tb, ok := b.Payload.(TriBatch)
+		if !ok {
+			return fmt.Errorf("isoviz: route got %T", b.Payload)
+		}
 		f.proj = f.proj[:0]
-		for _, p := range f.mesh.P {
+		for _, p := range tb.P {
 			sp, w := m.Apply(p)
 			f.proj = append(f.proj, projY{sp.Y, !(w <= 0)}) // a NaN w is not culled
 		}
 		for i := range f.packs {
-			f.packs[i].begin(&f.mesh)
+			f.packs[i].begin(&tb.Mesh)
 		}
-		for t := range f.mesh.Triangles() {
-			if err := f.route(ctx, view.Height, t); err != nil {
+		for t := range tb.Triangles() {
+			if err := f.route(ctx, view.Height, &tb.Mesh, t); err != nil {
 				return err
 			}
 		}
+		recycleMesh(tb.Mesh)
 		for i := range f.packs {
 			if err := f.packs[i].flush(ctx); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
 }
 
-// route adds triangle t of the chunk's mesh to every band its projection
-// may cover, on an image h pixels tall.
-func (f *ReadExtractRouteFilter) route(ctx core.Ctx, h, t int) error {
-	idx := f.mesh.Idx[3*t : 3*t+3]
+// route adds triangle t of src to every band its projection may cover, on
+// an image h pixels tall.
+func (f *RouteFilter) route(ctx core.Ctx, h int, src *geom.Mesh, t int) error {
+	idx := src.Idx[3*t : 3*t+3]
 	a, b, c := f.proj[idx[0]], f.proj[idx[1]], f.proj[idx[2]]
 	if !a.front || !b.front || !c.front {
 		return nil // behind the eye: the rasterizer would cull it
@@ -131,90 +129,37 @@ func (f *ReadExtractRouteFilter) route(ctx core.Ctx, h, t int) error {
 		y1 = h - 1
 	}
 	for band := render.BandOf(h, f.Bands, y0); band <= render.BandOf(h, f.Bands, y1); band++ {
-		if err := f.packs[band].add(ctx, &f.mesh, t); err != nil {
+		if err := f.packs[band].add(ctx, src, t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// RasterBandAPFilter rasterizes one screen band with the active-pixel
-// algorithm. Transparent copies of a band filter replicate within the
-// partition (the hybrid's replication axis).
-type RasterBandAPFilter struct {
-	In, Out     string
-	Band, Bands int
-	view        View
-	rr          render.Raster // reset every unit of work, keeping its scratch
-	st          *apState
-}
-
-// Init implements core.Filter.
-func (f *RasterBandAPFilter) Init(ctx core.Ctx) error {
-	view, err := viewOf(ctx)
-	if err != nil {
-		return err
-	}
-	ctx.DeclareBuffer(f.Out, 0, WPABufferBytes)
-	f.view = view
-	return nil
-}
-
-// Process implements core.Filter.
-func (f *RasterBandAPFilter) Process(ctx core.Ctx) error {
-	f.st = newAPState(ctx, f.view, f.Out, &f.rr)
-	y0, y1 := render.Band(f.view.Height, f.Bands, f.Band)
-	f.st.rr.SetScissor(y0, y1)
-	f.st.ctx = ctx
-	defer func() { f.st.ctx = nil }()
-	for {
-		b, ok := ctx.Read(f.In)
-		if !ok {
-			f.st.ap.FlushRemaining()
-			return f.st.werr
-		}
-		tb, ok := b.Payload.(TriBatch)
-		if !ok {
-			return fmt.Errorf("isoviz: band raster got %T", b.Payload)
-		}
-		f.st.rr.DrawMesh(&tb.Mesh, f.st.ap)
-		recycleMesh(tb.Mesh)
-		f.st.ap.FlushRemaining()
-		if f.st.werr != nil {
-			return f.st.werr
-		}
-	}
-}
-
-// Finalize implements core.Filter.
-func (f *RasterBandAPFilter) Finalize(core.Ctx) error {
-	f.st = nil
-	return nil
-}
-
-// PartitionedSpec assembles the hybrid pipeline: RE routes triangles to
-// `Bands` band rasterizers, whose disjoint pixel streams a single merge
-// filter assembles (its per-pixel work no longer grows with the copy
-// count).
+// PartitionedSpec assembles the hybrid pipeline from the standard stages:
+// RE reads, extracts and routes triangles to `Bands` band rasterizers,
+// whose disjoint pixel streams a single merge filter assembles (its
+// per-pixel work no longer grows with the copy count).
 type PartitionedSpec struct {
 	Bands  int
 	Source ChunkSource
 	Assign Assign
 }
 
-// Build constructs the partitioned graph: filters "RE", "Ra0".."Ra<K-1>",
-// and "M".
+// Build constructs the partitioned graph: filters "RE" (R, E and the route
+// fused), "Ra0".."Ra<K-1>", and "M".
 func (s PartitionedSpec) Build() *core.Graph {
 	g := core.NewGraph()
 	g.AddFilter("RE", func() core.Filter {
-		return &ReadExtractRouteFilter{Source: s.Source, Assign: s.Assign, Bands: s.Bands}
+		re := core.Fuse(&ReadFilter{Source: s.Source, Assign: s.Assign, Out: StreamVoxels},
+			&ExtractFilter{In: StreamVoxels, Out: StreamTriangles}, StreamVoxels)
+		return core.Fuse(re, &RouteFilter{In: StreamTriangles, Bands: s.Bands}, StreamTriangles)
 	})
 	var ins []string
 	for i := 0; i < s.Bands; i++ {
-		i := i
 		name := BandFilterName(i)
 		g.AddFilter(name, func() core.Filter {
-			return &RasterBandAPFilter{In: TriBandStream(i), Out: PixBandStream(i), Band: i, Bands: s.Bands}
+			return &RasterAPFilter{In: TriBandStream(i), Out: PixBandStream(i), Band: i, Bands: s.Bands}
 		})
 		g.Connect("RE", name, TriBandStream(i))
 		g.Connect(name, "M", PixBandStream(i))

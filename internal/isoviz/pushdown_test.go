@@ -99,9 +99,8 @@ func TestPushdownPropertyByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tris := 0
-					mcubes.Walk(v, iso, func(geom.Triangle) { tris++ })
-					if tris > 0 {
+					var mesh geom.Mesh
+					if tris := mcubes.ExtractMesh(v, iso, &mesh).Triangles; tris > 0 {
 						t.Fatalf("chunk %d pruned at iso %g t%d but emits %d triangles", c, iso, ts, tris)
 					}
 				}

@@ -75,6 +75,7 @@ func (w *Workload) timestep(t int) []ChunkStats {
 	stats := make([]ChunkStats, w.DS.Chunks())
 	var total int64
 	coarse := volume.New(c+1, c+1, c+1)
+	var mesh geom.Mesh
 	for i := range stats {
 		b := w.DS.Block(i)
 		// Sample the chunk's world extent on the coarse grid.
@@ -100,7 +101,8 @@ func (w *Workload) timestep(t int) []ChunkStats {
 				}
 			}
 		}
-		st := mcubes.Walk(coarse, w.Iso, func(geom.Triangle) {})
+		mesh.Reset()
+		st := mcubes.ExtractMesh(coarse, w.Iso, &mesh)
 		realCells := (b.NX - 1) * (b.NY - 1) * (b.NZ - 1)
 		// Surface quantities scale with the 2/3 power of the cell-count
 		// ratio (area vs volume scaling).

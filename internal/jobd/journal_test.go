@@ -1,9 +1,14 @@
 package jobd
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -178,4 +183,75 @@ func TestJournalTornTail(t *testing.T) {
 			t.Fatalf("torn tail %q: replay after acknowledged submit %d: %+v", torn, id, replay)
 		}
 	}
+}
+
+// FuzzJournalReplay writes arbitrary bytes as the journal file and opens
+// it. Replay must not panic, must leave the file as its newline-terminated
+// prefix, and must be repeatable: a second open replays the same jobs, plus
+// a record appended after the first.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte(`{"kind":"sub`))
+	f.Add([]byte(`{"kind":"submit","id":2,"time":"2024-01-01T00:00:00Z","spec":{"name":"unsynced"}}`))
+	at := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	var seq []byte
+	for _, r := range []journalRec{
+		{Kind: "submit", ID: 1, Time: at, Spec: testSpec("done")},
+		{Kind: "start", ID: 1, Time: at},
+		{Kind: "retry", ID: 1, Time: at, Attempt: 1, NotBeforeMS: at.UnixMilli() + 500, Err: "worker lost"},
+		{Kind: "start", ID: 1, Time: at},
+		{Kind: "done", ID: 1, Time: at, OK: true},
+		{Kind: "submit", ID: 2, Time: at, Spec: testSpec("backoff")},
+		{Kind: "start", ID: 2, Time: at},
+		{Kind: "retry", ID: 2, Time: at, Attempt: 1, NotBeforeMS: at.UnixMilli() + 500},
+	} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seq = append(append(seq, b...), '\n')
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jnl, first, err := openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := data[:bytes.LastIndexByte(data, '\n')+1]; !bytes.Equal(raw, want) {
+			t.Fatalf("journal left as %q, want its terminated prefix %q", raw, want)
+		}
+		id := uint64(0)
+		for slices.ContainsFunc(first, func(j replayedJob) bool { return j.ID == id }) {
+			id++
+		}
+		if err := jnl.submit(id, at, testSpec("appended")); err != nil {
+			t.Fatal(err)
+		}
+		jnl.close()
+
+		jnl, second, err := openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl.close()
+		want := append(slices.Clone(first), replayedJob{ID: id, Spec: *testSpec("appended"), Submitted: at})
+		slices.SortFunc(want, func(a, b replayedJob) int { return cmp.Compare(a.ID, b.ID) })
+		if len(second) != len(want) {
+			t.Fatalf("second open replayed %d jobs, want %d", len(second), len(want))
+		}
+		for i, w := range want {
+			g := second[i]
+			if g.ID != w.ID || g.Started != w.Started || g.Attempts != w.Attempts ||
+				!g.Submitted.Equal(w.Submitted) || !g.NotBefore.Equal(w.NotBefore) || !reflect.DeepEqual(g.Spec, w.Spec) {
+				t.Fatalf("job %d replayed as %+v, want %+v", w.ID, g, w)
+			}
+		}
+	})
 }

@@ -129,45 +129,7 @@ type Stats struct {
 // whose edge cannot be cached is appended again for each use). Vertices are
 // in the global normalized coordinates of v's block; normals derive from
 // the sampled field's gradient and point toward decreasing values.
-// Expanded by index, the triangles are Walk's, in Walk's order.
 func ExtractMesh(v *volume.Volume, iso float32, m *geom.Mesh) Stats {
-	return run(v, iso, m, nil)
-}
-
-// Walk extracts the isosurface of v at isovalue iso, invoking emit for
-// every triangle, each expanded from the indexed mesh ExtractMesh builds.
-func Walk(v *volume.Volume, iso float32, emit func(geom.Triangle)) Stats {
-	return run(v, iso, nil, func(m *geom.Mesh) {
-		for t := range m.Triangles() {
-			emit(m.Triangle(t))
-		}
-	})
-}
-
-// Extract appends the isosurface triangles of v at iso to out.
-func Extract(v *volume.Volume, iso float32, out []geom.Triangle) ([]geom.Triangle, Stats) {
-	st := run(v, iso, nil, func(m *geom.Mesh) {
-		for t := range m.Triangles() {
-			out = append(out, m.Triangle(t))
-		}
-	})
-	return out, st
-}
-
-// idle recycles walkers between calls: transparent copies of the extract
-// filter run concurrently, each call borrowing its own. Unlike a sync.Pool
-// it survives garbage collections, so a steady stream of calls allocates
-// nothing. It holds one walker per P, as extraction is CPU-bound, and drops
-// walkers whose edge ring outgrew maxIdleEdges (whole-volume calls), and
-// the scratch mesh of Walk and Extract once it outgrew 3·maxIdleEdges
-// indices.
-var idle = make(chan *walker, runtime.GOMAXPROCS(0))
-
-const maxIdleEdges = 1 << 16
-
-// run extracts v into m, or, when m is nil, into the walker's scratch mesh
-// and hands that to expand.
-func run(v *volume.Volume, iso float32, m *geom.Mesh, expand func(*geom.Mesh)) Stats {
 	if v.NX < 2 || v.NY < 2 || v.NZ < 2 {
 		return Stats{}
 	}
@@ -177,21 +139,10 @@ func run(v *volume.Volume, iso float32, m *geom.Mesh, expand func(*geom.Mesh)) S
 	default:
 		w = new(walker)
 	}
-	if m == nil {
-		w.scratch.Reset()
-		w.m = &w.scratch
-	} else {
-		w.m = m
-	}
+	w.m = m
 	w.walk(v, iso)
 	st := w.st
-	if expand != nil {
-		expand(w.m)
-	}
 	w.m, w.data = nil, nil
-	if cap(w.scratch.Idx) > 3*maxIdleEdges {
-		w.scratch = geom.Mesh{}
-	}
 	if len(w.edges) <= maxIdleEdges {
 		select {
 		case idle <- w:
@@ -201,6 +152,27 @@ func run(v *volume.Volume, iso float32, m *geom.Mesh, expand func(*geom.Mesh)) S
 	return st
 }
 
+// Extract appends the isosurface triangles of v at iso to out: ExtractMesh's
+// triangles, expanded by index. Only the bench replay calls this; removed
+// with ROADMAP 16(c).
+func Extract(v *volume.Volume, iso float32, out []geom.Triangle) ([]geom.Triangle, Stats) {
+	var m geom.Mesh
+	st := ExtractMesh(v, iso, &m)
+	for t := range m.Triangles() {
+		out = append(out, m.Triangle(t))
+	}
+	return out, st
+}
+
+// idle recycles walkers between calls: transparent copies of the extract
+// filter run concurrently, each call borrowing its own. Unlike a sync.Pool
+// it survives garbage collections, so a steady stream of calls allocates
+// nothing. It holds one walker per P, as extraction is CPU-bound, and drops
+// walkers whose edge ring outgrew maxIdleEdges (whole-volume calls).
+var idle = make(chan *walker, runtime.GOMAXPROCS(0))
+
+const maxIdleEdges = 1 << 16
+
 // walker is one extraction pass's state and its reusable scratch.
 type walker struct {
 	data       []float32
@@ -209,7 +181,6 @@ type walker struct {
 	nxy        int
 	st         Stats
 	m          *geom.Mesh // the call's output
-	scratch    geom.Mesh  // the output of Walk and Extract
 
 	// The classification of the two sample slabs a cell layer touches, in
 	// a ring (slab z in half z&1): row y of a slab is rowWords words, bit

@@ -220,9 +220,9 @@ func TestStatsConsistency(t *testing.T) {
 	fld := volume.NewPlumeField(13, 4)
 	v := volume.Rasterize(fld, 20, 20, 20, 0)
 	min, max := v.MinMax()
-	count := 0
-	st := Walk(v, (min+max)/2, func(geom.Triangle) { count++ })
-	if st.Triangles != count {
+	var m geom.Mesh
+	st := ExtractMesh(v, (min+max)/2, &m)
+	if count := m.Triangles(); st.Triangles != count {
 		t.Fatalf("stats %d vs emitted %d", st.Triangles, count)
 	}
 	if st.ActiveCells > st.Cells || st.ActiveCells == 0 {
@@ -317,9 +317,10 @@ func BenchmarkExtractChunks(b *testing.B) {
 			_, hi := v.MinMax()
 			top = max(top, hi)
 		}
+		var m geom.Mesh
 		for i := 0; i < b.N; i++ {
 			for _, v := range chunks {
-				Walk(v, top+1, func(geom.Triangle) {})
+				ExtractMesh(v, top+1, &m)
 			}
 		}
 	})

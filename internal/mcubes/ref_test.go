@@ -2,8 +2,8 @@ package mcubes
 
 // The reference oracle: the extraction kernel exactly as it stood before
 // the slab-wise rewrite, kept verbatim (renamed only) so every property and
-// fuzz test below checks the production Walk, Extract and ExtractMesh
-// (expanded by index) against the parent's bits — the same triangles, in
+// fuzz test below checks the production ExtractMesh (expanded by index) and
+// Extract against the parent's bits — the same triangles, in
 // the same order, with the same Stats.
 
 import (
@@ -422,15 +422,26 @@ func fingerprintScene(walk func(*volume.Volume, float32, func(geom.Triangle)) St
 	return fmt.Sprintf("%016x", h.Sum64()), sum
 }
 
-// The fingerprint was committed while Walk was still the reference code, so
-// it pins the parent's output independently of walkRef.
+// expandMesh is ExtractMesh as a walk: it emits the triangles expanded by
+// index.
+func expandMesh(v *volume.Volume, iso float32, emit func(geom.Triangle)) Stats {
+	var m geom.Mesh
+	st := ExtractMesh(v, iso, &m)
+	for t := range m.Triangles() {
+		emit(m.Triangle(t))
+	}
+	return st
+}
+
+// The fingerprint was committed while the per-tetrahedron walk was still
+// the production code, so it pins that output independently of walkRef.
 const sceneFingerprint = "bc90cd6308b6b810"
 
 var sceneStats = Stats{Cells: 24576, ActiveCells: 2520, Triangles: 14780}
 
 func TestSceneFingerprintPinned(t *testing.T) {
 	for name, walk := range map[string]func(*volume.Volume, float32, func(geom.Triangle)) Stats{
-		"Walk": Walk, "walkRef": walkRef,
+		"ExtractMesh": expandMesh, "walkRef": walkRef,
 	} {
 		fp, st := fingerprintScene(walk)
 		if fp != sceneFingerprint || st != sceneStats {

@@ -118,25 +118,25 @@ func (r *Raster) shadeVertex(n geom.Vec3) RGB {
 	return RGB{clamp(r.Base[0] * k), clamp(r.Base[1] * k), clamp(r.Base[2] * k)}
 }
 
-// Draw rasterizes one triangle into the target: transform to screen space,
-// clip (triangles reaching behind the eye plane are culled; the screen
-// rectangle clips the rest), shade, and fill with interpolated depth and
-// color. Pixel centers are sampled at (x+0.5, y+0.5).
-func (r *Raster) Draw(t geom.Triangle, out Target) {
-	r.draw(&t, out)
-}
-
-// DrawAll rasterizes a batch.
+// DrawAll rasterizes a batch of triangles exactly as DrawMesh would the
+// same triangles as a mesh, transforming each triangle's vertices anew.
+// Only the bench replay calls this; removed with ROADMAP 16(c).
 func (r *Raster) DrawAll(ts []geom.Triangle, out Target) {
+	var v [3]vert
 	for i := range ts {
-		r.draw(&ts[i], out)
+		r.project(v[:], ts[i].P[:], ts[i].N[:])
+		if v[0].front && v[1].front && v[2].front {
+			r.fill(&v[0], &v[1], &v[2], out)
+		}
 	}
 }
 
-// DrawMesh rasterizes an indexed mesh exactly as DrawAll would its
-// triangles expanded by index, with each vertex transformed once and shaded
-// at most once: when it first colors a pixel of any triangle that uses it.
-// Every index must be below len(m.P), and len(m.N) must equal len(m.P).
+// DrawMesh rasterizes an indexed mesh into the target: each vertex is
+// transformed to screen space once, a triangle with any vertex behind the
+// eye plane is culled (the screen rectangle clips the rest), and each
+// vertex is shaded at most once: when it first colors a pixel of any
+// triangle that uses it. Every index must be below len(m.P), and len(m.N)
+// must equal len(m.P).
 func (r *Raster) DrawMesh(m *geom.Mesh, out Target) {
 	if cap(r.verts) < len(m.P) {
 		r.verts = make([]vert, len(m.P))
@@ -186,22 +186,13 @@ func (r *Raster) project(vs []vert, ps, ns []geom.Vec3) {
 // margin widens the pixel-centre box on each side; see fill.
 const margin = 1.0 / 64
 
-// draw is Draw without the 72-byte triangle copy: a triangle with any
-// vertex behind the eye plane is culled.
-func (r *Raster) draw(t *geom.Triangle, out Target) {
-	var v [3]vert
-	r.project(v[:], t.P[:], t.N[:])
-	if v[0].front && v[1].front && v[2].front {
-		r.fill(&v[0], &v[1], &v[2], out)
-	}
-}
-
 // fill scan-converts one triangle whose vertices are in front of the eye
-// plane; Draw, DrawAll and DrawMesh all fill here. Isosurface triangles are
-// about a pixel in size, so per-triangle work dominates: shading waits
-// until a pixel center is covered, and the three edge tests of a visited
-// pixel join into one branch, because which of them fails is
-// unpredictable.
+// plane, shading and filling with interpolated depth and color; DrawMesh
+// and DrawAll both fill here. Pixel centers are sampled at (x+0.5, y+0.5).
+// Isosurface triangles are about a pixel in size, so per-triangle work
+// dominates: shading waits until a pixel center is covered, and the three
+// edge tests of a visited pixel join into one branch, because which of
+// them fails is unpredictable.
 //
 // The loop visits only the pixel centers within margin m of the projected
 // extent, ceil(min-0.5-m) … floor(max-0.5+m) per axis — on average one

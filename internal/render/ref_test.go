@@ -1,11 +1,11 @@
 package render
 
-// The reference oracles: Raster.Draw and its helpers exactly as they stood
-// before the per-triangle trims, and ZBuffer.Clear and ZBuffer.MergeRange as
-// they stood before the block-copy fill and the packed-colour compare, kept
-// verbatim (renamed only) so the properties below check the production
-// kernels against the parent's bits — identical planes, counters, Put
-// sequences and active-pixel flushes.
+// The reference oracles: the triangle rasterizer and its helpers exactly as
+// they stood before the per-triangle trims, and ZBuffer.Clear and
+// ZBuffer.MergeRange as they stood before the block-copy fill and the
+// packed-colour compare, kept verbatim (renamed only) so the properties
+// below check the production kernels against the parent's bits — identical
+// planes, counters, Put sequences and active-pixel flushes.
 
 import (
 	"encoding/binary"
@@ -213,7 +213,7 @@ func zbufferBits(z *ZBuffer) []byte {
 }
 
 // rasterCase is one rasterization setup: viewport, optional scissor band,
-// and whether triangles go one Draw at a time or through DrawAll.
+// and whether triangles go one DrawAll call at a time or in one batch.
 type rasterCase struct {
 	w, h     int
 	band     [2]int // scissor [y0,y1) when band[1] > 0
@@ -275,15 +275,15 @@ func (got *drawRun) diff(want *drawRun) error {
 	return nil
 }
 
-// compareDraw rasterizes tris with the production kernels — Draw or
-// DrawAll, and DrawMesh on the deduplicated mesh — and the reference into
+// compareDraw rasterizes tris with the production kernels — DrawAll, and
+// DrawMesh on the deduplicated mesh — and the reference into
 // each target kind and reports the first difference.
 func compareDraw(tris []geom.Triangle, c rasterCase) error {
 	want := newDrawRun(c, func(r *Raster, t Target) { drawAllRef(r, tris, t) })
 	got := newDrawRun(c, func(r *Raster, t Target) {
 		if c.oneByOne {
-			for _, tr := range tris {
-				r.Draw(tr, t)
+			for i := range tris {
+				r.DrawAll(tris[i:i+1], t)
 			}
 		} else {
 			r.DrawAll(tris, t)
@@ -363,7 +363,8 @@ func randomTriangles(rng *rand.Rand) []geom.Triangle {
 }
 
 // Property: for random scenes, viewports from 1x1 up, scissor bands, both
-// targets and both entry points, Draw/DrawAll match the reference exactly.
+// targets and both entry points, DrawAll/DrawMesh match the reference
+// exactly.
 func TestDrawMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		if err := compareSeed(seed); err != nil {
@@ -619,7 +620,7 @@ func TestDrawMatchesReferenceAdversarial(t *testing.T) {
 // NaN payload, infinity, denormal or magnitude — on a fuzzed viewport,
 // under the identity transform (the bits are screen coordinates) or the
 // default camera, and requires the reference's output bit for bit, from
-// Draw and from DrawMesh.
+// DrawAll and from DrawMesh.
 func FuzzDrawMatchesReference(f *testing.F) {
 	bits := func(t geom.Triangle) (b [9]uint32) {
 		for k, p := range coords(&t) {
@@ -704,8 +705,9 @@ func TestDrawMeshAfterSettingsChangeMatchesReference(t *testing.T) {
 	}
 }
 
-// The fingerprints were committed while Draw was still the reference code,
-// so they pin the parent's output independently of drawRef.
+// The fingerprints were committed while the triangle rasterizer was still
+// the reference code, so they pin the parent's output independently of
+// drawRef.
 const (
 	imageFingerprint = "6490139a6399a64d"
 	imageTriangles   = 14780

@@ -88,7 +88,7 @@ func TestMergeCommutesProperty(t *testing.T) {
 		}
 		r := NewRaster(geom.DefaultCamera(), w, h)
 		for _, tr := range tris {
-			r.Draw(tr, bufs[rng.Intn(parts)])
+			r.DrawAll([]geom.Triangle{tr}, bufs[rng.Intn(parts)])
 		}
 		acc := NewZBuffer(w, h)
 		for _, i := range rng.Perm(parts) {
@@ -162,7 +162,7 @@ func TestActivePixelPartitionedCopiesEqualSingle(t *testing.T) {
 	}
 	for _, tr := range tris {
 		i := rng.Intn(copies)
-		rs[i].Draw(tr, aps[i])
+		rs[i].DrawAll([]geom.Triangle{tr}, aps[i])
 	}
 	for _, ap := range aps {
 		ap.FlushRemaining()
@@ -232,7 +232,7 @@ func TestBehindCameraTrianglesCulled(t *testing.T) {
 	}}
 	z := NewZBuffer(32, 32)
 	r := NewRaster(cam, 32, 32)
-	r.Draw(tri, z)
+	r.DrawAll([]geom.Triangle{tri}, z)
 	if z.ActiveCount() != 0 {
 		t.Fatal("behind-camera triangle rasterized")
 	}
@@ -246,7 +246,7 @@ func TestOffscreenTriangleClipped(t *testing.T) {
 	}}
 	z := NewZBuffer(32, 32)
 	r := NewRaster(geom.DefaultCamera(), 32, 32)
-	r.Draw(tri, z)
+	r.DrawAll([]geom.Triangle{tri}, z)
 	if z.ActiveCount() != 0 {
 		t.Fatal("offscreen triangle rasterized")
 	}
