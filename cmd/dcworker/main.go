@@ -41,6 +41,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -56,34 +57,60 @@ import (
 	"datacutter/internal/obs"
 )
 
+// options are the parsed command-line flags.
+type options struct {
+	listen, debugAddr, trace, register, host, advertise string
+	faults                                              *faults.Plan // nil: no fault plan
+	drainTimeout                                        time.Duration
+}
+
+// parseFlags parses args; on an error it has printed the reason and the
+// usage.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("dcworker", flag.ContinueOnError)
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:9101", "address to listen on")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /debug/events, /debug/pprof on this address (e.g. :6060)")
+	fs.StringVar(&o.trace, "trace", "", "append buffer-lifecycle trace events to this JSONL file")
+	faultSpec := fs.String("faults", "", "deterministic fault plan, e.g. 'seed=7; drop=triangles:100; kill=data:500'")
+	fs.StringVar(&o.register, "register", "", "dcjobd base URL to register with (e.g. http://localhost:8080)")
+	fs.StringVar(&o.host, "host", "", "placement host name to register as (required with -register)")
+	fs.StringVar(&o.advertise, "advertise", "", "dist address to advertise to the server (default: the listen address)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "max wait for active job sessions on SIGINT/SIGTERM")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	switch {
+	case o.register != "" && o.host == "":
+		err = errors.New("-register requires -host")
+	case *faultSpec != "":
+		o.faults, err = faults.ParsePlan(*faultSpec)
+	}
+	if err != nil {
+		fmt.Fprintln(fs.Output(), "dcworker:", err)
+		fs.Usage()
+	}
+	return o, err
+}
+
 func main() {
-	listen := flag.String("listen", "127.0.0.1:9101", "address to listen on")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/events, /debug/pprof on this address (e.g. :6060)")
-	trace := flag.String("trace", "", "append buffer-lifecycle trace events to this JSONL file")
-	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. 'seed=7; drop=triangles:100; kill=data:500'")
-	register := flag.String("register", "", "dcjobd base URL to register with (e.g. http://localhost:8080)")
-	host := flag.String("host", "", "placement host name to register as (required with -register)")
-	advertise := flag.String("advertise", "", "dist address to advertise to the server (default: the listen address)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for active job sessions on SIGINT/SIGTERM")
-	flag.Parse()
-	if *register != "" && *host == "" {
-		fmt.Fprintln(os.Stderr, "dcworker: -register requires -host")
+	opt, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
 
-	w, err := dist.NewWorker(*listen)
+	w, err := dist.NewWorker(opt.listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcworker:", err)
 		os.Exit(1)
 	}
-	if *faultSpec != "" {
-		plan, err := faults.ParsePlan(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dcworker:", err)
-			os.Exit(2)
-		}
-		w.SetFaults(plan.Injector())
-		fmt.Printf("dcworker fault plan active: %s\n", plan)
+	if opt.faults != nil {
+		w.SetFaults(opt.faults.Injector())
+		fmt.Printf("dcworker fault plan active: %s\n", opt.faults)
 	}
 
 	var (
@@ -91,12 +118,12 @@ func main() {
 		traceF     *os.File
 		healthAddr string
 	)
-	if *debugAddr != "" || *trace != "" {
+	if opt.debugAddr != "" || opt.trace != "" {
 		reg := obs.NewRegistry()
 		ring := obs.NewRingSink(4096)
 		sinks := []obs.Sink{ring}
-		if *trace != "" {
-			f, err := os.Create(*trace)
+		if opt.trace != "" {
+			f, err := os.Create(opt.trace)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "dcworker:", err)
 				os.Exit(1)
@@ -107,8 +134,8 @@ func main() {
 		o = obs.New(obs.Tee(sinks...), reg)
 		o.SetClock(obs.NewWallClock())
 		w.SetObserver(o)
-		if *debugAddr != "" {
-			dbg, err := obs.ServeDebug(*debugAddr, reg, ring)
+		if opt.debugAddr != "" {
+			dbg, err := obs.ServeDebug(opt.debugAddr, reg, ring)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "dcworker:", err)
 				os.Exit(1)
@@ -119,20 +146,20 @@ func main() {
 	}
 
 	fmt.Printf("dcworker listening on %s\n", w.Addr())
-	if *register != "" {
-		addr := *advertise
+	if opt.register != "" {
+		addr := opt.advertise
 		if addr == "" {
 			addr = w.Addr()
 		}
-		go registerLoop(*register, *host, addr, healthAddr)
+		go registerLoop(opt.register, opt.host, addr, healthAddr)
 	}
 	go func() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		got := <-ch
-		fmt.Printf("dcworker: %s — draining (up to %s for active sessions)\n", got, *drainTimeout)
+		fmt.Printf("dcworker: %s — draining (up to %s for active sessions)\n", got, opt.drainTimeout)
 		done := make(chan bool, 1)
-		go func() { done <- w.Drain(*drainTimeout) }()
+		go func() { done <- w.Drain(opt.drainTimeout) }()
 		select {
 		case ok := <-done:
 			if !ok {

@@ -95,6 +95,24 @@ func TestConformanceFaults(t *testing.T) {
 	}
 }
 
+// TestConformanceFaultsSeed18 pins the fault-mode spec that once failed
+// with a filter panicking on "send on closed channel": after the kill, the
+// retry's sessions took an end-of-work marker the aborted attempt had left
+// on its peer connection, closed a queue a local producer still wrote to,
+// and lost remote buffers. It runs in -short mode too, where the sweep
+// stops below seed 18.
+func TestConformanceFaultsSeed18(t *testing.T) {
+	leakcheck.Check(t)
+	s := Generate(18, GenConfig{})
+	fail, ok := CheckFaults(s)
+	if !ok {
+		t.Fatal("seed 18 no longer has a qualifying kill victim; pin another spec that exercises a retry")
+	}
+	if fail != nil {
+		t.Fatalf("fault-mode violation at seed 18:\n%v", fail)
+	}
+}
+
 // TestConformanceElastic sweeps runtime-mutable copy sets: every seed's
 // pipeline carries a scale schedule with at least one guaranteed scale-up
 // and one guaranteed scale-down at work-cycle boundaries, and the full

@@ -102,7 +102,7 @@ func RegisterCodec(id uint16, prototype any, c PayloadCodec) {
 // failed. It is an application error on the sending host, never a
 // transport one: no peer is implicated.
 type payloadError struct {
-	stream string
+	stream string       // named by the sending session: frames carry an index
 	typ    reflect.Type // nil for an untyped nil payload
 	err    error
 }
@@ -113,16 +113,16 @@ func (e *payloadError) Error() string {
 	return fmt.Sprintf("dist: stream %s: %v payload: %v", e.stream, e.typ, e.err)
 }
 
-// appendPayload encodes a payload value written on stream with its codec,
-// returning the codec id.
-func appendPayload(dst []byte, stream string, v any) ([]byte, uint16, error) {
+// appendPayload encodes a payload value with its codec, returning the
+// codec id.
+func appendPayload(dst []byte, v any) ([]byte, uint16, error) {
 	e, ok := codecs.Load().byType[reflect.TypeOf(v)]
 	if !ok {
-		return nil, 0, &payloadError{stream, reflect.TypeOf(v), errNoCodec}
+		return nil, 0, &payloadError{typ: reflect.TypeOf(v), err: errNoCodec}
 	}
 	dst, err := e.codec.Append(dst, v)
 	if err != nil {
-		return nil, 0, &payloadError{stream, reflect.TypeOf(v), err}
+		return nil, 0, &payloadError{typ: reflect.TypeOf(v), err: err}
 	}
 	return dst, e.id, nil
 }

@@ -353,7 +353,7 @@ func FuzzControlStream(f *testing.F) {
 		for i := 0; i < 64 && rd.Len() > 0; i++ {
 			fr, rel, err := r.readWireFrame(rd)
 			if err != nil {
-				if _, _, again := r.readWireFrame(bytes.NewReader(wireBytes([]byte{byte(kindHello)}))); again == nil {
+				if _, _, again := r.readWireFrame(bytes.NewReader(wireBytes([]byte{byte(kindHeartbeat)}))); again == nil {
 					t.Fatalf("decoding resumed after %v", err)
 				}
 				return

@@ -3,6 +3,8 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"sort"
 	"strings"
 	"time"
@@ -199,12 +201,16 @@ type coordinator struct {
 }
 
 // connectAll dials and sets up every host in co.addrs, populating co.links.
-// A dial or setup failure is attributed to the host that refused — unless
-// the run's context was cancelled, which is the caller's doing, not the
-// worker's.
+// It is one setup round: its sessions share one random nonzero setup id,
+// which their peer connections' hellos present, so no connection of an
+// earlier round — an aborted attempt, a rescale, another coordinator of the
+// same job id — can reach them. A dial or setup failure is attributed to
+// the host that refused — unless the run's context was cancelled, which is
+// the caller's doing, not the worker's.
 func (co *coordinator) connectAll() error {
+	id := rand.Uint64N(math.MaxUint64) + 1
 	for _, host := range co.hostNames() {
-		l, err := co.connectHost(host, co.addrs[host])
+		l, err := co.connectHost(host, co.addrs[host], id)
 		if err != nil {
 			if co.ctx.Err() != nil {
 				return err
@@ -230,7 +236,7 @@ func (co *coordinator) hostNames() []string {
 // connectHost dials one worker (with backoff via dialRetry) and completes
 // the Setup handshake. A "worker busy" refusal is retried briefly: after an
 // abort, the re-setup can race the old session's final teardown.
-func (co *coordinator) connectHost(host, addr string) (*hostLink, error) {
+func (co *coordinator) connectHost(host, addr string, setupID uint64) (*hostLink, error) {
 	busyDeadline := time.Now().Add(co.opts.hbTimeout() + 2*time.Second)
 	backoff := 10 * time.Millisecond
 	for {
@@ -240,7 +246,7 @@ func (co *coordinator) connectHost(host, addr string) (*hostLink, error) {
 		}
 		c := newConn(nc, nil)
 		if err := c.send(&frame{Kind: kindSetup, Setup: &setupMsg{
-			Graph: co.spec, Placement: co.placement, Opts: co.opts,
+			ID: setupID, Graph: co.spec, Placement: co.placement, Opts: co.opts,
 			Addrs: co.addrs, Host: host,
 		}}); err != nil {
 			c.close()
@@ -320,11 +326,11 @@ func (co *coordinator) waitReply(l *hostLink) (*frame, error) {
 // sweepLiveness checks every live link once: a buffered reader error, or a
 // full miss budget of heartbeat-interval silences (counted per host in
 // hostLink.misses so the tally survives gather moving between hosts),
-// declares that host dead.
+// declares that host dead. A link whose session is over is not checked.
 func (co *coordinator) sweepLiveness(interval time.Duration, limit int) error {
 	for _, host := range co.hostNames() {
 		l := co.links[host]
-		if l == nil || l.dead {
+		if l == nil || l.dead || l.over.Load() {
 			continue
 		}
 		select {

@@ -80,7 +80,7 @@ func TestKilledSenderDoesNotImplicatePeer(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		s, _, _, _ := pairSession(t, "test.nop")
 		s.w.Kill()
-		if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Payload: []byte{1}, Size: 1}, 0); err == nil {
+		if err := s.Deliver("h1", exec.Edge{}, core.Buffer{Payload: []byte{1}, Size: 1}, 0); err == nil {
 			t.Fatal("a killed worker delivered a buffer")
 		}
 		if f := s.failFrame(s.rt.Err()); f != nil {
@@ -96,7 +96,7 @@ func TestKilledSenderDoesNotImplicatePeer(t *testing.T) {
 func TestUnencodablePayloadIsProducerError(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		s, graph, place, addrs := pairSession(t, "test.nocodec")
-		if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Payload: noCodecPayload{}, Size: 1}, 0); err == nil {
+		if err := s.Deliver("h1", exec.Edge{}, core.Buffer{Payload: noCodecPayload{}, Size: 1}, 0); err == nil {
 			t.Fatal("a payload without a codec was delivered")
 		}
 		cause := s.rt.Err()
@@ -128,7 +128,7 @@ func TestUnencodablePayloadIsProducerError(t *testing.T) {
 // the peer as a codec id it will refuse to decode.
 func TestNilPayloadIsProducerError(t *testing.T) {
 	s, _, _, _ := pairSession(t, "test.nop")
-	if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Size: 1}, 0); err == nil {
+	if err := s.Deliver("h1", exec.Edge{}, core.Buffer{Size: 1}, 0); err == nil {
 		t.Fatal("a nil payload was delivered")
 	}
 	cause := s.rt.Err()
@@ -143,7 +143,7 @@ func TestNilPayloadIsProducerError(t *testing.T) {
 // A codec's failing Append is the producer's error too.
 func TestPayloadAppendErrorIsProducerError(t *testing.T) {
 	s, _, _, _ := pairSession(t, "test.nop")
-	if err := s.Deliver("h1", exec.Edge{Stream: "s"}, core.Buffer{Payload: refusedPayload{}, Size: 1}, 0); err == nil {
+	if err := s.Deliver("h1", exec.Edge{}, core.Buffer{Payload: refusedPayload{}, Size: 1}, 0); err == nil {
 		t.Fatal("a payload whose codec refused it was delivered")
 	}
 	cause := s.rt.Err()

@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"testing"
+
+	"datacutter/internal/exec"
 )
 
 // FuzzDecodeFrame drives the wire-frame reader with arbitrary byte streams.
@@ -25,12 +27,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		putU32(hdr[:], len(body))
 		f.Add(append(hdr[:], body...))
 	}
-	seed(dataFrame(9, 1, "tri", 2, 3, 4, 24, []float32{1, -2}))
-	seed(dataFrame(0, 0, "s", 0, 0, 0, 3, []byte{0xDE, 0xAD, 0xBF}))
-	seed(&frame{Kind: kindData, Stream: "s", Size: 3, Codec: 0, Payload: []byte{1, 2, 3}})
-	seed(&frame{Kind: kindAck, UOWIdx: 1, Stream: "tri", Target: 2, Copy: 3, AckN: 4})
-	seed(&frame{Kind: kindProducerDone, UOWIdx: 7, Stream: "pix"})
-	seed(&frame{Kind: kindHello})
+	seed(dataFrame(exec.Edge{UOW: 1, Stream: 2, From: 2, Target: 3}, 4, 24, []float32{1, -2}))
+	seed(dataFrame(exec.Edge{}, 0, 3, []byte{0xDE, 0xAD, 0xBF}))
+	seed(&frame{Kind: kindData, Size: 3, Codec: 0, Payload: []byte{1, 2, 3}})
+	seed(&frame{Kind: kindAck, UOWIdx: 1, Stream: 2, Target: 2, Copy: 3, AckN: 4})
+	seed(&frame{Kind: kindProducerDone, UOWIdx: 7, Stream: 1})
+	seed(&frame{Kind: kindHello, Job: 7, SetupID: 0x0102030405060708})
 	seed(&frame{Kind: kindDecls, Decls: map[string][2]int{"ints": {64, 4096}}})
 	// Hostile prefixes (also committed under testdata/fuzz/FuzzDecodeFrame).
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})            // oversized length

@@ -20,6 +20,11 @@ type hostLink struct {
 	// lastBeat is the wall clock (unix nanos) of the last frame of any
 	// kind — real replies count as liveness too.
 	lastBeat atomic.Int64
+	// over is set when the worker sent its session's last frame
+	// (kindAbortDone or kindShutdownDone). The worker hangs up next and its
+	// heartbeats stop: the end of the session, not a death, so the liveness
+	// sweep passes the link by and the reader reports no error.
+	over atomic.Bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -64,9 +69,16 @@ func (l *hostLink) readLoop() {
 		if f.Kind == kindHeartbeat {
 			continue
 		}
+		last := f.Kind == kindAbortDone || f.Kind == kindShutdownDone
+		if last {
+			l.over.Store(true)
+		}
 		select {
 		case l.reply <- f:
 		case <-l.stop:
+			return
+		}
+		if last {
 			return
 		}
 	}

@@ -4,11 +4,11 @@
 // communication", paper §2). A coordinator distributes the graph spec and
 // placement to workers (one per named host); each worker runs its local
 // transparent copies as goroutines; stream buffers between copies on
-// different hosts travel as length-prefixed binary frames over
-// per-host-pair TCP connections, with TCP backpressure standing in for
-// bounded queues across the wire. The same core.Policy objects drive
-// buffer distribution, and demand-driven acknowledgments are real network
-// messages.
+// different hosts travel as length-prefixed binary frames over TCP
+// connections, one per session and host pair, with TCP backpressure
+// standing in for bounded queues across the wire. The same core.Policy
+// objects drive buffer distribution, and demand-driven acknowledgments are
+// real network messages.
 //
 // The data plane (data, ack, and producer-done frames) uses hand-rolled
 // binary headers, one registered PayloadCodec per payload type (a type
@@ -57,12 +57,12 @@ type PlacementEntry = elastic.Entry
 
 // Options configures a distributed run.
 type Options struct {
-	// JobID namespaces the run on the worker mesh: every setup, data, ack,
-	// and producer-done frame carries it, so one persistent worker process
-	// serves interleaved sessions from many concurrent jobs (internal/jobd
-	// assigns unique ids). Zero — the default for one-shot runs — behaves
-	// exactly like the pre-job protocol: a second setup with the same id is
-	// refused while the first session is active.
+	// JobID namespaces the run on the worker mesh: the setup frame and
+	// every peer connection's hello carry it, so one persistent worker
+	// process serves interleaved sessions from many concurrent jobs
+	// (internal/jobd assigns unique ids). Zero — the default for one-shot
+	// runs — behaves exactly like the pre-job protocol: a second setup with
+	// the same id is refused while the first session is active.
 	JobID uint64
 
 	Policy string // default policy name (core.PolicyByName); default RR
@@ -213,10 +213,10 @@ func builderFor(kind string) (Builder, error) {
 //
 // Control frames travel on the coordinator<->worker connection; data, ack,
 // and producer-done frames travel on worker->worker connections (one TCP
-// connection per ordered host pair, so FIFO ordering between a host's data
-// and its end-of-work markers is guaranteed by TCP). Frame serialization
-// lives in wire.go: binary bodies for the data plane, a per-connection gob
-// stream for control.
+// connection per session and ordered host pair, so FIFO ordering between a
+// host's data and its end-of-work markers is guaranteed by TCP). Frame
+// serialization lives in wire.go: binary bodies for the data plane, a
+// per-connection gob stream for control.
 
 type frame struct {
 	Kind frameKind
@@ -237,10 +237,13 @@ type frame struct {
 	FailHost string
 	FailNet  bool
 
-	// Peer traffic (worker -> worker).
-	Job     uint64 // job the frame belongs to (session demux on the worker)
+	// Peer traffic (worker -> worker). A hello binds its connection to the
+	// session of (Job, SetupID); the frames after it name a stream by its
+	// index in that session's GraphSpec.Streams.
+	Job     uint64 // hello: the dialing session's job
+	SetupID uint64 // hello: the dialing session's setup round (setupMsg.ID)
 	UOWIdx  int    // unit of work the frame belongs to (stale frames dropped)
-	Stream  string // stream name (interned on receive)
+	Stream  int    // index into GraphSpec.Streams
 	Target  int    // consumer copy-set index (data) / producer target index (ack)
 	Copy    int    // producer global copy index (data: sender; ack: addressee)
 	AckN    int    // coalesced ack count
@@ -252,16 +255,18 @@ type frame struct {
 	// its codec unless Payload already holds encoded bytes (a received
 	// frame re-encoded). A nil value has no codec, so it fails the send.
 	payloadVal any
+	// dup queues the frame's wire bytes twice (fault injection).
+	dup bool
 	// rel recycles the pooled wire buffer a received data frame (and its
 	// in-place-decoded payload) lives in; see frame.release.
 	rel func()
 }
 
 // dataFrame builds a tx data frame around a payload value.
-func dataFrame(job uint64, uowIdx int, stream string, copyIdx, target, ackN, size int, payload any) *frame {
+func dataFrame(e exec.Edge, ackN, size int, payload any) *frame {
 	return &frame{
-		Kind: kindData, Job: job, UOWIdx: uowIdx, Stream: stream, Copy: copyIdx,
-		Target: target, AckN: ackN, Size: size,
+		Kind: kindData, UOWIdx: e.UOW, Stream: e.Stream, Copy: e.From,
+		Target: e.Target, AckN: ackN, Size: size,
 		payloadVal: payload,
 	}
 }
@@ -290,6 +295,10 @@ const (
 )
 
 type setupMsg struct {
+	// ID names the setup round (one connectAll) this session belongs to:
+	// random and nonzero, so a peer connection's hello can never bind a
+	// session of another round of the same job.
+	ID        uint64
 	Graph     GraphSpec
 	Placement []PlacementEntry
 	Opts      Options

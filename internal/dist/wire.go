@@ -21,16 +21,17 @@ import (
 //	wire frame := u32 length | u8 kind | body     (length = 1 + len(body))
 //
 // The data/ack/producer-done plane — the per-buffer hot path — uses
-// hand-rolled little-endian bodies. Every body leads with the job id the
-// frame belongs to, so one worker's inbound connections can interleave
-// frames from many concurrent jobs and demux them to the right session:
+// hand-rolled little-endian bodies of fixed-size fields. A peer connection
+// belongs to one session: its hello names the session's job and setup
+// round, and the frames after it carry only what varies within that
+// session — the unit of work and the stream's index in the setup's
+// GraphSpec.Streams:
 //
-//	data := u64 job | u32 uow | u16 slen | stream | u32 target | u32 copy |
-//	        u32 ackN | u32 size | u16 codec | u32 plen | payload
-//	ack  := u64 job | u32 uow | u16 slen | stream | u32 target | u32 copy |
-//	        u32 ackN
-//	done := u64 job | u32 uow | u16 slen | stream
-//	hello := (empty)
+//	data  := u32 uow | u16 stream | u32 target | u32 copy | u32 ackN |
+//	         u32 size | u16 codec | u32 plen | payload
+//	ack   := u32 uow | u16 stream | u32 target | u32 copy | u32 ackN
+//	done  := u32 uow | u16 stream
+//	hello := u64 job | u64 setup
 //
 // A data payload is encoded by the registered PayloadCodec its id names
 // (codec.go); a receiver rejects an id it has no codec for. Everything else
@@ -126,54 +127,37 @@ func (w *frameWriter) appendFrame(dst []byte, f *frame) ([]byte, error) {
 		return dst, nil
 	}
 	switch f.Kind {
-	case kindData:
-		dst = appendU64(dst, f.Job)
+	case kindData, kindAck, kindProducerDone:
 		dst = appendU32(dst, f.UOWIdx)
-		var err error
-		dst, err = appendStream(dst, f.Stream)
-		if err != nil {
-			return nil, err
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(f.Stream))
+		if f.Kind == kindProducerDone {
+			break
 		}
 		dst = appendU32(dst, f.Target)
 		dst = appendU32(dst, f.Copy)
 		dst = appendU32(dst, f.AckN)
+		if f.Kind == kindAck {
+			break
+		}
 		dst = appendU32(dst, f.Size)
-		if f.Payload == nil {
-			var id uint16
-			idAt := len(dst)
-			dst = append(dst, 0, 0, 0, 0, 0, 0) // codec id + payload length
-			dst, id, err = appendPayload(dst, f.Stream, f.payloadVal)
-			if err != nil {
-				return nil, err
-			}
-			binary.LittleEndian.PutUint16(dst[idAt:], id)
-			binary.LittleEndian.PutUint32(dst[idAt+2:], uint32(len(dst)-idAt-6))
-		} else {
+		if f.Payload != nil {
 			dst = binary.LittleEndian.AppendUint16(dst, f.Codec)
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
-			dst = append(dst, f.Payload...)
+			return append(dst, f.Payload...), nil
 		}
-	case kindAck:
-		dst = appendU64(dst, f.Job)
-		dst = appendU32(dst, f.UOWIdx)
+		idAt := len(dst)
+		dst = append(dst, 0, 0, 0, 0, 0, 0) // codec id + payload length
+		var id uint16
 		var err error
-		dst, err = appendStream(dst, f.Stream)
+		dst, id, err = appendPayload(dst, f.payloadVal)
 		if err != nil {
 			return nil, err
 		}
-		dst = appendU32(dst, f.Target)
-		dst = appendU32(dst, f.Copy)
-		dst = appendU32(dst, f.AckN)
-	case kindProducerDone:
-		dst = appendU64(dst, f.Job)
-		dst = appendU32(dst, f.UOWIdx)
-		var err error
-		dst, err = appendStream(dst, f.Stream)
-		if err != nil {
-			return nil, err
-		}
-	case kindHello, kindHeartbeat:
-		// empty body
+		binary.LittleEndian.PutUint16(dst[idAt:], id)
+		binary.LittleEndian.PutUint32(dst[idAt+2:], uint32(len(dst)-idAt-6))
+	case kindHello:
+		dst = binary.LittleEndian.AppendUint64(dst, f.Job)
+		dst = binary.LittleEndian.AppendUint64(dst, f.SetupID)
 	}
 	return dst, nil
 }
@@ -182,40 +166,24 @@ func appendU32(dst []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(v))
 }
 
-func appendU64(dst []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, v)
-}
-
-func appendStream(dst []byte, s string) ([]byte, error) {
-	if len(s) > 1<<16-1 {
-		return nil, fmt.Errorf("dist: stream name %.32q… exceeds 65535 bytes", s)
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...), nil
-}
-
 // ---- Frame decode ----
 
 // frameReader decodes the kind-prefixed frame bodies of one connection
-// direction. names interns stream names so steady-state data frames decode
-// without string allocations. It is not synchronized — each direction has a
-// single reader.
+// direction. It is not synchronized — each direction has a single reader.
 //
 // dec is the direction's gob control stream. It reads from src, which holds
 // exactly the frame body being decoded, so gob never reads ahead.
 type frameReader struct {
-	names map[string]string
-	dec   *gob.Decoder
-	src   bytes.Reader
+	dec *gob.Decoder
+	src bytes.Reader
 	// err is sticky: after a failed frame the stream position and the gob
 	// stream's type table are unknown, so nothing later is trusted.
 	err error
 }
 
-// maxInterned bounds the stream names one reader interns. A session uses a
-// handful; names beyond the cap (a hostile or confused peer) are allocated
-// per frame instead of pinned for the connection's lifetime.
-const maxInterned = 64
+// bodyLen is the fixed body length of each binary-plane kind; a data
+// frame's payload follows its fixed part.
+var bodyLen = [...]int{kindHello: 16, kindData: 28, kindAck: 18, kindProducerDone: 6, kindHeartbeat: 0}
 
 var errShortFrame = fmt.Errorf("dist: truncated frame")
 
@@ -236,79 +204,33 @@ func (r *frameReader) decodeFrame(buf []byte) (*frame, error) {
 	}
 	f := &frame{Kind: frameKind(buf[0])}
 	b := buf[1:]
-	var err error
-	switch f.Kind {
-	case kindData:
-		if f.Job, b, err = readU64(b); err != nil {
-			return nil, err
-		}
-		if f.UOWIdx, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if f.Stream, b, err = r.readStream(b); err != nil {
-			return nil, err
-		}
-		if f.Target, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if f.Copy, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if f.AckN, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if f.Size, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if len(b) < 6 {
+	if !f.Kind.control() {
+		switch n := bodyLen[f.Kind]; {
+		case len(b) < n:
 			return nil, errShortFrame
-		}
-		f.Codec = binary.LittleEndian.Uint16(b)
-		plen := int(binary.LittleEndian.Uint32(b[2:]))
-		b = b[6:]
-		if plen != len(b) {
-			return nil, fmt.Errorf("dist: data frame payload length %d, have %d bytes", plen, len(b))
-		}
-		f.Payload = b
-	case kindAck:
-		if f.Job, b, err = readU64(b); err != nil {
-			return nil, err
-		}
-		if f.UOWIdx, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if f.Stream, b, err = r.readStream(b); err != nil {
-			return nil, err
-		}
-		if f.Target, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if f.Copy, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if f.AckN, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if len(b) != 0 {
+		case len(b) > n && f.Kind != kindData:
 			return nil, errTrailingBytes
 		}
-	case kindProducerDone:
-		if f.Job, b, err = readU64(b); err != nil {
-			return nil, err
+	}
+	le := binary.LittleEndian
+	switch f.Kind {
+	case kindData, kindAck, kindProducerDone:
+		f.UOWIdx, f.Stream = int(le.Uint32(b)), int(le.Uint16(b[4:]))
+		if f.Kind == kindProducerDone {
+			break
 		}
-		if f.UOWIdx, b, err = readU32(b); err != nil {
-			return nil, err
+		f.Target, f.Copy, f.AckN = int(le.Uint32(b[6:])), int(le.Uint32(b[10:])), int(le.Uint32(b[14:]))
+		if f.Kind == kindAck {
+			break
 		}
-		if f.Stream, b, err = r.readStream(b); err != nil {
-			return nil, err
+		f.Size, f.Codec = int(le.Uint32(b[18:])), le.Uint16(b[22:])
+		f.Payload = b[bodyLen[kindData]:]
+		if plen := int(le.Uint32(b[24:])); plen != len(f.Payload) {
+			return nil, fmt.Errorf("dist: data frame payload length %d, have %d bytes", plen, len(f.Payload))
 		}
-		if len(b) != 0 {
-			return nil, errTrailingBytes
-		}
-	case kindHello, kindHeartbeat:
-		if len(b) != 0 {
-			return nil, errTrailingBytes
-		}
+	case kindHello:
+		f.Job, f.SetupID = le.Uint64(b), le.Uint64(b[8:])
+	case kindHeartbeat:
 	case kindSetup, kindSetupOK, kindInitUOW, kindDecls, kindBeginProcess,
 		kindProcessDone, kindFinalize, kindFinalizeDone, kindShutdown, kindFail,
 		kindAbort, kindAbortDone, kindShutdownDone:
@@ -365,43 +287,6 @@ func lastGobMessage(b []byte) []byte {
 		last, b = b[:w+int(n)], b[w+int(n):]
 	}
 	return last
-}
-
-func readU32(b []byte) (int, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, errShortFrame
-	}
-	return int(binary.LittleEndian.Uint32(b)), b[4:], nil
-}
-
-func readU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errShortFrame
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-func (r *frameReader) readStream(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errShortFrame
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, errShortFrame
-	}
-	raw := b[:n]
-	if s, ok := r.names[string(raw)]; ok { // no-alloc map probe
-		return s, b[n:], nil
-	}
-	s := string(raw)
-	if r.names == nil {
-		r.names = make(map[string]string, 8)
-	}
-	if len(r.names) < maxInterned {
-		r.names[s] = s
-	}
-	return s, b[n:], nil
 }
 
 // readWireFrame reads one length-prefixed frame from rd into a pooled
@@ -495,8 +380,8 @@ const smallFrameMax = 2 << 10
 var errConnClosed = fmt.Errorf("dist: connection closed")
 
 // conn wraps a TCP connection with length-prefixed framing, a vectored
-// batch writer drained by a per-connection flusher goroutine, and an
-// interning frame reader. Senders encode binary-plane frames into pooled
+// batch writer drained by a per-connection flusher goroutine, and a frame
+// reader. Senders encode binary-plane frames into pooled
 // buffers outside any lock, then queue the finished segments under mu; the
 // flusher hands the whole batch to writev (net.Buffers) in one syscall —
 // large payload buffers travel from codec output to kernel with no
@@ -535,8 +420,8 @@ type conn struct {
 	m *connMetrics
 
 	// fi is the process's fault injector; nil (the default) costs one
-	// pointer comparison per send/recv. onClose fires once, from whichever
-	// of close/abort runs first — workers use it to prune conn tracking.
+	// pointer comparison per recv. onClose fires once, from whichever of
+	// close/abort runs first — workers use it to prune conn tracking.
 	fi      *faults.Injector
 	onClose func()
 }
@@ -729,17 +614,6 @@ func (c *conn) flusher() {
 // one. A control frame that fails to encode fails the connection too: the
 // encoder may have written type descriptors the peer will never see.
 func (c *conn) send(f *frame) error {
-	var dup bool
-	if c.fi != nil && f.Kind == kindData {
-		act := c.fi.DataSent(f.Stream)
-		if act.Delay > 0 {
-			time.Sleep(act.Delay)
-		}
-		if act.Drop {
-			return nil // vanished on the wire
-		}
-		dup = act.Dup
-	}
 	control := f.Kind.control()
 	if control {
 		c.ctl.Lock()
@@ -769,7 +643,7 @@ func (c *conn) send(f *frame) error {
 		putWireBuf(bp)
 		return err
 	}
-	if dup {
+	if f.dup {
 		// Queue the copy first: queueing the original may hand its pooled
 		// buffer over (or recycle it), after which buf's bytes are not ours.
 		c.queueLocked(buf, nil)

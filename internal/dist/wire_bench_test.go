@@ -1,6 +1,10 @@
 package dist
 
-import "testing"
+import (
+	"testing"
+
+	"datacutter/internal/exec"
+)
 
 // BenchmarkWireCodec measures frame encode + decode (+ payload decode) per
 // op. The binary/* cases are the data plane; control-session is the control
@@ -20,7 +24,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		var r frameReader
 		for i := 0; i < b.N; i++ {
 			var err error
-			buf, err = w.appendFrame(buf[:0], dataFrame(1, 1, "floats", 0, 0, 4, len(payload)*4, payload))
+			buf, err = w.appendFrame(buf[:0], dataFrame(exec.Edge{UOW: 1}, 4, len(payload)*4, payload))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -43,7 +47,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		var buf []byte
 		var w frameWriter
 		var r frameReader
-		f := &frame{Kind: kindAck, UOWIdx: 1, Stream: "floats", Target: 2, Copy: 3, AckN: 4}
+		f := &frame{Kind: kindAck, UOWIdx: 1, Target: 2, Copy: 3, AckN: 4}
 		for i := 0; i < b.N; i++ {
 			var err error
 			buf, err = w.appendFrame(buf[:0], f)

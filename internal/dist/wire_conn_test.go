@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"datacutter/internal/exec"
 	"datacutter/internal/leakcheck"
 	"datacutter/internal/obs"
 )
@@ -62,9 +63,9 @@ func TestConnBatchedWritevRoundTrip(t *testing.T) {
 	for i := 0; i < n; i++ {
 		var f *frame
 		if i%10 == 9 { // every tenth frame is a large zero-copy segment
-			f = dataFrame(7, 0, "s", 0, 0, 0, len(big), big)
+			f = dataFrame(exec.Edge{}, 0, len(big), big)
 		} else {
-			f = &frame{Kind: kindAck, Job: 7, Stream: "s", Target: i, AckN: 1}
+			f = &frame{Kind: kindAck, Target: i, AckN: 1}
 		}
 		if err := c.send(f); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -117,7 +118,7 @@ func TestFlusherStopsOnClose(t *testing.T) {
 		c := newConn(cc, nil)
 		s := newConn(sc, nil)
 		for j := 0; j < 50; j++ {
-			if err := c.send(&frame{Kind: kindAck, Job: 1, Stream: "s", AckN: 1}); err != nil {
+			if err := c.send(&frame{Kind: kindAck, AckN: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,7 +137,7 @@ func TestConnCloseBoundedOnStuckPeer(t *testing.T) {
 	cc, sc := net.Pipe()
 	defer sc.Close()
 	c := newConn(cc, nil)
-	if err := c.send(&frame{Kind: kindAck, Job: 1, Stream: "s", AckN: 1}); err != nil {
+	if err := c.send(&frame{Kind: kindAck, AckN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -164,7 +165,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 	s := newConn(sc, nil)
 	defer s.close()
 	c.close()
-	if err := c.send(&frame{Kind: kindAck, Job: 1, Stream: "s"}); err == nil {
+	if err := c.send(&frame{Kind: kindAck}); err == nil {
 		t.Fatal("send on a closed conn succeeded")
 	}
 }

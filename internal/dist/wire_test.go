@@ -3,10 +3,11 @@ package dist
 import (
 	"bytes"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"reflect"
 	"testing"
+
+	"datacutter/internal/exec"
 )
 
 // roundTrip encodes f on a fresh stream and decodes the result with a fresh
@@ -27,9 +28,9 @@ func roundTrip(t *testing.T, f *frame) *frame {
 }
 
 func TestDataFrameRoundTrip(t *testing.T) {
-	f := dataFrame(11, 3, "triangles", 7, 2, 4, 1234, []float32{1, 2.5, -3})
+	f := dataFrame(exec.Edge{UOW: 3, Stream: 5, From: 7, Target: 2}, 4, 1234, []float32{1, 2.5, -3})
 	g := roundTrip(t, f)
-	if g.Kind != kindData || g.Job != 11 || g.UOWIdx != 3 || g.Stream != "triangles" ||
+	if g.Kind != kindData || g.UOWIdx != 3 || g.Stream != 5 ||
 		g.Copy != 7 || g.Target != 2 || g.AckN != 4 || g.Size != 1234 {
 		t.Fatalf("header fields mangled: %+v", g)
 	}
@@ -49,7 +50,7 @@ func TestDataFrameRoundTrip(t *testing.T) {
 }
 
 func TestBytesPayloadZeroCopy(t *testing.T) {
-	f := dataFrame(0, 0, "s", 0, 0, 0, 4, []byte{9, 8, 7, 6})
+	f := dataFrame(exec.Edge{}, 0, 4, []byte{9, 8, 7, 6})
 	g := roundTrip(t, f)
 	if g.Codec != CodecBytes {
 		t.Fatalf("codec id = %d, want %d", g.Codec, CodecBytes)
@@ -76,16 +77,16 @@ func TestBytesPayloadZeroCopy(t *testing.T) {
 }
 
 func TestAckAndDoneRoundTrip(t *testing.T) {
-	a := roundTrip(t, &frame{Kind: kindAck, Job: 6, UOWIdx: 9, Stream: "pixels", Target: 1, Copy: 3, AckN: 4})
-	if a.Kind != kindAck || a.Job != 6 || a.UOWIdx != 9 || a.Stream != "pixels" || a.Target != 1 || a.Copy != 3 || a.AckN != 4 {
+	a := roundTrip(t, &frame{Kind: kindAck, UOWIdx: 9, Stream: 65535, Target: 1, Copy: 3, AckN: 4})
+	if a.Kind != kindAck || a.UOWIdx != 9 || a.Stream != 65535 || a.Target != 1 || a.Copy != 3 || a.AckN != 4 {
 		t.Fatalf("ack mangled: %+v", a)
 	}
-	d := roundTrip(t, &frame{Kind: kindProducerDone, Job: 6, UOWIdx: 2, Stream: "ints"})
-	if d.Kind != kindProducerDone || d.Job != 6 || d.UOWIdx != 2 || d.Stream != "ints" {
+	d := roundTrip(t, &frame{Kind: kindProducerDone, UOWIdx: 2, Stream: 1})
+	if d.Kind != kindProducerDone || d.UOWIdx != 2 || d.Stream != 1 {
 		t.Fatalf("done mangled: %+v", d)
 	}
-	h := roundTrip(t, &frame{Kind: kindHello})
-	if h.Kind != kindHello {
+	h := roundTrip(t, &frame{Kind: kindHello, Job: 6, SetupID: 1 << 63})
+	if h.Kind != kindHello || h.Job != 6 || h.SetupID != 1<<63 {
 		t.Fatalf("hello mangled: %+v", h)
 	}
 }
@@ -118,28 +119,28 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}{
 		{
 			name: "data-float32s",
-			f:    dataFrame(7, 1, "tri", 2, 3, 4, 24, []float32{1, -2}),
-			hex:  "0b070000000000000001000000" + "03007472690300000002000000040000001800000002000c000000020000000000803f000000c0",
+			f:    dataFrame(exec.Edge{UOW: 1, Stream: 2, From: 2, Target: 3}, 4, 24, []float32{1, -2}),
+			hex:  "0b01000000" + "0200" + "0300000002000000040000001800000002000c000000020000000000803f000000c0",
 		},
 		{
 			name: "data-bytes",
-			f:    dataFrame(0, 0, "s", 0, 0, 0, 3, []byte{0xDE, 0xAD, 0xBF}),
-			hex:  "0b000000000000000000000000" + "01007300000000000000000000000003000000010003000000deadbf",
+			f:    dataFrame(exec.Edge{}, 0, 3, []byte{0xDE, 0xAD, 0xBF}),
+			hex:  "0b00000000" + "0000" + "00000000000000000000000003000000010003000000deadbf",
 		},
 		{
 			name: "ack",
-			f:    &frame{Kind: kindAck, Job: 7, UOWIdx: 1, Stream: "tri", Target: 2, Copy: 3, AckN: 4},
-			hex:  "0c070000000000000001000000" + "0300747269020000000300000004000000",
+			f:    &frame{Kind: kindAck, UOWIdx: 1, Stream: 2, Target: 2, Copy: 3, AckN: 4},
+			hex:  "0c01000000" + "0200" + "020000000300000004000000",
 		},
 		{
 			name: "producer-done",
-			f:    &frame{Kind: kindProducerDone, Job: 1, UOWIdx: 7, Stream: "pix"},
-			hex:  "0d010000000000000007000000" + "0300706978",
+			f:    &frame{Kind: kindProducerDone, UOWIdx: 7, Stream: 1},
+			hex:  "0d07000000" + "0100",
 		},
 		{
 			name: "hello",
-			f:    &frame{Kind: kindHello},
-			hex:  "01",
+			f:    &frame{Kind: kindHello, Job: 7, SetupID: 0x0102030405060708},
+			hex:  "01" + "0700000000000000" + "0807060504030201",
 		},
 	}
 	for _, tc := range cases {
@@ -162,7 +163,7 @@ func TestFrameGoldenBytes(t *testing.T) {
 
 func TestDecodeFrameErrors(t *testing.T) {
 	var w frameWriter
-	valid, err := w.appendFrame(nil, dataFrame(1, 1, "tri", 2, 3, 4, 24, []float32{1, -2}))
+	valid, err := w.appendFrame(nil, dataFrame(exec.Edge{UOW: 1, Stream: 2, From: 2, Target: 3}, 4, 24, []float32{1, -2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,57 +202,5 @@ func TestReadWireFrameLimits(t *testing.T) {
 	// Truncated stream: frame announces more bytes than arrive.
 	if err := read([]byte{16, 0, 0, 0, byte(kindHello)}); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated body: err = %v", err)
-	}
-}
-
-func TestStreamNameInterning(t *testing.T) {
-	var r frameReader
-	var w frameWriter
-	frames := make([][]byte, 2)
-	for i := range frames {
-		body, err := w.appendFrame(nil, &frame{Kind: kindProducerDone, UOWIdx: i, Stream: "triangles"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames[i] = body
-	}
-	a, _ := r.decodeFrame(frames[0])
-	b, _ := r.decodeFrame(frames[1])
-	// Same backing string after interning (pointer equality via unsafe-free
-	// check: the intern map holds exactly one entry).
-	if a.Stream != b.Stream || len(r.names) != 1 {
-		t.Fatalf("interning failed: %d names", len(r.names))
-	}
-}
-
-// A peer cycling through fresh stream names — any dialer that says hello
-// gets a peer connection, and frames for unknown jobs are dropped only
-// after their name is decoded — must not grow the reader's intern map
-// without bound: every frame still decodes, and the map stops at the cap.
-func TestStreamNameInterningBounded(t *testing.T) {
-	const n = 10000
-	name := func(i int) string { return fmt.Sprintf("stream-%05d", i) }
-	var w frameWriter
-	var in []byte
-	for i := 0; i < n; i++ {
-		body, err := w.appendFrame(nil, &frame{Kind: kindProducerDone, Job: 99, UOWIdx: i, Stream: name(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in = append(in, wireBytes(body)...)
-	}
-	var r frameReader
-	rd := bytes.NewReader(in)
-	for i := 0; i < n; i++ {
-		f, _, err := r.readWireFrame(rd)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if f.Kind != kindProducerDone || f.Job != 99 || f.UOWIdx != i || f.Stream != name(i) {
-			t.Fatalf("frame %d mangled: %+v", i, f)
-		}
-		if len(r.names) > maxInterned {
-			t.Fatalf("after %d frames the reader interns %d names, cap %d", i+1, len(r.names), maxInterned)
-		}
 	}
 }

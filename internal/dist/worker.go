@@ -22,7 +22,7 @@ import (
 //
 // A worker is persistent and multi-tenant: it outlives individual runs and
 // serves any number of concurrent sessions, one per job id (Options.JobID,
-// carried on every setup, data, ack, and producer-done frame). A second
+// carried by the setup frame and by each peer connection's hello). A second
 // setup for a job whose session is still active is refused — the pre-job
 // single-session behaviour, preserved for plain dist.Run coordinators that
 // leave JobID zero.
@@ -314,7 +314,7 @@ func (w *Worker) jobIDsLocked() []uint64 {
 
 // handle dispatches an incoming connection by its first frame: a Setup
 // frame makes it the coordinator control connection, a Hello frame a peer
-// data connection.
+// data connection of the session the hello names.
 func (w *Worker) handle(c *conn) {
 	f, err := c.recv()
 	if err != nil {
@@ -325,41 +325,16 @@ func (w *Worker) handle(c *conn) {
 	case kindSetup:
 		w.runSession(c, f.Setup)
 	case kindHello:
-		w.servePeer(c)
-	default:
-		c.close()
-	}
-}
-
-// servePeer pumps data/ack/producer-done frames into their job's session:
-// every frame on the binary plane leads with a job id, so one inbound
-// connection may interleave traffic from many concurrent jobs. Frames are
-// counted as they come off the wire, before the session lookup: a frame
-// that arrives after its session ended was still received.
-func (w *Worker) servePeer(c *conn) {
-	defer c.close()
-	for {
-		f, err := c.recv()
-		if err != nil {
-			return
-		}
-		if m := w.metrics(); m != nil {
-			switch f.Kind {
-			case kindData:
-				m.rxDataFrames.Inc()
-				m.rxDataBytes.Add(int64(f.Size))
-			case kindAck:
-				m.rxAckFrames.Inc()
-			}
-		}
 		w.mu.Lock()
 		s := w.sessions[f.Job]
 		w.mu.Unlock()
-		if s == nil {
-			f.release() // stale frame after the job's session ended
-			continue
+		if s != nil && s.setup.ID == f.SetupID && s.bind(c) {
+			s.servePeer(c)
+			return
 		}
-		s.dispatchPeer(f)
+		c.close() // no live session of that setup round: a stale or stray dialer
+	default:
+		c.close()
 	}
 }
 
@@ -524,12 +499,15 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 type session struct {
 	w     *Worker
 	setup *setupMsg
-	// job namespaces this session's frames on the shared worker mesh.
-	job uint64
-	rt  *exec.Runtime
+	rt    *exec.Runtime
 
+	// peers are the outbound data connections this session dialed, by host;
+	// inbound are the connections whose hello bound them to it. ended is set
+	// when closePeers has closed them all: a late hello binds nothing.
 	peersMu sync.Mutex
 	peers   map[string]*conn
+	inbound []*conn
+	ended   bool
 
 	// failHost/failNet attribute the run's failure when it was a transport
 	// error talking to a peer: a dead host's cascade, not an application error.
@@ -538,8 +516,15 @@ type session struct {
 	failNet  bool
 }
 
+// errTooManyStreams refuses a setup whose graph has more streams than a
+// peer frame's u16 stream index can name.
+var errTooManyStreams = errors.New("dist: graph has more than 65535 streams")
+
 func newSession(w *Worker, setup *setupMsg) (*session, error) {
-	s := &session{w: w, setup: setup, job: setup.Opts.JobID, peers: make(map[string]*conn)}
+	if n := len(setup.Graph.Streams); n > 1<<16-1 {
+		return nil, fmt.Errorf("%w: %d", errTooManyStreams, n)
+	}
+	s := &session{w: w, setup: setup, peers: make(map[string]*conn)}
 	// The policy names were validated coordinator-side before setup shipped;
 	// a name that somehow fails here falls back to Round Robin via the zero
 	// config rather than crashing mid-session.
@@ -603,11 +588,57 @@ func (s *session) failFrame(err error) *frame {
 	return f
 }
 
+// closePeers closes every peer connection of the session, outbound and
+// inbound: nothing sent on them can concern another session.
 func (s *session) closePeers() {
 	s.peersMu.Lock()
 	defer s.peersMu.Unlock()
+	s.ended = true
 	for _, c := range s.peers {
 		c.close()
+	}
+	for _, c := range s.inbound {
+		c.close()
+	}
+}
+
+// bind records an inbound peer connection; false once the session ended.
+func (s *session) bind(c *conn) bool {
+	s.peersMu.Lock()
+	defer s.peersMu.Unlock()
+	if s.ended {
+		return false
+	}
+	s.inbound = append(s.inbound, c)
+	return true
+}
+
+// servePeer pumps an inbound peer connection's data/ack/producer-done
+// frames into the session until the connection closes or a frame names a
+// stream the graph does not have. Frames are counted as they come off the
+// wire: a frame that arrives after its unit of work ended was still
+// received.
+func (s *session) servePeer(c *conn) {
+	defer c.close()
+	for {
+		f, err := c.recv()
+		if err != nil {
+			return
+		}
+		if m := s.w.metrics(); m != nil {
+			switch f.Kind {
+			case kindData:
+				m.rxDataFrames.Inc()
+				m.rxDataBytes.Add(int64(f.Size))
+			case kindAck:
+				m.rxAckFrames.Inc()
+			}
+		}
+		if f.Stream >= len(s.setup.Graph.Streams) {
+			f.release()
+			return
+		}
+		s.dispatchPeer(f)
 	}
 }
 
@@ -637,7 +668,7 @@ func (s *session) peer(host string) (*conn, error) {
 		return nil, fmt.Errorf("dist: dialing peer %s: %w", host, err)
 	}
 	c := s.w.track(newConn(nc, s.w.connMetrics()))
-	if err := c.send(&frame{Kind: kindHello}); err != nil {
+	if err := c.send(&frame{Kind: kindHello, Job: s.setup.Opts.JobID, SetupID: s.setup.ID}); err != nil {
 		c.close()
 		return nil, fmt.Errorf("dist: greeting peer %s (%s): %w", host, addr, err)
 	}
@@ -673,12 +704,24 @@ func (s *session) Deliver(host string, e exec.Edge, b core.Buffer, ackEvery int)
 		s.failTransport(host, err)
 		return core.ErrCancelled
 	}
-	if err := c.send(dataFrame(s.job, e.UOW, e.Stream, e.From, e.Target, ackEvery, b.Size, b.Payload)); err != nil {
+	f := dataFrame(e, ackEvery, b.Size, b.Payload)
+	if fi := s.w.fi; fi != nil {
+		act := fi.DataSent(s.streamName(e.Stream))
+		if act.Delay > 0 {
+			time.Sleep(act.Delay)
+		}
+		if act.Drop {
+			return nil // vanished on the wire
+		}
+		f.dup = act.Dup
+	}
+	if err := c.send(f); err != nil {
 		var pe *payloadError
 		if errors.As(err, &pe) {
+			pe.stream = s.streamName(e.Stream)
 			s.rt.Abort(err)
 		} else {
-			s.failTransport(host, fmt.Errorf("dist: sending buffer for %s to %s: %w", e.Stream, host, err))
+			s.failTransport(host, fmt.Errorf("dist: sending buffer for %s to %s: %w", s.streamName(e.Stream), host, err))
 		}
 		return core.ErrCancelled
 	}
@@ -692,13 +735,13 @@ func (s *session) Deliver(host string, e exec.Edge, b core.Buffer, ackEvery int)
 // ProducerDone sends the end-of-work marker on the data connection, so it
 // trails the producer's buffers. A consumer host we cannot reach would wait
 // for the marker forever; surface the failure instead of hanging the run.
-func (s *session) ProducerDone(host string, uow int, stream string) {
+func (s *session) ProducerDone(host string, uow, stream int) {
 	c, err := s.peer(host)
 	if err == nil {
-		err = c.send(&frame{Kind: kindProducerDone, Job: s.job, UOWIdx: uow, Stream: stream})
+		err = c.send(&frame{Kind: kindProducerDone, UOWIdx: uow, Stream: stream})
 	}
 	if err != nil {
-		s.failTransport(host, fmt.Errorf("dist: end-of-work for %s undeliverable: %w", stream, err))
+		s.failTransport(host, fmt.Errorf("dist: end-of-work for %s undeliverable: %w", s.streamName(stream), err))
 	}
 }
 
@@ -711,8 +754,12 @@ func (s *session) Ack(host string, e exec.Edge, n int) {
 	if m := s.w.metrics(); m != nil {
 		m.txAckFrames.Inc()
 	}
-	_ = c.send(&frame{Kind: kindAck, Job: s.job, UOWIdx: e.UOW, Stream: e.Stream, Copy: e.From, Target: e.Target, AckN: n})
+	_ = c.send(&frame{Kind: kindAck, UOWIdx: e.UOW, Stream: e.Stream, Copy: e.From, Target: e.Target, AckN: n})
 }
+
+// streamName names stream index i of the session's graph, for the fault
+// injector and error messages.
+func (s *session) streamName(i int) string { return s.setup.Graph.Streams[i].Name }
 
 // dispatchPeer hands one inbound peer frame to the runtime's inbound port,
 // which drops anything from a stale unit of work.
@@ -721,7 +768,7 @@ func (s *session) dispatchPeer(f *frame) {
 	case kindData:
 		payload, release, err := decodePayload(f)
 		if err != nil {
-			s.rt.Abort(fmt.Errorf("dist: decoding buffer on %s: %w", f.Stream, err))
+			s.rt.Abort(fmt.Errorf("dist: decoding buffer on %s: %w", s.streamName(f.Stream), err))
 			return
 		}
 		e := exec.Edge{UOW: f.UOWIdx, Stream: f.Stream, From: f.Copy, Target: f.Target}

@@ -255,7 +255,7 @@ func (c *Copy) sendAck(k ackKey, n int) {
 	aq := st.acks[k.from]
 	switch {
 	case aq == nil:
-		c.rt.cfg.Remote.Ack(from, Edge{UOW: c.u.index, Stream: st.spec.Name, From: k.from, Target: k.target}, n)
+		c.rt.cfg.Remote.Ack(from, Edge{UOW: c.u.index, Stream: st.index, From: k.from, Target: k.target}, n)
 	case c.rt.cost != nil:
 		c.rt.cost.Ack(c, from, func() { aq.Offer(k.target, n) })
 	default:
@@ -308,7 +308,7 @@ func (p *output) Deliver(idx int, b Buffer, ackEvery int) error {
 		}
 	} else {
 		t0 := clock.Now()
-		err := c.rt.cfg.Remote.Deliver(host, Edge{UOW: c.u.index, Stream: st.spec.Name, From: c.in.index, Target: idx}, b, ackEvery)
+		err := c.rt.cfg.Remote.Deliver(host, Edge{UOW: c.u.index, Stream: st.index, From: c.in.index, Target: idx}, b, ackEvery)
 		c.net += clock.Now() - t0
 		if err != nil {
 			return err
@@ -332,7 +332,7 @@ func (c *Copy) endOfWork() {
 		st.producerDone()
 		for i, h := range st.hosts { // distinct: Place merges repeats
 			if st.queues[i] == nil {
-				c.rt.cfg.Remote.ProducerDone(h, c.u.index, st.spec.Name)
+				c.rt.cfg.Remote.ProducerDone(h, c.u.index, st.index)
 			}
 		}
 	}

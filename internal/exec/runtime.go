@@ -92,9 +92,10 @@ type Remote interface {
 	// host, blocking for transport backpressure. On failure it aborts the
 	// run with the cause and returns ErrCancelled.
 	Deliver(host string, e Edge, b Buffer, ackEvery int) error
-	// ProducerDone tells host that one producer copy of stream finished
-	// the unit of work; it must trail that copy's buffers.
-	ProducerDone(host string, uow int, stream string)
+	// ProducerDone tells host that one producer copy of stream (an index
+	// into Config.Streams) finished the unit of work; it must trail that
+	// copy's buffers.
+	ProducerDone(host string, uow, stream int)
 	// Ack carries an acknowledgment of n buffers to producer copy e.From
 	// on host.
 	Ack(host string, e Edge, n int)
@@ -104,7 +105,7 @@ type Remote interface {
 // what a message between hosts carries to be routed, or dropped when stale.
 type Edge struct {
 	UOW          int
-	Stream       string
+	Stream       int // index into Config.Streams
 	From, Target int // producer global copy index, copy-set target index
 }
 
@@ -312,7 +313,7 @@ type uow struct {
 	work    any
 	stats   *Stats
 	streams map[string]*stream
-	order   []*stream // graph order
+	order   []*stream // Config.Streams order: an Edge's Stream indexes it
 	ctxs    []*Copy   // graph filter order, then global copy order
 }
 
@@ -327,6 +328,7 @@ func (u *uow) cancel() {
 // stream is the per-UOW runtime state of one logical stream.
 type stream struct {
 	spec   StreamSpec
+	index  int      // position in Config.Streams: the stream's Edge coordinate
 	hosts  []string // consumer copy-set hosts, placement order
 	copies []int    // consumer copies per host
 	queues []Queue  // one per copy set; nil where the set is remote
@@ -410,9 +412,9 @@ func (rt *Runtime) Init(index int, work any, into *Stats) (map[string][2]int, er
 		return nil, err
 	}
 	u := &uow{index: index, work: work, stats: into, streams: make(map[string]*stream, len(rt.cfg.Streams))}
-	for _, sp := range rt.cfg.Streams {
+	for i, sp := range rt.cfg.Streams {
 		st := &stream{
-			spec: sp, stats: into.Streams[sp.Name], m: rt.m.streams[sp.Name],
+			spec: sp, index: i, stats: into.Streams[sp.Name], m: rt.m.streams[sp.Name],
 			producers: NewCountdown(len(rt.hostOf[sp.From])),
 			acks:      make([]AckQueue, len(rt.hostOf[sp.From])),
 		}
@@ -591,15 +593,15 @@ func (rt *Runtime) phase(u *uow, label string, call func(*Copy) error) error {
 // ---- Inbound port: the twin of Remote ----
 //
 // Messages from a unit of work other than the one in flight are stale —
-// stream names repeat every unit, so a late acknowledgment would corrupt
-// the new unit's demand counts — and are dropped.
+// streams repeat every unit, so a late acknowledgment would corrupt the new
+// unit's demand counts — and are dropped, as are out-of-range streams.
 
-func (rt *Runtime) inbound(uowIdx int, name string) *stream {
+func (rt *Runtime) inbound(uowIdx, stream int) *stream {
 	u := rt.cur.Load()
-	if u == nil || u.index != uowIdx {
+	if u == nil || u.index != uowIdx || stream < 0 || stream >= len(u.order) {
 		return nil
 	}
-	return u.streams[name]
+	return u.order[stream]
 }
 
 // Inject enqueues a buffer that arrived from another host on this host's
@@ -623,13 +625,13 @@ func (rt *Runtime) Inject(e Edge, b Buffer, ackEvery int, release func()) bool {
 	// Copy -1: arrival on the host's shared copy-set queue — the consuming
 	// copy is only decided at dequeue time.
 	rt.cfg.Obs.Emit(obs.Event{Kind: obs.KindEnqueue, Filter: st.spec.To, Copy: -1, Host: rt.cfg.Host,
-		Stream: e.Stream, Target: rt.cfg.Host, Bytes: b.Size, UOW: e.UOW, Note: "rx"})
+		Stream: st.spec.Name, Target: rt.cfg.Host, Bytes: b.Size, UOW: e.UOW, Note: "rx"})
 	return true
 }
 
 // ProducerDone records that one producer copy on another host finished the
-// unit of work on stream.
-func (rt *Runtime) ProducerDone(uowIdx int, stream string) {
+// unit of work on stream (an index into Config.Streams).
+func (rt *Runtime) ProducerDone(uowIdx, stream int) {
 	if st := rt.inbound(uowIdx, stream); st != nil {
 		st.producerDone()
 	}

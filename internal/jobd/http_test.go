@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"datacutter/internal/conformance"
+	"datacutter/internal/core"
+	"datacutter/internal/dist"
 	"datacutter/internal/jobd"
 )
 
@@ -207,4 +209,53 @@ func TestHTTPBodyLimit(t *testing.T) {
 	if got := post("/jobs", confJobSpec(j, "t", "normal")); got != http.StatusAccepted {
 		t.Fatalf("normal POST /jobs = %d, want 202", got)
 	}
+}
+
+// FuzzJobSpec posts arbitrary bytes to /jobs on a server with no workers
+// and no journal. Whatever the body, the handler must not panic, must
+// answer with an admission status (202, or one of the refusals 400, 413,
+// 429 and 503), and must add exactly one job for a 202 and none otherwise.
+func FuzzJobSpec(f *testing.F) {
+	graph := dist.GraphSpec{
+		Filters: []dist.FilterSpec{{Name: "S", Kind: "src", Params: []byte{3}}, {Name: "K", Kind: "sink"}},
+		Streams: []core.StreamSpec{{Name: "s", From: "S", To: "K"}},
+	}
+	place := []dist.PlacementEntry{{Filter: "S", Host: "h0", Copies: 2}, {Filter: "K", Host: "h1", Copies: 1}}
+	for _, spec := range []jobd.JobSpec{
+		{},
+		{Name: "seed", Tenant: "t", Graph: graph, Placement: place, Options: dist.Options{Policy: "DD"}, UOWs: []dist.RawUOW{{1, 2}}},
+		{Graph: graph, Placement: place, Options: dist.Options{StreamPolicy: map[string]string{"s": "DD/2"}}},
+		{Graph: graph, Placement: place, MaxRetries: -2, Deadline: -1},
+	} {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"graph":{"Filters":[{"Name":"S","Kind":"k"}]},"placement":[{"Filter":"S","Host":"h","Copies":-1}],"options":{"QueueCap":-1}}`))
+	f.Add([]byte(`{"graph":{"Filters":[{"Name":"S"}]},"placement":[{"Filter":"S"}],"options":{"ScaleSchedule":[{"BeforeUOW":0,"Filter":"S","Host":"h","Copies":9}]}}`))
+	f.Add([]byte(`{"uows":["not base64"]}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"graph":`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := jobd.NewServer(jobd.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		want := 0
+		switch rec.Code {
+		case http.StatusAccepted:
+			want = 1
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("POST /jobs answered %d: %s", rec.Code, rec.Body)
+		}
+		if n := len(s.Jobs()); n != want {
+			t.Fatalf("POST /jobs answered %d and left %d job(s), want %d", rec.Code, n, want)
+		}
+	})
 }

@@ -1,7 +1,7 @@
 // Package jobd is the persistent multi-tenant job service over a shared
 // dist worker mesh: a long-lived server accepts many concurrent pipeline
 // submissions, multiplexes them onto persistent dcworker processes (each
-// job's session is namespaced by the job id every wire frame carries), and
+// job's session is namespaced by the job id its connections carry), and
 // survives its own restarts through a write-ahead job journal.
 //
 // The server is the coordinator for every job it runs: a submitted JobSpec
@@ -425,7 +425,7 @@ var (
 
 // Submit runs admission control, journals the job, and queues it. The
 // returned id is the job's identity everywhere: the API, the journal, and
-// the JobID on every wire frame of its eventual session.
+// the JobID its sessions' setup frames and peer hellos carry.
 func (s *Server) Submit(spec JobSpec) (uint64, error) {
 	if len(spec.Graph.Filters) == 0 || len(spec.Placement) == 0 {
 		s.m.rejected.Inc()
