@@ -137,7 +137,7 @@ func TestRunCtxCancelTearsDown(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := dist.RunCtx(ctx, addrs, g, place, dist.Options{}, nil)
+	_, err := dist.RunObservedCtx(ctx, addrs, g, place, dist.Options{}, nil, nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}

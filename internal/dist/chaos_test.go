@@ -23,7 +23,8 @@ import (
 
 // Chaos tests: deterministic fault injection (internal/faults) against the
 // full detection → abort → replan → retry machinery. The CI chaos job runs
-// exactly these (-run 'TestChaos') under the race detector and archives the
+// these with the recovery and round-end unit tests (-run
+// 'TestChaos|Survivor|RoundEnd') under the race detector and archives the
 // coordinator metrics dumps on failure.
 
 // startChaosWorkers is startWorkers with per-host fault plans installed
@@ -54,9 +55,10 @@ func startChaosWorkers(t *testing.T, n int, plans map[string]string) (map[string
 }
 
 // coordObserver builds a coordinator-side observer over a fresh registry and
-// arranges for the registry to be dumped to $CHAOS_METRICS_DIR at cleanup
-// (the CI chaos job archives that directory when the job fails).
-func coordObserver(t *testing.T) (*obs.Observer, *obs.Registry) {
+// an event ring, and arranges for the registry to be dumped to
+// $CHAOS_METRICS_DIR at cleanup (the CI chaos job archives that directory
+// when the job fails).
+func coordObserver(t *testing.T) (*obs.Observer, *obs.Registry, *obs.RingSink) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	t.Cleanup(func() {
@@ -78,7 +80,28 @@ func coordObserver(t *testing.T) (*obs.Observer, *obs.Registry) {
 			t.Logf("chaos metrics write: %v", err)
 		}
 	})
-	return obs.New(nil, reg), reg
+	ring := obs.NewRingSink(256)
+	return obs.New(ring, reg), reg, ring
+}
+
+// requireOnlyLost fails the test unless the run lost exactly the killed
+// host: no host-down event names another, and coord.hosts_lost is 1. Tests
+// call it before they read a sink, so a falsely declared sink host fails as
+// that, not as a partial result read from the aborted attempt.
+func requireOnlyLost(t *testing.T, reg *obs.Registry, ring *obs.RingSink, killed, sink string) {
+	t.Helper()
+	for _, e := range ring.Events() {
+		if e.Kind != obs.KindHostDown || e.Host == killed {
+			continue
+		}
+		if e.Host == sink {
+			t.Fatalf("sink host %s declared dead: %s", e.Host, e.Note)
+		}
+		t.Fatalf("host %s declared dead, but only %s was killed: %s", e.Host, killed, e.Note)
+	}
+	if n := reg.Counter("coord.hosts_lost").Value(); n != 1 {
+		t.Fatalf("coord.hosts_lost = %d, want 1 (%s)", n, killed)
+	}
 }
 
 // chaosSuicideTarget is the worker the suicide source kills mid-write; set
@@ -162,7 +185,7 @@ func TestChaosDeadHostDetectedWhileGatherWaitsElsewhere(t *testing.T) {
 			{Name: "b", From: "S2", To: "K"},
 		},
 	}
-	o, reg := coordObserver(t)
+	o, reg, ring := coordObserver(t)
 	done := make(chan error, 1)
 	go func() {
 		_, err := dist.RunObserved(addrs, g, []dist.PlacementEntry{
@@ -185,9 +208,7 @@ func TestChaosDeadHostDetectedWhileGatherWaitsElsewhere(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run did not recover from dead producer host: %v", err)
 	}
-	if v := reg.Counter("coord.hosts_lost").Value(); v < 1 {
-		t.Fatalf("coord.hosts_lost = %d, want >= 1", v)
-	}
+	requireOnlyLost(t, reg, ring, "host2", "host0")
 	if v := reg.Counter("coord.uow_retries").Value(); v < 1 {
 		t.Fatalf("coord.uow_retries = %d, want >= 1", v)
 	}
@@ -229,7 +250,7 @@ func TestChaosKillMidUOWRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, reg := coordObserver(t)
+	o, reg, ring := coordObserver(t)
 	_, err = dist.RunObserved(addrs, spec, []dist.PlacementEntry{
 		{Filter: "RE", Host: "host0", Copies: 2},
 		{Filter: "Ra", Host: "host1", Copies: 2},
@@ -244,6 +265,7 @@ func TestChaosKillMidUOWRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run did not recover from worker kill: %v", err)
 	}
+	requireOnlyLost(t, reg, ring, "host1", "host2")
 	m, err := isoviz.MergeResult(workers["host2"].Instances("M"))
 	if err != nil {
 		t.Fatal(err)
@@ -253,9 +275,6 @@ func TestChaosKillMidUOWRecovers(t *testing.T) {
 	}
 	if n := reg.Counter("coord.uow_retries").Value(); n < 1 {
 		t.Fatalf("coord.uow_retries = %d, want >= 1", n)
-	}
-	if n := reg.Counter("coord.hosts_lost").Value(); n < 1 {
-		t.Fatalf("coord.hosts_lost = %d, want >= 1", n)
 	}
 }
 
@@ -269,7 +288,7 @@ func TestChaosWedgeDetectedByHeartbeats(t *testing.T) {
 		"host1": "wedge=data:3:1500ms",
 	})
 	const n = 200
-	o, reg := coordObserver(t)
+	o, reg, _ := coordObserver(t)
 	_, err := dist.RunObserved(addrs, intGraph(n), []dist.PlacementEntry{
 		{Filter: "S", Host: "host0", Copies: 1},
 		{Filter: "K", Host: "host1", Copies: 1},
@@ -312,7 +331,7 @@ func TestChaosDialRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 50
-	o, reg := coordObserver(t)
+	o, reg, _ := coordObserver(t)
 	_, err = dist.RunObserved(addrs, intGraph(n), []dist.PlacementEntry{
 		{Filter: "S", Host: "host0", Copies: 1},
 		{Filter: "K", Host: "host1", Copies: 1},

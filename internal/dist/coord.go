@@ -47,23 +47,15 @@ func attributeHosts(err error, hosts []string) error {
 //
 // Failure model: worker liveness is tracked with control-plane heartbeats
 // (Options.HeartbeatInterval / HeartbeatMisses); when a host is declared
-// dead the coordinator aborts the survivors with kindAbort — instead of
-// leaving them blocked on dead peer streams — and, when MaxUOWRetries
+// dead the coordinator ends the round with an abort — instead of leaving
+// the survivors blocked on dead peer streams — and, when MaxUOWRetries
 // allows, re-dispatches the failed unit of work on a placement replanned
 // without the dead hosts (legal under the paper's transparent-copy
 // semantics: per-UOW filter state is rebuilt by Init). Application errors
-// are never retried.
+// are never retried. Run returns only after every live worker has
+// confirmed that its session ended.
 func Run(addrs map[string]string, spec GraphSpec, placement []PlacementEntry, opts Options, uows []any) (*core.Stats, error) {
 	return RunObservedCtx(context.Background(), addrs, spec, placement, opts, uows, nil)
-}
-
-// RunCtx is Run with a context: cancellation (or a deadline) interrupts the
-// run between and during units of work — the coordinator stops waiting on
-// workers, broadcasts the abort protocol so their sessions tear down, and
-// returns an error wrapping ctx.Err(). This is the cancel plumb-through the
-// job service uses for job deadlines and DELETE /jobs/{id}.
-func RunCtx(ctx context.Context, addrs map[string]string, spec GraphSpec, placement []PlacementEntry, opts Options, uows []any) (*core.Stats, error) {
-	return RunObservedCtx(ctx, addrs, spec, placement, opts, uows, nil)
 }
 
 // RunObserved is Run with coordinator-side observability attached: a
@@ -78,7 +70,12 @@ func RunObserved(addrs map[string]string, spec GraphSpec, placement []PlacementE
 	return RunObservedCtx(context.Background(), addrs, spec, placement, opts, uows, o)
 }
 
-// RunObservedCtx is RunObserved with RunCtx's cancellation semantics.
+// RunObservedCtx is RunObserved with a context: cancellation (or a
+// deadline) interrupts the run between and during units of work — the
+// coordinator stops waiting on workers, aborts their sessions without
+// awaiting the confirmations, and returns an error wrapping ctx.Err(). This
+// is the cancel plumb-through the job service uses for job deadlines and
+// DELETE /jobs/{id}.
 func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec, placement []PlacementEntry, opts Options, uows []any, o *obs.Observer) (*core.Stats, error) {
 	if len(uows) == 0 {
 		uows = []any{nil}
@@ -123,10 +120,10 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 		co.m.hbMisses = reg.Counter("dist.heartbeat_misses")
 		co.m.redials = reg.Counter("dist.redials")
 	}
-	// Every exit path runs teardown: on anything but a completed graceful
-	// shutdown it broadcasts kindAbort so in-flight workers exit promptly
-	// instead of waiting for a TCP reset or a blocked peer stream.
-	defer co.teardown()
+	// Every exit ends the round; after a success the links are already
+	// gone and this is a no-op. Otherwise the abort releases in-flight
+	// workers instead of leaving them to a TCP reset or a blocked peer stream.
+	defer co.end("coordinator aborted the run")
 
 	if err := co.connectAll(); err != nil {
 		return co.stats, err
@@ -136,7 +133,7 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 	for i, work := range uows {
 		if due := elastic.StepsAt(opts.ScaleSchedule, i); len(due) > 0 {
 			if err := co.rescaleSessions(due, i); err != nil {
-				return co.stats, attributeHosts(err, co.deadHosts())
+				return co.stats, err
 			}
 		}
 		for attempt := 0; ; attempt++ {
@@ -167,7 +164,7 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 	}
 	co.stats.WallSeconds = time.Since(start).Seconds()
 
-	co.shutdownAll()
+	co.end("")
 	return co.stats, nil
 }
 
@@ -183,8 +180,8 @@ type coordMetrics struct {
 // coordinator drives one distributed run. addrs and placement shrink as
 // hosts die and units of work are replanned onto the survivors.
 type coordinator struct {
-	// ctx cancels the run: waits on workers abort, dial backoffs stop, and
-	// the deferred teardown broadcasts kindAbort. Never nil.
+	// ctx cancels the run: waits on workers and dial backoffs stop, and the
+	// round ends without awaiting confirmations. Never nil.
 	ctx       context.Context
 	spec      GraphSpec
 	opts      Options
@@ -194,10 +191,6 @@ type coordinator struct {
 	links     map[string]*hostLink
 	stats     *core.Stats // committed fragments of the units that succeeded
 	m         coordMetrics
-
-	// shut marks a completed graceful shutdown; teardown then skips the
-	// abort broadcast.
-	shut bool
 }
 
 // connectAll dials and sets up every host in co.addrs, populating co.links.
@@ -235,7 +228,8 @@ func (co *coordinator) hostNames() []string {
 
 // connectHost dials one worker (with backoff via dialRetry) and completes
 // the Setup handshake. A "worker busy" refusal is retried briefly: after an
-// abort, the re-setup can race the old session's final teardown.
+// cancelled run, whose round ends unconfirmed, the next setup can race the
+// old session's last breath.
 func (co *coordinator) connectHost(host, addr string, setupID uint64) (*hostLink, error) {
 	busyDeadline := time.Now().Add(co.opts.hbTimeout() + 2*time.Second)
 	backoff := 10 * time.Millisecond
@@ -293,7 +287,7 @@ func (co *coordinator) connectHost(host, addr string, setupID uint64) (*hostLink
 // host-down event emitted; callers inspect l.dead to tell which.
 func (co *coordinator) waitReply(l *hostLink) (*frame, error) {
 	// Prefer a buffered reply over a buffered error: the reader may have
-	// delivered the reply and then hit the connection teardown.
+	// delivered the reply and then seen the connection close.
 	select {
 	case f := <-l.reply:
 		return f, nil
@@ -312,7 +306,7 @@ func (co *coordinator) waitReply(l *hostLink) (*frame, error) {
 			return nil, fmt.Errorf("dist: worker %s: %w", l.host, err)
 		case <-co.ctx.Done():
 			// Cancellation, not a casualty: no host is marked dead; the
-			// deferred teardown aborts every worker session.
+			// round's end aborts every worker session.
 			return nil, fmt.Errorf("dist: run cancelled: %w", co.ctx.Err())
 		case <-t.C:
 			if err := co.sweepLiveness(interval, limit); err != nil {
@@ -367,7 +361,7 @@ func (co *coordinator) broadcast(f *frame) error {
 	for _, host := range co.hostNames() {
 		l := co.links[host]
 		if err := l.c.send(f); err != nil {
-			l.dead = true
+			co.markDead(l, err)
 			return fmt.Errorf("dist: worker %s unreachable: %w", host, err)
 		}
 	}
@@ -473,130 +467,72 @@ func (co *coordinator) deadHosts() []string {
 	return out
 }
 
-// recover transitions the run past the hosts in dead: survivors are aborted
-// (and confirmed down via kindAbortDone, so their sessions are really over
-// before re-setup), every link is torn down, the placement is replanned
-// onto the survivors, and fresh sessions are set up. The caller then
-// re-dispatches the failed unit of work.
-func (co *coordinator) recover(dead []string) error {
-	co.m.hostsLost.Add(int64(len(dead)))
-
-	abort := &frame{Kind: kindAbort, Err: "host(s) lost: " + strings.Join(dead, ",")}
-	for _, host := range co.hostNames() {
-		l := co.links[host]
-		if l.dead {
-			continue
-		}
-		if err := l.c.send(abort); err != nil {
-			co.markDead(l, err)
-		}
-	}
-	// Await each survivor's AbortDone, discarding stale phase replies that
-	// were already in flight when the abort went out. A survivor that
-	// cannot confirm within the liveness budget is dead too.
-	for _, host := range co.hostNames() {
-		l := co.links[host]
-		if l.dead {
-			continue
-		}
-	drain:
-		for {
-			f, err := co.waitReply(l)
-			if err != nil {
-				if co.ctx.Err() != nil {
-					return fmt.Errorf("dist: recovery cancelled: %w", co.ctx.Err())
-				}
-				if l.dead {
-					break drain // this survivor died too (already marked)
-				}
-				continue // a different host died; keep draining this one
-			}
-			if f.Kind == kindAbortDone {
-				break drain
+// end closes the current round of worker sessions; it is the one way a
+// round ends — after the last unit of work, before a rescale or a recovery,
+// and on every other exit of Run. It sends every live link one
+// kindShutdown, an abort when why is non-empty, and awaits each one's
+// kindShutdownDone, discarding phase replies that were already in flight:
+// the worker confirms only once its session is unregistered, so the next
+// round's setup finds the job slot free. The liveness sweep bounds the
+// wait, and a cancelled run stops it. Then dead links are severed, live
+// ones closed, and the hosts dead at the end of the round returned, sorted.
+// With no links it is a no-op.
+func (co *coordinator) end(why string) (lost []string) {
+	bye := &frame{Kind: kindShutdown, Err: why}
+	for _, l := range co.links {
+		if !l.dead {
+			if err := l.c.send(bye); err != nil {
+				co.markDead(l, err)
 			}
 		}
 	}
-
-	// Tear every link down; survivors get fresh sessions below.
-	survivors := make(map[string]string, len(co.addrs))
-	deadSet := make(map[string]bool, len(co.links))
-	for host, l := range co.links {
+	for _, host := range co.hostNames() {
+		l := co.links[host]
+		for l != nil && !l.dead && co.ctx.Err() == nil {
+			// An error marked l or another host dead, or the run was
+			// cancelled; only l's verdict, its confirmation or the
+			// cancellation ends this wait.
+			if f, err := co.waitReply(l); err == nil && f.Kind == kindShutdownDone {
+				break
+			}
+		}
+	}
+	lost = co.deadHosts()
+	for _, l := range co.links {
 		if l.dead {
 			l.sever()
-			deadSet[host] = true
 		} else {
 			l.shutdown()
-			survivors[host] = co.addrs[host]
 		}
 	}
-	co.links = make(map[string]*hostLink, len(survivors))
-	if len(survivors) == 0 {
+	co.links = map[string]*hostLink{}
+	return lost
+}
+
+// recover moves the run past the hosts in dead: it ends the round, counts
+// every host dead at its end (a survivor can die while the round ends),
+// replans the placement onto the rest and sets up fresh sessions. The
+// caller then re-dispatches the failed unit of work.
+func (co *coordinator) recover(dead []string) error {
+	lost := co.end("host(s) lost: " + strings.Join(dead, ","))
+	if err := co.ctx.Err(); err != nil {
+		return fmt.Errorf("dist: recovery cancelled: %w", err)
+	}
+	co.m.hostsLost.Add(int64(len(lost)))
+	deadSet := make(map[string]bool, len(lost))
+	for _, host := range lost {
+		deadSet[host] = true
+		delete(co.addrs, host)
+	}
+	if len(co.addrs) == 0 {
 		return fmt.Errorf("dist: no surviving hosts")
 	}
-
 	replanned, err := elastic.ReplanDead(co.placement, deadSet)
 	if err != nil {
 		return err
 	}
-	co.addrs = survivors
 	co.placement = replanned
 	return co.connectAll()
-}
-
-// shutdownAll ends a successful run: polite kindShutdown to every worker,
-// confirmation that each session is unregistered, then link teardown. The
-// confirmation matters for latency, not correctness — without it a
-// back-to-back Run's Setup races the old session's teardown, gets refused
-// busy, and sits out a retry backoff that dwarfs the actual work.
-func (co *coordinator) shutdownAll() {
-	for _, l := range co.links {
-		_ = l.c.send(&frame{Kind: kindShutdown})
-	}
-	for _, host := range co.hostNames() {
-		l := co.links[host]
-		if l.dead {
-			continue
-		}
-	confirm:
-		for {
-			f, err := co.waitReply(l)
-			switch {
-			case err != nil:
-				break confirm // best-effort: the run already succeeded
-			case f.Kind == kindShutdownDone:
-				break confirm
-			}
-		}
-	}
-	for _, l := range co.links {
-		l.shutdown()
-	}
-	co.links = map[string]*hostLink{}
-	co.shut = true
-}
-
-// teardown runs on every exit path. Unless the run already shut down
-// gracefully, it broadcasts a best-effort abort — the bugfix for workers
-// previously left blocked mid-phase when the coordinator bailed out early —
-// and closes every link.
-func (co *coordinator) teardown() {
-	if co.shut {
-		return
-	}
-	abort := &frame{Kind: kindAbort, Err: "coordinator aborted the run"}
-	for _, l := range co.links {
-		if !l.dead {
-			_ = l.c.send(abort)
-		}
-	}
-	for _, l := range co.links {
-		if l.dead {
-			l.sever()
-		} else {
-			l.shutdown()
-		}
-	}
-	co.links = map[string]*hostLink{}
 }
 
 // publishCoordGauges reflects the running aggregate stream totals into the

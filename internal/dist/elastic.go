@@ -37,8 +37,7 @@ func (co *coordinator) rescaleSessions(due []elastic.ScaleStep, uow int) error {
 	if slices.Equal(old, next) {
 		return nil
 	}
-	co.shutdownAll()
-	co.shut = false
+	co.end("")
 	co.placement = next
 	elastic.RecordScaleDiff(co.o, old, next, uow)
 	return co.connectAll()

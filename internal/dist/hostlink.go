@@ -20,10 +20,10 @@ type hostLink struct {
 	// lastBeat is the wall clock (unix nanos) of the last frame of any
 	// kind — real replies count as liveness too.
 	lastBeat atomic.Int64
-	// over is set when the worker sent its session's last frame
-	// (kindAbortDone or kindShutdownDone). The worker hangs up next and its
-	// heartbeats stop: the end of the session, not a death, so the liveness
-	// sweep passes the link by and the reader reports no error.
+	// over is set when the worker sent its session's last frame,
+	// kindShutdownDone. The worker hangs up next and its heartbeats stop:
+	// the end of the session, not a death, so the liveness sweep passes the
+	// link by and the reader reports no error.
 	over atomic.Bool
 
 	stop     chan struct{}
@@ -69,7 +69,7 @@ func (l *hostLink) readLoop() {
 		if f.Kind == kindHeartbeat {
 			continue
 		}
-		last := f.Kind == kindAbortDone || f.Kind == kindShutdownDone
+		last := f.Kind == kindShutdownDone
 		if last {
 			l.over.Store(true)
 		}

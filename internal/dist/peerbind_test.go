@@ -188,8 +188,8 @@ func TestStaleAttemptFramesNeverReachRetry(t *testing.T) {
 	h := newRawHost(t)
 	c0 := h.setup(7, 100)
 	p0 := h.producer(7, 100)
-	h.send(c0.conn, &frame{Kind: kindAbort, Err: "host lost"})
-	h.expect(c0, kindAbortDone, kindProcessDone, kindFail)
+	h.send(c0.conn, &frame{Kind: kindShutdown, Err: "host lost"})
+	h.expect(c0, kindShutdownDone, kindProcessDone, kindFail)
 
 	c1 := h.setup(7, 101)
 	h.produce(p0) // attempt 0's frames, late, on attempt 0's connection

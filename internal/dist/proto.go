@@ -288,10 +288,10 @@ const (
 	kindAck
 	kindProducerDone
 	kindFail
-	kindHeartbeat    // liveness beacon, both directions on the control plane
-	kindAbort        // coordinator -> worker: tear the session down now
-	kindAbortDone    // worker -> coordinator: session torn down
-	kindShutdownDone // worker -> coordinator: graceful session end confirmed
+	kindHeartbeat // liveness beacon, both directions on the control plane
+	_             // 16, 17: retired; a kindShutdown with Err set aborts
+	_
+	kindShutdownDone // worker -> coordinator: the session ended
 )
 
 type setupMsg struct {

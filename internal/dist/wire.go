@@ -233,7 +233,7 @@ func (r *frameReader) decodeFrame(buf []byte) (*frame, error) {
 	case kindHeartbeat:
 	case kindSetup, kindSetupOK, kindInitUOW, kindDecls, kindBeginProcess,
 		kindProcessDone, kindFinalize, kindFinalizeDone, kindShutdown, kindFail,
-		kindAbort, kindAbortDone, kindShutdownDone:
+		kindShutdownDone:
 		if r.dec == nil {
 			r.dec = gob.NewDecoder(&r.src) // *bytes.Reader is an io.ByteReader: no read-ahead buffer
 		}
@@ -540,7 +540,7 @@ func (c *conn) fail(err error) {
 
 // close tears the connection down and stops its flusher (idempotent). A
 // best-effort bounded flush drains frames queued moments ago — a final
-// kindShutdown or kindAbortDone must not die in the pending batch when the
+// kindShutdown or kindShutdownDone must not die in the pending batch when the
 // caller closes immediately after send. The write deadline is armed before
 // the flush and fails any in-flight writev too, so close never blocks on a
 // stuck peer beyond the bound (the old buffered writer could deadlock here:
@@ -560,7 +560,7 @@ func (c *conn) close() {
 }
 
 // abort hard-closes the connection without draining the pending batch —
-// crash simulation and dead-host teardown, where queued frames must be
+// crash simulation and severing a dead host, where queued frames must be
 // lost the way a real process death would lose them.
 func (c *conn) abort() {
 	c.once.Do(func() {

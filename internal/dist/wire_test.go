@@ -161,6 +161,22 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 }
 
+// Every frame kind keeps its byte value; 16 and 17, the retired abort and
+// abort-confirmation kinds, stay unused.
+func TestFrameKindValuesPinned(t *testing.T) {
+	kinds := []frameKind{kindHello, kindSetup, kindSetupOK, kindInitUOW, kindDecls,
+		kindBeginProcess, kindProcessDone, kindFinalize, kindFinalizeDone, kindShutdown,
+		kindData, kindAck, kindProducerDone, kindFail, kindHeartbeat}
+	for i, k := range kinds {
+		if int(k) != i+1 {
+			t.Errorf("kinds[%d] = %d, want %d", i, k, i+1)
+		}
+	}
+	if kindShutdownDone != 18 {
+		t.Errorf("kindShutdownDone = %d, want 18", kindShutdownDone)
+	}
+}
+
 func TestDecodeFrameErrors(t *testing.T) {
 	var w frameWriter
 	valid, err := w.appendFrame(nil, dataFrame(exec.Edge{UOW: 1, Stream: 2, From: 2, Target: 3}, 4, 24, []float32{1, -2}))

@@ -340,7 +340,8 @@ func (w *Worker) handle(c *conn) {
 
 // busyMsg is the refusal a worker sends for a Setup of a job whose session
 // is active. The coordinator's setup path retries on exactly this message —
-// after an abort, a re-setup can race the old session's last breath.
+// a cancelled run's sessions, or those of another coordinator of the same
+// job id, may still be ending.
 const busyMsg = "dist: worker busy with another session"
 
 // drainingMsg is the refusal a worker sends for any Setup while draining;
@@ -353,9 +354,9 @@ const drainingMsg = "dist: worker draining"
 // running one, while setups for other jobs run concurrently.
 //
 // Phase operations run in goroutines so the control loop keeps reading:
-// heartbeats refresh the read deadline and a kindAbort can interrupt a
-// phase blocked on a dead peer. The coordinator is lock-step per worker, so
-// at most one operation is in flight outside of teardown.
+// heartbeats refresh the read deadline and an aborting kindShutdown can
+// interrupt a phase blocked on a dead peer. The coordinator is lock-step per
+// worker, so at most one operation is in flight until the session ends.
 func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 	defer ctrl.close()
 	s, err := newSession(w, setup)
@@ -380,7 +381,7 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 
 	opts := &setup.Opts
 	var opWG sync.WaitGroup
-	// endSession teardown order matters: closing peers first unblocks any
+	// endSession's order matters: closing peers first unblocks any
 	// phase goroutine stuck in a TCP send to a dead host, so the Wait
 	// cannot hang; only then are the copies retired and the session
 	// unregistered (a new Setup for the job is accepted from that point,
@@ -469,21 +470,18 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 				frag, err := s.rt.Finalize()
 				return &frame{Kind: kindFinalizeDone, Stats: frag}, err
 			})
-		case kindAbort, kindShutdown:
-			// Abort is the coordinator-ordered teardown (typically a peer
-			// host died): unblock everything and wait the phase out. Either
-			// way, confirm only after endSession, so the coordinator knows
-			// the job slot is free — a re-setup or a back-to-back Run's Setup
-			// would otherwise race the teardown and be refused busy, eating
-			// a retry backoff.
-			done := kindShutdownDone
-			if f.Kind == kindAbort {
+		case kindShutdown:
+			// The farewell. With Err set it aborts (typically a peer host
+			// died): unblock everything and wait the phase out. Confirm only
+			// after endSession, so the coordinator knows the job slot is
+			// free — a re-setup or a back-to-back Run's Setup would otherwise
+			// race the session's end and be refused busy.
+			if f.Err != "" {
 				s.rt.Abort(fmt.Errorf("dist: run aborted by coordinator: %s", f.Err))
-				done = kindAbortDone
 			}
 			endSession()
 			ctrl.setReadDeadline(0)
-			_ = ctrl.send(&frame{Kind: done})
+			_ = ctrl.send(&frame{Kind: kindShutdownDone})
 			return
 		}
 	}
