@@ -14,71 +14,118 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"datacutter/internal/dataset"
 )
 
-func main() {
-	var (
-		dir       = flag.String("dir", "", "output directory (required)")
-		grid      = flag.String("grid", "129x129x97", "grid samples as NXxNYxNZ")
-		chunks    = flag.String("chunks", "8x8x6", "chunk grid as BXxBYxBZ")
-		timesteps = flag.Int("timesteps", 10, "stored timesteps")
-		files     = flag.Int("files", 64, "data files to decluster across")
-		seed      = flag.Int64("seed", 2002, "field seed")
-		plumes    = flag.Int("plumes", 5, "chemical plumes in the field")
-		skewed    = flag.Bool("skewed", false, "use the spatially skewed field variant")
-		reindex   = flag.Bool("reindex", false, "rebuild the summary sidecar of an existing dataset (ignores generation flags)")
-		noIndex   = flag.Bool("no-index", false, "do not write the summary sidecar (disables pushdown pruning)")
-	)
-	flag.Parse()
-	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "datagen: -dir is required")
-		os.Exit(2)
+// options are the parsed command-line flags.
+type options struct {
+	dir              string
+	meta             dataset.Meta // generation flags; GX..BZ from -grid and -chunks
+	reindex, noIndex bool
+}
+
+// parseFlags parses args; on an error it has printed the reason and the
+// usage.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	fs.StringVar(&o.dir, "dir", "", "output directory (required)")
+	grid := fs.String("grid", "129x129x97", "grid samples as NXxNYxNZ")
+	chunks := fs.String("chunks", "8x8x6", "chunk grid as BXxBYxBZ")
+	fs.IntVar(&o.meta.Timesteps, "timesteps", 10, "stored timesteps")
+	fs.IntVar(&o.meta.Files, "files", 64, "data files to decluster across")
+	fs.Int64Var(&o.meta.Seed, "seed", 2002, "field seed")
+	fs.IntVar(&o.meta.Plumes, "plumes", 5, "chemical plumes in the field")
+	fs.BoolVar(&o.meta.Skewed, "skewed", false, "use the spatially skewed field variant")
+	fs.BoolVar(&o.reindex, "reindex", false, "rebuild the summary sidecar of an existing dataset (ignores generation flags)")
+	fs.BoolVar(&o.noIndex, "no-index", false, "do not write the summary sidecar (disables pushdown pruning)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	if *reindex {
-		if err := reindexStore(*dir); err != nil {
-			fatal(err)
+	var err error
+	switch {
+	case o.dir == "":
+		err = errors.New("-dir is required")
+	case o.reindex:
+	case !dims(*grid, &o.meta.GX, &o.meta.GY, &o.meta.GZ):
+		err = fmt.Errorf("bad -grid %q: want NXxNYxNZ", *grid)
+	case !dims(*chunks, &o.meta.BX, &o.meta.BY, &o.meta.BZ):
+		err = fmt.Errorf("bad -chunks %q: want BXxBYxBZ", *chunks)
+	}
+	if err != nil {
+		fmt.Fprintln(fs.Output(), "datagen:", err)
+		fs.Usage()
+	}
+	return o, err
+}
+
+// dims parses "AxBxC" into three positive integers.
+func dims(s string, a, b, c *int) bool {
+	parts := strings.Split(s, "x")
+	if len(parts) != 3 {
+		return false
+	}
+	for i, p := range []*int{a, b, c} {
+		n, err := strconv.Atoi(parts[i])
+		if err != nil || n <= 0 {
+			return false
 		}
+		*p = n
+	}
+	return true
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	m := dataset.Meta{
-		Timesteps: *timesteps, Files: *files,
-		Seed: *seed, Plumes: *plumes, Skewed: *skewed,
-	}
-	if _, err := fmt.Sscanf(*grid, "%dx%dx%d", &m.GX, &m.GY, &m.GZ); err != nil {
-		fatal(fmt.Errorf("bad -grid %q: %w", *grid, err))
-	}
-	if _, err := fmt.Sscanf(*chunks, "%dx%dx%d", &m.BX, &m.BY, &m.BZ); err != nil {
-		fatal(fmt.Errorf("bad -chunks %q: %w", *chunks, err))
-	}
-	st, err := dataset.Create(*dir, m)
 	if err != nil {
-		fatal(err)
+		os.Exit(2)
+	}
+	if err := run(o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "datagen:", err)
+		os.Exit(1)
+	}
+}
+
+// run creates (or, with -reindex, reindexes) the dataset o describes and
+// reports on w.
+func run(o options, w io.Writer) error {
+	if o.reindex {
+		return reindexStore(o.dir, w)
+	}
+	st, err := dataset.Create(o.dir, o.meta)
+	if err != nil {
+		return err
 	}
 	defer st.Close()
-	if *noIndex {
-		if err := os.Remove(filepath.Join(*dir, dataset.SummaryFile)); err != nil {
-			fatal(err)
-		}
-	}
-	ds := st.DS
 	idxNote := "with summary sidecar"
-	if *noIndex {
+	if o.noIndex {
+		if err := os.Remove(filepath.Join(o.dir, dataset.SummaryFile)); err != nil {
+			return err
+		}
 		idxNote = "without summary sidecar"
 	}
-	fmt.Printf("created %s: %d chunks (%d samples each on average) x %d timesteps in %d files, %.1f MB/timestep, %s\n",
-		*dir, ds.Chunks(), ds.Block(0).Samples(), m.Timesteps, m.Files,
+	ds := st.DS
+	fmt.Fprintf(w, "created %s: %d chunks (%d samples each on average) x %d timesteps in %d files, %.1f MB/timestep, %s\n",
+		o.dir, ds.Chunks(), ds.Block(0).Samples(), o.meta.Timesteps, o.meta.Files,
 		float64(ds.TotalBytes())/1e6, idxNote)
+	return nil
 }
 
 // reindexStore rebuilds summary.idx for a dataset created before summaries
 // existed (or with -no-index), reading every chunk once.
-func reindexStore(dir string) error {
+func reindexStore(dir string, w io.Writer) error {
 	st, err := dataset.Open(dir)
 	if err != nil {
 		return err
@@ -91,12 +138,7 @@ func reindexStore(dir string) error {
 	if err := dataset.WriteSummaryIndex(dir, ix); err != nil {
 		return err
 	}
-	fmt.Printf("reindexed %s: %d chunk-timestep summaries (%d chunks x %d timesteps)\n",
+	fmt.Fprintf(w, "reindexed %s: %d chunk-timestep summaries (%d chunks x %d timesteps)\n",
 		dir, len(ix.Entries), ix.Chunks, ix.Timesteps)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "datagen:", err)
-	os.Exit(1)
 }

@@ -388,8 +388,14 @@ type MergeFilter struct {
 	Received int64
 }
 
-// Init implements core.Filter: the accumulator waits for the first input.
+// Init implements core.Filter: the previous unit of work's result planes
+// go back to the free lists, and the accumulator waits for the first input.
 func (f *MergeFilter) Init(ctx core.Ctx) error {
+	if f.final != nil {
+		depths.put(f.final.Depth)
+		colors.put(f.final.Color)
+		f.final = nil
+	}
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
@@ -450,5 +456,7 @@ func (f *MergeFilter) Finalize(core.Ctx) error {
 	return nil
 }
 
-// Result returns the image produced by the last completed unit of work.
+// Result returns the image produced by the last completed unit of work. It
+// is valid until the next unit of work starts, whose Init recycles its
+// planes: read it after the run, or copy it.
 func (f *MergeFilter) Result() *render.ZBuffer { return f.final }

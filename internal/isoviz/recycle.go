@@ -22,13 +22,15 @@ import (
 //	pixels     M after merging a PixBatch,  -> active-pixel flush, PixBatch decoder
 //	           PixBatch codec after Append
 //	depths,    M after merging a ZChunk,    -> Ra's z-buffer, M's accumulator,
-//	colors     ZChunk codec after Append       sendZBuffer, ZChunk decoder
+//	colors     M's result at the next Init,    sendZBuffer, ZChunk decoder
+//	           ZChunk codec after Append
 //
 // A z-buffer that fits one buffer travels as its own planes. M adopts the
 // first such frame of a unit of work as its accumulator and keeps those
-// planes as its result; it merges every other chunk and returns its planes,
-// so on the z-buffer path the other copies' planes cycle Ra -> M -> Ra
-// without a copy.
+// planes as its result until the next unit of work's Init hands them back;
+// it merges every other chunk and returns its planes at once. So on the
+// z-buffer path every copy's planes cycle Ra -> M -> Ra without a copy, and
+// on the active-pixel path M's accumulator reuses the previous result's.
 var (
 	vertices = make(freeList[geom.Vec3], 2*maxFree) // two planes per batch
 	indices  = make(freeList[uint32], maxFree)

@@ -141,6 +141,27 @@ func (p *framePath) bytesPerFrame(alg Algorithm) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(sessions*len(p.views))
 }
 
+// marginalBytesPerFrame is the heap allocated per frame beyond a session's
+// first len(p.views): a session of four times as many frames, less one of
+// p.views, over the extra frames. Per-session set-up cancels out.
+func (p *framePath) marginalBytesPerFrame(alg Algorithm) float64 {
+	views := p.views
+	defer func() { p.views = views }()
+	alloc := func(rounds int) uint64 {
+		p.views = nil
+		for i := 0; i < rounds; i++ {
+			p.views = append(p.views, views...)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.session(alg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short := alloc(1)
+	return float64(alloc(4)-short) / float64(3*len(views))
+}
+
 // poison fills recycled storage, to its capacity, with values that would
 // show in the image if anything read them: NaN samples and vertices,
 // indices that would panic, and pixels that win every depth test.
@@ -175,24 +196,29 @@ func fill[T any](s []T, v T) {
 	}
 }
 
-// The frame path recycles what its consumers finish, so after a warm-up
-// session a frame allocates about 0.45 MB (active pixel) and 0.25 MB
-// (z-buffer), much of it per-session set-up and M's result image (128x128x7
-// B = 112 KiB). With every payload allocated fresh, as before recycling,
-// the same sessions allocated 1.93 MB and 2.17 MB per frame. On the
-// z-buffer path M adopts the first Ra copy's planes as its image, so that
-// copy draws new planes for its next frame where M used to allocate its
-// accumulator: the frame allocates what it did when M merged every chunk,
-// 0.23–0.25 MB (0.30–0.34 MB under -race), and one more image per frame
-// (0.34–0.35 MB, 0.45 MB) breaks the bound. Recycled storage is poisoned on
-// return: the images must still equal a run that reuses nothing.
+// The frame path recycles what its consumers finish, M's result planes
+// included at its next Init. After a warm-up session a frame stays within
+// the bounds below, per-session set-up included: it allocates about 0.3 MB
+// (active pixel) and 0.13 MB (z-buffer) at 128x128. Beyond a session's
+// first frames, a z-buffer frame allocates less than one plane pair
+// (128x128x7 B = 112 KiB): M and every Ra copy draw theirs from the free
+// lists. Recycled storage is poisoned on return: the images must still
+// equal a run that reuses nothing.
 func TestFramePathAllocations(t *testing.T) {
 	leakcheck.Check(t)
-	zbuffer := 300e3
+	bounds := map[Algorithm]float64{ActivePixel: 400e3, ZBuffer: 200e3}
 	if raceEnabled {
-		zbuffer = 420e3
+		bounds = map[Algorithm]float64{ActivePixel: 500e3, ZBuffer: 280e3}
 	}
-	checkFramePath(t, newFramePath(t), map[Algorithm]float64{ActivePixel: 800e3, ZBuffer: zbuffer})
+	p := newFramePath(t)
+	checkFramePath(t, p, bounds)
+	p.session(ZBuffer)
+	planes := float64(128 * 128 * render.ZPixelBytes)
+	if got := p.marginalBytesPerFrame(ZBuffer); got >= planes {
+		t.Errorf("a warm z-buffer session allocates %.0f bytes per extra frame, want < %.0f (one plane pair)", got, planes)
+	} else {
+		t.Logf("z-buffer: %.0f bytes allocated per extra frame", got)
+	}
 }
 
 // On dist the senders' codecs recycle what they encode, so a frame of a

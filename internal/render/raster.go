@@ -132,22 +132,27 @@ func (r *Raster) DrawAll(ts []geom.Triangle, out Target) {
 }
 
 // DrawMesh rasterizes an indexed mesh into the target: each vertex is
-// transformed to screen space once, a triangle with any vertex behind the
-// eye plane is culled (the screen rectangle clips the rest), and each
-// vertex is shaded at most once: when it first colors a pixel of any
-// triangle that uses it. Every index must be below len(m.P), and len(m.N)
-// must equal len(m.P).
+// transformed to screen space, and its pixel-centre spans found, once; a
+// triangle with any vertex behind the eye plane is culled (the screen
+// rectangle clips the rest), and each vertex is shaded at most once: when
+// it first colors a pixel of any triangle that uses it. Every index must
+// be below len(m.P), and len(m.N) must equal len(m.P).
 func (r *Raster) DrawMesh(m *geom.Mesh, out Target) {
 	if cap(r.verts) < len(m.P) {
 		r.verts = make([]vert, len(m.P))
 	}
 	vs := r.verts[:len(m.P)]
 	r.project(vs, m.P, m.N)
+	for i := range vs {
+		v := &vs[i]
+		v.x0, v.x1 = span(v.x, r.W)
+		v.y0, v.y1 = span(v.y, r.H)
+	}
 	idx := m.Idx
 	for t := 0; t+3 <= len(idx); t += 3 {
 		v0, v1, v2 := &vs[idx[t]], &vs[idx[t+1]], &vs[idx[t+2]]
 		if v0.front && v1.front && v2.front {
-			r.fill(v0, v1, v2, out)
+			r.draw(v0, v1, v2, out)
 		}
 	}
 }
@@ -155,12 +160,15 @@ func (r *Raster) DrawMesh(m *geom.Mesh, out Target) {
 // vert is one vertex in screen space. Its color waits until a pixel needs
 // it: shading costs more than most triangles' fill.
 type vert struct {
-	x, y   float32 // screen position
-	z      float64 // depth, rounded to float32
-	n      geom.Vec3
-	front  bool // in front of the eye plane (w > 0)
-	shaded bool // c holds the vertex color
-	c      RGB
+	x, y float32 // screen position
+	z    float64 // depth, rounded to float32
+	// x0, x1 and y0, y1 are the vertex's pixel-centre spans per axis (see
+	// span); only DrawMesh sets them.
+	x0, x1, y0, y1 int32
+	n              geom.Vec3
+	front          bool // in front of the eye plane (w > 0)
+	shaded         bool // c holds the vertex color
+	c              RGB
 }
 
 // project sets vs[i] to vertex (ps[i], ns[i]) in screen space, unshaded:
@@ -183,12 +191,66 @@ func (r *Raster) project(vs []vert, ps, ns []geom.Vec3) {
 	}
 }
 
+// span returns the first and last pixel centre within margin of screen
+// coordinate c on an axis of n pixels, ceil(c-(0.5+margin)) and
+// floor(c-(0.5-margin)), each clamped to [-1, n]: the clamp changes no
+// clipped box, since -1 and n lie outside the viewport as the unclamped
+// values beyond them do. Integer ceil and floor are exact for |c| < 2^63;
+// beyond that, and for NaN, the span is unspecified, and draw never uses
+// it: a triangle with such a vertex fails fill's rounding bound, which
+// needs extents below about 2^37, where distinct float32 values that large
+// lie at least 2^39 apart (and a zero extent makes the area zero).
+func span(c float32, n int) (lo, hi int32) {
+	a, b := float64(c)-(0.5+margin), float64(c)-(0.5-margin)
+	i, j := int(a), int(b)
+	if float64(i) < a {
+		i++
+	}
+	if float64(j) > b {
+		j--
+	}
+	return int32(min(max(i, -1), n)), int32(min(max(j, -1), n))
+}
+
 // margin widens the pixel-centre box on each side; see fill.
 const margin = 1.0 / 64
 
+// draw fills one triangle of DrawMesh, whose vertices are in front of the
+// eye plane and carry their spans, exactly as fill does. Where fill's
+// rounding bound holds, fill's tight box is the min and max of the
+// vertices' spans, clipped: widening, ceil, floor and span's clamp are all
+// monotone, so they commute with min and max over the vertices. So draw
+// forms that box from integers, without fill's Ceil/Floor and clipping, and
+// returns at once when it is empty — as it is for 39 % of the bench's
+// dense triangles. A triangle that fails the bound, any with a non-finite
+// or huge coordinate among them, goes to fill. Builtin min and max differ
+// from min3 and max3 only on ±0 and NaN, which change neither a box nor
+// the bound.
+func (r *Raster) draw(v0, v1, v2 *vert, out Target) {
+	x0, y0 := float64(v0.x), float64(v0.y)
+	x1, y1 := float64(v1.x), float64(v1.y)
+	x2, y2 := float64(v2.x), float64(v2.y)
+	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
+	wx, wy := max(x0, x1, x2)-min(x0, x1, x2), max(y0, y1, y2)-min(y0, y1, y2)
+	if !(area*area > 0x1p-37*max(wx, wy)*(wx+1.5)*(wx+1.5)*(wy+1.5)*(wy+1.5)) {
+		r.fill(v0, v1, v2, out)
+		return
+	}
+	r.Triangles++
+	minX, maxX := max(int(min(v0.x0, v1.x0, v2.x0)), 0), min(int(max(v0.x1, v1.x1, v2.x1)), r.W-1)
+	minY, maxY := max(int(min(v0.y0, v1.y0, v2.y0)), 0), min(int(max(v0.y1, v1.y1, v2.y1)), r.H-1)
+	if r.scissorY1 > 0 {
+		minY, maxY = max(minY, r.scissorY0), min(maxY, r.scissorY1-1)
+	}
+	if minX <= maxX && minY <= maxY {
+		r.scan(v0, v1, v2, minX, maxX, minY, maxY, area, out)
+	}
+}
+
 // fill scan-converts one triangle whose vertices are in front of the eye
-// plane, shading and filling with interpolated depth and color; DrawMesh
-// and DrawAll both fill here. Pixel centers are sampled at (x+0.5, y+0.5).
+// plane, shading and filling with interpolated depth and color; DrawAll
+// fills here, and draw for the triangles its integer box cannot serve.
+// Pixel centers are sampled at (x+0.5, y+0.5).
 // Isosurface triangles are about a pixel in size, so per-triangle work
 // dominates: shading waits until a pixel center is covered, and the three
 // edge tests of a visited pixel join into one branch, because which of
@@ -255,6 +317,16 @@ func (r *Raster) fill(v0, v1, v2 *vert, out Target) {
 	if minX > maxX || minY > maxY || area == 0 {
 		return
 	}
+	r.scan(v0, v1, v2, minX, maxX, minY, maxY, area, out)
+}
+
+// scan visits the pixel centres of the box [minX, maxX] × [minY, maxY],
+// which lies inside the viewport and scissor band, and puts every centre
+// the triangle covers. area is the triangle's nonzero doubled signed area.
+func (r *Raster) scan(v0, v1, v2 *vert, minX, maxX, minY, maxY int, area float64, out Target) {
+	x0, y0 := float64(v0.x), float64(v0.y)
+	x1, y1 := float64(v1.x), float64(v1.y)
+	x2, y2 := float64(v2.x), float64(v2.y)
 	z0, z1, z2 := v0.z, v1.z, v2.z
 	inv := 1 / area
 	var sc [3]RGB

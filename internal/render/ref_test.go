@@ -2,10 +2,11 @@ package render
 
 // The reference oracles: the triangle rasterizer and its helpers exactly as
 // they stood before the per-triangle trims, and ZBuffer.Clear and
-// ZBuffer.MergeRange as they stood before the block-copy fill and the
-// packed-colour compare, kept verbatim (renamed only) so the properties
-// below check the production kernels against the parent's bits — identical
-// planes, counters, Put sequences and active-pixel flushes.
+// ZBuffer.MergeRange as they stood before the block-copy fill, the
+// packed-colour compare and the identical-block skip, kept verbatim
+// (renamed only) so the properties below check the production kernels
+// against the parent's bits — identical planes, counters, Put sequences and
+// active-pixel flushes.
 
 import (
 	"encoding/binary"
@@ -804,62 +805,107 @@ var depthPalette = []float32{
 	0, float32(math.Copysign(0, -1)), 1, math.Nextafter32(InfDepth, float32(math.Inf(1))),
 }
 
-// zPixels decodes fuzzed pixels, 8 bytes each: depth bits, a colour, and a
-// mode byte that may swap in a palette depth (indexed by the first byte)
-// or the background colour.
-func zPixels(data []byte) (depth []float32, colors []RGB) {
-	for ; len(data) >= 8; data = data[8:] {
+// maxMergePixels bounds a fuzzed accumulator: four of MergeRange's blocks,
+// so a run spans three whole blocks and a tail.
+const maxMergePixels = 4 * mergeBlock
+
+// Where a fuzzed pixel goes (mode bits 2–3).
+const (
+	toRun  = 0 // the run only
+	toAcc  = 1 // the accumulator only
+	toBoth = 2 // both: the planes stay identical there
+	toTie  = 3 // both, the run's colour with its lowest bit flipped
+)
+
+// zRecordBytes is the size of one fuzzed pixel record (see zPlanes).
+const zRecordBytes = 10
+
+// zPlanes decodes a fuzzed merge case: a cleared accumulator of n pixels, a
+// cleared run buffer over its pixels [o, n) — identical blocks, which
+// MergeRange skips — and then one pixel per 10-byte record: depth bits, a
+// colour, a mode byte and a little-endian position (mod n). The mode may
+// swap in a palette depth (bit 0 clear; indexed by the first byte) or the
+// background colour (bit 1), and says which planes the pixel goes to (bits
+// 2–3); a run pixel before o is dropped.
+func zPlanes(data []byte, n, o int) (acc *ZBuffer, depth []float32, colors []RGB) {
+	acc = &ZBuffer{W: n, H: 1, Depth: make([]float32, n), Color: make([]RGB, n)}
+	clearRef(acc)
+	depth, colors = append([]float32(nil), acc.Depth[o:]...), append([]RGB(nil), acc.Color[o:]...)
+	for ; len(data) >= zRecordBytes; data = data[zRecordBytes:] {
 		d := math.Float32frombits(binary.LittleEndian.Uint32(data))
-		c := RGB{data[4], data[5], data[6]}
-		if data[7]&1 == 0 {
+		c, mode := RGB{data[4], data[5], data[6]}, data[7]
+		if mode&1 == 0 {
 			d = depthPalette[int(data[0])%len(depthPalette)]
 		}
-		if data[7]&2 != 0 {
+		if mode&2 != 0 {
 			c = Background
 		}
-		depth, colors = append(depth, d), append(colors, c)
+		to, pos := int(mode>>2&3), int(binary.LittleEndian.Uint16(data[8:]))%n
+		if to != toRun {
+			acc.Depth[pos], acc.Color[pos] = d, c
+		}
+		if to == toTie {
+			c.B ^= 1
+		}
+		if to != toAcc && pos >= o {
+			depth[pos-o], colors[pos-o] = d, c
+		}
 	}
-	return depth, colors
+	return acc, depth, colors
 }
 
-// zPixelBytes encodes pixels for zPixels with raw depth bits.
-func zPixelBytes(depth []float32, colors []RGB) []byte {
+// zRec is one fuzzed pixel, for seeds.
+type zRec struct {
+	pos uint16
+	d   float32
+	c   RGB
+	to  uint8
+}
+
+// zRecords encodes pixels for zPlanes with raw depth bits.
+func zRecords(rs ...zRec) []byte {
 	var b []byte
-	for i, d := range depth {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(d))
-		b = append(b, colors[i].R, colors[i].G, colors[i].B, 1)
+	for _, r := range rs {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(r.d))
+		b = append(b, r.c.R, r.c.G, r.c.B, 1|r.to<<2)
+		b = binary.LittleEndian.AppendUint16(b, r.pos)
 	}
 	return b
 }
 
-// compareMerge builds an accumulator of 1+size%64 pixels from the first
-// fuzzed pixels (the rest of it cleared), merges the remaining ones in at
-// pixel off with MergeRange and with the reference, and compares the planes
-// bit for bit. A run covering the whole accumulator also goes through
+// runToEnd in a fuzzed run length makes the run reach the accumulator's
+// end, as a whole-frame chunk does.
+const runToEnd = 0x8000
+
+// compareMerge builds an accumulator of 1+size%maxMergePixels pixels and a
+// run buffer over it from pixel o = off%(n+1) to its end (zPlanes). The run
+// merged is the buffer's first length%(n-o+1) pixels, or all of it when
+// length has runToEnd set; a shorter run ends before the accumulator does,
+// as a chunk of a chunked frame may, and the buffer's pixels past it stay
+// within the run's capacity, where no merge may read them. It merges the
+// run with MergeRange and with the reference and compares the planes bit
+// for bit. A run covering the whole accumulator also goes through
 // MergeFrom.
-func compareMerge(data []byte, size, off uint8) error {
-	n := 1 + int(size)%64
-	depth, colors := zPixels(data)
-	acc := &ZBuffer{W: n, H: 1, Depth: make([]float32, n), Color: make([]RGB, n)}
-	clearRef(acc)
-	k := copy(acc.Depth, depth)
-	copy(acc.Color, colors)
-	depth, colors = depth[k:], colors[k:]
+func compareMerge(data []byte, size, off, length uint16) error {
+	n := 1 + int(size)%maxMergePixels
 	o := int(off) % (n + 1)
-	if len(depth) > n-o {
-		depth, colors = depth[:n-o], colors[:n-o]
+	acc, tailDepth, tailColors := zPlanes(data, n, o)
+	l := len(tailDepth)
+	if length&runToEnd == 0 {
+		l = int(length) % (l + 1)
 	}
-	in := zPixelBytes(depth, colors)
+	depth, colors := tailDepth[:l], tailColors[:l]
+	in := planeBits(&ZBuffer{Depth: tailDepth, Color: tailColors})
 	got, want := cloneZ(acc), cloneZ(acc)
 	got.MergeRange(o, depth, colors)
 	mergeRangeRef(want, o, depth, colors)
 	if string(planeBits(got)) != string(planeBits(want)) {
 		return fmt.Errorf("MergeRange of %d pixels at %d into %d differs from the reference", len(depth), o, n)
 	}
-	if string(zPixelBytes(depth, colors)) != string(in) {
+	if string(planeBits(&ZBuffer{Depth: tailDepth, Color: tailColors})) != string(in) {
 		return fmt.Errorf("MergeRange modified its input")
 	}
-	if o == 0 && len(depth) == n {
+	if o == 0 && l == n {
 		got = cloneZ(acc)
 		got.MergeFrom(&ZBuffer{W: n, H: 1, Depth: depth, Color: colors})
 		if string(planeBits(got)) != string(planeBits(want)) {
@@ -870,15 +916,17 @@ func compareMerge(data []byte, size, off uint8) error {
 }
 
 // Property: random planes (special depths and background colours mixed
-// in) merge exactly as the reference merges them. Each case draws up to 128
-// pixels, so the run after the accumulator is long enough to tie often —
-// -0 against +0 with equal colours among them.
+// in) merge exactly as the reference merges them. Each case writes up to
+// 128 pixels into runs of up to four blocks, so a run has both identical
+// and differing blocks, and its pixels tie often — -0 against +0 with equal
+// colours among them. Half the runs end before the accumulator does, and
+// record counts skew small, so whole blocks are often identical.
 func TestMergeRangeMatchesReferenceProperty(t *testing.T) {
-	f := func(seed int64, size, off uint8) bool {
+	f := func(seed int64, size, off, length uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, 8*rng.Intn(129))
+		data := make([]byte, zRecordBytes*rng.Intn(1+rng.Intn(129)))
 		rng.Read(data)
-		if err := compareMerge(data, size, off); err != nil {
+		if err := compareMerge(data, size, off, length); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -890,31 +938,81 @@ func TestMergeRangeMatchesReferenceProperty(t *testing.T) {
 }
 
 // FuzzMergeRangeMatchesReference merges fuzzed planes — NaN, ±Inf,
-// InfDepth, ±0 and equal depths with different colours — and requires the
-// reference's planes bit for bit.
+// InfDepth, ±0 and equal depths with different colours, in runs of
+// identical and differing blocks that may end before the accumulator does
+// — and requires the reference's planes bit for bit.
 func FuzzMergeRangeMatchesReference(f *testing.F) {
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
 	bg := Background
 	above, below := RGB{bg.R, bg.G, bg.B + 1}, RGB{bg.R, bg.G, bg.B - 1}
-	// A four-pixel accumulator and a four-pixel run over it.
+	// A four-pixel accumulator and a four-pixel run over it; at offset 2,
+	// also only the run's first two pixels, into six.
 	for _, run := range [][]float32{
 		{InfDepth, InfDepth, InfDepth, InfDepth},
 		{nan, inf, -inf, InfDepth},
-		{0, float32(math.Copysign(0, -1)), 1, 1},
+		{0, negZero, 1, 1},
 	} {
-		acc := []float32{InfDepth, 1, 0, nan}
-		b := zPixelBytes(append(acc, run...), []RGB{bg, below, above, bg, above, below, bg, {}})
-		f.Add(b, uint8(3), uint8(0))
-		f.Add(b, uint8(5), uint8(2))
+		acc, accC, runC := []float32{InfDepth, 1, 0, nan}, []RGB{bg, below, above, bg}, []RGB{above, below, bg, {}}
+		var rs []zRec
+		for _, o := range []uint16{0, 2} {
+			rs = rs[:0]
+			for i := range acc {
+				rs = append(rs, zRec{o + uint16(i), acc[i], accC[i], toAcc}, zRec{o + uint16(i), run[i], runC[i], toRun})
+			}
+			f.Add(zRecords(rs...), 3+o, o, uint16(runToEnd))
+		}
+		f.Add(zRecords(rs...), uint16(5), uint16(2), uint16(2))
 	}
 	// Exact ties, equal colours included: only the sign of zero tells a
 	// merge that takes the run's sample from one that keeps the
 	// accumulator's.
-	negZero := float32(math.Copysign(0, -1))
-	ties := []RGB{bg, above, bg, below}
-	f.Add(zPixelBytes([]float32{0, negZero, InfDepth, 1, negZero, 0, InfDepth, 1}, append(ties, ties...)), uint8(3), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, size, off uint8) {
-		if err := compareMerge(data, size, off); err != nil {
+	var ties []zRec
+	for i, p := range []struct {
+		acc, run float32
+		c        RGB
+	}{{0, negZero, bg}, {negZero, 0, above}, {InfDepth, InfDepth, bg}, {1, 1, below}} {
+		ties = append(ties, zRec{uint16(i), p.acc, p.c, toAcc}, zRec{uint16(i), p.run, p.c, toRun})
+	}
+	f.Add(zRecords(ties...), uint16(3), uint16(0), uint16(runToEnd))
+
+	// Runs of several blocks (n = 900): cleared, and with identical
+	// samples in every block, identical NaN bit patterns among them — each
+	// a block MergeRange may skip.
+	const n, big = 900, uint16(899)
+	var same []zRec
+	for _, p := range []uint16{3, 254, 256, 400, 510, 700, 898} {
+		same = append(same, zRec{p, float32(p) / 7, RGB{uint8(p), 40, 90}, toBoth})
+	}
+	same = append(same,
+		zRec{300, math.Float32frombits(0x7fc00001), below, toBoth},
+		zRec{600, math.Float32frombits(0xffc0beef), above, toBoth})
+	for _, o := range []uint16{0, 37} {
+		f.Add([]byte{}, big, o, uint16(runToEnd))
+		f.Add(zRecords(same...), big, o, uint16(runToEnd))
+		// A block that differs only by -0 against +0 at one pixel.
+		f.Add(zRecords(append(same, zRec{450, 0, bg, toAcc}, zRec{450, negZero, bg, toRun})...), big, o, uint16(runToEnd))
+		// A colour difference at the last pixel of each block and of the
+		// tail, the run's sample winning the tie.
+		var last []zRec
+		for p := int(o) + mergeBlock - 1; p < n+mergeBlock-1; p += mergeBlock {
+			last = append(last, zRec{uint16(min(p, n-1)), InfDepth, below, toRun})
+		}
+		f.Add(zRecords(append(same, last...)...), big, o, uint16(runToEnd))
+		// Only a late block differs, and only in depth: the run's nearer
+		// sample has the accumulator's colour.
+		f.Add(zRecords(append(same, zRec{780, 1, bg, toRun})...), big, o, uint16(runToEnd))
+	}
+	// An interior run, pixels [200, 500): a whole block and a 44-pixel
+	// tail, ending short of the accumulator. The run buffer beyond it holds
+	// samples that would win a merge; a merge must not reach them.
+	past := append(same[:len(same):len(same)], zRec{500, 0, bg, toRun}, zRec{501, nan, bg, toRun}, zRec{640, -inf, above, toRun})
+	f.Add(zRecords(past...), big, uint16(200), uint16(300))
+	// The same run, differing at each block's first and last pixel.
+	diff := []zRec{{200, 1, below, toRun}, {455, InfDepth, below, toRun}, {456, 0, above, toRun}, {499, negZero, bg, toRun}}
+	f.Add(zRecords(append(past, diff...)...), big, uint16(200), uint16(300))
+	f.Fuzz(func(t *testing.T, data []byte, size, off, length uint16) {
+		if err := compareMerge(data, size, off, length); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -17,8 +17,10 @@
 package render
 
 import (
+	"bytes"
 	"image"
 	"image/color"
+	"unsafe"
 )
 
 // RGB is a packed 24-bit pixel color.
@@ -99,19 +101,44 @@ func (z *ZBuffer) MergeFrom(o *ZBuffer) {
 	z.MergeRange(0, o.Depth, o.Color)
 }
 
+// mergeBlock is the run of pixels MergeRange compares whole before it
+// merges pixel by pixel.
+const mergeBlock = 256
+
 // MergeRange folds a contiguous row-major slice of another buffer's planes,
 // starting at pixel offset off. It is how the merge filter consumes the
 // fixed-size buffers a z-buffer is shipped in. colors holds one color per
 // depth, and the run must lie inside z.
+//
+// Most of a selective frame is cleared background in every copy's buffer,
+// so a block of the run that is bitwise identical to the accumulator is
+// skipped after one vectorised compare: it cannot change it, since equal
+// depth bits are never <, an equal colour is not smaller, and a NaN fails
+// both tests.
 func (z *ZBuffer) MergeRange(off int, depth []float32, colors []RGB) {
 	n := len(depth)
 	zd, zc, colors := z.Depth[off:][:n], z.Color[off:][:n], colors[:n]
-	for i, d := range depth {
-		if d < zd[i] || (d == zd[i] && colors[i].pack() < zc[i].pack()) {
-			zd[i] = d
-			zc[i] = colors[i]
+	for lo := 0; lo < n; lo += mergeBlock {
+		hi := min(lo+mergeBlock, n)
+		d, c, ad, ac := depth[lo:hi], colors[lo:hi], zd[lo:hi], zc[lo:hi]
+		if bytes.Equal(asBytes(d), asBytes(ad)) && bytes.Equal(asBytes(c), asBytes(ac)) {
+			continue
+		}
+		for i, dv := range d {
+			if dv < ad[i] || (dv == ad[i] && c[i].pack() < ac[i].pack()) {
+				ad[i] = dv
+				ac[i] = c[i]
+			}
 		}
 	}
+}
+
+// asBytes views a plane's memory as bytes.
+func asBytes[T float32 | RGB](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
 // ActiveCount returns the number of pixels with at least one sample (the
