@@ -25,8 +25,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -39,91 +42,127 @@ import (
 	"datacutter/internal/obs"
 )
 
-func main() {
-	var (
-		listen       = flag.String("listen", "127.0.0.1:8080", "HTTP API address")
-		journal      = flag.String("journal", "", "write-ahead job journal path (JSONL; empty disables persistence)")
-		maxRunning   = flag.Int("max-concurrent", 0, "max concurrently running jobs across all tenants (default 4)")
-		defQuota     = flag.String("quota", "", "default per-tenant quota as maxRunning:maxQueued:maxBytes (0 = unlimited)")
-		quotas       = flag.String("quotas", "", "per-tenant overrides, e.g. 'teamA=1:4:0,teamB=2:16:1048576'")
-		probe        = flag.Duration("probe-interval", 0, "worker health-probe period (default 2s)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for running jobs on SIGINT/SIGTERM")
+// options are the parsed command-line flags: the listen address, the drain
+// bound, and everything else as the server's configuration.
+type options struct {
+	listen       string
+	drainTimeout time.Duration
+	cfg          jobd.Config
+}
 
-		maxRetries      = flag.Int("max-retries", 0, "default retry budget for jobs that do not set one (default 0: no retries)")
-		retryBackoff    = flag.Duration("retry-backoff", 0, "base of the exponential retry backoff (default 500ms)")
-		retryBackoffMax = flag.Duration("retry-backoff-max", 0, "retry backoff cap (default 30s)")
-		strikes         = flag.Int("quarantine-strikes", 0, "attributed failures before a worker is quarantined (default 3)")
-		probation       = flag.Duration("probation", 0, "quarantine sit-out before the half-open reinstatement probe (default 30s)")
-		maxQueueAge     = flag.Duration("max-queue-age", 0, "shed a tenant's submissions while its oldest queued job is older than this (0 disables)")
-		maxQueueDepth   = flag.Int("max-queue-depth", 0, "shed submissions when the global queue holds this many jobs (0 = unlimited)")
-		shedRetryAfter  = flag.Duration("retry-after", 0, "Retry-After hint on shed (503) responses (default 5s)")
-		compactBytes    = flag.Int64("journal-compact", 0, "compact the journal once it exceeds this many bytes (default 4 MiB)")
-	)
-	flag.Parse()
+// parseFlags parses args; on an error it has printed the reason and the
+// usage.
+func parseFlags(args []string) (options, error) {
+	var o options
+	c := &o.cfg
+	fs := flag.NewFlagSet("dcjobd", flag.ContinueOnError)
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:8080", "HTTP API address")
+	fs.StringVar(&c.JournalPath, "journal", "", "write-ahead job journal path (JSONL; empty disables persistence)")
+	fs.IntVar(&c.MaxRunning, "max-concurrent", 0, "max concurrently running jobs across all tenants (default 4)")
+	defQuota := fs.String("quota", "", "default per-tenant quota as maxRunning:maxQueued:maxBytes (0 = unlimited)")
+	quotas := fs.String("quotas", "", "per-tenant overrides, e.g. 'teamA=1:4:0,teamB=2:16:1048576'")
+	fs.DurationVar(&c.ProbeInterval, "probe-interval", 0, "worker health-probe period (default 2s)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "max wait for running jobs on SIGINT/SIGTERM")
 
-	cfg := jobd.Config{
-		MaxRunning:    *maxRunning,
-		JournalPath:   *journal,
-		ProbeInterval: *probe,
-		Registry:      obs.NewRegistry(),
-
-		DefaultMaxRetries:   *maxRetries,
-		RetryBackoff:        *retryBackoff,
-		RetryBackoffMax:     *retryBackoffMax,
-		QuarantineStrikes:   *strikes,
-		Probation:           *probation,
-		MaxQueueAge:         *maxQueueAge,
-		MaxQueueDepth:       *maxQueueDepth,
-		ShedRetryAfter:      *shedRetryAfter,
-		JournalCompactBytes: *compactBytes,
+	fs.IntVar(&c.DefaultMaxRetries, "max-retries", 0, "default retry budget for jobs that do not set one (default 0: no retries)")
+	fs.DurationVar(&c.RetryBackoff, "retry-backoff", 0, "base of the exponential retry backoff (default 500ms)")
+	fs.DurationVar(&c.RetryBackoffMax, "retry-backoff-max", 0, "retry backoff cap (default 30s)")
+	fs.IntVar(&c.QuarantineStrikes, "quarantine-strikes", 0, "attributed failures before a worker is quarantined (default 3)")
+	fs.DurationVar(&c.Probation, "probation", 0, "quarantine sit-out before the half-open reinstatement probe (default 30s)")
+	fs.DurationVar(&c.MaxQueueAge, "max-queue-age", 0, "shed a tenant's submissions while its oldest queued job is older than this (0 disables)")
+	fs.IntVar(&c.MaxQueueDepth, "max-queue-depth", 0, "shed submissions when the global queue holds this many jobs (0 = unlimited)")
+	fs.DurationVar(&c.ShedRetryAfter, "retry-after", 0, "Retry-After hint on shed (503) responses (default 5s)")
+	fs.Int64Var(&c.JournalCompactBytes, "journal-compact", 0, "compact the journal once it exceeds this many bytes (default 4 MiB)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	if *defQuota != "" {
-		q, err := parseQuota(*defQuota)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.DefaultQuota = q
-	}
-	if *quotas != "" {
-		cfg.Quotas = map[string]jobd.Quota{}
-		for _, entry := range strings.Split(*quotas, ",") {
-			tenant, spec, ok := strings.Cut(entry, "=")
-			if !ok {
-				fatal(fmt.Errorf("bad -quotas entry %q (want tenant=maxRunning:maxQueued:maxBytes)", entry))
-			}
-			q, err := parseQuota(spec)
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Quotas[tenant] = q
-		}
-	}
-
-	s, err := jobd.NewServer(cfg)
+	err := o.parseQuotas(*defQuota, *quotas)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(fs.Output(), "dcjobd:", err)
+		fs.Usage()
 	}
-	srv := &http.Server{Addr: *listen, Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("dcjobd serving on http://%s/ (journal: %s)\n", *listen, orNone(*journal))
+	return o, err
+}
 
+// parseQuotas fills the configuration's default and per-tenant quotas.
+func (o *options) parseQuotas(def, overrides string) error {
+	if def != "" {
+		q, err := parseQuota(def)
+		if err != nil {
+			return err
+		}
+		o.cfg.DefaultQuota = q
+	}
+	if overrides == "" {
+		return nil
+	}
+	o.cfg.Quotas = map[string]jobd.Quota{}
+	for _, entry := range strings.Split(overrides, ",") {
+		tenant, spec, ok := strings.Cut(entry, "=")
+		if !ok {
+			return fmt.Errorf("bad -quotas entry %q (want tenant=maxRunning:maxQueued:maxBytes)", entry)
+		}
+		q, err := parseQuota(spec)
+		if err != nil {
+			return err
+		}
+		o.cfg.Quotas[tenant] = q
+	}
+	return nil
+}
+
+func main() {
+	opt, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if err := run(opt, sig, os.Stdout, nil); err != nil {
+		fmt.Fprintln(os.Stderr, "dcjobd:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves the job API on opt.listen until stop delivers a signal, then
+// drains the server, prints its final metrics snapshot to out and closes
+// it. started, when non-nil, learns the bound address once the API serves.
+func run(opt options, stop <-chan os.Signal, out io.Writer, started func(addr string)) error {
+	opt.cfg.Registry = obs.NewRegistry()
+	s, err := jobd.NewServer(opt.cfg)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	ln, err := net.Listen("tcp", opt.listen)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	fmt.Fprintf(out, "dcjobd serving on http://%s/ (journal: %s)\n", ln.Addr(), orNone(opt.cfg.JournalPath))
+	if started != nil {
+		started(ln.Addr().String())
+	}
+
 	select {
 	case err := <-errc:
-		fatal(err)
-	case got := <-sig:
-		fmt.Printf("dcjobd: %s — draining (up to %s for running jobs)\n", got, *drainTimeout)
+		return err
+	case got := <-stop:
+		fmt.Fprintf(out, "dcjobd: %s — draining (up to %s for running jobs)\n", got, opt.drainTimeout)
 	}
-	if !s.Drain(*drainTimeout) {
+	if !s.Drain(opt.drainTimeout) {
 		fmt.Fprintln(os.Stderr, "dcjobd: drain timed out with jobs still running")
 	}
 	srv.Close()
-	fmt.Println("dcjobd final metrics snapshot:")
-	cfg.Registry.WriteJSON(os.Stdout)
-	fmt.Println()
-	s.Close()
+	fmt.Fprintln(out, "dcjobd final metrics snapshot:")
+	opt.cfg.Registry.WriteJSON(out)
+	fmt.Fprintln(out)
+	return nil
 }
 
 // parseQuota decodes maxRunning:maxQueued:maxBytes; trailing fields may be
@@ -156,9 +195,4 @@ func orNone(s string) string {
 		return "none"
 	}
 	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dcjobd:", err)
-	os.Exit(1)
 }

@@ -382,6 +382,39 @@ func TestConformanceFused(t *testing.T) {
 	}
 }
 
+// TestConformanceWarm sweeps the dist engine on pooled control links: a
+// throwaway round of each seed's pipeline leaves its links in a dist.Pool,
+// and the checked round, set up on them, must satisfy every oracle. The
+// Warm draw must not move the seed's pipeline.
+func TestConformanceWarm(t *testing.T) {
+	n := int64(25)
+	if !testing.Short() {
+		n = 60
+	}
+	if *seedFlag >= 0 {
+		n = 1
+	}
+	for i := int64(0); i < n; i++ {
+		seed := i
+		if *seedFlag >= 0 {
+			seed = *seedFlag
+		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			leakcheck.Check(t)
+			s := Generate(seed, GenConfig{Warm: true})
+			base := s.Clone()
+			base.Warm = false
+			if !reflect.DeepEqual(Generate(seed, GenConfig{}), base) {
+				t.Fatalf("the warm draw changed the base pipeline of seed %d", seed)
+			}
+			opts := Options{Engines: []string{"dist"}}
+			if fail := Check(s, opts); fail != nil {
+				failReport(t, seed, fail, opts)
+			}
+		})
+	}
+}
+
 // TestFusedChain nests fusions: T1 and T2 both run inside A's two copies
 // (T2's producer is itself fused), while A and T1 also feed the sink over
 // real streams.

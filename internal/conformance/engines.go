@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -165,10 +166,38 @@ func runDist(s *Spec, rec *Recorder, plans map[string]string, tune func(*dist.Op
 	if tune != nil {
 		tune(&opts)
 	}
+	if s.Warm && plans == nil {
+		return runWarm(s, addrs, g, entries, opts)
+	}
 	if reg != nil {
 		return dist.RunObserved(addrs, g, entries, opts, uowList(s), obs.New(nil, reg))
 	}
 	return dist.Run(addrs, g, entries, opts, uowList(s))
+}
+
+// runWarm runs a throwaway round of the spec, recorded nowhere, through a
+// pool, then the checked round on the links the first left there. A host
+// the checked round set up on a fresh dial fails the run: the mode would
+// check nothing it does not already check.
+func runWarm(s *Spec, addrs map[string]string, g dist.GraphSpec, entries []dist.PlacementEntry, opts dist.Options) (*core.Stats, error) {
+	pool := dist.NewPool()
+	defer pool.Close()
+	throwaway := newRecorder()
+	tok := registerRecorder(throwaway)
+	defer releaseRecorder(tok)
+	gw, _, err := distGraph(s, throwaway, tok)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := pool.Run(context.Background(), addrs, gw, entries, opts, uowList(s), nil); err != nil {
+		return nil, fmt.Errorf("warm-up round: %w", err)
+	}
+	reg := obs.NewRegistry()
+	st, err := pool.Run(context.Background(), addrs, g, entries, opts, uowList(s), obs.New(nil, reg))
+	if n := reg.Counter("dist.links_reused").Value(); err == nil && n < int64(len(addrs)) {
+		err = fmt.Errorf("the warm round set %d of %d hosts up on pooled links", n, len(addrs))
+	}
+	return st, err
 }
 
 // distGraph is the spec as the dist engine takes it: one registered-kind

@@ -151,6 +151,12 @@ type Spec struct {
 	// moves where a transform runs, never what anyone receives, so a fused
 	// run is checked against the UNFUSED model's deliveries (checkFused).
 	Fused []string
+	// Warm runs the dist engine on warm control links: a throwaway round
+	// of the same spec on the same workers leaves its links in a dist.Pool,
+	// and the checked round sets every host up on them. The other engines
+	// and the oracles are unchanged; fault-mode runs (CheckFaults) ignore
+	// it.
+	Warm bool
 }
 
 // fused reports whether the named filter runs fused into its producer.
@@ -395,6 +401,9 @@ func (s *Spec) String() string {
 	if len(s.Fused) > 0 {
 		fmt.Fprintf(&b, " fused=%v", s.Fused)
 	}
+	if s.Warm {
+		b.WriteString(" warm")
+	}
 	b.WriteString(")\n")
 	fmt.Fprintf(&b, "  hosts:")
 	for _, h := range s.Hosts {
@@ -452,6 +461,9 @@ type GenConfig struct {
 	// eligible. The draws come after even the pushdown draws, so a seed's
 	// base pipeline is identical with the flag on or off.
 	Fused bool
+	// Warm sets Spec.Warm. It is taken last and draws nothing, so a seed's
+	// pipeline is identical with the flag on or off.
+	Warm bool
 }
 
 func (c GenConfig) withDefaults() GenConfig {
@@ -649,6 +661,7 @@ func Generate(seed int64, cfg GenConfig) *Spec {
 			s.Fused = []string{eligible[rng.Intn(len(eligible))]}
 		}
 	}
+	s.Warm = cfg.Warm
 	return s
 }
 

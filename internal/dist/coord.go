@@ -2,11 +2,14 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"net"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"datacutter/internal/core"
@@ -62,10 +65,11 @@ func Run(addrs map[string]string, spec GraphSpec, placement []PlacementEntry, op
 // "coord.uow_seconds" latency histogram, per-stream buffer/byte/ack
 // counters updated after each unit of work's stats merge, and the
 // failure-model counters (coord.uow_retries, coord.hosts_lost,
-// dist.heartbeat_misses, dist.redials) plus host-down / uow-retry trace
-// events. The observer is coordinator-local only — it is never serialized
-// into Options, so workers attach their own via Worker.SetObserver. o may
-// be nil (disabled).
+// dist.heartbeat_misses, dist.redials), dist.links_reused (setups on a
+// Pool's idle links) plus host-down / uow-retry trace events. The observer
+// is coordinator-local only — it is never serialized into Options, so
+// workers attach their own via Worker.SetObserver. o may be nil
+// (disabled).
 func RunObserved(addrs map[string]string, spec GraphSpec, placement []PlacementEntry, opts Options, uows []any, o *obs.Observer) (*core.Stats, error) {
 	return RunObservedCtx(context.Background(), addrs, spec, placement, opts, uows, o)
 }
@@ -73,10 +77,17 @@ func RunObserved(addrs map[string]string, spec GraphSpec, placement []PlacementE
 // RunObservedCtx is RunObserved with a context: cancellation (or a
 // deadline) interrupts the run between and during units of work — the
 // coordinator stops waiting on workers, aborts their sessions without
-// awaiting the confirmations, and returns an error wrapping ctx.Err(). This
-// is the cancel plumb-through the job service uses for job deadlines and
-// DELETE /jobs/{id}.
+// awaiting the confirmations, and returns an error wrapping ctx.Err(). The
+// job service runs its jobs this way, through its Pool, for job deadlines
+// and DELETE /jobs/{id}.
 func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec, placement []PlacementEntry, opts Options, uows []any, o *obs.Observer) (*core.Stats, error) {
+	return (*Pool)(nil).Run(ctx, addrs, spec, placement, opts, uows, o)
+}
+
+// Run is RunObservedCtx on control links borrowed from the pool where it
+// has them; each round that ends cleanly hands its links back. On a nil
+// pool it dials every worker, as RunObservedCtx does.
+func (p *Pool) Run(ctx context.Context, addrs map[string]string, spec GraphSpec, placement []PlacementEntry, opts Options, uows []any, o *obs.Observer) (*core.Stats, error) {
 	if len(uows) == 0 {
 		uows = []any{nil}
 	}
@@ -102,6 +113,7 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 	}
 	co := &coordinator{
 		ctx:       ctx,
+		pool:      p,
 		spec:      spec,
 		opts:      opts,
 		o:         o,
@@ -119,6 +131,7 @@ func RunObservedCtx(ctx context.Context, addrs map[string]string, spec GraphSpec
 		co.m.hostsLost = reg.Counter("coord.hosts_lost")
 		co.m.hbMisses = reg.Counter("dist.heartbeat_misses")
 		co.m.redials = reg.Counter("dist.redials")
+		co.m.reused = reg.Counter("dist.links_reused")
 	}
 	// Every exit ends the round; after a success the links are already
 	// gone and this is a no-op. Otherwise the abort releases in-flight
@@ -175,6 +188,7 @@ type coordMetrics struct {
 	hostsLost *obs.Counter // coord.hosts_lost
 	hbMisses  *obs.Counter // dist.heartbeat_misses
 	redials   *obs.Counter // dist.redials
+	reused    *obs.Counter // dist.links_reused
 }
 
 // coordinator drives one distributed run. addrs and placement shrink as
@@ -183,6 +197,7 @@ type coordinator struct {
 	// ctx cancels the run: waits on workers and dial backoffs stop, and the
 	// round ends without awaiting confirmations. Never nil.
 	ctx       context.Context
+	pool      *Pool // lends and takes back control links; nil dials per round
 	spec      GraphSpec
 	opts      Options
 	o         *obs.Observer
@@ -193,26 +208,41 @@ type coordinator struct {
 	m         coordMetrics
 }
 
-// connectAll dials and sets up every host in co.addrs, populating co.links.
-// It is one setup round: its sessions share one random nonzero setup id,
-// which their peer connections' hellos present, so no connection of an
-// earlier round — an aborted attempt, a rescale, another coordinator of the
-// same job id — can reach them. A dial or setup failure is attributed to
-// the host that refused — unless the run's context was cancelled, which is
-// the caller's doing, not the worker's.
+// connectAll sets up every host in co.addrs concurrently, populating
+// co.links. It is one setup round: its sessions share one random nonzero
+// setup id, which their peer connections' hellos present, so no connection
+// of an earlier round — an aborted attempt, a rescale, another coordinator
+// of the same job id — can reach them. Every host whose dial or setup
+// failed is attributed — unless the run's context was cancelled, which is
+// the caller's doing, not the workers'. The hosts that did set up stay in
+// co.links, for the round's end to release.
 func (co *coordinator) connectAll() error {
 	id := rand.Uint64N(math.MaxUint64) + 1
-	for _, host := range co.hostNames() {
-		l, err := co.connectHost(host, co.addrs[host], id)
-		if err != nil {
-			if co.ctx.Err() != nil {
-				return err
-			}
-			return attributeHosts(err, []string{host})
-		}
-		co.links[host] = l
+	hosts := co.hostNames()
+	links := make([]*hostLink, len(hosts))
+	errs := make([]error, len(hosts))
+	var wg sync.WaitGroup
+	for i, host := range hosts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			links[i], errs[i] = co.connectHost(host, co.addrs[host], id)
+		}()
 	}
-	return nil
+	wg.Wait()
+	var failed []string
+	for i, host := range hosts {
+		if errs[i] != nil {
+			failed = append(failed, host)
+		} else {
+			co.links[host] = links[i]
+		}
+	}
+	err := errors.Join(errs...)
+	if err == nil || co.ctx.Err() != nil {
+		return err
+	}
+	return attributeHosts(err, failed)
 }
 
 // hostNames returns the current hosts sorted, for deterministic dial and
@@ -226,34 +256,44 @@ func (co *coordinator) hostNames() []string {
 	return names
 }
 
-// connectHost dials one worker (with backoff via dialRetry) and completes
-// the Setup handshake. A "worker busy" refusal is retried briefly: after an
-// cancelled run, whose round ends unconfirmed, the next setup can race the
-// old session's last breath.
+// connectHost completes the Setup handshake with one worker, on a link
+// borrowed from the pool or a fresh dial (with backoff via dialRetry). A
+// borrowed link the worker hung up on — it restarted, or was closed — is
+// not the worker's failure: the host's idle links are dropped and it is
+// dialed afresh. A setup timeout is, on either kind of link. A "worker
+// busy" refusal is retried briefly: after a cancelled run, whose round ends
+// unconfirmed, the next setup can race the old session's last breath.
 func (co *coordinator) connectHost(host, addr string, setupID uint64) (*hostLink, error) {
 	busyDeadline := time.Now().Add(co.opts.hbTimeout() + 2*time.Second)
 	backoff := 10 * time.Millisecond
 	for {
-		nc, err := dialRetry(addr, &co.opts, co.opts.faults, co.m.redials, co.ctx.Done())
-		if err != nil {
-			return nil, fmt.Errorf("dist: dialing worker %s: %w", host, err)
+		c := co.pool.get(addr)
+		pooled := c != nil
+		if !pooled {
+			nc, err := dialRetry(addr, &co.opts, co.opts.faults, co.m.redials, co.ctx.Done())
+			if err != nil {
+				return nil, fmt.Errorf("dist: dialing worker %s: %w", host, err)
+			}
+			c = newConn(nc, nil)
 		}
-		c := newConn(nc, nil)
-		if err := c.send(&frame{Kind: kindSetup, Setup: &setupMsg{
+		var f *frame
+		err := c.send(&frame{Kind: kindSetup, Setup: &setupMsg{
 			ID: setupID, Graph: co.spec, Placement: co.placement, Opts: co.opts,
 			Addrs: co.addrs, Host: host,
-		}}); err != nil {
-			c.close()
-			return nil, err
+		}})
+		if err == nil {
+			c.setReadDeadline(co.opts.hbTimeout() + 2*time.Second)
+			f, err = c.recv()
+			c.setReadDeadline(0)
 		}
-		c.setReadDeadline(co.opts.hbTimeout() + 2*time.Second)
-		f, err := c.recv()
-		c.setReadDeadline(0)
-		if err != nil {
+		var ne net.Error
+		switch {
+		case err != nil && pooled && !(errors.As(err, &ne) && ne.Timeout()):
+			c.close()
+			co.pool.Drop(addr)
+		case err != nil:
 			c.close()
 			return nil, fmt.Errorf("dist: worker %s setup: %w", host, err)
-		}
-		switch {
 		case f.Kind == kindFail && f.Err == busyMsg && time.Now().Before(busyDeadline):
 			c.close()
 			select {
@@ -271,6 +311,9 @@ func (co *coordinator) connectHost(host, addr string, setupID uint64) (*hostLink
 			c.close()
 			return nil, fmt.Errorf("dist: worker %s: unexpected setup reply %d", host, f.Kind)
 		default:
+			if pooled {
+				co.m.reused.Inc()
+			}
 			return newHostLink(host, c, co.opts.hbInterval()), nil
 		}
 	}
@@ -474,9 +517,11 @@ func (co *coordinator) deadHosts() []string {
 // kindShutdownDone, discarding phase replies that were already in flight:
 // the worker confirms only once its session is unregistered, so the next
 // round's setup finds the job slot free. The liveness sweep bounds the
-// wait, and a cancelled run stops it. Then dead links are severed, live
-// ones closed, and the hosts dead at the end of the round returned, sorted.
-// With no links it is a no-op.
+// wait, and a cancelled run stops it. Then dead links are severed; a link
+// whose plain kindShutdown was confirmed goes back to the pool, which
+// closes it when there is none; every other live link is closed. The
+// hosts dead at the end of the round are returned, sorted. With no links
+// it is a no-op.
 func (co *coordinator) end(why string) (lost []string) {
 	bye := &frame{Kind: kindShutdown, Err: why}
 	for _, l := range co.links {
@@ -498,10 +543,15 @@ func (co *coordinator) end(why string) (lost []string) {
 		}
 	}
 	lost = co.deadHosts()
-	for _, l := range co.links {
-		if l.dead {
+	reuse := why == "" && co.ctx.Err() == nil
+	for host, l := range co.links {
+		switch {
+		case l.dead:
 			l.sever()
-		} else {
+		case reuse && l.over.Load():
+			l.stopOnce.Do(func() { close(l.stop) })
+			co.pool.put(co.addrs[host], l.c)
+		default:
 			l.shutdown()
 		}
 	}

@@ -21,9 +21,10 @@ type hostLink struct {
 	// kind — real replies count as liveness too.
 	lastBeat atomic.Int64
 	// over is set when the worker sent its session's last frame,
-	// kindShutdownDone. The worker hangs up next and its heartbeats stop:
-	// the end of the session, not a death, so the liveness sweep passes the
-	// link by and the reader reports no error.
+	// kindShutdownDone. Its heartbeats have stopped, and it either hangs up
+	// or waits on the link for a pooled next round: the end of the session,
+	// not a death, so the liveness sweep passes the link by and the reader
+	// stops without an error.
 	over atomic.Bool
 
 	stop     chan struct{}

@@ -81,6 +81,21 @@ func (c ctl) reply(d time.Duration) *frame {
 	}
 }
 
+// hungUp reports whether the worker closes c within a few seconds.
+func (c ctl) hungUp() bool {
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case _, ok := <-c.replies:
+			if !ok {
+				return true
+			}
+		case <-timeout:
+			return false
+		}
+	}
+}
+
 // expect fails the test unless the next reply is of kind k, skipping the
 // kinds in skip.
 func (h *rawHost) expect(c ctl, k frameKind, skip ...frameKind) {
@@ -102,14 +117,14 @@ func (h *rawHost) expect(c ctl, k frameKind, skip ...frameKind) {
 	}
 }
 
-// setup sets job up on the worker as setup round id and starts unit of
-// work 0's process phase.
-func (h *rawHost) setup(job, id uint64) ctl {
-	h.t.Helper()
-	// Sized above the replies one test session gets, so the pump never
+// control dials the worker as a coordinator. The pump closes replies when
+// the connection fails.
+func (h *rawHost) control() ctl {
+	// Sized above the replies a few test sessions get, so the pump never
 	// blocks on a test that stopped reading.
 	c := ctl{h.dial(), make(chan *frame, 16)}
 	go func() {
+		defer close(c.replies)
 		for {
 			f, err := c.recv()
 			if err != nil {
@@ -120,6 +135,21 @@ func (h *rawHost) setup(job, id uint64) ctl {
 			}
 		}
 	}()
+	return c
+}
+
+// setup sets job up on a fresh control connection as setup round id and
+// starts unit of work 0's process phase.
+func (h *rawHost) setup(job, id uint64) ctl {
+	h.t.Helper()
+	c := h.control()
+	h.setupOn(c, job, id)
+	return c
+}
+
+// setupOn is setup on the control connection c.
+func (h *rawHost) setupOn(c ctl, job, id uint64) {
+	h.t.Helper()
 	h.send(c.conn, &frame{Kind: kindSetup, Setup: &setupMsg{
 		ID: id,
 		Graph: GraphSpec{
@@ -135,7 +165,6 @@ func (h *rawHost) setup(job, id uint64) ctl {
 	h.send(c.conn, &frame{Kind: kindInitUOW, UOW: &uowMsg{}})
 	h.expect(c, kindDecls)
 	h.send(c.conn, &frame{Kind: kindBeginProcess, Sizes: map[string]int{"s": 64}})
-	return c
 }
 
 // producer dials the worker as src's session of (job, id).

@@ -253,7 +253,7 @@ func (w *Worker) Serve() {
 // active sessions, falling back to the most recently ended one — the
 // distributed analogue of Runner.Instances for retrieving results held by
 // sink filters. With concurrent jobs in flight, prefer InstancesJob: two
-// jobs may reuse a filter name.
+// jobs may reuse a filter name. Results are valid as InstancesJob says.
 func (w *Worker) Instances(name string) []core.Filter {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -269,7 +269,11 @@ func (w *Worker) Instances(name string) []core.Filter {
 
 // InstancesJob returns the local filter instances for one job's session —
 // the active one, or that job's most recently ended session while it is
-// still within the worker's bounded retention window.
+// still within the worker's bounded retention window. A result read
+// through them is valid until the session leaves retention — a newer
+// session of the job replaces it, or endedRetention later jobs end — when
+// each instance with a Release method is released: read it as soon as the
+// job has ended, or copy it.
 func (w *Worker) InstancesJob(job uint64, name string) []core.Filter {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -288,17 +292,23 @@ func (w *Worker) InstancesJob(job uint64, name string) []core.Filter {
 // jobs must not accumulate every sink it ever ran.
 const endedRetention = 8
 
-// rememberEndedLocked records a finished session for InstancesJob; callers
-// hold w.mu.
-func (w *Worker) rememberEndedLocked(job uint64, s *session) {
-	if _, seen := w.ended[job]; !seen {
+// rememberEndedLocked records a finished session for InstancesJob and
+// returns the sessions that left retention for it: the job's previous one,
+// or the oldest job's beyond the cap. Neither is w.last, which is s.
+// Callers hold w.mu.
+func (w *Worker) rememberEndedLocked(job uint64, s *session) (retired []*session) {
+	if old, seen := w.ended[job]; seen {
+		retired = append(retired, old)
+	} else {
 		w.endedOrder = append(w.endedOrder, job)
 		if len(w.endedOrder) > endedRetention {
+			retired = append(retired, w.ended[w.endedOrder[0]])
 			delete(w.ended, w.endedOrder[0])
 			w.endedOrder = w.endedOrder[1:]
 		}
 	}
 	w.ended[job] = s
+	return retired
 }
 
 // jobIDsLocked returns the active job ids sorted, for deterministic
@@ -323,7 +333,19 @@ func (w *Worker) handle(c *conn) {
 	}
 	switch f.Kind {
 	case kindSetup:
-		w.runSession(c, f.Setup)
+		// A Pool's link serves consecutive sessions. Between them the read
+		// has no deadline and skips a stray heartbeat; any frame but a
+		// setup closes the link.
+		defer c.close()
+		for w.runSession(c, f.Setup) {
+			f, err = c.recv()
+			for err == nil && f.Kind == kindHeartbeat {
+				f, err = c.recv()
+			}
+			if err != nil || f.Kind != kindSetup {
+				return
+			}
+		}
 	case kindHello:
 		w.mu.Lock()
 		s := w.sessions[f.Job]
@@ -348,7 +370,8 @@ const busyMsg = "dist: worker busy with another session"
 // coordinators fail fast on it (no retry — the worker is going away).
 const drainingMsg = "dist: worker draining"
 
-// runSession executes one coordinator-driven session on this worker.
+// runSession executes one coordinator-driven session on this worker and
+// reports whether it ended confirmed, leaving ctrl fit for another setup.
 // Sessions are keyed by job id: a second Setup for the *same* job while
 // its session is active is refused rather than silently clobbering the
 // running one, while setups for other jobs run concurrently.
@@ -357,12 +380,11 @@ const drainingMsg = "dist: worker draining"
 // heartbeats refresh the read deadline and an aborting kindShutdown can
 // interrupt a phase blocked on a dead peer. The coordinator is lock-step per
 // worker, so at most one operation is in flight until the session ends.
-func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
-	defer ctrl.close()
+func (w *Worker) runSession(ctrl *conn, setup *setupMsg) bool {
 	s, err := newSession(w, setup)
 	if err != nil {
 		_ = ctrl.send(&frame{Kind: kindFail, Err: err.Error()})
-		return
+		return false
 	}
 	job := setup.Opts.JobID
 	w.mu.Lock()
@@ -370,11 +392,11 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 	case w.draining:
 		w.mu.Unlock()
 		_ = ctrl.send(&frame{Kind: kindFail, Err: drainingMsg})
-		return
+		return false
 	case w.sessions[job] != nil:
 		w.mu.Unlock()
 		_ = ctrl.send(&frame{Kind: kindFail, Err: busyMsg})
-		return
+		return false
 	}
 	w.sessions[job] = s
 	w.mu.Unlock()
@@ -385,7 +407,8 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 	// phase goroutine stuck in a TCP send to a dead host, so the Wait
 	// cannot hang; only then are the copies retired and the session
 	// unregistered (a new Setup for the job is accepted from that point,
-	// while Instances still reads the instances via w.last).
+	// while Instances still reads the instances via w.last). The sessions
+	// this one pushes out of retention release what they held for it.
 	endSession := func() {
 		s.closePeers()
 		opWG.Wait()
@@ -395,21 +418,26 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 			delete(w.sessions, job)
 		}
 		w.last = s
-		w.rememberEndedLocked(job, s)
+		for _, r := range w.rememberEndedLocked(job, s) {
+			r.release() // under w.mu: over before a later Instances returns
+		}
 		w.mu.Unlock()
 	}
 
 	if err := ctrl.send(&frame{Kind: kindSetupOK}); err != nil {
 		endSession()
-		return
+		return false
 	}
 
 	// Worker->coordinator heartbeats from a dedicated sender, so liveness
 	// flows even while a phase computes. A wedged (fault-injected) process
-	// goes silent, exactly like a frozen real one.
-	hbStop := make(chan struct{})
-	defer close(hbStop)
+	// goes silent, exactly like a frozen real one. It stops before the
+	// session's last frame, which nothing may trail on a pooled link.
+	hbStop, hbDone := make(chan struct{}), make(chan struct{})
+	stopBeats := sync.OnceFunc(func() { close(hbStop); <-hbDone })
+	defer stopBeats()
 	go func() {
+		defer close(hbDone)
 		t := time.NewTicker(opts.hbInterval())
 		defer t.Stop()
 		for {
@@ -451,7 +479,7 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 		if err != nil {
 			s.rt.Abort(fmt.Errorf("dist: coordinator connection lost: %w", err))
 			endSession()
-			return
+			return false
 		}
 		switch f.Kind {
 		case kindHeartbeat:
@@ -480,9 +508,9 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) {
 				s.rt.Abort(fmt.Errorf("dist: run aborted by coordinator: %s", f.Err))
 			}
 			endSession()
+			stopBeats()
 			ctrl.setReadDeadline(0)
-			_ = ctrl.send(&frame{Kind: kindShutdownDone})
-			return
+			return ctrl.send(&frame{Kind: kindShutdownDone}) == nil
 		}
 	}
 }
@@ -584,6 +612,18 @@ func (s *session) failFrame(err error) *frame {
 	}
 	s.failMu.Unlock()
 	return f
+}
+
+// release lets the filters of a session that left retention hand back what
+// their results held (an optional Release method, which must not block).
+func (s *session) release() {
+	for _, fs := range s.setup.Graph.Filters {
+		for _, f := range s.rt.Instances(fs.Name) {
+			if r, ok := f.(interface{ Release() }); ok {
+				r.Release()
+			}
+		}
+	}
 }
 
 // closePeers closes every peer connection of the session, outbound and

@@ -391,11 +391,7 @@ type MergeFilter struct {
 // Init implements core.Filter: the previous unit of work's result planes
 // go back to the free lists, and the accumulator waits for the first input.
 func (f *MergeFilter) Init(ctx core.Ctx) error {
-	if f.final != nil {
-		depths.put(f.final.Depth)
-		colors.put(f.final.Color)
-		f.final = nil
-	}
+	f.Release()
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
@@ -458,5 +454,16 @@ func (f *MergeFilter) Finalize(core.Ctx) error {
 
 // Result returns the image produced by the last completed unit of work. It
 // is valid until the next unit of work starts, whose Init recycles its
-// planes: read it after the run, or copy it.
+// planes, or until Release: read it after the run, or copy it.
 func (f *MergeFilter) Result() *render.ZBuffer { return f.final }
+
+// Release hands the result's planes back to the free lists, so the next
+// frame's accumulator reuses them. A dist worker calls it when the ended
+// session that holds the filter leaves its retention window.
+func (f *MergeFilter) Release() {
+	if f.final != nil {
+		depths.put(f.final.Depth)
+		colors.put(f.final.Color)
+		f.final = nil
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"datacutter/internal/core"
@@ -246,7 +247,10 @@ func checkFramePath(t *testing.T, p *framePath, bounds map[Algorithm]float64) {
 	fresh := map[Algorithm]*render.ZBuffer{}
 	testHookRecycle = func(any) bool { return false } // before anything is poisoned
 	for _, alg := range algs {
-		fresh[alg] = p.session(alg)
+		// Kept past later sessions, whose ends release this one's result
+		// planes on dist (the worker's retention): copy the image.
+		z := p.session(alg)
+		fresh[alg] = &render.ZBuffer{W: z.W, H: z.H, Depth: slices.Clone(z.Depth), Color: slices.Clone(z.Color)}
 	}
 	for _, alg := range algs {
 		testHookRecycle = nil

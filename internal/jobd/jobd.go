@@ -307,6 +307,11 @@ type Server struct {
 	reg *obs.Registry
 	m   serverMetrics
 	jnl *journal
+	// pool holds the idle control links of the jobs' cleanly ended setup
+	// rounds, so a job sets up on its workers without dialing them. A
+	// worker's idle links are dropped when it is quarantined, fails a
+	// probe or re-registers at another address.
+	pool *dist.Pool
 
 	mu        sync.Mutex
 	jobs      map[uint64]*job
@@ -342,6 +347,7 @@ func NewServer(cfg Config) (*Server, error) {
 		nextID:    1,
 		wake:      make(chan struct{}, 1),
 		stopped:   make(chan struct{}),
+		pool:      dist.NewPool(),
 	}
 	s.m = serverMetrics{
 		submitted: reg.Counter("jobd.jobs_submitted"),
@@ -688,7 +694,7 @@ func (s *Server) runJob(j *job) {
 	for _, raw := range j.spec.UOWs {
 		uows = append(uows, raw)
 	}
-	st, err := dist.RunObservedCtx(ctx, addrs, j.spec.Graph, j.spec.Placement, opts, uows, obs.New(nil, j.reg))
+	st, err := s.pool.Run(ctx, addrs, j.spec.Graph, j.spec.Placement, opts, uows, obs.New(nil, j.reg))
 
 	now := time.Now()
 	s.mu.Lock()
@@ -833,6 +839,9 @@ func (s *Server) RegisterWorker(host, addr, health string) {
 		w = &WorkerInfo{Host: host}
 		s.workers[host] = w
 	}
+	if w.Addr != addr {
+		s.pool.Drop(w.Addr)
+	}
 	w.Addr, w.Health = addr, health
 	w.Healthy = true
 	w.Registered, w.LastProbe = now, now
@@ -899,6 +908,9 @@ func (s *Server) probe() {
 			if cur := s.workers[w.Host]; cur != nil {
 				cur.Healthy = healthy
 				cur.LastProbe = now
+				if !healthy {
+					s.pool.Drop(cur.Addr)
+				}
 				if cur.Quarantined {
 					if healthy {
 						// Half-open probe succeeded: close the breaker.
@@ -965,12 +977,13 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	}
 }
 
-// Close stops the dispatcher and prober and closes the journal. Jobs still
-// running are left to finish on their own workers; their completion
-// records may be lost — call Drain first for a clean stop.
+// Close stops the dispatcher and prober, closes the idle worker links and
+// the journal. Jobs still running are left to finish on their own workers;
+// their completion records may be lost — call Drain first for a clean stop.
 func (s *Server) Close() {
 	s.stopOnce.Do(func() { close(s.stopped) })
 	s.loops.Wait()
+	s.pool.Close()
 	if s.jnl != nil {
 		s.jnl.close()
 	}

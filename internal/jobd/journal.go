@@ -69,7 +69,8 @@ type replayedJob struct {
 
 // openJournal opens (creating if absent) the journal at path, replays it,
 // and returns the jobs to re-queue in id order. Corrupt lines are skipped,
-// not fatal. An unterminated last line — a crash mid-append — was never
+// not fatal: a line is a record only when it is one's exact encoding (see
+// decodeRecord). An unterminated last line — a crash mid-append — was never
 // acknowledged, since append syncs a record together with its newline: it
 // is not replayed, even when it parses, and is cut off so that the next
 // append starts on a line of its own.
@@ -104,8 +105,8 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var r journalRec
-		if err := json.Unmarshal(line, &r); err != nil {
+		r, ok := decodeRecord(line)
+		if !ok {
 			continue
 		}
 		switch r.Kind {
@@ -153,6 +154,20 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 	}
 	sort.Slice(replay, func(i, j int) bool { return replay[i].ID < replay[j].ID })
 	return &journal{f: f, w: bufio.NewWriter(f), path: path, size: whole, dirty: dirty}, replay, nil
+}
+
+// decodeRecord parses one journal line. It accepts only a line that
+// re-encodes to itself byte for byte — what append wrote: a line that
+// merely parses (unknown fields, keys in another case or order, spacing,
+// escapes) was written by nothing that journals, so replaying it could
+// re-run a job other than the one acknowledged.
+func decodeRecord(line []byte) (journalRec, bool) {
+	var r journalRec
+	if json.Unmarshal(line, &r) != nil {
+		return r, false
+	}
+	b, err := json.Marshal(r)
+	return r, err == nil && bytes.Equal(b, line)
 }
 
 // append writes one record and syncs it to disk; the caller holds the

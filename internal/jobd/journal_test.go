@@ -187,8 +187,9 @@ func TestJournalTornTail(t *testing.T) {
 
 // FuzzJournalReplay writes arbitrary bytes as the journal file and opens
 // it. Replay must not panic, must leave the file as its newline-terminated
-// prefix, and must be repeatable: a second open replays the same jobs, plus
-// a record appended after the first.
+// prefix, must accept only records that re-encode to the bytes they were
+// read from, and must be repeatable: a second open replays the same jobs,
+// plus a record appended after the first.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(`{"kind":"sub`))
 	f.Add([]byte(`{"kind":"submit","id":2,"time":"2024-01-01T00:00:00Z","spec":{"name":"unsynced"}}`))
@@ -211,6 +212,11 @@ func FuzzJournalReplay(f *testing.F) {
 		seq = append(append(seq, b...), '\n')
 	}
 	f.Add(seq)
+	// Parses, but is no record's encoding: key case, spacing, an unknown
+	// field.
+	f.Add([]byte(`{"KIND":"done","id":1,"time":"2024-01-01T00:00:00Z","ok":true}` + "\n" +
+		`{"kind": "start","id":1,"time":"2024-01-01T00:00:00Z"}` + "\n" +
+		`{"kind":"submit","id":3,"time":"2024-01-01T00:00:00Z","spec":{"name":"x","graph":{"Filters":null,"Streams":null},"placement":null,"options":{}},"extra":1}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "jobs.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -227,6 +233,28 @@ func FuzzJournalReplay(f *testing.F) {
 		if want := data[:bytes.LastIndexByte(data, '\n')+1]; !bytes.Equal(raw, want) {
 			t.Fatalf("journal left as %q, want its terminated prefix %q", raw, want)
 		}
+		// Only a line that re-encodes to itself is a record: the journal
+		// of those lines alone must replay the same jobs.
+		var records []byte
+		for _, line := range bytes.SplitAfter(raw, []byte{'\n'}) {
+			var r journalRec
+			body := bytes.TrimSuffix(line, []byte{'\n'})
+			if json.Unmarshal(body, &r) == nil {
+				if b, err := json.Marshal(r); err == nil && bytes.Equal(b, body) {
+					records = append(records, line...)
+				}
+			}
+		}
+		rpath := filepath.Join(t.TempDir(), "records.jsonl")
+		if err := os.WriteFile(rpath, records, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rj, fromRecords, err := openJournal(rpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rj.close()
+		sameJobs(t, "the re-encodable records", fromRecords, first)
 		id := uint64(0)
 		for slices.ContainsFunc(first, func(j replayedJob) bool { return j.ID == id }) {
 			id++
@@ -243,15 +271,21 @@ func FuzzJournalReplay(f *testing.F) {
 		jnl.close()
 		want := append(slices.Clone(first), replayedJob{ID: id, Spec: *testSpec("appended"), Submitted: at})
 		slices.SortFunc(want, func(a, b replayedJob) int { return cmp.Compare(a.ID, b.ID) })
-		if len(second) != len(want) {
-			t.Fatalf("second open replayed %d jobs, want %d", len(second), len(want))
-		}
-		for i, w := range want {
-			g := second[i]
-			if g.ID != w.ID || g.Started != w.Started || g.Attempts != w.Attempts ||
-				!g.Submitted.Equal(w.Submitted) || !g.NotBefore.Equal(w.NotBefore) || !reflect.DeepEqual(g.Spec, w.Spec) {
-				t.Fatalf("job %d replayed as %+v, want %+v", w.ID, g, w)
-			}
-		}
+		sameJobs(t, "the second open", second, want)
 	})
+}
+
+// sameJobs fails the test unless got are the jobs of want.
+func sameJobs(t *testing.T, what string, got, want []replayedJob) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s replayed %d jobs, want %d", what, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.ID != w.ID || g.Started != w.Started || g.Attempts != w.Attempts ||
+			!g.Submitted.Equal(w.Submitted) || !g.NotBefore.Equal(w.NotBefore) || !reflect.DeepEqual(g.Spec, w.Spec) {
+			t.Fatalf("%s replayed job %d as %+v, want %+v", what, w.ID, g, w)
+		}
+	}
 }

@@ -156,8 +156,8 @@ func attributedHosts(err error) []string {
 
 // chargeStrikesLocked charges one strike to each implicated worker; a
 // worker reaching the strike bound is quarantined — the breaker opens, the
-// dispatcher stops routing to it — until probation elapses and a half-open
-// probe succeeds. Callers hold s.mu.
+// dispatcher stops routing to it, its idle links close — until probation
+// elapses and a half-open probe succeeds. Callers hold s.mu.
 func (s *Server) chargeStrikesLocked(hosts []string, now time.Time) {
 	for _, h := range hosts {
 		w := s.workers[h]
@@ -166,6 +166,7 @@ func (s *Server) chargeStrikesLocked(hosts []string, now time.Time) {
 		}
 		w.Strikes++
 		if w.Strikes >= s.cfg.quarantineStrikes() {
+			s.pool.Drop(w.Addr)
 			w.Quarantined = true
 			w.ProbationAt = now.Add(s.cfg.probation())
 			s.m.quarantined.Inc()
