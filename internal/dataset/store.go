@@ -1,13 +1,14 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"datacutter/internal/obs"
 	"datacutter/internal/volume"
@@ -68,36 +69,25 @@ func Create(dir string, m Meta) (*Store, error) {
 		return nil, err
 	}
 	fld := ds.Field()
-	buf := make([]byte, 0)
-	ix := &SummaryIndex{
-		Timesteps: m.Timesteps,
-		Chunks:    ds.Chunks(),
-		Entries:   make([]ChunkSummary, m.Timesteps*ds.Chunks()),
-	}
-	for f := 0; f < m.Files; f++ {
-		chunks := ds.ChunksInFile(f)
+	ix := newSummaryIndex(ds)
+	err = ds.perFile(func(f int, w *worker) error {
 		out, err := os.Create(filepath.Join(dir, fileName(f)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for t := 0; t < m.Timesteps; t++ {
-			for _, c := range chunks {
-				v := volume.NewBlockVolume(ds.Block(c))
-				volume.FillBlock(fld, v, float64(t))
-				summarizeVolume(ix, c, t, v)
-				buf = buf[:0]
-				for _, s := range v.Data {
-					buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(s))
-				}
-				if _, err := out.Write(buf); err != nil {
-					out.Close()
-					return nil, err
-				}
-			}
-		}
-		if err := out.Close(); err != nil {
-			return nil, err
-		}
+		err = w.records(ds, f, func(t, c int) error {
+			v := volume.Borrow(ds.Block(c)) // FillBlock sets every sample
+			volume.FillBlock(fld, v, float64(t))
+			ix.Entries[t*ix.Chunks+c] = Summarize(v.Data)
+			w.buf = wirebin.AppendFloat32s(w.buf[:0], v.Data)
+			volume.Recycle(v)
+			_, err := out.Write(w.buf)
+			return err
+		})
+		return errors.Join(err, out.Close())
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The pruning sidecar costs one record per chunk-timestep and no extra
 	// reads — the volumes were just in hand.
@@ -105,6 +95,56 @@ func Create(dir string, m Meta) (*Store, error) {
 		return nil, err
 	}
 	return Open(dir)
+}
+
+// worker is one perFile goroutine. It reuses its buffer, and the volume it
+// borrows, from chunk to chunk: it holds one chunk whatever the dataset size.
+type worker struct {
+	buf    []byte
+	failed *atomic.Pointer[error]
+}
+
+// perFile calls do for every data file on min(GOMAXPROCS, Files) workers,
+// each taking the next file index. Each file, and each summary slot, is one
+// worker's alone, so a file's bytes do not depend on the worker count.
+// Parallelism is capped at the file count (64 in the paper's layout, 8 in
+// the bench's). The first error stops every worker at its next chunk;
+// perFile returns it once all have exited.
+func (ds *Dataset) perFile(do func(f int, w *worker) error) error {
+	var next atomic.Int64
+	var failed atomic.Pointer[error]
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), ds.Files) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := &worker{failed: &failed}
+			for f := int(next.Add(1) - 1); f < ds.Files && failed.Load() == nil; f = int(next.Add(1) - 1) {
+				if err := do(f, w); err != nil {
+					failed.CompareAndSwap(nil, &err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := failed.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// records calls visit for each record of file f in on-disk order: timesteps
+// in order, the file's chunks in Hilbert order within each. It stops early
+// once any worker has failed.
+func (w *worker) records(ds *Dataset, f int, visit func(t, c int) error) error {
+	for t := 0; t < ds.Timesteps; t++ {
+		for _, c := range ds.inFile[f] {
+			if err := visit(t, c); err != nil || w.failed.Load() != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Open loads a store's metadata and builds its offset tables.
@@ -177,8 +217,8 @@ func (s *Store) Close() error {
 // ReadChunk reads one chunk at one timestep from disk into a volume from
 // volume.Borrow; the caller owns it and may hand it to volume.Recycle.
 func (s *Store) ReadChunk(chunk, timestep int) (*volume.Volume, error) {
-	if timestep < 0 || timestep >= s.DS.Timesteps {
-		return nil, fmt.Errorf("dataset: timestep %d out of range", timestep)
+	if chunk < 0 || chunk >= s.DS.Chunks() || timestep < 0 || timestep >= s.DS.Timesteps {
+		return nil, fmt.Errorf("dataset: chunk %d at timestep %d out of range", chunk, timestep)
 	}
 	f := s.DS.FileOf(chunk)
 	pos := -1

@@ -161,29 +161,29 @@ func WriteSummaryIndex(dir string, ix *SummaryIndex) error {
 
 // BuildSummaryIndex computes the full index of an existing store by reading
 // every chunk — the retrofit path (datagen -reindex) for datasets created
-// before summaries existed. datagen-time creation computes summaries inline
-// instead (Create), without a second read pass.
+// before summaries existed, reading the files in parallel as Create writes
+// them. Create computes summaries inline, without a second read pass.
 func BuildSummaryIndex(st *Store) (*SummaryIndex, error) {
 	ds := st.DS
-	ix := &SummaryIndex{
-		Timesteps: ds.Timesteps,
-		Chunks:    ds.Chunks(),
-		Entries:   make([]ChunkSummary, ds.Timesteps*ds.Chunks()),
-	}
-	for t := 0; t < ds.Timesteps; t++ {
-		for c := 0; c < ds.Chunks(); c++ {
+	ix := newSummaryIndex(ds)
+	err := ds.perFile(func(f int, w *worker) error {
+		return w.records(ds, f, func(t, c int) error {
 			v, err := st.ReadChunk(c, t)
 			if err != nil {
-				return nil, fmt.Errorf("dataset: summarizing chunk %d t%d: %w", c, t, err)
+				return fmt.Errorf("dataset: summarizing chunk %d t%d: %w", c, t, err)
 			}
 			ix.Entries[t*ix.Chunks+c] = Summarize(v.Data)
-		}
+			volume.Recycle(v)
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
 
-// summarizeVolume is the datagen-time hook: Create calls it with each block
-// volume it just sampled, so the index costs no extra reads.
-func summarizeVolume(ix *SummaryIndex, chunk, timestep int, v *volume.Volume) {
-	ix.Entries[timestep*ix.Chunks+chunk] = Summarize(v.Data)
+// newSummaryIndex returns an index of ds's shape with every entry zero.
+func newSummaryIndex(ds *Dataset) *SummaryIndex {
+	return &SummaryIndex{ds.Timesteps, ds.Chunks(), make([]ChunkSummary, ds.Timesteps*ds.Chunks())}
 }

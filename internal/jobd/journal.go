@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -79,6 +80,22 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobd: opening journal: %w", err)
 	}
+	replay, whole, dirty, err := replayJournal(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("jobd: reading journal: %w", err)
+	}
+	if err := f.Truncate(whole); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("jobd: cutting torn journal tail: %w", err)
+	}
+	return &journal{f: f, w: bufio.NewWriter(f), path: path, size: whole, dirty: dirty}, replay, nil
+}
+
+// replayJournal scans journal bytes and returns the jobs to re-queue in id
+// order, the length of the newline-terminated prefix (whole) and whether
+// terminal records make the log worth compacting (dirty).
+func replayJournal(src io.Reader) (replay []replayedJob, whole int64, dirty bool, err error) {
 	type entry struct {
 		spec      *JobSpec
 		submitted time.Time
@@ -88,9 +105,7 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		notBefore time.Time
 	}
 	jobs := map[uint64]*entry{}
-	dirty := false
-	var whole int64 // bytes up to the last newline
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
 		i := bytes.IndexByte(data, '\n')
@@ -135,14 +150,8 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("jobd: reading journal: %w", err)
+		return nil, 0, false, err
 	}
-	if err := f.Truncate(whole); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("jobd: cutting torn journal tail: %w", err)
-	}
-	var replay []replayedJob
 	for id, e := range jobs {
 		if e.done {
 			continue
@@ -153,7 +162,7 @@ func openJournal(path string) (*journal, []replayedJob, error) {
 		})
 	}
 	sort.Slice(replay, func(i, j int) bool { return replay[i].ID < replay[j].ID })
-	return &journal{f: f, w: bufio.NewWriter(f), path: path, size: whole, dirty: dirty}, replay, nil
+	return replay, whole, dirty, nil
 }
 
 // decodeRecord parses one journal line. It accepts only a line that

@@ -191,32 +191,7 @@ func TestJournalTornTail(t *testing.T) {
 // read from, and must be repeatable: a second open replays the same jobs,
 // plus a record appended after the first.
 func FuzzJournalReplay(f *testing.F) {
-	f.Add([]byte(`{"kind":"sub`))
-	f.Add([]byte(`{"kind":"submit","id":2,"time":"2024-01-01T00:00:00Z","spec":{"name":"unsynced"}}`))
-	at := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	var seq []byte
-	for _, r := range []journalRec{
-		{Kind: "submit", ID: 1, Time: at, Spec: testSpec("done")},
-		{Kind: "start", ID: 1, Time: at},
-		{Kind: "retry", ID: 1, Time: at, Attempt: 1, NotBeforeMS: at.UnixMilli() + 500, Err: "worker lost"},
-		{Kind: "start", ID: 1, Time: at},
-		{Kind: "done", ID: 1, Time: at, OK: true},
-		{Kind: "submit", ID: 2, Time: at, Spec: testSpec("backoff")},
-		{Kind: "start", ID: 2, Time: at},
-		{Kind: "retry", ID: 2, Time: at, Attempt: 1, NotBeforeMS: at.UnixMilli() + 500},
-	} {
-		b, err := json.Marshal(r)
-		if err != nil {
-			f.Fatal(err)
-		}
-		seq = append(append(seq, b...), '\n')
-	}
-	f.Add(seq)
-	// Parses, but is no record's encoding: key case, spacing, an unknown
-	// field.
-	f.Add([]byte(`{"KIND":"done","id":1,"time":"2024-01-01T00:00:00Z","ok":true}` + "\n" +
-		`{"kind": "start","id":1,"time":"2024-01-01T00:00:00Z"}` + "\n" +
-		`{"kind":"submit","id":3,"time":"2024-01-01T00:00:00Z","spec":{"name":"x","graph":{"Filters":null,"Streams":null},"placement":null,"options":{}},"extra":1}` + "\n"))
+	at := addJournalSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "jobs.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -235,18 +210,8 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		// Only a line that re-encodes to itself is a record: the journal
 		// of those lines alone must replay the same jobs.
-		var records []byte
-		for _, line := range bytes.SplitAfter(raw, []byte{'\n'}) {
-			var r journalRec
-			body := bytes.TrimSuffix(line, []byte{'\n'})
-			if json.Unmarshal(body, &r) == nil {
-				if b, err := json.Marshal(r); err == nil && bytes.Equal(b, body) {
-					records = append(records, line...)
-				}
-			}
-		}
 		rpath := filepath.Join(t.TempDir(), "records.jsonl")
-		if err := os.WriteFile(rpath, records, 0o644); err != nil {
+		if err := os.WriteFile(rpath, reencodable(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rj, fromRecords, err := openJournal(rpath)
@@ -273,6 +238,77 @@ func FuzzJournalReplay(f *testing.F) {
 		slices.SortFunc(want, func(a, b replayedJob) int { return cmp.Compare(a.ID, b.ID) })
 		sameJobs(t, "the second open", second, want)
 	})
+}
+
+// FuzzJournalReplayBytes is FuzzJournalReplay's in-memory half: it replays
+// arbitrary bytes through replayJournal without a file, so no input waits
+// for the disk, where the on-disk fuzzer fsyncs every one. Replay must not panic,
+// must report the newline-terminated prefix as the whole log, and must
+// replay the same jobs from the re-encodable records alone.
+func FuzzJournalReplayBytes(f *testing.F) {
+	addJournalSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, whole, _, err := replayJournal(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := data[:bytes.LastIndexByte(data, '\n')+1]
+		if whole != int64(len(prefix)) {
+			t.Fatalf("whole = %d, want the terminated prefix's %d bytes", whole, len(prefix))
+		}
+		fromRecords, _, _, err := replayJournal(bytes.NewReader(reencodable(prefix)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameJobs(t, "the re-encodable records", fromRecords, got)
+	})
+}
+
+// addJournalSeeds seeds a journal fuzzer and returns the seeds' timestamp.
+func addJournalSeeds(f *testing.F) time.Time {
+	at := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	f.Add([]byte(`{"kind":"sub`))
+	f.Add([]byte(`{"kind":"submit","id":2,"time":"2024-01-01T00:00:00Z","spec":{"name":"unsynced"}}`))
+	var seq []byte
+	for _, r := range []journalRec{
+		{Kind: "submit", ID: 1, Time: at, Spec: testSpec("done")},
+		{Kind: "start", ID: 1, Time: at},
+		{Kind: "retry", ID: 1, Time: at, Attempt: 1, NotBeforeMS: at.UnixMilli() + 500, Err: "worker lost"},
+		{Kind: "start", ID: 1, Time: at},
+		{Kind: "done", ID: 1, Time: at, OK: true},
+		{Kind: "submit", ID: 2, Time: at, Spec: testSpec("backoff")},
+		{Kind: "start", ID: 2, Time: at},
+		{Kind: "retry", ID: 2, Time: at, Attempt: 1, NotBeforeMS: at.UnixMilli() + 500},
+	} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seq = append(append(seq, b...), '\n')
+	}
+	f.Add(seq)
+	// Parses, but is no record's encoding: key case, spacing, an unknown
+	// field.
+	f.Add([]byte(`{"KIND":"done","id":1,"time":"2024-01-01T00:00:00Z","ok":true}` + "\n" +
+		`{"kind": "start","id":1,"time":"2024-01-01T00:00:00Z"}` + "\n" +
+		`{"kind":"submit","id":3,"time":"2024-01-01T00:00:00Z","spec":{"name":"x","graph":{"Filters":null,"Streams":null},"placement":null,"options":{}},"extra":1}` + "\n"))
+	return at
+}
+
+// reencodable keeps the lines of a newline-terminated journal that are a
+// record's exact encoding, newline included.
+func reencodable(journal []byte) []byte {
+	var records []byte
+	for _, line := range bytes.SplitAfter(journal, []byte{'\n'}) {
+		var r journalRec
+		body := bytes.TrimSuffix(line, []byte{'\n'})
+		if json.Unmarshal(body, &r) == nil {
+			if b, err := json.Marshal(r); err == nil && bytes.Equal(b, body) {
+				records = append(records, line...)
+			}
+		}
+	}
+	return records
 }
 
 // sameJobs fails the test unless got are the jobs of want.
