@@ -16,8 +16,8 @@ type Options struct {
 	StreamPolicy map[string]Policy
 	// QueueCap is the per-copy-set queue capacity in buffers (default 8).
 	QueueCap int
-	// BufferBytes is the default stream buffer size the runtime proposes;
-	// it is clamped by the filters' DeclareBuffer bounds (default 256 KiB).
+	// BufferBytes is the stream buffer size every copy reads from
+	// Ctx.BufferBytes (default 256 KiB); a producer may clamp it.
 	BufferBytes int
 	// UOWs describes the units of work; each entry is passed to the
 	// filters via Ctx.Work. Nil means a single unit of work with a nil

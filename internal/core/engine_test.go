@@ -338,20 +338,16 @@ func TestPlacementAccumulates(t *testing.T) {
 	}
 }
 
-// declFilter declares buffer bounds in Init and checks resolution in
-// Process.
-type declFilter struct {
-	min, max int
-	stream   string
-	got      int
-	produce  bool
+// sizeFilter records the buffer size its copy sees on a stream, producing
+// one buffer or draining them.
+type sizeFilter struct {
+	BaseFilter
+	stream  string
+	got     int
+	produce bool
 }
 
-func (d *declFilter) Init(ctx Ctx) error {
-	ctx.DeclareBuffer(d.stream, d.min, d.max)
-	return nil
-}
-func (d *declFilter) Process(ctx Ctx) error {
+func (d *sizeFilter) Process(ctx Ctx) error {
 	d.got = ctx.BufferBytes(d.stream)
 	if d.produce {
 		return ctx.Write(d.stream, Buffer{Payload: 1, Size: 8})
@@ -362,36 +358,26 @@ func (d *declFilter) Process(ctx Ctx) error {
 		}
 	}
 }
-func (d *declFilter) Finalize(Ctx) error { return nil }
 
-func TestDeclareBufferResolution(t *testing.T) {
-	cases := []struct {
-		def, min, max, want int
-	}{
-		{def: 1000, min: 0, max: 0, want: 1000},
-		{def: 1000, min: 2000, max: 0, want: 2000}, // min raises
-		{def: 1000, min: 0, max: 500, want: 500},   // max caps
-		{def: 1000, min: 100, max: 4000, want: 1000},
-	}
-	for i, c := range cases {
+// Every copy sees the run's BufferBytes option on every stream, the default
+// when it is zero.
+func TestBufferBytesOption(t *testing.T) {
+	for _, c := range []struct{ opt, want int }{{0, 256 << 10}, {1000, 1000}, {4 << 20, 4 << 20}} {
 		g := NewGraph()
-		var prod, cons *declFilter
-		g.AddFilter("P", func() Filter {
-			prod = &declFilter{min: c.min, max: c.max, stream: "s", produce: true}
-			return prod
-		})
-		g.AddFilter("C", func() Filter {
-			cons = &declFilter{stream: "s"}
-			return cons
-		})
+		prod, cons := &sizeFilter{stream: "s", produce: true}, &sizeFilter{stream: "s"}
+		g.AddFilter("P", func() Filter { return prod })
+		g.AddFilter("C", func() Filter { return cons })
 		g.Connect("P", "C", "s")
 		pl := NewPlacement().Place("P", "h0", 1).Place("C", "h0", 1)
-		r, _ := NewRunner(g, pl, Options{BufferBytes: c.def})
+		r, err := NewRunner(g, pl, Options{BufferBytes: c.opt})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if prod.got != c.want || cons.got != c.want {
-			t.Fatalf("case %d: resolved %d/%d, want %d", i, prod.got, cons.got, c.want)
+			t.Fatalf("BufferBytes %d: copies saw %d/%d, want %d", c.opt, prod.got, cons.got, c.want)
 		}
 	}
 }

@@ -89,8 +89,8 @@ func dirDigest(t *testing.T, dir string) (string, string) {
 
 // A data file Create cannot make — its path is already a directory — fails
 // Create with an error naming that file, whether it is the first file a
-// worker takes or a later one, and leaves no worker goroutine and no open
-// file behind.
+// worker takes or a later one, and leaves no worker goroutine, no open file
+// and nothing Open accepts behind, even over an older dataset's meta.json.
 func TestCreateFileError(t *testing.T) {
 	m := Meta{GX: 33, GY: 33, GZ: 33, BX: 4, BY: 4, BZ: 3, Timesteps: 2, Files: 6, Seed: 7, Plumes: 4}
 	for _, bad := range []int{0, m.Files - 1} {
@@ -99,6 +99,11 @@ func TestCreateFileError(t *testing.T) {
 			dir := t.TempDir()
 			if err := os.Mkdir(filepath.Join(dir, fileName(bad)), 0o755); err != nil {
 				t.Fatal(err)
+			}
+			if bad == 0 { // an older dataset was here
+				if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"GX":9,"GY":9,"GZ":9,"BX":1,"BY":1,"BZ":1,"Timesteps":1,"Files":1}`), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// The first file a process opens starts the runtime's poller,
 			// whose descriptors stay open: open one before counting.
@@ -116,6 +121,10 @@ func TestCreateFileError(t *testing.T) {
 			}
 			if now := openFiles(); now != fds {
 				t.Errorf("%d open files after the failed Create, %d before", now, fds)
+			}
+			if st, err := Open(dir); err == nil {
+				st.Close()
+				t.Error("Open accepted the directory a failed Create left")
 			}
 		})
 	}

@@ -61,11 +61,10 @@ func Create(dir string, m Meta) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	mj, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, metaFile), mj, 0o644); err != nil {
+	// meta.json is what Open looks for, so it is written last: a Create
+	// that fails, here or over an older dataset, leaves nothing to open.
+	meta := filepath.Join(dir, metaFile)
+	if err := os.Remove(meta); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
 	fld := ds.Field()
@@ -92,6 +91,13 @@ func Create(dir string, m Meta) (*Store, error) {
 	// The pruning sidecar costs one record per chunk-timestep and no extra
 	// reads — the volumes were just in hand.
 	if err := WriteSummaryIndex(dir, ix); err != nil {
+		return nil, err
+	}
+	mj, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(meta, mj, 0o644); err != nil {
 		return nil, err
 	}
 	return Open(dir)

@@ -92,3 +92,73 @@ func BenchmarkDistThroughput(b *testing.B) {
 		}
 	})
 }
+
+// One unit of work's fixed cost: every unit moves one one-byte buffer from
+// a source on host0 to a sink on host1, so what a unit costs is its control
+// path — the coordinator's round trips on dist, the copies' start and join
+// on both engines.
+
+const benchUnits = 300
+
+type byteSource struct{ core.BaseFilter }
+
+func (byteSource) Process(ctx core.Ctx) error {
+	return ctx.Write("one", core.Buffer{Payload: []byte{1}, Size: 1})
+}
+
+type drainSink struct{ core.BaseFilter }
+
+func (drainSink) Process(ctx core.Ctx) error {
+	for {
+		if _, ok := ctx.Read("one"); !ok {
+			return nil
+		}
+	}
+}
+
+func init() {
+	dist.RegisterFilter("bench.bytesrc", func([]byte) (core.Filter, error) { return byteSource{}, nil })
+	dist.RegisterFilter("bench.drain", func([]byte) (core.Filter, error) { return drainSink{}, nil })
+}
+
+// BenchmarkDistUnitOfWork runs benchUnits units per iteration, as one
+// dist.Run on two workers over loopback TCP ("dist") and as one core run of
+// the same graph ("core"), and reports wall milliseconds per unit.
+func BenchmarkDistUnitOfWork(b *testing.B) {
+	uows := make([]any, benchUnits)
+	perUnit := func(b *testing.B) {
+		b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*benchUnits), "ms/unit")
+	}
+	b.Run("dist", func(b *testing.B) {
+		addrs := benchWorkers(b, 2)
+		graph := dist.GraphSpec{
+			Filters: []dist.FilterSpec{{Name: "S", Kind: "bench.bytesrc"}, {Name: "K", Kind: "bench.drain"}},
+			Streams: []core.StreamSpec{{Name: "one", From: "S", To: "K"}},
+		}
+		placement := []dist.PlacementEntry{{Filter: "S", Host: "host0", Copies: 1}, {Filter: "K", Host: "host1", Copies: 1}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := dist.Run(addrs, graph, placement, dist.Options{}, uows); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perUnit(b)
+	})
+	b.Run("core", func(b *testing.B) {
+		g := core.NewGraph()
+		g.AddFilter("S", func() core.Filter { return byteSource{} })
+		g.AddFilter("K", func() core.Filter { return drainSink{} })
+		g.Connect("S", "K", "one")
+		pl := core.NewPlacement().Place("S", "host0", 1).Place("K", "host1", 1)
+		for i := 0; i < b.N; i++ {
+			r, err := core.NewRunner(g, pl, core.Options{UOWs: uows})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perUnit(b)
+	})
+}

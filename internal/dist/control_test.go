@@ -39,23 +39,19 @@ func controlSession() (down, up []*frame) {
 			Addrs: map[string]string{"node0": "127.0.0.1:40001", "node1": "127.0.0.1:40002"},
 			Host:  "node1",
 		}},
-		{Kind: kindInitUOW, UOW: &uowMsg{Work: SessionWork}},
-		{Kind: kindBeginProcess, Sizes: map[string]int{"triangles": 256 << 10, "pixels": 60 << 10}},
-		{Kind: kindFinalize},
+		{Kind: kindRunUOW, UOW: &uowMsg{Work: SessionWork}},
 		{Kind: kindShutdown},
 	}
 	up = []*frame{
 		{Kind: kindSetupOK},
-		{Kind: kindDecls, Decls: map[string][2]int{"pixels": {0, 60 << 10}}},
-		{Kind: kindProcessDone},
-		{Kind: kindFinalizeDone, Stats: statsFragment(0.0123)},
+		{Kind: kindUOWDone, Stats: statsFragment(0.0123)},
 		{Kind: kindShutdownDone},
 	}
 	return down, up
 }
 
 // statsFragment is one host's accounting of a unit of work in the shape
-// Runtime.Finalize returns it.
+// Runtime.RunUOW returns it.
 func statsFragment(busy float64) *core.Stats {
 	st := exec.NewStats([]string{"RE", "Ra", "M"}, []core.StreamSpec{
 		{Name: "triangles", From: "RE", To: "Ra"},
@@ -143,10 +139,10 @@ func TestControlStreamConcurrentSenders(t *testing.T) {
 		f := &frame{Target: k, UOWIdx: m}
 		switch m % 3 {
 		case 0:
-			f.Kind = kindDecls
-			f.Decls = map[string][2]int{fmt.Sprintf("s%d", k): {m, 4096}, "pixels": {0, m}}
+			f.Kind = kindRunUOW
+			f.UOW = &uowMsg{Index: m, Work: []byte(fmt.Sprintf("s%d", k))}
 		case 1:
-			f.Kind = kindFinalizeDone
+			f.Kind = kindUOWDone
 			f.Stats = statsFragment(float64(k*1000 + m))
 		case 2:
 			f.Kind, f.FailNet = kindFail, true
@@ -240,12 +236,12 @@ func TestControlStreamCorruptionFailsConn(t *testing.T) {
 		t.Logf("%d of %d flips failed the stream", failed, len(setup)-1)
 	})
 
-	// The kindFinalize value is one short gob message: its first byte
+	// The kindShutdown value is one short gob message: its first byte
 	// after the kind is the message length, and one more reads past the
 	// frame body's end.
-	fin := bodies[3]
+	fin := bodies[2]
 	if fin[1] >= 0x7F {
-		t.Fatalf("finalize frame's gob message is %d bytes, want a one-byte length", fin[1])
+		t.Fatalf("shutdown frame's gob message is %d bytes, want a one-byte length", fin[1])
 	}
 	cases := map[string][]byte{
 		"flipped length": append([]byte{fin[0], fin[1] + 1}, fin[2:]...),
@@ -256,10 +252,10 @@ func TestControlStreamCorruptionFailsConn(t *testing.T) {
 			cc, sc := tcpPair(t)
 			s := newConn(sc, nil)
 			defer s.close()
-			if _, err := cc.Write(wireBytes(setup, next, bodies[2], bad)); err != nil {
+			if _, err := cc.Write(wireBytes(setup, next, bad)); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 3; i++ {
+			for i := 0; i < 2; i++ {
 				if _, err := s.recv(); err != nil {
 					t.Fatalf("valid frame %d: %v", i, err)
 				}

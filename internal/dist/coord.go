@@ -44,9 +44,9 @@ func attributeHosts(err error, hosts []string) error {
 }
 
 // Run executes a distributed session: it connects to the worker at each
-// host's address, ships the graph spec and placement, drives the
-// unit-of-work phases (init with buffer-size resolution, process,
-// finalize), and aggregates the workers' statistics.
+// host's address, ships the graph spec and placement, sends each unit of
+// work to every worker as one request, and aggregates the statistics the
+// workers reply with.
 //
 // Failure model: worker liveness is tracked with control-plane heartbeats
 // (Options.HeartbeatInterval / HeartbeatMisses); when a host is declared
@@ -411,37 +411,40 @@ func (co *coordinator) broadcast(f *frame) error {
 	return nil
 }
 
-// gather awaits one reply per host. A transport failure or heartbeat
-// timeout marks the host dead and returns immediately — the remaining
-// hosts may be blocked on the dead host's streams, so waiting on them
-// in sequence could deadlock the coordinator; recovery aborts them
-// instead. A kindFail reply either implicates a peer host (FailNet) or
-// is an application error.
-func (co *coordinator) gather(phase string, each func(host string, f *frame)) error {
+// gather awaits one unit-of-work reply per host and returns the hosts'
+// Stats fragments. A transport failure or heartbeat timeout marks the host
+// dead and returns immediately — the remaining hosts may be blocked on the
+// dead host's streams, so waiting on them in sequence could deadlock the
+// coordinator; recovery aborts them instead. A kindFail reply either
+// implicates a peer host (FailNet) or is an application error.
+func (co *coordinator) gather() ([]*core.Stats, error) {
+	var frags []*core.Stats
 	for _, host := range co.hostNames() {
 		l := co.links[host]
 		f, err := co.waitReply(l)
 		if err != nil {
 			// waitReply already marked the casualty dead — l itself, or
 			// another host whose death strands the gather.
-			return fmt.Errorf("dist: %s: %w", phase, err)
+			return nil, fmt.Errorf("dist: unit of work: %w", err)
 		}
 		if f.Kind == kindFail {
 			if f.FailNet {
 				if tl := co.links[f.FailHost]; tl != nil && f.FailHost != host {
 					co.markDead(tl, fmt.Errorf("%s", f.Err))
 				}
-				return fmt.Errorf("dist: worker %s %s: %s", host, phase, f.Err)
+				return nil, fmt.Errorf("dist: worker %s unit of work: %s", host, f.Err)
 			}
-			return fmt.Errorf("dist: worker %s: %s", host, f.Err)
+			return nil, fmt.Errorf("dist: worker %s: %s", host, f.Err)
 		}
-		if each != nil {
-			each(host, f)
-		}
+		frags = append(frags, f.Stats)
 	}
-	return nil
+	return frags, nil
 }
 
+// runUOW runs one unit of work: one request to every host, then one reply
+// from each. The fragments are committed only once the whole unit of work
+// succeeded — a retried unit must not double-count a failed attempt's
+// traffic.
 func (co *coordinator) runUOW(idx int, work any) error {
 	var raw []byte
 	if r, ok := work.(RawUOW); ok {
@@ -455,40 +458,10 @@ func (co *coordinator) runUOW(idx int, work any) error {
 			return fmt.Errorf("dist: encoding unit of work: %w", err)
 		}
 	}
-
-	// Phase 1: Init everywhere; gather and resolve buffer declarations.
-	if err := co.broadcast(&frame{Kind: kindInitUOW, UOW: &uowMsg{Index: idx, Work: raw}}); err != nil {
+	if err := co.broadcast(&frame{Kind: kindRunUOW, UOW: &uowMsg{Index: idx, Work: raw}}); err != nil {
 		return err
 	}
-	decls := map[string][2]int{}
-	err := co.gather("init", func(host string, f *frame) {
-		for stream, d := range f.Decls {
-			decls[stream] = exec.Declare(decls[stream], d[0], d[1])
-		}
-	})
-	if err != nil {
-		return err
-	}
-	sizes := exec.ResolveSizes(co.spec.Streams, decls, co.opts.BufferBytes)
-
-	// Phase 2: Process everywhere.
-	if err := co.broadcast(&frame{Kind: kindBeginProcess, Sizes: sizes}); err != nil {
-		return err
-	}
-	if err := co.gather("process", nil); err != nil {
-		return err
-	}
-
-	// Phase 3: Finalize everywhere. Stats fragments are committed only
-	// once the whole unit of work succeeded — a retried unit must not
-	// double-count a failed attempt's traffic.
-	if err := co.broadcast(&frame{Kind: kindFinalize}); err != nil {
-		return err
-	}
-	var frags []*core.Stats
-	err = co.gather("finalize", func(host string, f *frame) {
-		frags = append(frags, f.Stats)
-	})
+	frags, err := co.gather()
 	if err != nil {
 		return err
 	}
@@ -514,7 +487,7 @@ func (co *coordinator) deadHosts() []string {
 // round ends — after the last unit of work, before a rescale or a recovery,
 // and on every other exit of Run. It sends every live link one
 // kindShutdown, an abort when why is non-empty, and awaits each one's
-// kindShutdownDone, discarding phase replies that were already in flight:
+// kindShutdownDone, discarding unit-of-work replies already in flight:
 // the worker confirms only once its session is unregistered, so the next
 // round's setup finds the job slot free. The liveness sweep bounds the
 // wait, and a cancelled run stops it. Then dead links are severed; a link

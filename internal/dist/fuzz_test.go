@@ -33,7 +33,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&frame{Kind: kindAck, UOWIdx: 1, Stream: 2, Target: 2, Copy: 3, AckN: 4})
 	seed(&frame{Kind: kindProducerDone, UOWIdx: 7, Stream: 1})
 	seed(&frame{Kind: kindHello, Job: 7, SetupID: 0x0102030405060708})
-	seed(&frame{Kind: kindDecls, Decls: map[string][2]int{"ints": {64, 4096}}})
+	seed(&frame{Kind: kindRunUOW, UOW: &uowMsg{Index: 3, Work: []byte{1, 2}}})
 	// Hostile prefixes (also committed under testdata/fuzz/FuzzDecodeFrame).
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})            // oversized length
 	f.Add([]byte{0, 0, 0, 0})                        // zero length

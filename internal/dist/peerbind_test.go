@@ -139,15 +139,19 @@ func (h *rawHost) control() ctl {
 }
 
 // setup sets job up on a fresh control connection as setup round id and
-// starts unit of work 0's process phase.
+// starts unit of work 0.
 func (h *rawHost) setup(job, id uint64) ctl {
 	h.t.Helper()
 	c := h.control()
 	h.setupOn(c, job, id)
+	h.start(c)
 	return c
 }
 
-// setupOn is setup on the control connection c.
+// start sends the request for unit of work 0.
+func (h *rawHost) start(c ctl) { h.send(c.conn, &frame{Kind: kindRunUOW, UOW: &uowMsg{}}) }
+
+// setupOn sets job up on the control connection c as setup round id.
 func (h *rawHost) setupOn(c ctl, job, id uint64) {
 	h.t.Helper()
 	h.send(c.conn, &frame{Kind: kindSetup, Setup: &setupMsg{
@@ -162,9 +166,6 @@ func (h *rawHost) setupOn(c ctl, job, id uint64) {
 		Host:      "sink",
 	}})
 	h.expect(c, kindSetupOK)
-	h.send(c.conn, &frame{Kind: kindInitUOW, UOW: &uowMsg{}})
-	h.expect(c, kindDecls)
-	h.send(c.conn, &frame{Kind: kindBeginProcess, Sizes: map[string]int{"s": 64}})
 }
 
 // producer dials the worker as src's session of (job, id).
@@ -195,9 +196,7 @@ func (h *rawHost) closedByWorker(c *conn) bool {
 // the job's sink read.
 func (h *rawHost) finish(c ctl, job uint64) int {
 	h.t.Helper()
-	h.expect(c, kindProcessDone)
-	h.send(c.conn, &frame{Kind: kindFinalize})
-	h.expect(c, kindFinalizeDone)
+	h.expect(c, kindUOWDone)
 	h.send(c.conn, &frame{Kind: kindShutdown})
 	h.expect(c, kindShutdownDone)
 	ks := h.w.InstancesJob(job, "K")
@@ -218,7 +217,7 @@ func TestStaleAttemptFramesNeverReachRetry(t *testing.T) {
 	c0 := h.setup(7, 100)
 	p0 := h.producer(7, 100)
 	h.send(c0.conn, &frame{Kind: kindShutdown, Err: "host lost"})
-	h.expect(c0, kindShutdownDone, kindProcessDone, kindFail)
+	h.expect(c0, kindShutdownDone, kindUOWDone, kindFail)
 
 	c1 := h.setup(7, 101)
 	h.produce(p0) // attempt 0's frames, late, on attempt 0's connection
@@ -269,6 +268,27 @@ func TestPeerFrameStreamOutOfRangeFailsConn(t *testing.T) {
 	h.produce(h.producer(7, 100))
 	if n := h.finish(c, 7); n != 1 {
 		t.Fatalf("the sink read %d buffers, want 1", n)
+	}
+}
+
+// A producer host may start a unit of work, and send its frames, before the
+// worker's own request for the unit arrives: the worker keeps them for the
+// unit, and its sink reads them once the request comes.
+func TestEarlyPeerFramesReachTheUnit(t *testing.T) {
+	h := newRawHost(t)
+	c := h.control()
+	h.setupOn(c, 7, 100)
+	p := h.producer(7, 100)
+	h.produce(p)
+	// A malformed frame behind them closes the connection, once the worker
+	// has taken the two frames before it.
+	h.send(p, &frame{Kind: kindProducerDone, Stream: 1})
+	if !h.closedByWorker(p) {
+		t.Fatal("the malformed frame kept its connection")
+	}
+	h.start(c)
+	if n := h.finish(c, 7); n != 1 {
+		t.Fatalf("the sink read %d buffers, want the early one", n)
 	}
 }
 

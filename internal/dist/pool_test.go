@@ -230,13 +230,14 @@ func TestChaosStrayHeartbeatBetweenPooledSessions(t *testing.T) {
 	}
 	h.send(c.conn, &frame{Kind: kindHeartbeat})
 	h.setupOn(c, 8, 101)
+	h.start(c)
 	h.produce(h.producer(8, 101))
 	if n := h.finish(c, 8); n != 1 {
 		t.Fatalf("session 2's sink read %d buffers, want 1", n)
 	}
-	h.send(c.conn, &frame{Kind: kindFinalize})
+	h.send(c.conn, &frame{Kind: kindRunUOW, UOW: &uowMsg{}})
 	if !c.hungUp() {
-		t.Fatal("a finalize between sessions kept the link open")
+		t.Fatal("a unit-of-work request between sessions kept the link open")
 	}
 }
 

@@ -224,10 +224,8 @@ type frame struct {
 	// Control (coordinator -> worker).
 	Setup *setupMsg
 	UOW   *uowMsg
-	Sizes map[string]int // resolved stream buffer sizes
 
 	// Control (worker -> coordinator).
-	Decls map[string][2]int // stream -> {min,max} declared this UOW
 	Err   string
 	Stats *core.Stats // one unit of work's accounting on this host
 	// Failure attribution on kindFail: when the first failure a worker saw
@@ -277,12 +275,12 @@ const (
 	kindHello frameKind = iota + 1
 	kindSetup
 	kindSetupOK
-	kindInitUOW
-	kindDecls
-	kindBeginProcess
-	kindProcessDone
-	kindFinalize
-	kindFinalizeDone
+	_ // 4-7: retired; a unit of work is one request and one reply
+	_
+	_
+	_
+	kindRunUOW  // coordinator -> worker: run one unit of work
+	kindUOWDone // worker -> coordinator: the unit's Stats fragment
 	kindShutdown
 	kindData
 	kindAck

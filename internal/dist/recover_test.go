@@ -101,7 +101,7 @@ func TestSurvivorLostWhileRoundEndsCounted(t *testing.T) {
 	}
 }
 
-// A host lost on a phase broadcast gets the coordinator's one verdict path:
+// A host lost on a unit-of-work broadcast gets the coordinator's one verdict path:
 // marked dead, with exactly one host-down event.
 func TestBroadcastSendFailureEmitsHostDown(t *testing.T) {
 	leakcheck.Check(t)
@@ -115,7 +115,7 @@ func TestBroadcastSendFailureEmitsHostDown(t *testing.T) {
 		addrs: map[string]string{"h": "127.0.0.1:1"},
 		links: map[string]*hostLink{"h": {host: "h", c: c, stop: make(chan struct{})}},
 	}
-	if err := co.broadcast(&frame{Kind: kindFinalize}); err == nil {
+	if err := co.broadcast(&frame{Kind: kindRunUOW, UOW: &uowMsg{}}); err == nil {
 		t.Fatal("broadcast on a closed connection succeeded")
 	}
 	var downs []string

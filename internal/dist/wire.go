@@ -35,7 +35,7 @@ import (
 //
 // A data payload is encoded by the registered PayloadCodec its id names
 // (codec.go); a receiver rejects an id it has no codec for. Everything else
-// (setup, unit-of-work, declarations, stats, failures) is control traffic —
+// (setup, unit-of-work requests, stats, failures) is control traffic —
 // rare, per-session or per-UOW — and keeps a gob-encoded frame struct as
 // its body. Each direction of a connection is one gob stream: the frame
 // type's descriptors travel once, in the first control frame, and every
@@ -231,8 +231,7 @@ func (r *frameReader) decodeFrame(buf []byte) (*frame, error) {
 	case kindHello:
 		f.Job, f.SetupID = le.Uint64(b), le.Uint64(b[8:])
 	case kindHeartbeat:
-	case kindSetup, kindSetupOK, kindInitUOW, kindDecls, kindBeginProcess,
-		kindProcessDone, kindFinalize, kindFinalizeDone, kindShutdown, kindFail,
+	case kindSetup, kindSetupOK, kindRunUOW, kindUOWDone, kindShutdown, kindFail,
 		kindShutdownDone:
 		if r.dec == nil {
 			r.dec = gob.NewDecoder(&r.src) // *bytes.Reader is an io.ByteReader: no read-ahead buffer

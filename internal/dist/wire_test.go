@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"datacutter/internal/exec"
@@ -92,9 +93,9 @@ func TestAckAndDoneRoundTrip(t *testing.T) {
 }
 
 func TestControlFrameRoundTrip(t *testing.T) {
-	f := &frame{Kind: kindDecls, Decls: map[string][2]int{"ints": {64, 4096}}}
+	f := &frame{Kind: kindRunUOW, UOW: &uowMsg{Index: 3, Work: []byte{1, 2}}}
 	g := roundTrip(t, f)
-	if g.Kind != kindDecls || g.Decls["ints"] != [2]int{64, 4096} {
+	if g.Kind != kindRunUOW || g.UOW == nil || g.UOW.Index != 3 || !bytes.Equal(g.UOW.Work, []byte{1, 2}) {
 		t.Fatalf("control frame mangled: %+v", g)
 	}
 	s := &frame{Kind: kindSetup, Setup: &setupMsg{
@@ -161,19 +162,28 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 }
 
-// Every frame kind keeps its byte value; 16 and 17, the retired abort and
-// abort-confirmation kinds, stay unused.
+// Every frame kind keeps its byte value. 4-7, the retired per-phase kinds,
+// and 16-17, the retired abort and abort-confirmation kinds, stay unused: a
+// frame of one of them is an unknown kind.
 func TestFrameKindValuesPinned(t *testing.T) {
-	kinds := []frameKind{kindHello, kindSetup, kindSetupOK, kindInitUOW, kindDecls,
-		kindBeginProcess, kindProcessDone, kindFinalize, kindFinalizeDone, kindShutdown,
-		kindData, kindAck, kindProducerDone, kindFail, kindHeartbeat}
-	for i, k := range kinds {
-		if int(k) != i+1 {
-			t.Errorf("kinds[%d] = %d, want %d", i, k, i+1)
+	kinds := []struct {
+		k    frameKind
+		want int
+	}{
+		{kindHello, 1}, {kindSetup, 2}, {kindSetupOK, 3}, {kindRunUOW, 8}, {kindUOWDone, 9},
+		{kindShutdown, 10}, {kindData, 11}, {kindAck, 12}, {kindProducerDone, 13},
+		{kindFail, 14}, {kindHeartbeat, 15}, {kindShutdownDone, 18},
+	}
+	for _, c := range kinds {
+		if int(c.k) != c.want {
+			t.Errorf("kind %d, want %d", c.k, c.want)
 		}
 	}
-	if kindShutdownDone != 18 {
-		t.Errorf("kindShutdownDone = %d, want 18", kindShutdownDone)
+	for _, unused := range []byte{4, 5, 6, 7, 16, 17} {
+		var r frameReader
+		if _, err := r.decodeFrame([]byte{unused}); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Errorf("kind byte %d: err = %v, want an unknown kind", unused, err)
+		}
 	}
 }
 

@@ -376,10 +376,12 @@ const drainingMsg = "dist: worker draining"
 // its session is active is refused rather than silently clobbering the
 // running one, while setups for other jobs run concurrently.
 //
-// Phase operations run in goroutines so the control loop keeps reading:
-// heartbeats refresh the read deadline and an aborting kindShutdown can
-// interrupt a phase blocked on a dead peer. The coordinator is lock-step per
-// worker, so at most one operation is in flight until the session ends.
+// The session's units of work run one after another on one goroutine, off
+// the control loop so it keeps reading: heartbeats refresh the read
+// deadline and an aborting kindShutdown can interrupt a unit blocked on a
+// dead peer. One goroutine also orders each unit after the previous one,
+// which the network round trip between them does not do for the memory
+// model.
 func (w *Worker) runSession(ctrl *conn, setup *setupMsg) bool {
 	s, err := newSession(w, setup)
 	if err != nil {
@@ -402,16 +404,33 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) bool {
 	w.mu.Unlock()
 
 	opts := &setup.Opts
-	var opWG sync.WaitGroup
-	// endSession's order matters: closing peers first unblocks any
-	// phase goroutine stuck in a TCP send to a dead host, so the Wait
-	// cannot hang; only then are the copies retired and the session
-	// unregistered (a new Setup for the job is accepted from that point,
-	// while Instances still reads the instances via w.last). The sessions
-	// this one pushes out of retention release what they held for it.
+	// The coordinator is lock-step per worker: at most one request waits.
+	units := make(chan *uowMsg, 1)
+	var unitWG sync.WaitGroup
+	unitWG.Add(1)
+	go func() {
+		defer unitWG.Done()
+		for msg := range units {
+			frag, err := s.runUOW(msg)
+			reply := &frame{Kind: kindUOWDone, Stats: frag}
+			if err != nil {
+				if reply = s.failFrame(err); reply == nil {
+					continue
+				}
+			}
+			_ = ctrl.send(reply)
+		}
+	}()
+	// endSession's order matters: closing peers first unblocks a unit
+	// stuck in a TCP send to a dead host, so the Wait cannot hang; only
+	// then are the copies retired and the session unregistered (a new
+	// Setup for the job is accepted from that point, while Instances still
+	// reads the instances via w.last). The sessions this one pushes out of
+	// retention release what they held for it.
 	endSession := func() {
 		s.closePeers()
-		opWG.Wait()
+		close(units)
+		unitWG.Wait()
 		s.rt.Close() // retire the copies: a filter that opened a store closes it
 		w.mu.Lock()
 		if w.sessions[job] == s {
@@ -430,9 +449,9 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) bool {
 	}
 
 	// Worker->coordinator heartbeats from a dedicated sender, so liveness
-	// flows even while a phase computes. A wedged (fault-injected) process
-	// goes silent, exactly like a frozen real one. It stops before the
-	// session's last frame, which nothing may trail on a pooled link.
+	// flows even while a unit of work computes. A wedged (fault-injected)
+	// process goes silent, exactly like a frozen real one. It stops before
+	// the session's last frame, which nothing may trail on a pooled link.
 	hbStop, hbDone := make(chan struct{}), make(chan struct{})
 	stopBeats := sync.OnceFunc(func() { close(hbStop); <-hbDone })
 	defer stopBeats()
@@ -455,22 +474,6 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) bool {
 		}
 	}()
 
-	// op runs one phase of the unit of work (a runtime call) off the control
-	// loop and replies with its frame, or with the failure.
-	op := func(phase func() (*frame, error)) {
-		opWG.Add(1)
-		go func() {
-			defer opWG.Done()
-			reply, err := phase()
-			if err != nil {
-				if reply = s.failFrame(err); reply == nil {
-					return
-				}
-			}
-			_ = ctrl.send(reply)
-		}()
-	}
-
 	for {
 		// Silence beyond the miss budget means the coordinator is gone;
 		// its heartbeats re-arm the deadline every interval.
@@ -484,23 +487,11 @@ func (w *Worker) runSession(ctrl *conn, setup *setupMsg) bool {
 		switch f.Kind {
 		case kindHeartbeat:
 			// Liveness only; the recv already reset the deadline clock.
-		case kindInitUOW:
-			msg := f.UOW
-			op(func() (*frame, error) {
-				decls, err := s.initUOW(msg)
-				return &frame{Kind: kindDecls, Decls: decls}, err
-			})
-		case kindBeginProcess:
-			sizes := f.Sizes
-			op(func() (*frame, error) { return &frame{Kind: kindProcessDone}, s.rt.Process(sizes) })
-		case kindFinalize:
-			op(func() (*frame, error) {
-				frag, err := s.rt.Finalize()
-				return &frame{Kind: kindFinalizeDone, Stats: frag}, err
-			})
+		case kindRunUOW:
+			units <- f.UOW
 		case kindShutdown:
 			// The farewell. With Err set it aborts (typically a peer host
-			// died): unblock everything and wait the phase out. Confirm only
+			// died): unblock everything and wait the unit out. Confirm only
 			// after endSession, so the coordinator knows the job slot is
 			// free — a re-setup or a back-to-back Run's Setup would otherwise
 			// race the session's end and be refused busy.
@@ -574,7 +565,7 @@ func newSession(w *Worker, setup *setupMsg) (*session, error) {
 			return b(fs.Params)
 		},
 		Host: setup.Host, Remote: s,
-		Policies: pol, QueueCap: setup.Opts.QueueCap,
+		Policies: pol, QueueCap: setup.Opts.QueueCap, BufferBytes: setup.Opts.BufferBytes,
 		Obs: w.obsrv, // pushdown metrics are recorded where the pruning runs
 	})
 	if err := s.rt.Place(setup.Placement); err != nil {
@@ -714,8 +705,12 @@ func (s *session) peer(host string) (*conn, error) {
 	return c, nil
 }
 
-// initUOW starts a unit of work, returning the declared buffer bounds.
-func (s *session) initUOW(msg *uowMsg) (map[string][2]int, error) {
+// runUOW runs one unit of work and returns this host's Stats fragment,
+// which the coordinator commits once the unit succeeded everywhere.
+func (s *session) runUOW(msg *uowMsg) (*core.Stats, error) {
+	if msg == nil {
+		return nil, errors.New("dist: unit-of-work request without a unit")
+	}
 	var work any
 	if len(msg.Work) > 0 {
 		var err error
@@ -724,9 +719,7 @@ func (s *session) initUOW(msg *uowMsg) (map[string][2]int, error) {
 			return nil, fmt.Errorf("dist: decoding unit of work: %w", err)
 		}
 	}
-	// A fresh Stats per unit: Finalize returns it as this host's fragment,
-	// which the coordinator commits once the unit succeeded everywhere.
-	return s.rt.Init(msg.Index, work, s.rt.NewStats())
+	return s.rt.RunUOW(msg.Index, work)
 }
 
 // ---- exec.Remote: the runtime's way out to copy sets on other hosts ----

@@ -8,8 +8,8 @@ import (
 )
 
 // Clock is the time-and-blocking seam of the copy runtime: what "now" is,
-// how a phase's copy bodies get their threads of control, and the bounded
-// queue a copy set shares. There are two implementations — Wall
+// how a unit of work's copy bodies get their threads of control, and the
+// bounded queue a copy set shares. There are two implementations — Wall
 // (goroutines, Go channels, time.Now) and Virtual (sim.Kernel processes,
 // sim.Chan, kernel time) — and a unit test can substitute either. A Clock
 // that also models what work and transfers cost in its time domain

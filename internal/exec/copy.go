@@ -8,13 +8,14 @@ import (
 )
 
 // Copy is one transparent copy's view of one unit of work: the single Ctx
-// implementation, handed to the filter in all three phases on every engine.
+// implementation, handed to the filter's Init, Process and Finalize on
+// every engine.
 type Copy struct {
 	rt *Runtime
 	u  *uow
 	in *instance
 	fs *FilterStats
-	th Thread // the thread running the current phase
+	th Thread // the thread running the copy's work cycle
 
 	inputs  map[string]*input
 	outputs map[string]*output
@@ -28,7 +29,7 @@ type Copy struct {
 	service  *obs.Histogram
 	lastRead float64
 
-	// Process-phase time not spent computing: blocked on an empty input
+	// Work-cycle time not spent computing: blocked on an empty input
 	// queue, blocked on a full output queue, and moving buffers.
 	readBlocked, writeBlocked, net float64
 
@@ -117,10 +118,33 @@ func (c *Copy) addOutput(st *stream) {
 	st.writers = append(st.writers, out.sw)
 }
 
-// contain invokes one phase of the filter, converting a panic into an error
+// cycle runs the copy's work cycle: Init, Process and Finalize, each
+// contained. Process is bracketed by trace events and followed by the cost
+// model's drain. End-of-work then propagates, also after a failed Init or
+// Process, so consumers on other hosts are not left waiting. A failure
+// skips the rest of the cycle.
+func (c *Copy) cycle() error {
+	f := c.in.filter
+	err := c.contain("init", f.Init)
+	if err == nil {
+		c.emit(obs.KindProcessStart)
+		err = c.contain("process", f.Process)
+		if cost := c.rt.cost; cost != nil {
+			cost.Drain(c)
+		}
+		c.emit(obs.KindProcessEnd)
+	}
+	c.endOfWork()
+	if err != nil {
+		return err
+	}
+	return c.contain("finalize", f.Finalize)
+}
+
+// contain invokes one call of the filter, converting a panic into an error
 // — a buggy filter aborts its run, not the process — and giving every
 // failure the one shape "<engine>: filter F copy N (phase): cause".
-func (c *Copy) contain(phase string, call func(*Copy) error) (err error) {
+func (c *Copy) contain(phase string, call func(Ctx) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = panicError(r)
@@ -352,26 +376,13 @@ func (c *Copy) ChargeDisk(disk, bytes int) {
 	}
 }
 
-func (c *Copy) streamOf(stream string) *stream {
-	if out, ok := c.outputs[stream]; ok {
-		return out.st
+// BufferBytes implements Ctx: the run's size, the same for every stream.
+func (c *Copy) BufferBytes(stream string) int {
+	if c.inputs[stream] == nil && c.outputs[stream] == nil {
+		panic(fmt.Sprintf("%s: filter %s references unknown stream %q", c.rt.cfg.Engine, c.in.name, stream))
 	}
-	if in, ok := c.inputs[stream]; ok {
-		return in.st
-	}
-	panic(fmt.Sprintf("%s: filter %s references unknown stream %q", c.rt.cfg.Engine, c.in.name, stream))
+	return c.rt.cfg.BufferBytes
 }
-
-// DeclareBuffer implements Ctx.
-func (c *Copy) DeclareBuffer(stream string, minBytes, maxBytes int) {
-	st := c.streamOf(stream)
-	st.declMu.Lock()
-	st.decl = Declare(st.decl, minBytes, maxBytes)
-	st.declMu.Unlock()
-}
-
-// BufferBytes implements Ctx.
-func (c *Copy) BufferBytes(stream string) int { return c.streamOf(stream).bufBytes }
 
 func (c *Copy) Host() string     { return c.in.host }
 func (c *Copy) CopyIndex() int   { return c.in.index }
@@ -380,7 +391,7 @@ func (c *Copy) UOW() int         { return c.u.index }
 func (c *Copy) Work() any        { return c.u.work }
 
 // Thread returns the clock's handle for the thread running this copy's
-// current phase; a Cost implementation blocks on it.
+// work cycle; a Cost implementation blocks on it.
 func (c *Copy) Thread() Thread { return c.th }
 
 // AddReadBlocked charges seconds a Cost hook spent waiting for input (a

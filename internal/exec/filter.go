@@ -12,10 +12,10 @@ import (
 
 // Filter is a user-defined component. The runtime drives each copy of a
 // filter through work cycles (units of work): Init, then Process until all
-// input streams reach end-of-work, then Finalize.
+// input streams reach end-of-work, then Finalize, back to back on the
+// copy's one thread. No copy waits for another between its calls.
 type Filter interface {
-	// Init prepares per-unit-of-work resources (e.g. allocates a z-buffer)
-	// and may declare stream buffer sizes via ctx.DeclareBuffer.
+	// Init prepares per-unit-of-work resources (e.g. allocates a z-buffer).
 	Init(ctx Ctx) error
 	// Process reads buffers from input streams and writes buffers to output
 	// streams. It must return once every input stream has reported
@@ -61,12 +61,9 @@ type Ctx interface {
 	// (modulo the host's disk count). No-op on the wall-clock engines.
 	ChargeDisk(disk int, bytes int)
 
-	// DeclareBuffer discloses the minimum and optional maximum buffer size
-	// (bytes) the filter wants for a stream; the runtime chooses the actual
-	// size within those bounds. maxBytes <= 0 means unbounded. Valid in
-	// Init.
-	DeclareBuffer(stream string, minBytes, maxBytes int)
-	// BufferBytes returns the buffer size the runtime chose for a stream.
+	// BufferBytes returns the run's buffer size for a stream (the engine's
+	// BufferBytes option). A producer that wants other bounds clamps it
+	// itself when it packs its buffers.
 	BufferBytes(stream string) int
 
 	// Host returns the name of the host this copy runs on.

@@ -27,19 +27,12 @@ type fused struct {
 	stream   string
 }
 
-// fuseCtx is the Ctx both parts see. The fused stream has no buffers for
-// the runtime to size: a declaration on it is dropped and its size reads as
-// unbounded, so a producer that packs to the buffer size flushes only at
-// its own input-buffer boundaries.
+// fuseCtx is the Ctx both parts see. The fused stream has no buffers: its
+// size reads as unbounded, so a producer that packs to the buffer size
+// flushes only at its own input-buffer boundaries.
 type fuseCtx struct {
 	Ctx
 	stream string
-}
-
-func (c fuseCtx) DeclareBuffer(stream string, minBytes, maxBytes int) {
-	if stream != c.stream {
-		c.Ctx.DeclareBuffer(stream, minBytes, maxBytes)
-	}
 }
 
 func (c fuseCtx) BufferBytes(stream string) int {
@@ -86,7 +79,7 @@ func (f *fused) Process(ctx Ctx) (err error) {
 	<-l.idle // down runs first, up to its first Read of the stream
 	defer func() {
 		// End of work for down, however up ended; wait out what down still
-		// does with it, so its goroutine never outlives the phase.
+		// does with it, so its goroutine never outlives the Process call.
 		close(l.next)
 		for range l.idle {
 		}

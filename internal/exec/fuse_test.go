@@ -50,10 +50,7 @@ type fRelay struct {
 	observed, closed int
 }
 
-func (f *fRelay) Init(ctx exec.Ctx) error {
-	ctx.DeclareBuffer(f.in, 1<<20, 0) // on a fused stream: dropped, not a panic
-	return nil
-}
+func (f *fRelay) Init(exec.Ctx) error { return nil }
 
 func (f *fRelay) Process(ctx exec.Ctx) error {
 	f.inBytes = ctx.BufferBytes(f.in)
@@ -116,9 +113,13 @@ func runFused(t *testing.T, clock exec.Clock, p exec.Filter, k *fSink, queueCap 
 	if err := rt.Place([]elastic.Entry{{Filter: "P", Host: "h", Copies: 1}, {Filter: "K", Host: "h", Copies: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	st := rt.NewStats()
+	var st *exec.Stats
 	done := make(chan error, 1)
-	go func() { done <- rt.RunUOW(0, nil, st) }()
+	go func() {
+		var err error
+		st, err = rt.RunUOW(0, nil)
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		return rt, st, err

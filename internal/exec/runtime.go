@@ -12,15 +12,15 @@ import (
 )
 
 // Runtime is the copy-lifecycle runtime every engine runs: it owns the
-// transparent copies placed on its host(s) and drives them through the
-// paper's work cycle — Init, Process, Finalize per unit of work — with
-// copy-set queues, demand-driven acknowledgments, end-of-work propagation,
-// panic containment, first-error cancellation and per-copy time accounting.
-// An engine parameterises it through two seams: the Clock and, when some
-// copy sets live on other hosts, the Remote it sends through plus the
-// inbound calls (Inject, ProducerDone, Ack) it makes as their traffic
-// arrives. The phases are separate calls so a distributed coordinator can
-// put a barrier between them; RunUOW runs them back to back.
+// transparent copies placed on its host(s) and drives each through the
+// paper's work cycle — Init, Process, Finalize per unit of work, back to
+// back on the copy's own thread — with copy-set queues, demand-driven
+// acknowledgments, end-of-work propagation, panic containment, first-error
+// cancellation and per-copy time accounting. An engine parameterises it
+// through two seams: the Clock and, when some copy sets live on other
+// hosts, the Remote it sends through plus the inbound calls (Inject,
+// ProducerDone, Ack) it makes as their traffic arrives. A unit of work is
+// one call, RunUOW; its inbound traffic may arrive before that call begins.
 type Runtime struct {
 	cfg  Config
 	cost Cost // cfg.Clock's cost model, nil on a plain clock
@@ -36,12 +36,12 @@ type Runtime struct {
 	hostOf    map[string][]string
 	copies    map[string][]*instance
 
-	// cur is the unit of work in flight (the inbound port reads it from the
-	// engine's receive goroutines). phaseMu is held for each phase call: a
-	// distributed engine calls the phases from different goroutines with
-	// only a network round trip in between, which the memory model ignores.
-	cur     atomic.Pointer[uow]
-	phaseMu sync.Mutex
+	// cur is the newest unit of work with state here: the one RunUOW runs,
+	// or the next one, created by inbound traffic that arrived first (the
+	// inbound port reads it from the engine's receive goroutines). unitMu
+	// serialises creating it.
+	cur    atomic.Pointer[uow]
+	unitMu sync.Mutex
 
 	done   chan struct{}
 	failMu sync.Mutex
@@ -62,7 +62,7 @@ type Config struct {
 
 	Policies    PolicyConfig
 	QueueCap    int // per-copy-set queue capacity in buffers; 0 = DefaultQueueCap
-	BufferBytes int // buffer size RunUOW proposes; 0 = DefaultBufferBytes
+	BufferBytes int // every stream's Ctx.BufferBytes; 0 = DefaultBufferBytes
 	Obs         *obs.Observer
 }
 
@@ -158,6 +158,9 @@ func New(cfg Config) *Runtime {
 	rt.cost, _ = cfg.Clock.(Cost)
 	if rt.qcap <= 0 {
 		rt.qcap = DefaultQueueCap
+	}
+	if rt.cfg.BufferBytes <= 0 {
+		rt.cfg.BufferBytes = DefaultBufferBytes
 	}
 	if reg := cfg.Obs.Registry(); reg != nil {
 		p := cfg.Engine
@@ -309,12 +312,11 @@ func (rt *Runtime) Done() <-chan struct{} { return rt.done }
 
 // uow is the state of one unit of work.
 type uow struct {
-	index   int
-	work    any
-	stats   *Stats
-	streams map[string]*stream
-	order   []*stream // Config.Streams order: an Edge's Stream indexes it
-	ctxs    []*Copy   // graph filter order, then global copy order
+	index int
+	work  any
+	stats *Stats    // the unit's accounting on this runtime's copies
+	order []*stream // Config.Streams order: an Edge's Stream indexes it
+	ctxs  []*Copy   // graph filter order, then global copy order
 }
 
 func (u *uow) cancel() {
@@ -343,48 +345,11 @@ type stream struct {
 	stats     *StreamStats
 	m         streamMetrics
 
-	// DeclareBuffer bounds {min, max} gathered during Init, and the size
-	// resolved from them.
-	declMu   sync.Mutex
-	decl     [2]int
-	bufBytes int
-
 	// closeMu orders the end-of-work close against Inject: a stale or
 	// duplicated producer-done marker can close the queues while a peer's
 	// buffer is still arriving, and a send on a closed channel panics.
 	closeMu sync.RWMutex
 	closed  bool
-}
-
-// Declare folds one DeclareBuffer disclosure into the bounds d = {min,
-// max}: the largest minimum and the smallest positive maximum win. The
-// runtime applies it per stream, the distributed coordinator across hosts.
-func Declare(d [2]int, minBytes, maxBytes int) [2]int {
-	if minBytes > d[0] {
-		d[0] = minBytes
-	}
-	if maxBytes > 0 && (d[1] == 0 || maxBytes < d[1]) {
-		d[1] = maxBytes
-	}
-	return d
-}
-
-// ResolveSizes chooses every stream's buffer size from the gathered
-// declarations: def (DefaultBufferBytes when not positive) clamped into the
-// stream's declared bounds.
-func ResolveSizes(streams []StreamSpec, decls map[string][2]int, def int) map[string]int {
-	if def <= 0 {
-		def = DefaultBufferBytes
-	}
-	sizes := make(map[string]int, len(streams))
-	for _, sp := range streams {
-		d := decls[sp.Name]
-		sizes[sp.Name] = max(def, d[0])
-		if d[1] > 0 {
-			sizes[sp.Name] = min(sizes[sp.Name], d[1])
-		}
-	}
-	return sizes
 }
 
 // producerDone records one finished producer copy; the last one closes the
@@ -401,20 +366,38 @@ func (st *stream) producerDone() {
 	st.closeMu.Unlock()
 }
 
-// Init starts unit of work index: it builds the queues and per-copy
-// contexts, runs every local copy's Init concurrently and returns the
-// buffer-size bounds they declared, keyed by stream. The whole unit's
-// accounting lands in into.
-func (rt *Runtime) Init(index int, work any, into *Stats) (map[string][2]int, error) {
-	rt.phaseMu.Lock()
-	defer rt.phaseMu.Unlock()
-	if err := rt.Err(); err != nil {
-		return nil, err
+// unit returns unit of work index's state, creating it on first touch:
+// by RunUOW, or by inbound traffic that arrived first. Inbound traffic may
+// create only a unit newer than the current one; for an older unit it gets
+// nil.
+func (rt *Runtime) unit(index int, inbound bool) *uow {
+	if u := rt.cur.Load(); u != nil && u.index == index {
+		return u
 	}
-	u := &uow{index: index, work: work, stats: into, streams: make(map[string]*stream, len(rt.cfg.Streams))}
+	rt.unitMu.Lock()
+	defer rt.unitMu.Unlock()
+	u := rt.cur.Load()
+	switch {
+	case u != nil && u.index == index:
+		return u
+	case inbound && u != nil && u.index > index:
+		return nil
+	}
+	u = rt.newUOW(index)
+	rt.cur.Store(u)
+	if rt.Err() != nil {
+		u.cancel() // an Abort raced the build and saw the previous unit
+	}
+	return u
+}
+
+// newUOW builds unit of work index's queues and per-copy contexts, which
+// account into a fresh Stats.
+func (rt *Runtime) newUOW(index int) *uow {
+	u := &uow{index: index, stats: rt.NewStats()}
 	for i, sp := range rt.cfg.Streams {
 		st := &stream{
-			spec: sp, index: i, stats: into.Streams[sp.Name], m: rt.m.streams[sp.Name],
+			spec: sp, index: i, stats: u.stats.Streams[sp.Name], m: rt.m.streams[sp.Name],
 			producers: NewCountdown(len(rt.hostOf[sp.From])),
 			acks:      make([]AckQueue, len(rt.hostOf[sp.From])),
 		}
@@ -432,79 +415,34 @@ func (rt *Runtime) Init(index int, work any, into *Stats) (map[string][2]int, er
 			st.queues = append(st.queues, q)
 		}
 		st.counts = NewCounts(len(st.hosts))
-		u.streams[sp.Name] = st
 		u.order = append(u.order, st)
 	}
 	for _, name := range rt.cfg.Filters {
-		fs := into.size(name, len(rt.hostOf[name]))
+		fs := u.stats.size(name, len(rt.hostOf[name]))
 		for _, in := range rt.copies[name] {
 			u.ctxs = append(u.ctxs, rt.newCopy(u, in, fs))
 		}
 	}
-	rt.cur.Store(u)
-	if rt.Err() != nil {
-		u.cancel() // an Abort raced the build and saw the previous unit
-	}
-
-	if err := rt.phase(u, "init", func(c *Copy) error { return c.in.filter.Init(c) }); err != nil {
-		return nil, err
-	}
-	decls := make(map[string][2]int)
-	for _, st := range u.order {
-		if st.decl != [2]int{} {
-			decls[st.spec.Name] = st.decl
-		}
-	}
-	return decls, nil
+	return u
 }
 
-// Process runs every local copy's Process concurrently with the resolved
-// buffer sizes, propagating end-of-work: when the last producer copy of a
-// stream finishes, its copy-set queues close. The first failing copy
-// aborts the rest.
-func (rt *Runtime) Process(sizes map[string]int) error {
-	rt.phaseMu.Lock()
-	defer rt.phaseMu.Unlock()
-	u := rt.cur.Load()
-	if u == nil {
-		return fmt.Errorf("%s: Process before Init", rt.cfg.Engine)
+// RunUOW runs unit of work index, once per index, in increasing order:
+// every local copy runs Init, Process and Finalize back to back on its own
+// thread, and end-of-work propagates as each copy's Process returns. The
+// first failing copy aborts the run. It returns the unit's accounting on
+// this runtime's copies, for the engine to merge into its run total — also
+// on failure, so a failed run still reports what was delivered.
+func (rt *Runtime) RunUOW(index int, work any) (*Stats, error) {
+	if err := rt.Err(); err != nil {
+		return nil, err
 	}
-	for name, st := range u.streams {
-		st.bufBytes = sizes[name]
-	}
-	err := rt.phase(u, "process", func(c *Copy) error { return c.in.filter.Process(c) })
-	// Folded before any error return, so a failed run still reports what
-	// was delivered.
+	u := rt.unit(index, false)
+	u.work = work
+	err := rt.cycle(u)
 	for _, st := range u.order {
 		st.counts.Fold(st.hosts, st.stats.PerTargetHost)
 	}
-	return err
-}
-
-// Finalize runs every local copy's Finalize concurrently, completing the
-// unit of work, and returns the Stats it accounted into.
-func (rt *Runtime) Finalize() (*Stats, error) {
-	rt.phaseMu.Lock()
-	defer rt.phaseMu.Unlock()
-	u := rt.cur.Load()
-	if u == nil {
-		return nil, fmt.Errorf("%s: Finalize before Init", rt.cfg.Engine)
-	}
-	return u.stats, rt.phase(u, "finalize", func(c *Copy) error { return c.in.filter.Finalize(c) })
-}
-
-// RunUOW runs one unit of work's three phases back to back, resolving the
-// buffer sizes from Config.BufferBytes in between.
-func (rt *Runtime) RunUOW(index int, work any, into *Stats) error {
-	decls, err := rt.Init(index, work, into)
-	if err != nil {
-		return err
-	}
-	if err := rt.Process(ResolveSizes(rt.cfg.Streams, decls, rt.cfg.BufferBytes)); err != nil {
-		return err
-	}
-	_, err = rt.Finalize()
-	return err
+	return u.stats, err
 }
 
 // Run executes the units of work in order (one nil unit when uows is
@@ -530,7 +468,9 @@ func (rt *Runtime) Run(uows []any, schedule []elastic.ScaleStep, into *Stats) er
 			elastic.RecordScaleDiff(rt.cfg.Obs, old, next, i)
 		}
 		t0 := now()
-		if err := rt.RunUOW(i, work, into); err != nil {
+		frag, err := rt.RunUOW(i, work)
+		into.Merge(frag)
+		if err != nil {
 			return err
 		}
 		into.PerUOWSeconds = append(into.PerUOWSeconds, now()-t0)
@@ -539,36 +479,23 @@ func (rt *Runtime) Run(uows []any, schedule []elastic.ScaleStep, into *Stats) er
 	return nil
 }
 
-// phase runs one phase of every local copy, each on its own thread, with
-// panic containment and time accounting: wall time in the phase, minus time
-// blocked on streams, is busy time (so Init and Finalize work counts as
-// busy). Process is also bracketed by trace events and followed by the cost
-// model's drain and end-of-work propagation. A failing copy aborts the run.
-func (rt *Runtime) phase(u *uow, label string, call func(*Copy) error) error {
-	clock, process := rt.cfg.Clock, label == "process"
+// cycle runs every local copy's work cycle (Copy.cycle), each on its own
+// thread, with time accounting: wall time in the cycle, minus time blocked
+// on streams, is busy time (so Init and Finalize work counts as busy). A
+// failing copy aborts the run.
+func (rt *Runtime) cycle(u *uow) error {
+	clock := rt.cfg.Clock
 	clockErr := clock.Run(len(u.ctxs),
 		func(i int) string { // virtual-clock process names
 			in := u.ctxs[i].in
-			if process {
-				return fmt.Sprintf("%s#%d@%s", in.name, in.index, in.host)
-			}
-			return fmt.Sprintf("%s-%s#%d", label, in.name, in.index)
+			return fmt.Sprintf("%s#%d@%s", in.name, in.index, in.host)
 		},
 		func(i int, th Thread) {
 			c := u.ctxs[i]
 			c.th = th
-			if process {
-				c.emit(obs.KindProcessStart)
-			}
 			t0 := clock.Now()
-			err := c.contain(label, call)
-			if process && rt.cost != nil {
-				rt.cost.Drain(c)
-			}
+			err := c.cycle()
 			wall := clock.Now() - t0
-			if process {
-				c.emit(obs.KindProcessEnd)
-			}
 			// A buffer's transfer time is time the copy could not compute:
 			// it counts as write-blocked.
 			k := c.in.index
@@ -576,10 +503,6 @@ func (rt *Runtime) phase(u *uow, label string, call func(*Copy) error) error {
 			c.fs.BusySeconds[k] += wall - c.readBlocked - c.writeBlocked - c.net
 			c.fs.ReadBlockedSeconds[k] += c.readBlocked
 			c.fs.WriteBlockedSeconds[k] += c.writeBlocked + c.net
-			c.readBlocked, c.writeBlocked, c.net = 0, 0, 0
-			if process {
-				c.endOfWork()
-			}
 			if err != nil {
 				rt.Abort(err)
 			}
@@ -592,16 +515,21 @@ func (rt *Runtime) phase(u *uow, label string, call func(*Copy) error) error {
 
 // ---- Inbound port: the twin of Remote ----
 //
-// Messages from a unit of work other than the one in flight are stale —
-// streams repeat every unit, so a late acknowledgment would corrupt the new
-// unit's demand counts — and are dropped, as are out-of-range streams.
+// A message for a unit of work newer than the current one creates that
+// unit's state: another host may start the unit, and send its first
+// frames, before this host's RunUOW for it begins. A message for an older
+// unit is stale — streams repeat every unit, so a late acknowledgment would
+// corrupt the new unit's demand counts — and is dropped, as are
+// out-of-range streams.
 
 func (rt *Runtime) inbound(uowIdx, stream int) *stream {
-	u := rt.cur.Load()
-	if u == nil || u.index != uowIdx || stream < 0 || stream >= len(u.order) {
+	if stream < 0 || stream >= len(rt.cfg.Streams) {
 		return nil
 	}
-	return u.order[stream]
+	if u := rt.unit(uowIdx, true); u != nil {
+		return u.order[stream]
+	}
+	return nil
 }
 
 // Inject enqueues a buffer that arrived from another host on this host's

@@ -151,9 +151,11 @@ func runDiamond(t *testing.T, clock exec.Clock) (*record, *exec.Stats, []obs.Eve
 	}
 	st := rt.NewStats()
 	for u := 0; u < diaUOWs; u++ {
-		if err := rt.RunUOW(u, nil, st); err != nil {
+		frag, err := rt.RunUOW(u, nil)
+		if err != nil {
 			t.Fatalf("uow %d: %v", u, err)
 		}
+		st.Merge(frag)
 	}
 	return rec, st, ring.Events()
 }
@@ -280,7 +282,10 @@ func TestRuntimeCancellationUnblocksPutAndGet(t *testing.T) {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
-			go func() { done <- rt.RunUOW(0, nil, rt.NewStats()) }()
+			go func() {
+				_, err := rt.RunUOW(0, nil)
+				done <- err
+			}()
 			var err error
 			select {
 			case err = <-done:
@@ -304,7 +309,7 @@ func TestRuntimeCancellationUnblocksPutAndGet(t *testing.T) {
 			default:
 				t.Fatal("Done not closed after the abort")
 			}
-			if _, err := rt.Init(1, nil, rt.NewStats()); err == nil {
+			if _, err := rt.RunUOW(1, nil); err == nil {
 				t.Fatal("an aborted runtime started another unit of work")
 			}
 		})
@@ -340,7 +345,7 @@ func TestRuntimePlaceRetiresAndCloses(t *testing.T) {
 	if closed != 1 || len(b) != 3 || b[0] != a[0] || b[1] != a[2] {
 		t.Fatalf("closed=%d, survivors kept: %v", closed, b[0] == a[0] && b[1] == a[2])
 	}
-	if err := rt.RunUOW(0, nil, rt.NewStats()); err != nil {
+	if _, err := rt.RunUOW(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	rt.Close()
@@ -349,20 +354,94 @@ func TestRuntimePlaceRetiresAndCloses(t *testing.T) {
 	}
 }
 
-// The buffer-size rule, once: the largest declared minimum and the smallest
-// declared maximum bound the default.
-func TestDeclareAndResolveSizes(t *testing.T) {
-	d := exec.Declare(exec.Declare([2]int{}, 64, 0), 128, 4096)
-	if d = exec.Declare(d, 0, 8192); d != [2]int{128, 4096} {
-		t.Fatalf("merged bounds = %v", d)
-	}
-	streams := []exec.StreamSpec{{Name: "lo"}, {Name: "hi"}, {Name: "free"}}
-	sizes := exec.ResolveSizes(streams, map[string][2]int{"lo": {1 << 20, 0}, "hi": {0, 4096}}, 0)
-	want := map[string]int{"lo": 1 << 20, "hi": 4096, "free": exec.DefaultBufferBytes}
-	if !reflect.DeepEqual(sizes, want) {
-		t.Fatalf("sizes = %v, want %v", sizes, want)
-	}
+// Negative option values are refused; zero selects the default.
+func TestCheckOptions(t *testing.T) {
 	if err := exec.CheckOptions("x", -1, 0); err == nil || !strings.Contains(err.Error(), "QueueCap") {
 		t.Fatalf("negative QueueCap: %v", err)
+	}
+	if err := exec.CheckOptions("x", 0, -1); err == nil || !strings.Contains(err.Error(), "BufferBytes") {
+		t.Fatalf("negative BufferBytes: %v", err)
+	}
+	if err := exec.CheckOptions("x", 0, 0); err != nil {
+		t.Fatalf("defaults refused: %v", err)
+	}
+}
+
+// nopRemote is the Remote of a host whose copies send nothing off-host.
+type nopRemote struct{}
+
+func (nopRemote) Deliver(string, exec.Edge, exec.Buffer, int) error { return nil }
+func (nopRemote) ProducerDone(string, int, int)                     {}
+func (nopRemote) Ack(string, exec.Edge, int)                        {}
+
+// earlySink records what it reads per unit of work and calls after once a
+// unit, after its first read.
+type earlySink struct {
+	exec.BaseFilter
+	got   map[int][]string
+	after func()
+}
+
+func (k *earlySink) Process(ctx exec.Ctx) error {
+	for first := true; ; first = false {
+		b, ok := ctx.Read("s")
+		if !ok {
+			return nil
+		}
+		k.got[ctx.UOW()] = append(k.got[ctx.UOW()], b.Payload.(string))
+		if first && k.after != nil {
+			k.after()
+		}
+	}
+}
+
+// The inbound port on a host whose producers all run elsewhere: a peer may
+// start unit n, and send its frames, before RunUOW(n) begins here, and a
+// frame of unit n-1 may still arrive during unit n.
+func TestInboundFramesBeforeRunUOW(t *testing.T) {
+	leakcheck.Check(t)
+	sink := &earlySink{got: map[int][]string{}}
+	rt := exec.New(exec.Config{
+		Engine: "test", Clock: exec.Wall(), Host: "sink", Remote: nopRemote{},
+		Filters: []string{"S", "K"},
+		Streams: []exec.StreamSpec{{Name: "s", From: "S", To: "K"}},
+		New:     func(string) (exec.Filter, error) { return sink, nil },
+	})
+	if err := rt.Place([]elastic.Entry{{Filter: "S", Host: "src", Copies: 1}, {Filter: "K", Host: "sink", Copies: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	edge := func(u int) exec.Edge { return exec.Edge{UOW: u} }
+	buf := func(p string) exec.Buffer { return exec.Buffer{Payload: p, Size: 1} }
+
+	// Unit 0 arrives whole, buffer and end-of-work, before RunUOW(0).
+	if !rt.Inject(edge(0), buf("0"), 0, nil) {
+		t.Fatal("unit 0's buffer, arriving before RunUOW(0), was not taken")
+	}
+	rt.ProducerDone(0, 0)
+	if _, err := rt.RunUOW(0, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Unit 1's first buffer arrives early; during the unit, unit 0's late
+	// buffer and end-of-work are dropped, and unit 1's own keep coming.
+	if !rt.Inject(edge(1), buf("1"), 0, nil) {
+		t.Fatal("unit 1's buffer, arriving before RunUOW(1), was not taken")
+	}
+	var staleTaken, lateTaken bool
+	sink.after = func() {
+		staleTaken = rt.Inject(edge(0), buf("stale"), 0, nil)
+		rt.ProducerDone(0, 0)
+		lateTaken = rt.Inject(edge(1), buf("1b"), 0, nil)
+		rt.ProducerDone(1, 0)
+	}
+	if _, err := rt.RunUOW(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if staleTaken || !lateTaken {
+		t.Fatalf("during unit 1: unit 0's buffer taken = %v, unit 1's taken = %v", staleTaken, lateTaken)
+	}
+	want := map[int][]string{0: {"0"}, 1: {"1", "1b"}}
+	if !reflect.DeepEqual(sink.got, want) {
+		t.Fatalf("the sink read %v, want %v", sink.got, want)
 	}
 }

@@ -22,7 +22,7 @@ type FilterStats struct {
 	// excluding time blocked reading from or writing to streams (compute
 	// time).
 	BusySeconds []float64
-	// WallSeconds is per-copy total time inside the three phases.
+	// WallSeconds is per-copy total time inside Init, Process and Finalize.
 	WallSeconds []float64
 	// ReadBlockedSeconds / WriteBlockedSeconds are per-copy stream stall
 	// times; a buffer's transfer time (modelled NIC occupation, a wire

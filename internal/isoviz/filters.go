@@ -200,11 +200,12 @@ func (f *ExtractFilter) Process(ctx core.Ctx) error {
 // sendZBuffer ships the full z-buffer in fixed-size chunks on out. This is
 // the pixel-merging phase of the z-buffer algorithm: it happens only after
 // the end-of-work marker, the synchronization point that stalls the
-// pipeline (paper §3.1.2), and it transmits inactive pixels too. The planes
-// go with it: a frame that fits one buffer ships as its own planes, and a
-// larger one is copied out and its planes return to the free lists.
+// pipeline (paper §3.1.2), and it transmits inactive pixels too. The dump
+// wants large buffers: at least ZFrameBufferBytes. The planes go with it: a
+// frame that fits one buffer ships as its own planes, and a larger one is
+// copied out and its planes return to the free lists.
 func sendZBuffer(ctx core.Ctx, z *render.ZBuffer, out string) error {
-	pxPerBuf := max(ctx.BufferBytes(out)/render.ZPixelBytes, 1)
+	pxPerBuf := max(ctx.BufferBytes(out), ZFrameBufferBytes) / render.ZPixelBytes
 	total := z.W * z.H
 	if 0 < total && total <= pxPerBuf {
 		chunk := ZChunk{Depth: z.Depth, Color: z.Color}
@@ -237,16 +238,12 @@ type RasterZFilter struct {
 
 // Init implements core.Filter: the z-buffer is initialized per unit of work
 // (paper §3.1.2), on planes from the free lists — those M handed back after
-// merging an earlier frame — so clearing takes the place of allocating. The
-// filter discloses that it wants large buffers for the frame dump; the WPA
-// variant instead asks for small ones (paper §2: filters disclose buffer
-// bounds, the runtime picks the size).
+// merging an earlier frame — so clearing takes the place of allocating.
 func (f *RasterZFilter) Init(ctx core.Ctx) error {
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
 	}
-	ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
 	f.z = clearedZBuffer(view)
 	f.rr.Reset(view.Camera, view.Width, view.Height)
 	return nil
@@ -304,14 +301,12 @@ type RasterAPFilter struct {
 	werr error    // the unit of work's first failed write
 }
 
-// Init implements core.Filter. Buffer sizes resolve after the init phase,
-// so the WPA itself is sized on each Process call.
+// Init implements core.Filter.
 func (f *RasterAPFilter) Init(ctx core.Ctx) error {
 	view, err := viewOf(ctx)
 	if err != nil {
 		return err
 	}
-	ctx.DeclareBuffer(f.Out, 0, WPABufferBytes)
 	f.view = view
 	return nil
 }
@@ -322,7 +317,9 @@ func (f *RasterAPFilter) Process(ctx core.Ctx) error {
 	if f.Bands > 0 {
 		f.rr.SetScissor(render.Band(f.view.Height, f.Bands, f.Band))
 	}
-	capPixels := max(ctx.BufferBytes(f.Out)/render.PixelBytes, 1)
+	// Small WPA flushes, at most WPABufferBytes, let merging overlap raster
+	// work.
+	capPixels := max(min(ctx.BufferBytes(f.Out), WPABufferBytes)/render.PixelBytes, 1)
 	f.ap = render.NewActivePixels(f.view.Width, f.view.Height, capPixels, f.send)
 	f.ctx, f.werr = ctx, nil
 	defer func() { f.ctx = nil }()

@@ -163,7 +163,7 @@ type modelAPEmitter struct {
 }
 
 func newModelAPEmitter(ctx core.Ctx, out string) *modelAPEmitter {
-	capE := ctx.BufferBytes(out) / render.PixelBytes
+	capE := min(ctx.BufferBytes(out), WPABufferBytes) / render.PixelBytes
 	if capE < 1 {
 		capE = 1
 	}
@@ -195,7 +195,7 @@ func (e *modelAPEmitter) flushInput(ctx core.Ctx) error {
 // emitModelZFrame ships a full modeled z-buffer in fixed-size buffers (the
 // z-buffer algorithm's pixel-merging phase).
 func emitModelZFrame(ctx core.Ctx, view View, out string) error {
-	pxPerBuf := ctx.BufferBytes(out) / render.ZPixelBytes
+	pxPerBuf := max(ctx.BufferBytes(out), ZFrameBufferBytes) / render.ZPixelBytes
 	if pxPerBuf < 1 {
 		pxPerBuf = 1
 	}
@@ -232,11 +232,6 @@ func (f *ModelRaster) Init(ctx core.Ctx) error {
 	}
 	f.view = view
 	f.pxPerTri = f.Costs.PxPerTri(view, f.W.TotalTris(view.Timestep))
-	if f.Alg == ZBuffer {
-		ctx.DeclareBuffer(f.Out, ZFrameBufferBytes, 0)
-	} else {
-		ctx.DeclareBuffer(f.Out, 0, WPABufferBytes)
-	}
 	f.ap = nil
 	return nil
 }

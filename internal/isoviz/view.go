@@ -111,12 +111,11 @@ type PixBatch struct {
 // Bytes returns the batch's serialized size.
 func (p PixBatch) Bytes() int { return len(p.Pixels) * render.PixelBytes }
 
-// Buffer-size preferences the raster filters disclose for their output
-// stream (paper §2: a filter declares minimum and optional maximum buffer
-// sizes; the runtime chooses the actual size). The z-buffer algorithm dumps
-// whole frames and wants big buffers; the active-pixel algorithm streams
-// winning-pixel arrays and keeps them small so merging overlaps raster
-// work.
+// Buffer-size bounds the raster filters apply to the run's buffer size on
+// their output stream. The z-buffer algorithm dumps whole frames and wants
+// big buffers (at least ZFrameBufferBytes); the active-pixel algorithm
+// streams winning-pixel arrays and keeps them small (at most
+// WPABufferBytes) so merging overlaps raster work.
 const (
 	ZFrameBufferBytes = 2 << 20
 	WPABufferBytes    = 64 << 10

@@ -32,8 +32,8 @@ type Options struct {
 	StreamPolicy map[string]core.Policy
 	// QueueCap is the per-copy-set queue capacity in buffers (default 8).
 	QueueCap int
-	// BufferBytes is the default stream buffer size (default 256 KiB),
-	// clamped by DeclareBuffer bounds.
+	// BufferBytes is the stream buffer size every copy reads from
+	// Ctx.BufferBytes (default 256 KiB); a producer may clamp it.
 	BufferBytes int
 	// AckBytes is the size of a DD acknowledgment message (default 64).
 	AckBytes int
