@@ -290,7 +290,8 @@ func runDemoDist(o *obs.Observer, d demoConfig) (*core.Stats, error) {
 	if d.dir != "" {
 		spec, err = isoviz.DistGraphStore(isoviz.StoreREParams{Dir: d.dir}, isoviz.ActivePixel)
 	} else {
-		spec, err = isoviz.DistGraphField(demoField(d.seed), isoviz.ActivePixel)
+		field := demoField(d.seed)
+		spec, err = isoviz.ReadExtract.DistGraph(isoviz.ActivePixel, nil, &field)
 		timestep = demoFieldTimestep
 	}
 	if err != nil {

@@ -256,9 +256,9 @@ func main() {
 // synthetic field otherwise.
 func pipelineGraph(store isoviz.StoreREParams, field isoviz.FieldREParams) (dist.GraphSpec, error) {
 	if store.Dir != "" {
-		return isoviz.DistGraphStore(store, isoviz.ActivePixel)
+		return isoviz.ReadExtract.DistGraph(isoviz.ActivePixel, &store, nil)
 	}
-	return isoviz.DistGraphField(field, isoviz.ActivePixel)
+	return isoviz.ReadExtract.DistGraph(isoviz.ActivePixel, nil, &field)
 }
 
 // fetchWorkers lists the server's registered workers (host-ordered).

@@ -32,7 +32,7 @@ func main() {
 
 	// 2. The pipeline spec: reconstructable worker-side from parameters.
 	params := isoviz.FieldREParams{Seed: 42, Plumes: 4, GX: 65, GY: 65, GZ: 65, BX: 4, BY: 4, BZ: 4}
-	spec, err := isoviz.DistGraphField(params, isoviz.ActivePixel)
+	spec, err := isoviz.ReadExtract.DistGraph(isoviz.ActivePixel, nil, &params)
 	if err != nil {
 		log.Fatal(err)
 	}

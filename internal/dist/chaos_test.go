@@ -246,7 +246,7 @@ func TestChaosKillMidUOWRecovers(t *testing.T) {
 	addrs, workers := startChaosWorkers(t, 3, map[string]string{
 		"host1": "kill=data:5",
 	})
-	spec, err := isoviz.DistGraphField(p, isoviz.ZBuffer)
+	spec, err := isoviz.ReadExtract.DistGraph(isoviz.ZBuffer, nil, &p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,11 @@ func (e *HostsError) Error() string {
 
 func (e *HostsError) Unwrap() error { return e.Err }
 
+// setupRefused is a worker's refusal of a setup for an application reason —
+// a filter kind not registered, params its builder rejects, a placement it
+// cannot run: the spec is at fault, not the host, so no host is charged.
+type setupRefused struct{ error }
+
 // attributeHosts wraps err with the implicated hosts when there are any.
 func attributeHosts(err error, hosts []string) error {
 	if err == nil || len(hosts) == 0 {
@@ -214,8 +219,9 @@ type coordinator struct {
 // of an earlier round — an aborted attempt, a rescale, another coordinator
 // of the same job id — can reach them. Every host whose dial or setup
 // failed is attributed — unless the run's context was cancelled, which is
-// the caller's doing, not the workers'. The hosts that did set up stay in
-// co.links, for the round's end to release.
+// the caller's doing, not the workers', or a worker refused the spec, which
+// is the application's. The hosts that did set up stay in co.links, for the
+// round's end to release.
 func (co *coordinator) connectAll() error {
 	id := rand.Uint64N(math.MaxUint64) + 1
 	hosts := co.hostNames()
@@ -231,15 +237,19 @@ func (co *coordinator) connectAll() error {
 	}
 	wg.Wait()
 	var failed []string
+	refused := false
 	for i, host := range hosts {
-		if errs[i] != nil {
-			failed = append(failed, host)
-		} else {
+		switch {
+		case errs[i] == nil:
 			co.links[host] = links[i]
+		case errors.As(errs[i], new(setupRefused)):
+			refused = true
+		default:
+			failed = append(failed, host)
 		}
 	}
 	err := errors.Join(errs...)
-	if err == nil || co.ctx.Err() != nil {
+	if err == nil || refused || co.ctx.Err() != nil {
 		return err
 	}
 	return attributeHosts(err, failed)
@@ -262,7 +272,8 @@ func (co *coordinator) hostNames() []string {
 // not the worker's failure: the host's idle links are dropped and it is
 // dialed afresh. A setup timeout is, on either kind of link. A "worker
 // busy" refusal is retried briefly: after a cancelled run, whose round ends
-// unconfirmed, the next setup can race the old session's last breath.
+// unconfirmed, the next setup can race the old session's last breath. Any
+// refusal but "busy" and "draining" is the spec's fault: a setupRefused.
 func (co *coordinator) connectHost(host, addr string, setupID uint64) (*hostLink, error) {
 	busyDeadline := time.Now().Add(co.opts.hbTimeout() + 2*time.Second)
 	backoff := 10 * time.Millisecond
@@ -304,9 +315,12 @@ func (co *coordinator) connectHost(host, addr string, setupID uint64) (*hostLink
 			if backoff *= 2; backoff > 200*time.Millisecond {
 				backoff = 200 * time.Millisecond
 			}
-		case f.Kind == kindFail:
+		case f.Kind == kindFail && (f.Err == busyMsg || f.Err == drainingMsg):
 			c.close()
 			return nil, fmt.Errorf("dist: worker %s: %s", host, f.Err)
+		case f.Kind == kindFail:
+			c.close()
+			return nil, setupRefused{fmt.Errorf("dist: worker %s: %s", host, f.Err)}
 		case f.Kind != kindSetupOK:
 			c.close()
 			return nil, fmt.Errorf("dist: worker %s: unexpected setup reply %d", host, f.Kind)

@@ -229,6 +229,10 @@ func TestDistributedUnknownKindRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown filter kind accepted")
 	}
+	// A bad spec is the application's error: it implicates no worker.
+	if he := (*dist.HostsError)(nil); errors.As(err, &he) {
+		t.Fatalf("unknown filter kind charged to hosts %v: %v", he.Hosts, err)
+	}
 }
 
 func TestDistributedMissingWorkerAddress(t *testing.T) {
@@ -298,7 +302,7 @@ func TestDistributedIsosurfaceRender(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			leakcheck.Check(t)
 			addrs, workers := startWorkers(t, 3)
-			spec, err := isoviz.DistGraphField(p, alg)
+			spec, err := isoviz.ReadExtract.DistGraph(alg, nil, &p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,27 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 
 	"datacutter/internal/geom"
 	"datacutter/internal/render"
+	"datacutter/internal/volume"
 	"datacutter/internal/wirebin"
 )
 
-// Wire codecs for the dist payloads that cross hosts: indexed triangle
-// batches (E->Ra) and the two pixel-run shapes (Ra->M). Each is a count
-// header plus bulk little-endian field data, encoded straight into the
-// connection's pooled frame buffer. Append is the sender's last use of a
-// payload (dist.PayloadCodec), so each encoder hands the storage it has
-// just copied out back to the free lists (recycle.go). Registered in
+// Wire codecs for the dist payloads that cross hosts: chunk volumes (R->E),
+// indexed triangle batches (E->Ra) and the two pixel-run shapes (Ra->M).
+// Each is a count header plus bulk little-endian field data, encoded into
+// the connection's pooled frame buffer. Append is the sender's last use of
+// a payload (dist.PayloadCodec), so each encoder hands the storage it has
+// copied out back to the free lists (recycle.go). Registered in
 // distfilters.go.
 //
 // Codec ids (dist reserves 1–255 for built-ins; applications start at 256;
 // conformance uses 512).
 const (
-	codecTriBatch uint16 = 256
-	codecPixBatch uint16 = 257
-	codecZChunk   uint16 = 258
+	codecTriBatch   uint16 = 256
+	codecPixBatch   uint16 = 257
+	codecZChunk     uint16 = 258
+	codecVoxelBlock uint16 = 259
 )
 
 // The bulk encoders view a mesh's vertex and index planes as the flat
@@ -209,3 +212,50 @@ func (zChunkCodec) Decode(body []byte) (any, error) {
 }
 
 func (zChunkCodec) ZeroCopy() bool { return false }
+
+// voxelBlockCodec: 10 × u32 (block X0 Y0 Z0 NX NY NZ GX GY GZ Index) |
+// NX·NY·NZ f32 samples. A zero extent, a block outside its grid or a body
+// whose length disagrees with its sample count fails before any allocation.
+type voxelBlockCodec struct{}
+
+func (voxelBlockCodec) Append(dst []byte, v any) ([]byte, error) {
+	b, ok := v.(VoxelBlock)
+	if !ok {
+		return nil, fmt.Errorf("isoviz: VoxelBlock codec got %T", v)
+	}
+	k := b.V.Block
+	if len(b.V.Data) != k.Samples() {
+		return nil, fmt.Errorf("isoviz: VoxelBlock has %d samples for %v", len(b.V.Data), k)
+	}
+	for _, x := range [...]int{k.X0, k.Y0, k.Z0, k.NX, k.NY, k.NZ, k.GX, k.GY, k.GZ, k.Index} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
+	}
+	dst = wirebin.AppendFloat32s(dst, b.V.Data)
+	recycleVolume(b.V)
+	return dst, nil
+}
+
+func (voxelBlockCodec) Decode(body []byte) (any, error) {
+	if len(body) < 40 {
+		return nil, fmt.Errorf("isoviz: VoxelBlock payload truncated")
+	}
+	var h [10]int
+	for i := range h {
+		h[i] = int(binary.LittleEndian.Uint32(body[4*i:]))
+	}
+	for d := 0; d < 3; d++ {
+		if h[3+d] == 0 || h[d]+h[3+d] > h[6+d] {
+			return nil, fmt.Errorf("isoviz: VoxelBlock payload: block %v outside its grid %v", h[:6], h[6:9])
+		}
+	}
+	body = body[40:]
+	hi, n := bits.Mul64(uint64(h[3])*uint64(h[4]), uint64(h[5]))
+	if hi != 0 || len(body)%4 != 0 || n != uint64(len(body)/4) {
+		return nil, fmt.Errorf("isoviz: VoxelBlock payload: %d bytes for %d×%d×%d samples", len(body), h[3], h[4], h[5])
+	}
+	v := volume.Borrow(volume.Block{X0: h[0], Y0: h[1], Z0: h[2], NX: h[3], NY: h[4], NZ: h[5], GX: h[6], GY: h[7], GZ: h[8], Index: h[9]})
+	wirebin.Float32s(v.Data, body)
+	return VoxelBlock{V: v}, nil
+}
+
+func (voxelBlockCodec) ZeroCopy() bool { return false }

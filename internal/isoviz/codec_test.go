@@ -14,6 +14,7 @@ import (
 
 	"datacutter/internal/geom"
 	"datacutter/internal/render"
+	"datacutter/internal/volume"
 )
 
 // clonePayload deep-copies a payload. Append is the sender's last use of a
@@ -27,6 +28,10 @@ func clonePayload(v any) any {
 		return PixBatch{Pixels: slices.Clone(p.Pixels)}
 	case ZChunk:
 		return ZChunk{Off: p.Off, Depth: slices.Clone(p.Depth), Color: slices.Clone(p.Color)}
+	case VoxelBlock:
+		v := *p.V
+		v.Data = slices.Clone(v.Data)
+		return VoxelBlock{V: &v}
 	}
 	panic(fmt.Sprintf("clonePayload: %T", v))
 }
@@ -258,14 +263,66 @@ func TestZChunkDecoderRejectsPixelsBehindClear(t *testing.T) {
 	}
 }
 
+// voxelBody is a VoxelBlock body: the ten header words, then n samples.
+func voxelBody(n int, header ...uint32) []byte {
+	var b []byte
+	for _, x := range header {
+		b = binary.LittleEndian.AppendUint32(b, x)
+	}
+	for i := 0; i < n; i++ {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(i)/8))
+	}
+	return b
+}
+
+// voxelBodies are a valid 2×3×1 block at (1,0,2) of a 4×3×3 grid and the
+// hostile bodies the decoder must reject before allocating.
+var voxelBodies = []struct {
+	name string
+	body []byte
+	ok   bool
+}{
+	{"valid", voxelBody(6, 1, 0, 2, 2, 3, 1, 4, 3, 3, 7), true},
+	{"past its grid", voxelBody(6, 3, 0, 2, 2, 3, 1, 4, 3, 3, 7), false},
+	{"zero extent", voxelBody(0, 1, 0, 2, 2, 0, 1, 4, 3, 3, 7), false},
+	// 2^22 · 2^22 · 2^20 wraps to 0 samples in a uint64.
+	{"extents overflow", voxelBody(0, 0, 0, 0, 1<<22, 1<<22, 1<<20, 1<<22, 1<<22, 1<<20, 0), false},
+	// 2^62 samples are 0 bytes, mod 2^64.
+	{"bytes overflow", voxelBody(0, 0, 0, 0, 1<<31, 1<<31, 1, 1<<31, 1<<31, 1, 0), false},
+	{"one sample short", voxelBody(5, 1, 0, 2, 2, 3, 1, 4, 3, 3, 7), false},
+	{"header short", voxelBody(0, 1, 0, 2, 2, 3, 1, 4, 3, 3), false},
+}
+
+func TestVoxelBlockCodecBodies(t *testing.T) {
+	for _, tc := range voxelBodies {
+		v, err := voxelBlockCodec{}.Decode(tc.body)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: decode error %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		want := volume.Block{X0: 1, Y0: 0, Z0: 2, NX: 2, NY: 3, NZ: 1, GX: 4, GY: 3, GZ: 3, Index: 7}
+		if vb := v.(VoxelBlock); vb.V.Block != want || vb.V.NX != 2 || vb.V.NY != 3 || vb.V.NZ != 1 || vb.V.Data[5] != 5.0/8 {
+			t.Fatalf("%s: decoded %+v", tc.name, *vb.V)
+		}
+		again, err := voxelBlockCodec{}.Append(nil, v)
+		if err != nil || !bytes.Equal(again, tc.body) {
+			t.Fatalf("%s: re-encodes as %x, %v; want %x", tc.name, again, err, tc.body)
+		}
+	}
+}
+
 // FuzzPayloadCodecs feeds arbitrary bytes — a peer's frame body — to each
-// of the three decoders: none may panic, and a body one accepts must
+// of the four decoders: none may panic, and a body one accepts must
 // re-encode to exactly the same bytes. Append recycles what it encodes, so
 // the value decoded back from those bytes — possibly into the recycled
 // storage — must match a copy taken before Append. The codecs encode bit
 // for bit (NaNs included, which DeepEqual would not match), so "match" is
 // "re-encodes to the same bytes". Every TriBatch accepted indexes only its
-// own vertices, and every ZChunk accepted keeps the ZChunk invariant.
+// own vertices, every ZChunk accepted keeps the ZChunk invariant, and every
+// VoxelBlock accepted lies inside its grid and holds its block's samples.
 func FuzzPayloadCodecs(f *testing.F) {
 	tri, _ := triBatchCodec{}.Append(nil, TriBatch{geom.Mesh{P: make([]geom.Vec3, 4), N: make([]geom.Vec3, 4), Idx: []uint32{0, 1, 2, 2, 1, 3}}})
 	pix, _ := pixBatchCodec{}.Append(nil, PixBatch{Pixels: make([]render.Pixel, 3)})
@@ -277,10 +334,13 @@ func FuzzPayloadCodecs(f *testing.F) {
 	for _, b := range hostileTriBodies() {
 		f.Add(b)
 	}
+	for _, tc := range voxelBodies {
+		f.Add(tc.body)
+	}
 	codecs := []interface {
 		Append([]byte, any) ([]byte, error)
 		Decode([]byte) (any, error)
-	}{triBatchCodec{}, pixBatchCodec{}, zChunkCodec{}}
+	}{triBatchCodec{}, pixBatchCodec{}, zChunkCodec{}, voxelBlockCodec{}}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, c := range codecs {
 			v, err := c.Decode(body)
@@ -300,6 +360,13 @@ func FuzzPayloadCodecs(f *testing.F) {
 					if !(d < render.InfDepth || d == render.InfDepth && !render.Background.Less(z.Color[i])) {
 						t.Fatalf("accepted a ZChunk with pixel %d (%v, %v) behind the cleared pixel", i, d, z.Color[i])
 					}
+				}
+			}
+			if vb, ok := v.(VoxelBlock); ok {
+				k := vb.V.Block
+				if k.NX < 1 || k.NY < 1 || k.NZ < 1 || k.X0+k.NX > k.GX || k.Y0+k.NY > k.GY || k.Z0+k.NZ > k.GZ ||
+					len(vb.V.Data) != k.Samples() || vb.V.NX != k.NX || vb.V.NY != k.NY || vb.V.NZ != k.NZ {
+					t.Fatalf("accepted a VoxelBlock %v in grid %dx%dx%d with %d samples", k, k.GX, k.GY, k.GZ, len(vb.V.Data))
 				}
 			}
 			want := clonePayload(v)
@@ -332,6 +399,9 @@ func TestCodecsRejectWrongType(t *testing.T) {
 	}
 	if _, err := (zChunkCodec{}).Append(nil, TriBatch{}); err == nil {
 		t.Fatal("ZChunk codec accepted TriBatch")
+	}
+	if _, err := (voxelBlockCodec{}).Append(nil, ZChunk{}); err == nil {
+		t.Fatal("VoxelBlock codec accepted ZChunk")
 	}
 }
 

@@ -242,10 +242,18 @@ func TestHostileZChunkNeverReachesImage(t *testing.T) {
 	leakcheck.Check(t)
 	p := &framePath{t: t}
 	p.startWorkers()
+	pipeline, err := ReadExtract.DistGraph(ZBuffer, nil, &FieldREParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge := pipeline.Filters[len(pipeline.Filters)-1]
+	if merge.Name != "M" {
+		t.Fatalf("last filter of %v is %s, want M", ReadExtract, merge.Name)
+	}
 	for name := range hostilePixels {
 		params, _ := json.Marshal(name)
 		graph := dist.GraphSpec{
-			Filters: []dist.FilterSpec{{Name: "P", Kind: hostileKind, Params: params}, {Name: "M", Kind: KindMerge}},
+			Filters: []dist.FilterSpec{{Name: "P", Kind: hostileKind, Params: params}, merge},
 			Streams: []core.StreamSpec{{Name: StreamPixels, From: "P", To: "M"}},
 		}
 		placement := []dist.PlacementEntry{{Filter: "P", Host: "w0", Copies: 1}, {Filter: "M", Host: "w1", Copies: 1}}

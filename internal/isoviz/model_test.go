@@ -318,7 +318,8 @@ func TestTriangleBatchBoundariesPinned(t *testing.T) {
 	sink := &batchCheck{cap: (24 << 10) / geom.TriangleBytes}
 	g := core.NewGraph()
 	g.AddFilter("RE", func() core.Filter {
-		return fuseRE(&ReadFilter{Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamVoxels})
+		read := &ReadFilter{Source: src, Assign: AssignByCopy(src.Chunks()), Out: StreamVoxels}
+		return core.Fuse(read, &ExtractFilter{In: StreamVoxels, Out: StreamTriangles}, StreamVoxels)
 	})
 	g.AddFilter("Ra", func() core.Filter { return sink })
 	g.Connect("RE", "Ra", StreamTriangles)

@@ -16,7 +16,8 @@ import (
 // draw from these lists instead of allocating. On a dist TCP edge the
 // consumer is the sender's codec: Append is a payload's last use there.
 //
-//	volumes    E after mcubes.ExtractMesh   -> Store.ReadChunk, FieldSource.Load
+//	volumes    E after mcubes.ExtractMesh,  -> Store.ReadChunk, FieldSource.Load,
+//	           VoxelBlock codec after Append   VoxelBlock decoder
 //	vertices,  Ra after DrawMesh,           -> meshPacker, TriBatch decoder
 //	indices    TriBatch codec after Append
 //	pixels     M after merging a PixBatch,  -> active-pixel flush, PixBatch decoder

@@ -3,6 +3,7 @@ package isoviz
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -112,15 +113,23 @@ func TestZBufferChunkingCoversFrame(t *testing.T) {
 	}
 }
 
-// A KindREStore copy opens its own dataset.Store, and a persistent worker
-// serves any number of sessions: the store must be closed when the session
-// retires the copy, or every job leaks file handles. 50 back-to-back runs on
-// one worker must leave the process's open-file count flat, and closing the
-// RE copies must not touch the sink — the merged image stays retrievable.
+// Each copy of a dist source filter over a store opens its own
+// dataset.Store, and a persistent worker serves any number of sessions: the
+// store must be closed when the session retires the copy, or every job leaks
+// file handles. 50 back-to-back runs on one worker must leave the process's
+// open-file count flat, and closing the source copies must not touch the
+// sink — the merged image stays retrievable. The source filter is a fusion
+// (RE) in RE–Ra–M and a bare R in R–E–Ra–M.
 func TestDistStoreHandlesClosedPerSession(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skip("no /proc/self/fd on this platform")
 	}
+	for _, cfg := range []Config{ReadExtract, FullPipeline} {
+		t.Run(cfg.String(), func(t *testing.T) { distStoreHandlesClosedPerSession(t, cfg) })
+	}
+}
+
+func distStoreHandlesClosedPerSession(t *testing.T, cfg Config) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
 	st, err := dataset.Create(dir, dataset.Meta{
@@ -131,7 +140,7 @@ func TestDistStoreHandlesClosedPerSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	graph, err := DistGraphStore(StoreREParams{Dir: dir}, ActivePixel)
+	graph, err := cfg.DistGraph(ActivePixel, &StoreREParams{Dir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +151,13 @@ func TestDistStoreHandlesClosedPerSession(t *testing.T) {
 	go w.Serve()
 	defer w.Close()
 	addrs := map[string]string{"w0": w.Addr()}
-	placement := []dist.PlacementEntry{
-		{Filter: "RE", Host: "w0", Copies: 2},
-		{Filter: "Ra", Host: "w0", Copies: 1},
-		{Filter: "M", Host: "w0", Copies: 1},
+	var placement []dist.PlacementEntry
+	for _, f := range graph.Filters {
+		copies := 1
+		if f.Name == cfg.SourceFilter() {
+			copies = 2
+		}
+		placement = append(placement, dist.PlacementEntry{Filter: f.Name, Host: "w0", Copies: copies})
 	}
 	view := testView(32)
 	view.Timestep = 0
@@ -184,10 +196,10 @@ func TestDistStoreHandlesClosedPerSession(t *testing.T) {
 	}
 }
 
-// A jobd journal or an older dcsubmit can still ship RE-store params that
-// carry the readahead and mmap fields the store read path no longer has.
-// The worker must decode them (encoding/json skips unknown fields) and
-// render exactly the image the current params render.
+// A client can still ship store params that carry the readahead and mmap
+// fields the store read path no longer has. The worker must decode them
+// (encoding/json skips unknown fields) and render exactly the image the
+// current params render.
 func TestDistStoreAcceptsRetiredReadParams(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
@@ -211,7 +223,8 @@ func TestDistStoreAcceptsRetiredReadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired.Filters[0].Params = []byte(`{"Dir":` + string(quotedDir) + `,"Readahead":4,"ReadaheadBytes":1048576,"Mmap":true}`)
+	retired.Filters[0].Params = []byte(fmt.Sprintf(`{"Config":%d,"Alg":%d,"Filter":"RE","Store":{"Dir":%s,"Readahead":4,"ReadaheadBytes":1048576,"Mmap":true}}`,
+		ReadExtract, ActivePixel, quotedDir))
 
 	view := testView(64)
 	view.Timestep = 0

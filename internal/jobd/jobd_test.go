@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"datacutter/internal/conformance"
+	"datacutter/internal/core"
 	"datacutter/internal/dist"
 	"datacutter/internal/jobd"
 	"datacutter/internal/leakcheck"
@@ -241,6 +243,49 @@ func TestInvalidSpecRejected(t *testing.T) {
 		bad(&js.Options)
 		if id, err := s.Submit(js); !errors.Is(err, jobd.ErrInvalid) {
 			t.Errorf("%s: Submit = (%d, %v), want ErrInvalid", name, id, err)
+		}
+	}
+}
+
+// A job every worker refuses at setup for an application reason — here a
+// queued job from an old journal, naming an isoviz filter kind that is no
+// longer registered — fails without charging a worker: three of them leave
+// the fleet unstruck, not quarantined.
+func TestRefusedSetupChargesNoWorker(t *testing.T) {
+	leakcheck.Check(t)
+	names, _, register := startMesh(t, 2)
+	s := newServer(t, jobd.Config{QuarantineStrikes: 3, ProbeInterval: time.Hour})
+	register(s)
+	spec := jobd.JobSpec{
+		Name: "retired",
+		Graph: dist.GraphSpec{
+			Filters: []dist.FilterSpec{
+				{Name: "RE", Kind: "isoviz.RE-store", Params: []byte(`{"Dir":"plume"}`)},
+				{Name: "M", Kind: "isoviz.M"},
+			},
+			Streams: []core.StreamSpec{{Name: "pixels", From: "RE", To: "M"}},
+		},
+		Placement: []dist.PlacementEntry{
+			{Filter: "RE", Host: names[0], Copies: 1},
+			{Filter: "M", Host: names[1], Copies: 1},
+		},
+	}
+	for i := 0; i < 3; i++ {
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Await(id, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.State != jobd.StateFailed || !strings.Contains(res.Err, "not registered") {
+			t.Errorf("job %d: state %s, error %q; want failed, kind not registered", i, res.State, res.Err)
+		}
+	}
+	for _, w := range s.Workers() {
+		if w.Strikes != 0 || w.Quarantined {
+			t.Errorf("worker %s after three refused setups: %d strikes, quarantined %v", w.Host, w.Strikes, w.Quarantined)
 		}
 	}
 }

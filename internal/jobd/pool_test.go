@@ -145,7 +145,7 @@ func TestJobdWarmJobsReuseMergePlanes(t *testing.T) {
 		mcubes.ExtractMesh(v, view.Iso, &mesh)
 		rr.DrawMesh(&mesh, want)
 	}
-	graph, err := isoviz.DistGraphField(p, isoviz.ActivePixel)
+	graph, err := isoviz.ReadExtract.DistGraph(isoviz.ActivePixel, nil, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
