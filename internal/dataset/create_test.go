@@ -16,7 +16,8 @@ import (
 
 // Create's output is pinned byte for byte: every data file, meta.json and
 // summary.idx of each meta below hashes to the digest taken from the serial
-// writer that preceded the parallel one. A digest is the sha256 of the
+// writer that preceded the parallel one (the bench case's: from the
+// per-sample field fill that preceded the separable one). A digest is the sha256 of the
 // directory's "name sha256\n" listing, so it pins every file and the set of
 // files. Each case also checks that the -reindex path rebuilds the sidecar
 // Create wrote inline.
@@ -34,6 +35,8 @@ func TestCreateBytesPinned(t *testing.T) {
 		{"1-file", with(func(m *Meta) { m.Files = 1 }), 0, "e1b87bd8c5601266e23953d5ff3a4894fb2aceb0e32693a320b7bbc5fe10acf9"},
 		{"files-over-procs", with(func(m *Meta) { m.Files = 7 }), 3, "951beca79adb4681eaa1c33fedd411deab7fc9bf6f3f64973847b7619b5237ca"},
 		{"files-over-chunks", with(func(m *Meta) { m.Files = 50 }), 0, "6d3ed6f96affaa211c6e9afaa5767eaedac86c977cd02897a40cebfd2507f300"},
+		// The bench's input (bench/input.go), the dataset every workload reads.
+		{"bench", Meta{GX: 129, GY: 129, GZ: 97, BX: 8, BY: 8, BZ: 6, Timesteps: 4, Files: 8, Seed: 2002, Plumes: 5}, 0, "c5211db329a22798229b58bd04ca5912030ecabe2cfb470ec7fd4d6469c7f9d1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.maxProcs > 0 {

@@ -1,6 +1,8 @@
 package isoviz
 
 import (
+	"sync/atomic"
+
 	"datacutter/internal/geom"
 	"datacutter/internal/render"
 	"datacutter/internal/volume"
@@ -96,9 +98,14 @@ func recycleVolume(v *volume.Volume) {
 
 // testHookRecycle, when set, sees each payload as it is handed back: tests
 // poison it to prove nothing reads recycled storage, or return false to
-// veto its reuse.
-var testHookRecycle func(any) bool
+// veto its reuse. It is atomic: a test sets it between sessions, and a dist
+// worker's copies read it with no happens-before edge the race detector
+// can see, since dist sends frames with writev.
+var testHookRecycle atomic.Pointer[func(any) bool]
 
 // keep is generic so that storage becomes an interface — an allocation —
 // only when a hook is set.
-func keep[S any](storage S) bool { return testHookRecycle == nil || testHookRecycle(storage) }
+func keep[S any](storage S) bool {
+	h := testHookRecycle.Load()
+	return h == nil || (*h)(storage)
+}

@@ -239,13 +239,22 @@ func TestFramePathAllocationsDist(t *testing.T) {
 	checkFramePath(t, p, map[Algorithm]float64{ActivePixel: bound, ZBuffer: bound})
 }
 
+// setRecycleHook sets testHookRecycle, or clears it for a nil h.
+func setRecycleHook(h func(any) bool) {
+	if h == nil {
+		testHookRecycle.Store(nil)
+	} else {
+		testHookRecycle.Store(&h)
+	}
+}
+
 // checkFramePath bounds the bytes allocated per frame of warm sessions on
 // each algorithm, and renders from poisoned recycled storage.
 func checkFramePath(t *testing.T, p *framePath, bounds map[Algorithm]float64) {
-	defer func() { testHookRecycle = nil }()
+	defer setRecycleHook(nil)
 	algs := []Algorithm{ActivePixel, ZBuffer}
 	fresh := map[Algorithm]*render.ZBuffer{}
-	testHookRecycle = func(any) bool { return false } // before anything is poisoned
+	setRecycleHook(func(any) bool { return false }) // before anything is poisoned
 	for _, alg := range algs {
 		// Kept past later sessions, whose ends release this one's result
 		// planes on dist (the worker's retention): copy the image.
@@ -253,7 +262,7 @@ func checkFramePath(t *testing.T, p *framePath, bounds map[Algorithm]float64) {
 		fresh[alg] = &render.ZBuffer{W: z.W, H: z.H, Depth: slices.Clone(z.Depth), Color: slices.Clone(z.Color)}
 	}
 	for _, alg := range algs {
-		testHookRecycle = nil
+		setRecycleHook(nil)
 		p.session(alg) // warm-up: fills the free lists
 		if got := p.bytesPerFrame(alg); got > bounds[alg] {
 			t.Errorf("%v: %.0f bytes allocated per frame, want <= %.0f", alg, got, bounds[alg])
@@ -261,7 +270,7 @@ func checkFramePath(t *testing.T, p *framePath, bounds map[Algorithm]float64) {
 			t.Logf("%v: %.0f bytes allocated per frame", alg, got)
 		}
 
-		testHookRecycle = poison
+		setRecycleHook(poison)
 		p.session(alg) // every recycled buffer is now poisoned
 		if got := p.session(alg); !got.Equal(fresh[alg]) {
 			t.Errorf("%v: image rendered from poisoned recycled storage differs from a fresh-allocation run", alg)
